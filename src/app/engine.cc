@@ -201,13 +201,13 @@ Engine::runOne(const RunSpec &spec)
         ? nullptr
         : static_cast<const arch::SchedulePower *>(psu.get());
 
-    arch::Device dev(makeProfile(spec.profile), std::move(psu));
+    // The digest probe must outlive the Device (its destructor settles
+    // the lease through the probe).
     ExperimentResult result;
-    if (spec.captureNvmDigests) {
-        dev.setRebootHook([&result](arch::Device &d, u64) {
-            result.rebootDigests.push_back(d.nvmDigest());
-        });
-    }
+    arch::RebootDigestProbe digests(result.rebootDigests);
+    arch::Device dev(makeProfile(spec.profile), std::move(psu));
+    if (spec.captureNvmDigests)
+        dev.setProbe(&digests);
     const dnn::NetworkSpec &net_spec = compressed(spec.net);
     dnn::DeviceNetwork net(dev, net_spec);
 

@@ -192,8 +192,6 @@ Device::reboot()
         probe_->onRecharge(*this, dead);
     for (auto *v : volatiles_)
         v->onReboot(rebootCount_);
-    if (rebootHook_)
-        rebootHook_(*this, rebootCount_);
     if (probe_ != nullptr)
         probe_->onReboot(*this, rebootCount_);
 }

@@ -11,7 +11,6 @@
 #ifndef SONIC_ARCH_DEVICE_HH
 #define SONIC_ARCH_DEVICE_HH
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -175,31 +174,23 @@ class Device
     /**
      * Digest the whole registered non-volatile (FRAM) region in
      * registration order. Pull-based and never called by the
-     * simulation itself: the cost exists only when a caller (reboot
-     * hook, golden-file emitter, test) asks for it.
+     * simulation itself: the cost exists only when a caller (a
+     * RebootDigestProbe, golden-file emitter, test) asks for it.
      */
     u64 nvmDigest() const;
-
-    /**
-     * Hook invoked at the end of every reboot() with the reboot index
-     * (1-based). The verification oracle installs one that snapshots
-     * nvmDigest() into a per-run chain, so state divergence is pinned
-     * to the reboot boundary where it first appears. Empty (the
-     * default) costs a single branch per reboot and nothing per
-     * operation.
-     */
-    using RebootHook = std::function<void(Device &, u64 reboot_index)>;
-    void setRebootHook(RebootHook hook) { rebootHook_ = std::move(hook); }
     /// @}
 
-    /** @name Event tracing (src/trace) */
+    /** @name Observation (src/trace, src/verify) */
     /// @{
 
     /**
      * Install/clear the trace probe (non-owning; the caller keeps it
-     * alive for the Device's lifetime or until cleared). Null — the
-     * default — keeps every call site on its single-branch fast path;
-     * consume() itself never checks the probe at all.
+     * alive for the Device's lifetime or until cleared). The probe is
+     * the device's single observer channel: tracing, the oracle's
+     * commit/boundary/brown-out recorders and NVM snapshot capture are
+     * all probes. Null — the default — keeps every call site on its
+     * single-branch fast path; consume() itself never checks the probe
+     * at all.
      */
     void setProbe(TraceProbe *probe) { probe_ = probe; }
     TraceProbe *probe() const { return probe_; }
@@ -300,8 +291,27 @@ class Device
     u64 sramUsed_ = 0;
     std::vector<VolatileResettable *> volatiles_;
     std::vector<const NvmDigestible *> nonVolatiles_;
-    RebootHook rebootHook_;
     TraceProbe *probe_ = nullptr;
+};
+
+/**
+ * Snapshots nvmDigest() at the end of every reboot into a caller-owned
+ * chain, so state divergence is pinned to the reboot boundary where it
+ * first appears (the oracle's per-run digest chain).
+ */
+class RebootDigestProbe : public TraceProbe
+{
+  public:
+    explicit RebootDigestProbe(std::vector<u64> &chain) : chain_(chain) {}
+
+    void
+    onReboot(const Device &dev, u64) override
+    {
+        chain_.push_back(dev.nvmDigest());
+    }
+
+  private:
+    std::vector<u64> &chain_;
 };
 
 /** RAII: set the device's attribution layer, restoring on scope exit. */

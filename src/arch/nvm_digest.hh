@@ -14,8 +14,8 @@
  *
  * Digesting is strictly pull-based: nothing on the Device::consume hot
  * path ever touches a digest. A Device only walks the registry when
- * Device::nvmDigest() is called (by a reboot hook the oracle installed,
- * or by host tooling), so the feature costs one pointer push_back per
+ * Device::nvmDigest() is called (by the oracle's RebootDigestProbe or
+ * by host tooling), so the feature costs one pointer push_back per
  * NvArray/NvVar construction when unused.
  */
 

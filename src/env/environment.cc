@@ -271,8 +271,6 @@ HarvestSupply::draw(f64 nj)
     // Brown-out: the residual charge is below the regulator window
     // and is lost (same physics as CapacitorPower).
     levelNj_ = 0.0;
-    if (recordFailures_)
-        failureIndices_.push_back(draws_);
     ++draws_;
     return false;
 }
@@ -297,7 +295,6 @@ HarvestSupply::reset()
     harvestedNj_ = capacityNj_;
     simSeconds_ = phaseSeconds_;
     draws_ = 0;
-    failureIndices_.clear();
 }
 
 std::string

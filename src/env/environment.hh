@@ -149,10 +149,6 @@ class HarvestModel
  * recharge integrates the model forward from the current simulated
  * time, and Device::reboot's elapse() notifications keep that clock
  * aligned with device uptime.
- *
- * Optionally records the draw-call coordinate of every brown-out
- * (`recordFailures`), which is how the verification oracle converts a
- * realistic environment into an explicit failure-index schedule.
  */
 class HarvestSupply : public arch::PowerSupply
 {
@@ -212,18 +208,10 @@ class HarvestSupply : public arch::PowerSupply
     f64 simSeconds() const { return simSeconds_; }
     const HarvestModel &model() const { return model_; }
 
-    /** Record the draw coordinate of every brown-out (off by
-     * default; the oracle's environment mode turns it on). */
-    void setRecordFailures(bool enabled) { recordFailures_ = enabled; }
-
-    /** Draw-call (== Device::consume call) cursor. */
+    /** Draw-call (== Device::consume call) cursor. A failing draw
+     * counts too, so from TraceProbe::onPowerFailure the brown-out's
+     * own coordinate is drawsSoFar() - 1. */
     u64 drawsSoFar() const { return draws_; }
-
-    /** Brown-out draw coordinates (when recording was enabled). */
-    const std::vector<u64> &failureIndices() const
-    {
-        return failureIndices_;
-    }
 
     /**
      * Round-replay hook for the fleet round cache
@@ -260,8 +248,6 @@ class HarvestSupply : public arch::PowerSupply
     f64 harvestedNj_;
     f64 simSeconds_;
     u64 draws_ = 0;
-    bool recordFailures_ = false;
-    std::vector<u64> failureIndices_;
 };
 
 /**

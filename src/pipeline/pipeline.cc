@@ -13,13 +13,9 @@ namespace sonic::pipeline
 namespace
 {
 
-thread_local TxBoundaryObserver *tTxObserver = nullptr;
-
 void
 notifyBoundary(arch::Device &dev, TxBoundary boundary)
 {
-    if (tTxObserver != nullptr)
-        tTxObserver->onBoundary(dev, boundary);
     if (auto *p = dev.probe())
         p->onInstant(dev, arch::ProbeInstant::TxBoundary,
                      static_cast<u32>(boundary));
@@ -218,14 +214,6 @@ RoundOutcome::logitsDigest() const
     return h;
 }
 
-TxBoundaryObserver *
-setThreadTxBoundaryObserver(TxBoundaryObserver *obs)
-{
-    TxBoundaryObserver *previous = tTxObserver;
-    tTxObserver = obs;
-    return previous;
-}
-
 f64
 attemptEnergyJ(const RadioConfig &radio, const arch::EnergyProfile &profile)
 {
@@ -388,32 +376,47 @@ void
 PipelineRegistry::add(PipelineSpec spec)
 {
     SONIC_ASSERT(!spec.name.empty(), "pipeline spec needs a name");
-    if (contains(spec.name))
-        fatal("duplicate pipeline registration: ", spec.name);
-    specs_.push_back(std::move(spec));
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (findLocked(spec.name) == nullptr) {
+            specs_.push_back(std::move(spec));
+            return;
+        }
+    }
+    fatal("duplicate pipeline registration: ", spec.name);
+}
+
+const PipelineSpec *
+PipelineRegistry::findLocked(const std::string &name) const
+{
+    for (const auto &s : specs_)
+        if (s.name == name)
+            return &s;
+    return nullptr;
 }
 
 bool
 PipelineRegistry::contains(const std::string &name) const
 {
-    for (const auto &s : specs_)
-        if (s.name == name)
-            return true;
-    return false;
+    std::lock_guard<std::mutex> lock(mutex_);
+    return findLocked(name) != nullptr;
 }
 
 const PipelineSpec &
 PipelineRegistry::get(const std::string &name) const
 {
-    for (const auto &s : specs_)
-        if (s.name == name)
-            return s;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (const auto *s = findLocked(name))
+            return *s;
+    }
     fatal("unknown pipeline '", name, "'; registered:\n", availableList());
 }
 
 std::vector<std::string>
 PipelineRegistry::names() const
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     std::vector<std::string> out;
     out.reserve(specs_.size());
     for (const auto &s : specs_)
@@ -424,6 +427,7 @@ PipelineRegistry::names() const
 std::string
 PipelineRegistry::availableList() const
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     std::string out;
     for (const auto &s : specs_) {
         out += "  ";

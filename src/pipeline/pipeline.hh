@@ -34,6 +34,8 @@
 #ifndef SONIC_PIPELINE_PIPELINE_HH
 #define SONIC_PIPELINE_PIPELINE_HH
 
+#include <deque>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -127,7 +129,14 @@ class PipelineRegistry
   private:
     PipelineRegistry();
 
-    std::vector<PipelineSpec> specs_;
+    /** Lookup with mutex_ already held; nullptr when absent. */
+    const PipelineSpec *findLocked(const std::string &name) const;
+
+    /** Specs live in a deque so references handed out by get() survive
+     * later registrations; the mutex serializes add() against
+     * concurrent lookups from fleet/engine worker threads. */
+    mutable std::mutex mutex_;
+    std::deque<PipelineSpec> specs_;
 };
 
 /**
@@ -210,29 +219,19 @@ RoundOutcome runRound(dnn::DeviceNetwork &net, kernels::Impl impl,
                       const PipelineSpec &spec, u64 seed,
                       u64 round_index, const RoundLimits &limits = {});
 
-/** The delivery boundaries a TX-boundary observer can see. */
+/**
+ * The delivery boundaries, reported as arch::ProbeInstant::TxBoundary
+ * (arg = the boundary) immediately before each delivery-boundary
+ * NvVar write — the pipeline analogue of the task layer's TaskCommit
+ * instant. The oracle records them with a probe to aim
+ * commit-targeted schedules at the delivery atomicity surface.
+ */
 enum class TxBoundary : u8
 {
     ResultCommit,   ///< just before the committed-class NvVar write
     AttemptAdvance, ///< just before the failed-attempt-count write
     AckCommit       ///< just before the acknowledged-flag write
 };
-
-/**
- * Observer invoked immediately before each delivery-boundary NvVar
- * write, on the same thread as the run — the pipeline analogue of
- * task::CommitObserver. The oracle installs a recorder here to aim
- * commit-targeted schedules at the new atomicity surface.
- */
-class TxBoundaryObserver
-{
-  public:
-    virtual ~TxBoundaryObserver() = default;
-    virtual void onBoundary(arch::Device &dev, TxBoundary boundary) = 0;
-};
-
-/** Install a thread-local observer; returns the previous one. */
-TxBoundaryObserver *setThreadTxBoundaryObserver(TxBoundaryObserver *obs);
 
 } // namespace sonic::pipeline
 

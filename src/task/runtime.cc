@@ -5,24 +5,6 @@
 namespace sonic::task
 {
 
-namespace
-{
-
-/** The calling thread's commit observer (engine workers each own one
- * run at a time, so thread-local scoping keeps oracle instrumentation
- * from crosstalking between parallel sweeps). */
-thread_local CommitObserver *t_commitObserver = nullptr;
-
-} // namespace
-
-CommitObserver *
-setThreadCommitObserver(CommitObserver *observer)
-{
-    CommitObserver *previous = t_commitObserver;
-    t_commitObserver = observer;
-    return previous;
-}
-
 void
 Runtime::pushLog(const LogEntry &entry)
 {
@@ -197,8 +179,9 @@ Scheduler::run(TaskId entry)
 void
 Scheduler::commitAndTransition(TaskId next)
 {
-    if (t_commitObserver != nullptr)
-        t_commitObserver->onCommit(dev_, next);
+    // Fired before the transition is charged: the next draw the device
+    // performs is the first operation of the commit sequence (the
+    // coordinate commit-targeted schedules aim at).
     if (auto *probe = dev_.probe())
         probe->onInstant(dev_, arch::ProbeInstant::TaskCommit,
                          static_cast<u32>(next));

@@ -194,35 +194,6 @@ class Runtime
     bool progressed_ = false;
 };
 
-/**
- * Observer of committed task transitions — oracle instrumentation.
- *
- * The commit-point-targeted schedule generator (src/verify) needs the
- * draw-call coordinates of every two-phase commit in a continuous
- * reference run so it can aim power failures at the commit machinery.
- * An observer is installed per thread (setThreadCommitObserver) and is
- * consulted once per task transition — a cold path — so the
- * per-operation simulation cost is untouched when no oracle runs.
- */
-class CommitObserver
-{
-  public:
-    virtual ~CommitObserver() = default;
-
-    /**
-     * Called at the start of every commitAndTransition, before the
-     * transition is charged: the next draw the device performs is the
-     * first operation of the commit sequence.
-     */
-    virtual void onCommit(arch::Device &dev, TaskId next) = 0;
-};
-
-/**
- * Install a commit observer for the calling thread (nullptr uninstalls);
- * returns the previous observer so callers can nest/restore.
- */
-CommitObserver *setThreadCommitObserver(CommitObserver *observer);
-
 /** How task transitions are charged. */
 enum class TransitionStyle : u8
 {

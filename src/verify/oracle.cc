@@ -8,8 +8,8 @@
 
 #include "dnn/device_net.hh"
 #include "kernels/runner.hh"
-#include "task/runtime.hh"
 #include "trace/trace.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 #include "verify/workload.hh"
@@ -44,37 +44,55 @@ toObservation(const app::ExperimentResult &result)
     return o;
 }
 
-/** Records the draw index of every two-phase commit on this thread. */
-struct TraceRecorder : task::CommitObserver
+/**
+ * Draw-call cursor of a SchedulePower-driven device. dev.power()
+ * settles the open lease first, so this is exact in either accounting
+ * mode.
+ */
+u64
+scheduleDraws(const arch::Device &dev)
 {
-    std::vector<u64> commits;
+    return static_cast<const arch::SchedulePower &>(dev.power())
+        .drawsSoFar();
+}
+
+/**
+ * Records the draw index of every `instant` (task commits or TX
+ * delivery boundaries) on a SchedulePower-driven device. Both are
+ * reported just before their first charged operation, so the next
+ * draw is the first one of the commit sequence.
+ */
+struct InstantRecorder : arch::TraceProbe
+{
+    explicit InstantRecorder(arch::ProbeInstant which) : which(which) {}
 
     void
-    onCommit(arch::Device &dev, task::TaskId) override
+    onInstant(const arch::Device &dev, arch::ProbeInstant instant,
+              u32) override
     {
-        // dev.power() settles the open lease first, so drawsSoFar is
-        // the exact draw-call cursor in either accounting mode.
-        commits.push_back(
-            static_cast<arch::SchedulePower &>(dev.power())
-                .drawsSoFar());
+        if (instant == which)
+            draws.push_back(scheduleDraws(dev));
     }
+
+    arch::ProbeInstant which;
+    std::vector<u64> draws;
 };
 
-/** RAII install/restore of the thread commit observer. */
-struct ObserverGuard
+/** Records the draw coordinate of every brown-out of a HarvestSupply. */
+struct BrownOutRecorder : arch::TraceProbe
 {
-    explicit ObserverGuard(task::CommitObserver *observer)
-        : previous_(task::setThreadCommitObserver(observer))
+    void
+    onPowerFailure(const arch::Device &dev) override
     {
+        // The lease was settled before the failing draw, and the
+        // supply counts that draw too.
+        failures.push_back(
+            static_cast<const env::HarvestSupply &>(dev.power())
+                .drawsSoFar()
+            - 1);
     }
 
-    ~ObserverGuard() { task::setThreadCommitObserver(previous_); }
-
-    ObserverGuard(const ObserverGuard &) = delete;
-    ObserverGuard &operator=(const ObserverGuard &) = delete;
-
-  private:
-    task::CommitObserver *previous_;
+    std::vector<u64> failures;
 };
 
 std::string
@@ -118,14 +136,13 @@ Observation
 runSchedule(const LocalWorkload &workload, const Schedule &schedule,
             bool capture_digests)
 {
+    // Probes must outlive the Device (its destructor settles the lease).
+    Observation o;
+    arch::RebootDigestProbe digests(o.rebootDigests);
     arch::Device dev(app::makeProfile(workload.profile),
                      std::make_unique<arch::SchedulePower>(schedule));
-    Observation o;
-    if (capture_digests) {
-        dev.setRebootHook([&o](arch::Device &d, u64) {
-            o.rebootDigests.push_back(d.nvmDigest());
-        });
-    }
+    if (capture_digests)
+        dev.setProbe(&digests);
     dnn::DeviceNetwork net(dev, workload.net);
     net.loadInput(workload.input);
     const auto run = kernels::runInference(net, workload.impl);
@@ -153,76 +170,32 @@ localRunner(const LocalWorkload &workload, bool capture_digests)
 std::vector<u64>
 recordCommitTrace(const LocalWorkload &workload, u64 *total_draws)
 {
+    InstantRecorder recorder(arch::ProbeInstant::TaskCommit);
     arch::Device dev(app::makeProfile(workload.profile),
                      std::make_unique<arch::SchedulePower>(Schedule{}));
+    dev.setProbe(&recorder);
     dnn::DeviceNetwork net(dev, workload.net);
     net.loadInput(workload.input);
-    TraceRecorder recorder;
-    ObserverGuard guard(&recorder);
     const auto run = kernels::runInference(net, workload.impl);
     SONIC_ASSERT(run.completed,
                  "commit-trace reference run must complete");
-    if (total_draws != nullptr) {
-        *total_draws =
-            static_cast<const arch::SchedulePower &>(dev.power())
-                .drawsSoFar();
-    }
-    return std::move(recorder.commits);
+    if (total_draws != nullptr)
+        *total_draws = scheduleDraws(dev);
+    return std::move(recorder.draws);
 }
 
 // --- Pipeline path --------------------------------------------------
-
-namespace
-{
-
-/** Records the draw index of every delivery boundary on this thread. */
-struct TxBoundaryRecorder : pipeline::TxBoundaryObserver
-{
-    std::vector<u64> boundaries;
-
-    void
-    onBoundary(arch::Device &dev, pipeline::TxBoundary) override
-    {
-        boundaries.push_back(
-            static_cast<arch::SchedulePower &>(dev.power())
-                .drawsSoFar());
-    }
-};
-
-/** RAII install/restore of the thread TX-boundary observer. */
-struct TxObserverGuard
-{
-    explicit TxObserverGuard(pipeline::TxBoundaryObserver *observer)
-        : previous_(pipeline::setThreadTxBoundaryObserver(observer))
-    {
-    }
-
-    ~TxObserverGuard()
-    {
-        pipeline::setThreadTxBoundaryObserver(previous_);
-    }
-
-    TxObserverGuard(const TxObserverGuard &) = delete;
-    TxObserverGuard &operator=(const TxObserverGuard &) = delete;
-
-  private:
-    pipeline::TxBoundaryObserver *previous_;
-};
-
-} // namespace
 
 Observation
 runPipelineSchedule(const PipelineWorkload &workload,
                     const Schedule &schedule, bool capture_digests)
 {
+    Observation o;
+    arch::RebootDigestProbe digests(o.rebootDigests);
     arch::Device dev(app::makeProfile(workload.base.profile),
                      std::make_unique<arch::SchedulePower>(schedule));
-    Observation o;
-    if (capture_digests) {
-        dev.setRebootHook([&o](arch::Device &d, u64) {
-            o.rebootDigests.push_back(d.nvmDigest());
-        });
-    }
+    if (capture_digests)
+        dev.setProbe(&digests);
     dnn::DeviceNetwork net(dev, workload.base.net);
     const auto round = pipeline::runRound(
         net, workload.base.impl, workload.base.input, workload.spec,
@@ -256,22 +229,19 @@ std::vector<u64>
 recordTxBoundaryTrace(const PipelineWorkload &workload,
                       u64 *total_draws)
 {
+    InstantRecorder recorder(arch::ProbeInstant::TxBoundary);
     arch::Device dev(app::makeProfile(workload.base.profile),
                      std::make_unique<arch::SchedulePower>(Schedule{}));
+    dev.setProbe(&recorder);
     dnn::DeviceNetwork net(dev, workload.base.net);
-    TxBoundaryRecorder recorder;
-    TxObserverGuard guard(&recorder);
     const auto round = pipeline::runRound(
         net, workload.base.impl, workload.base.input, workload.spec,
         workload.seed, workload.roundIndex);
     SONIC_ASSERT(round.completed,
                  "TX-boundary reference round must complete");
-    if (total_draws != nullptr) {
-        *total_draws =
-            static_cast<const arch::SchedulePower &>(dev.power())
-                .drawsSoFar();
-    }
-    return std::move(recorder.boundaries);
+    if (total_draws != nullptr)
+        *total_draws = scheduleDraws(dev);
+    return std::move(recorder.draws);
 }
 
 OracleReport
@@ -317,18 +287,17 @@ recordEnvironmentFailures(const LocalWorkload &workload,
               "' never fails — nothing to record for the oracle");
 
     auto psu = registry.make(ref, seed);
-    auto *harvest = dynamic_cast<env::HarvestSupply *>(psu.get());
-    SONIC_ASSERT(harvest != nullptr,
+    SONIC_ASSERT(dynamic_cast<env::HarvestSupply *>(psu.get()) != nullptr,
                  "intermittent environments build HarvestSupply");
-    harvest->setRecordFailures(true);
 
+    BrownOutRecorder recorder;
     arch::Device dev(app::makeProfile(workload.profile),
                      std::move(psu));
+    dev.setProbe(&recorder);
     dnn::DeviceNetwork net(dev, workload.net);
     net.loadInput(workload.input);
     (void)kernels::runInference(net, workload.impl);
-    dev.power(); // settle the open lease so the cursor is booked
-    return harvest->failureIndices();
+    return std::move(recorder.failures);
 }
 
 std::vector<Schedule>
@@ -687,15 +656,16 @@ std::string
 reportJson(const OracleReport &report)
 {
     std::ostringstream os;
-    os << "{\n  \"impl\": \"" << report.impl << "\",\n  \"workload\": \""
-       << report.workload << "\",\n  \"schedulesRun\": "
+    os << "{\n  \"impl\": " << jsonQuote(report.impl)
+       << ",\n  \"workload\": " << jsonQuote(report.workload)
+       << ",\n  \"schedulesRun\": "
        << report.schedulesRun << ",\n  \"totalFired\": "
        << report.totalFired << ",\n  \"totalReboots\": "
        << report.totalReboots << ",\n  \"divergences\": [";
     for (u64 i = 0; i < report.divergences.size(); ++i) {
         const Divergence &d = report.divergences[i];
-        os << (i ? ",\n" : "\n") << "    {\"reason\": \"" << d.reason
-           << "\",\n     \"schedule\": ";
+        os << (i ? ",\n" : "\n") << "    {\"reason\": "
+           << jsonQuote(d.reason) << ",\n     \"schedule\": ";
         appendIndexArray(os, d.schedule);
         os << ",\n     \"shrunk\": ";
         appendIndexArray(os, d.shrunk);
@@ -707,7 +677,7 @@ reportJson(const OracleReport &report)
         os << ",\n     \"shrunkRebootDigests\": ";
         appendDigestArray(os, d.observed.rebootDigests);
         if (!d.tracePath.empty())
-            os << ",\n     \"tracePath\": \"" << d.tracePath << "\"";
+            os << ",\n     \"tracePath\": " << jsonQuote(d.tracePath);
         os << "}";
     }
     os << (report.divergences.empty() ? "]" : "\n  ]") << "\n}\n";
@@ -805,8 +775,7 @@ goldenContinuousRun(const LocalWorkload &workload)
     g.obs.cycles = dev.cycles();
     g.obs.opInstances = sumOpInstances(dev);
     g.obs.finalNvmDigest = dev.nvmDigest();
-    g.draws = static_cast<const arch::SchedulePower &>(dev.power())
-                  .drawsSoFar();
+    g.draws = scheduleDraws(dev);
 
     const auto &stats = dev.stats();
     for (u16 l = 0; l < stats.numLayers(); ++l) {

@@ -13,8 +13,8 @@
  *    reboot path itself (boot sequence, commit replay) and repeated
  *    re-execution of the same atomic unit;
  *  - commit-targeted: failures aimed at the draw coordinates of the
- *    continuous run's two-phase task commits (recorded via
- *    task::CommitObserver), the window where redo-log sealing, flag
+ *    continuous run's two-phase task commits (recorded by a probe
+ *    on arch::ProbeInstant::TaskCommit), the window where redo-log sealing, flag
  *    raising and log application must stay atomic.
  *
  * Every schedule keeps its total failure count well below the

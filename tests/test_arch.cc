@@ -585,16 +585,31 @@ TEST(NvmDigest, CapturesFramChangesAndNothingElse)
     EXPECT_NE(dev.nvmDigest(), initial);
 }
 
-TEST(NvmDigest, RebootHookSnapshotsEveryReboot)
+TEST(NvmDigest, RebootDigestProbeSnapshotsEveryReboot)
 {
+    /** The production probe, plus a check of the reboot index. */
+    struct IndexedDigests : RebootDigestProbe
+    {
+        explicit IndexedDigests(std::vector<u64> &chain)
+            : RebootDigestProbe(chain), seen(chain)
+        {
+        }
+
+        void
+        onReboot(const Device &d, u64 index) override
+        {
+            EXPECT_EQ(index, seen.size() + 1);
+            RebootDigestProbe::onReboot(d, index);
+        }
+
+        const std::vector<u64> &seen;
+    };
+    std::vector<u64> chain;
+    IndexedDigests probe(chain);
     Device dev(EnergyProfile::msp430fr5994(),
                std::make_unique<FailEveryOps>(3));
     NvArray<i16> fram(dev, 4, "nv");
-    std::vector<u64> chain;
-    dev.setRebootHook([&chain](Device &d, u64 index) {
-        EXPECT_EQ(index, chain.size() + 1);
-        chain.push_back(d.nvmDigest());
-    });
+    dev.setProbe(&probe);
     for (u32 i = 0; i < 9; ++i) {
         try {
             fram.write(i % 4, static_cast<i16>(i));

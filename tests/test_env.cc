@@ -403,23 +403,39 @@ TEST(EnvLease, HarvestSupplyStateSettlesExactly)
         config.perOpPowerDraw = per_op;
         return config;
     };
+    // Brown-out coordinates are recorded the way the oracle records
+    // them: a probe reading the settled supply's draw cursor.
+    struct BrownOuts : arch::TraceProbe
+    {
+        std::vector<u64> draws;
+
+        void
+        onPowerFailure(const arch::Device &dev) override
+        {
+            draws.push_back(
+                static_cast<const HarvestSupply &>(dev.power())
+                    .drawsSoFar()
+                - 1);
+        }
+    };
+    BrownOuts failures_a, failures_b;
     auto psu_a = EnvRegistry::instance().make({"rf-bursty", 5e-6}, 9);
     auto psu_b = EnvRegistry::instance().make({"rf-bursty", 5e-6}, 9);
     auto *raw_a = dynamic_cast<HarvestSupply *>(psu_a.get());
     auto *raw_b = dynamic_cast<HarvestSupply *>(psu_b.get());
     ASSERT_NE(raw_a, nullptr);
-    raw_a->setRecordFailures(true);
-    raw_b->setRecordFailures(true);
     arch::Device dev_a(arch::EnergyProfile::msp430fr5994(),
                        std::move(psu_a), make(false));
     arch::Device dev_b(arch::EnergyProfile::msp430fr5994(),
                        std::move(psu_b), make(true));
+    dev_a.setProbe(&failures_a);
+    dev_b.setProbe(&failures_b);
     runScript(dev_a, 4096);
     runScript(dev_b, 4096);
     dev_a.power(); // settle
     dev_b.power();
-    EXPECT_GT(raw_a->failureIndices().size(), 0u);
-    EXPECT_EQ(raw_a->failureIndices(), raw_b->failureIndices());
+    EXPECT_GT(failures_a.draws.size(), 0u);
+    EXPECT_EQ(failures_a.draws, failures_b.draws);
     EXPECT_EQ(raw_a->drawsSoFar(), raw_b->drawsSoFar());
     EXPECT_EQ(raw_a->levelNj(), raw_b->levelNj());
     EXPECT_EQ(raw_a->harvestedNj(), raw_b->harvestedNj());

@@ -87,6 +87,29 @@ TEST(PipelineRegistry, DuplicateAndUnknownNamesDie)
                  "registered");
 }
 
+TEST(PipelineRegistry, ReferencesSurviveLaterRegistrations)
+{
+    // get() hands out references; registering more specs must neither
+    // move nor clobber them. Runs in a child process so the extra
+    // specs do not leak into tests that iterate every pipeline.
+    EXPECT_EXIT(
+        {
+            auto &registry = PipelineRegistry::instance();
+            const PipelineSpec &wildlife = registry.get("wildlife");
+            for (u32 i = 0; i < 64; ++i) {
+                PipelineSpec s;
+                s.name = "growth-" + std::to_string(i);
+                registry.add(std::move(s));
+            }
+            const bool intact = wildlife.name == "wildlife"
+                && wildlife.sense.enabled
+                && wildlife.radio.payloadBytes == 8
+                && &registry.get("wildlife") == &wildlife;
+            std::exit(intact ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "");
+}
+
 // --- Radio energy ---------------------------------------------------
 
 TEST(RadioEnergy, OpenChirpImageAttemptMatchesPaper)

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "util/json_parse.hh"
 #include "verify/oracle.hh"
 #include "verify/workload.hh"
 
@@ -326,6 +327,64 @@ TEST(Oracle, ReportJsonCarriesShrunkCounterexample)
     EXPECT_NE(json.find("logits diverge"), std::string::npos);
     EXPECT_NE(json.find("\"schedule\": [5, 9, 12]"),
               std::string::npos);
+
+    // User-supplied strings (--load'ed model names, --env labels,
+    // --artifact paths) must not break the document.
+    report.workload = "my \"net\" \\ v2\nunder rf";
+    report.divergences[0].tracePath = "dir\\a \"b\".sonictrace";
+    jsonp::JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(jsonp::parseJson(reportJson(report), &doc, &error))
+        << error;
+    const auto *root = doc.object();
+    ASSERT_NE(root, nullptr);
+    EXPECT_EQ(*root->at("workload").string(), report.workload);
+    EXPECT_EQ(*root->at("impl").string(), "SONIC");
+    const auto &div = *root->at("divergences").array()->at(0).object();
+    EXPECT_EQ(*div.at("tracePath").string(),
+              report.divergences[0].tracePath);
+    EXPECT_EQ(*div.at("reason").string(), d.reason);
+}
+
+// --- Environment-recorded schedules ---------------------------------
+
+TEST(EnvironmentFailures, RecordedBrownOutsReplayExactly)
+{
+    // The oracle's environment mode turns a deployment's brown-outs
+    // into an explicit schedule. Replaying that schedule must fire
+    // every index and reproduce the environment run's reboots and
+    // logits, or environment fuzzing would judge a different run.
+    //
+    // Capacitors stay at 20 uF and up: SONIC/TAILS clamp their span
+    // width by the supply's capacity (safeSpanWords), which
+    // SchedulePower reports as unbounded, so below that the clamp
+    // binds on the golden rows and the replay runs a different op
+    // stream (at 5 uF SONIC replays 72 of 90 brown-outs). The tiled
+    // kernels only finish on the larger capacitor.
+    const std::pair<kernels::Impl, env::EnvRef> cases[] = {
+        {kernels::Impl::Sonic, {"rf-bursty", 20e-6}},
+        {kernels::Impl::Tails, {"rf-bursty", 20e-6}},
+        {kernels::Impl::Tile8, {"rf-bursty", 100e-6}},
+        {kernels::Impl::Tile32, {"rf-bursty", 100e-6}}};
+    const u64 seed = 0xb0;
+    for (const auto &[impl, ref] : cases) {
+        const auto workload = goldenWorkload(impl);
+        arch::Device dev(app::makeProfile(workload.profile),
+                         env::EnvRegistry::instance().make(ref, seed));
+        dnn::DeviceNetwork net(dev, workload.net);
+        net.loadInput(workload.input);
+        const auto env_run = kernels::runInference(net, impl);
+        ASSERT_TRUE(env_run.completed);
+
+        const Schedule recorded =
+            recordEnvironmentFailures(workload, ref, seed);
+        ASSERT_FALSE(recorded.empty()) << "capacitor never browned out";
+        const auto replay = runSchedule(workload, recorded, false);
+        EXPECT_TRUE(replay.completed);
+        EXPECT_EQ(replay.fired, recorded.size());
+        EXPECT_EQ(replay.reboots, env_run.reboots);
+        EXPECT_EQ(replay.logits, env_run.logits);
+    }
 }
 
 // --- Golden digest file ---------------------------------------------
