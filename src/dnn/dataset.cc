@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/logging.hh"
+#include "util/parallel.hh"
 #include "util/rng.hh"
 
 namespace sonic::dnn
@@ -73,22 +74,24 @@ makeDataset(const NetworkSpec &teacher, u32 n, u64 seed)
         protos.push_back(makePrototype(teacher.input, c, seed));
 
     Rng rng = Rng(seed).fork(7);
-    Dataset data;
-    data.reserve(n);
-    for (u32 i = 0; i < n; ++i) {
+    Dataset data(n);
+    for (auto &s : data) {
         const u32 proto_cls = static_cast<u32>(rng.below(classes));
-        tensor::FeatureMap x(teacher.input.c, teacher.input.h,
-                             teacher.input.w);
+        tensor::FeatureMap &x = s.input;
+        x = tensor::FeatureMap(teacher.input.c, teacher.input.h,
+                               teacher.input.w);
         for (u64 e = 0; e < x.size(); ++e) {
             const f64 v = 0.45 + 0.42 * protos[proto_cls].data[e]
                         + 0.10 * rng.gaussian();
             x.data[e] = std::clamp(v, -1.0, 1.0);
         }
-        Sample s;
-        s.label = teacher.classify(x);
-        s.input = std::move(x);
-        data.push_back(std::move(s));
     }
+    // The inputs above take the rng's draws in sample order; labelling
+    // (one teacher forward pass per sample) is independent per sample
+    // and dominates, so it runs concurrently.
+    util::parallelFor(n, [&](u64 i) {
+        data[i].label = teacher.classify(data[i].input);
+    });
     return data;
 }
 

@@ -6,6 +6,7 @@
 #include "tensor/decompose.hh"
 #include "tensor/sparse.hh"
 #include "util/logging.hh"
+#include "util/parallel.hh"
 #include "util/rng.hh"
 
 namespace sonic::dnn
@@ -321,6 +322,208 @@ tableBudgets(NetId id)
     panic("bad NetId");
 }
 
+/** OkG's 128x128 FC, which Table 2 separates but does not prune. */
+bool
+isOkgBottleneck(NetId id, const DenseFcLayer &fc)
+{
+    return id == NetId::Okg && fc.weights.rows() == 128
+        && fc.weights.cols() == 128;
+}
+
+/**
+ * Compress each teacher layer into its own slot, concurrently (the
+ * per-layer decompositions are independent), then append the slots in
+ * layer order, so the network does not depend on scheduling.
+ * compressLayer(li, out) appends the compressed form of layer li.
+ */
+template <typename CompressLayer>
+NetworkSpec
+compressLayers(const NetworkSpec &teacher, CompressLayer compressLayer)
+{
+    std::vector<std::vector<LayerSpec>> slots(teacher.layers.size());
+    util::parallelFor(slots.size(), [&](u64 li) {
+        compressLayer(static_cast<u32>(li), slots[li]);
+    });
+
+    NetworkSpec net;
+    net.name = teacher.name;
+    net.input = teacher.input;
+    net.numClasses = teacher.numClasses;
+    for (auto &slot : slots)
+        for (auto &layer : slot)
+            net.layers.push_back(std::move(layer));
+    return net;
+}
+
+/** One paper-teacher layer under its Table 2 rules (see compress()).
+ * fc_index picks the fc1/fc2 budget of a hidden FC layer. */
+void
+compressPaperLayer(NetId id, const Budgets &budgets,
+                   const CompressionKnobs &knobs, const LayerSpec &layer,
+                   bool is_last, u32 fc_index, std::vector<LayerSpec> &out)
+{
+    if (const auto *conv = std::get_if<DenseConvLayer>(&layer.op)) {
+        const bool is_mnist_conv2 =
+            id == NetId::Mnist && layer.name == "conv2";
+        if (is_mnist_conv2) {
+            // Table 2: pruning only for the multi-channel conv.
+            // Balanced (per-output-channel top-k) pruning keeps the
+            // per-channel work uniform, which real deployments prefer
+            // for predictable task energy.
+            tensor::FilterBank bank = conv->filters;
+            const u32 per_oc = std::max<u32>(
+                1, static_cast<u32>(std::lround(
+                       knobs.convKeep
+                       * static_cast<f64>(budgets.conv2Nnz)
+                       / bank.outChannels)));
+            const u64 block = u64{bank.inChannels} * bank.kh * bank.kw;
+            for (u32 oc = 0; oc < bank.outChannels; ++oc) {
+                tensor::Matrix slice(1, static_cast<u32>(block));
+                for (u64 e = 0; e < block; ++e)
+                    slice.at(0, static_cast<u32>(e)) =
+                        bank.data[oc * block + e];
+                tensor::pruneToFraction(
+                    slice, std::min(1.0, static_cast<f64>(per_oc)
+                                             / static_cast<f64>(block)));
+                for (u64 e = 0; e < block; ++e)
+                    bank.data[oc * block + e] =
+                        slice.at(0, static_cast<u32>(e));
+            }
+            out.push_back({layer.name, SparseConvLayer{bank},
+                           layer.reluAfter, layer.poolAfter});
+        } else if (knobs.separateConv) {
+            FactoredConvLayer f;
+            if (conv->filters.inChannels == 1) {
+                f = factorSingleChannelConv(
+                    conv->filters,
+                    std::min(1.0, budgets.convColKeep * knobs.convKeep));
+            } else {
+                // (oc, ic, kw) structure (HAR): mix + row + scale.
+                tensor::Tensor3 t(conv->filters.outChannels,
+                                  conv->filters.inChannels,
+                                  conv->filters.kw);
+                for (u32 oc = 0; oc < t.dim0(); ++oc)
+                    for (u32 ic = 0; ic < t.dim1(); ++ic)
+                        for (u32 x = 0; x < t.dim2(); ++x)
+                            t.at(oc, ic, x) =
+                                conv->filters.at(oc, ic, 0, x);
+                auto cp = tensor::cpRank1(t);
+                f.mix = cp.b;
+                f.row = cp.c;
+                f.scale.resize(t.dim0());
+                for (u32 oc = 0; oc < t.dim0(); ++oc)
+                    f.scale[oc] = cp.lambda * cp.a[oc];
+            }
+            out.push_back({layer.name, std::move(f), layer.reluAfter,
+                           layer.poolAfter});
+        } else {
+            // Prune-only conv.
+            tensor::FilterBank bank = conv->filters;
+            tensor::Tensor3 flat(bank.outChannels, bank.inChannels,
+                                 bank.kh * bank.kw);
+            flat.data() = bank.data;
+            tensor::pruneToFraction(flat,
+                                    std::min(1.0, 0.15 * knobs.convKeep));
+            bank.data = flat.data();
+            out.push_back({layer.name, SparseConvLayer{bank},
+                           layer.reluAfter, layer.poolAfter});
+        }
+    } else if (const auto *fc = std::get_if<DenseFcLayer>(&layer.op)) {
+        if (is_last) {
+            // Final classifier layers stay dense (Table 2 "—").
+            out.push_back(layer);
+        } else if (isOkgBottleneck(id, *fc)) {
+            // Table 2: plain SVD into a 32-rank dense pair.
+            const u32 k = std::max(
+                1u,
+                static_cast<u32>(std::lround(32 * knobs.fcRankScale)));
+            auto svd = tensor::truncatedSvd(fc->weights,
+                                            std::min(128u, k));
+            tensor::Matrix uf = svd.u;
+            for (u32 r = 0; r < uf.rows(); ++r)
+                for (u32 c = 0; c < uf.cols(); ++c)
+                    uf.at(r, c) *= svd.s[c];
+            out.push_back({layer.name, DenseFcLayer{svd.v.transpose()},
+                           false, false});
+            out.push_back({layer.name, DenseFcLayer{uf}, layer.reluAfter,
+                           false});
+        } else {
+            const u64 budget =
+                fc_index == 0 ? budgets.fc1Nnz : budgets.fc2Nnz;
+            const u32 rank =
+                fc_index == 0 ? budgets.fc1Rank : budgets.fc2Rank;
+            const u64 nnz = std::max<u64>(
+                16, static_cast<u64>(std::llround(
+                        knobs.fcKeep * static_cast<f64>(budget))));
+            if (knobs.svdFc) {
+                const u32 k = std::max(
+                    1u, static_cast<u32>(
+                            std::lround(rank * knobs.fcRankScale)));
+                appendCompressedFc(out, layer.name, fc->weights, k, nnz,
+                                   layer.reluAfter);
+            } else {
+                appendPrunedFc(out, layer.name, fc->weights, nnz,
+                               layer.reluAfter);
+            }
+        }
+    } else {
+        out.push_back(layer);
+    }
+}
+
+/** One layer under the generic knob rules (see compressGeneric()). */
+void
+compressGenericLayer(const CompressionKnobs &knobs, const LayerSpec &layer,
+                     bool is_last, std::vector<LayerSpec> &out)
+{
+    if (const auto *conv = std::get_if<DenseConvLayer>(&layer.op)) {
+        if (knobs.separateConv && conv->filters.inChannels == 1) {
+            out.push_back(
+                {layer.name,
+                 factorSingleChannelConv(conv->filters,
+                                         std::min(1.0, knobs.convKeep)),
+                 layer.reluAfter, layer.poolAfter});
+        } else {
+            tensor::FilterBank bank = conv->filters;
+            tensor::Tensor3 flat(bank.outChannels, bank.inChannels,
+                                 bank.kh * bank.kw);
+            flat.data() = bank.data;
+            tensor::pruneToFraction(flat,
+                                    std::min(1.0, 0.25 * knobs.convKeep));
+            bank.data = flat.data();
+            out.push_back({layer.name, SparseConvLayer{bank},
+                           layer.reluAfter, layer.poolAfter});
+        }
+    } else if (const auto *fc = std::get_if<DenseFcLayer>(&layer.op)) {
+        if (is_last) {
+            // Final classifier stays dense (the Table 2 "—" rule).
+            out.push_back(layer);
+            return;
+        }
+        const u32 max_rank =
+            std::min(fc->weights.rows(), fc->weights.cols());
+        const u64 nnz = std::max<u64>(
+            16, static_cast<u64>(std::llround(
+                    0.10 * static_cast<f64>(fc->weights.size())
+                    * knobs.fcKeep)));
+        if (knobs.svdFc) {
+            const u32 rank = std::max(
+                1u, std::min(max_rank,
+                             static_cast<u32>(std::lround(
+                                 static_cast<f64>(max_rank) / 8.0
+                                 * knobs.fcRankScale))));
+            appendCompressedFc(out, layer.name, fc->weights, rank, nnz,
+                               layer.reluAfter);
+        } else {
+            appendPrunedFc(out, layer.name, fc->weights, nnz,
+                           layer.reluAfter);
+        }
+    } else {
+        // Factored / sparse forms are already compressed.
+        out.push_back(layer);
+    }
+}
+
 } // namespace
 
 const char *
@@ -357,209 +560,40 @@ buildTeacher(NetId id, u64 seed)
 }
 
 NetworkSpec
-buildWithKnobs(NetId id, const CompressionKnobs &knobs, u64 seed)
+compress(NetId id, const NetworkSpec &teacher,
+         const CompressionKnobs &knobs)
 {
-    NetworkSpec teacher = buildTeacher(id, seed);
-    Budgets budgets = tableBudgets(id);
-
-    NetworkSpec net;
-    net.name = teacher.name;
-    net.input = teacher.input;
-    net.numClasses = teacher.numClasses;
-
-    u32 fc_index = 0;
-    for (u32 li = 0; li < teacher.layers.size(); ++li) {
-        const auto &layer = teacher.layers[li];
-        if (const auto *conv = std::get_if<DenseConvLayer>(&layer.op)) {
-            const bool is_mnist_conv2 =
-                id == NetId::Mnist && layer.name == "conv2";
-            if (is_mnist_conv2) {
-                // Table 2: pruning only for the multi-channel conv.
-                // Balanced (per-output-channel top-k) pruning keeps the
-                // per-channel work uniform, which real deployments
-                // prefer for predictable task energy.
-                tensor::FilterBank bank = conv->filters;
-                const u32 per_oc = std::max<u32>(
-                    1, static_cast<u32>(std::lround(
-                           knobs.convKeep
-                           * static_cast<f64>(budgets.conv2Nnz)
-                           / bank.outChannels)));
-                const u64 block = u64{bank.inChannels} * bank.kh
-                                * bank.kw;
-                for (u32 oc = 0; oc < bank.outChannels; ++oc) {
-                    tensor::Matrix slice(1, static_cast<u32>(block));
-                    for (u64 e = 0; e < block; ++e)
-                        slice.at(0, static_cast<u32>(e)) =
-                            bank.data[oc * block + e];
-                    tensor::pruneToFraction(
-                        slice, std::min(1.0, static_cast<f64>(per_oc)
-                                                 / static_cast<f64>(
-                                                     block)));
-                    for (u64 e = 0; e < block; ++e)
-                        bank.data[oc * block + e] =
-                            slice.at(0, static_cast<u32>(e));
-                }
-                net.layers.push_back({layer.name, SparseConvLayer{bank},
-                                      layer.reluAfter, layer.poolAfter});
-            } else if (knobs.separateConv) {
-                FactoredConvLayer f;
-                if (conv->filters.inChannels == 1) {
-                    f = factorSingleChannelConv(
-                        conv->filters,
-                        std::min(1.0,
-                                 budgets.convColKeep * knobs.convKeep));
-                } else {
-                    // (oc, ic, kw) structure (HAR): mix + row + scale.
-                    tensor::Tensor3 t(conv->filters.outChannels,
-                                      conv->filters.inChannels,
-                                      conv->filters.kw);
-                    for (u32 oc = 0; oc < t.dim0(); ++oc)
-                        for (u32 ic = 0; ic < t.dim1(); ++ic)
-                            for (u32 x = 0; x < t.dim2(); ++x)
-                                t.at(oc, ic, x) =
-                                    conv->filters.at(oc, ic, 0, x);
-                    auto cp = tensor::cpRank1(t);
-                    f.mix = cp.b;
-                    f.row = cp.c;
-                    f.scale.resize(t.dim0());
-                    for (u32 oc = 0; oc < t.dim0(); ++oc)
-                        f.scale[oc] = cp.lambda * cp.a[oc];
-                }
-                net.layers.push_back({layer.name, std::move(f),
-                                      layer.reluAfter, layer.poolAfter});
-            } else {
-                // Prune-only conv.
-                tensor::FilterBank bank = conv->filters;
-                tensor::Tensor3 flat(bank.outChannels, bank.inChannels,
-                                     bank.kh * bank.kw);
-                flat.data() = bank.data;
-                tensor::pruneToFraction(
-                    flat, std::min(1.0, 0.15 * knobs.convKeep));
-                bank.data = flat.data();
-                net.layers.push_back({layer.name, SparseConvLayer{bank},
-                                      layer.reluAfter, layer.poolAfter});
-            }
-        } else if (const auto *fc = std::get_if<DenseFcLayer>(&layer.op)) {
-            const bool is_last = li + 1 == teacher.layers.size();
-            const bool is_okg_bottleneck =
-                id == NetId::Okg && fc->weights.rows() == 128
-                && fc->weights.cols() == 128;
-            if (is_last) {
-                // Final classifier layers stay dense (Table 2 "—").
-                net.layers.push_back(layer);
-            } else if (is_okg_bottleneck) {
-                // Table 2: plain SVD into a 32-rank dense pair.
-                const u32 k = std::max(
-                    1u,
-                    static_cast<u32>(
-                        std::lround(32 * knobs.fcRankScale)));
-                auto svd = tensor::truncatedSvd(fc->weights,
-                                                std::min(128u, k));
-                tensor::Matrix uf = svd.u;
-                for (u32 r = 0; r < uf.rows(); ++r)
-                    for (u32 c = 0; c < uf.cols(); ++c)
-                        uf.at(r, c) *= svd.s[c];
-                net.layers.push_back({layer.name,
-                                      DenseFcLayer{svd.v.transpose()},
-                                      false, false});
-                net.layers.push_back({layer.name, DenseFcLayer{uf},
-                                      layer.reluAfter, false});
-            } else {
-                const u64 budget = fc_index == 0 ? budgets.fc1Nnz
-                                                 : budgets.fc2Nnz;
-                const u32 rank = fc_index == 0 ? budgets.fc1Rank
-                                               : budgets.fc2Rank;
-                const u64 nnz = std::max<u64>(
-                    16, static_cast<u64>(std::llround(
-                            knobs.fcKeep * static_cast<f64>(budget))));
-                if (knobs.svdFc) {
-                    const u32 k = std::max(
-                        1u, static_cast<u32>(std::lround(
-                                rank * knobs.fcRankScale)));
-                    appendCompressedFc(net.layers, layer.name,
-                                       fc->weights, k, nnz,
-                                       layer.reluAfter);
-                } else {
-                    appendPrunedFc(net.layers, layer.name, fc->weights,
-                                   nnz, layer.reluAfter);
-                }
-                ++fc_index;
-            }
-        } else {
-            net.layers.push_back(layer);
-        }
+    const Budgets budgets = tableBudgets(id);
+    const u32 layers = static_cast<u32>(teacher.layers.size());
+    // Hidden FC layers take the fc1/fc2 budgets in layer order; the
+    // classifier and OkG's bottleneck take none.
+    std::vector<u32> fc_index(layers, 0);
+    u32 next_fc = 0;
+    for (u32 li = 0; li + 1 < layers; ++li) {
+        const auto *fc = std::get_if<DenseFcLayer>(&teacher.layers[li].op);
+        if (fc != nullptr && !isOkgBottleneck(id, *fc))
+            fc_index[li] = next_fc++;
     }
-    return net;
+    return compressLayers(teacher, [&](u32 li, std::vector<LayerSpec> &out) {
+        compressPaperLayer(id, budgets, knobs, teacher.layers[li],
+                           li + 1 == layers, fc_index[li], out);
+    });
 }
 
 NetworkSpec
-buildCompressed(NetId id, u64 seed)
+buildWithKnobs(NetId id, const CompressionKnobs &knobs, u64 seed)
 {
-    return buildWithKnobs(id, CompressionKnobs{}, seed);
+    return compress(id, buildTeacher(id, seed), knobs);
 }
 
 NetworkSpec
 compressGeneric(const NetworkSpec &teacher, const CompressionKnobs &knobs)
 {
-    NetworkSpec net;
-    net.name = teacher.name;
-    net.input = teacher.input;
-    net.numClasses = teacher.numClasses;
-
-    for (u32 li = 0; li < teacher.layers.size(); ++li) {
-        const auto &layer = teacher.layers[li];
-        const bool is_last = li + 1 == teacher.layers.size();
-        if (const auto *conv = std::get_if<DenseConvLayer>(&layer.op)) {
-            if (knobs.separateConv && conv->filters.inChannels == 1) {
-                net.layers.push_back(
-                    {layer.name,
-                     factorSingleChannelConv(conv->filters,
-                                             std::min(1.0,
-                                                      knobs.convKeep)),
-                     layer.reluAfter, layer.poolAfter});
-            } else {
-                tensor::FilterBank bank = conv->filters;
-                tensor::Tensor3 flat(bank.outChannels, bank.inChannels,
-                                     bank.kh * bank.kw);
-                flat.data() = bank.data;
-                tensor::pruneToFraction(
-                    flat, std::min(1.0, 0.25 * knobs.convKeep));
-                bank.data = flat.data();
-                net.layers.push_back({layer.name, SparseConvLayer{bank},
-                                      layer.reluAfter, layer.poolAfter});
-            }
-        } else if (const auto *fc =
-                       std::get_if<DenseFcLayer>(&layer.op)) {
-            if (is_last) {
-                // Final classifier stays dense (the Table 2 "—" rule).
-                net.layers.push_back(layer);
-                continue;
-            }
-            const u32 max_rank =
-                std::min(fc->weights.rows(), fc->weights.cols());
-            const u64 nnz = std::max<u64>(
-                16, static_cast<u64>(std::llround(
-                        0.10 * static_cast<f64>(fc->weights.size())
-                        * knobs.fcKeep)));
-            if (knobs.svdFc) {
-                const u32 rank = std::max(
-                    1u,
-                    std::min(max_rank,
-                             static_cast<u32>(std::lround(
-                                 static_cast<f64>(max_rank) / 8.0
-                                 * knobs.fcRankScale))));
-                appendCompressedFc(net.layers, layer.name, fc->weights,
-                                   rank, nnz, layer.reluAfter);
-            } else {
-                appendPrunedFc(net.layers, layer.name, fc->weights, nnz,
-                               layer.reluAfter);
-            }
-        } else {
-            // Factored / sparse forms are already compressed.
-            net.layers.push_back(layer);
-        }
-    }
-    return net;
+    const u32 layers = static_cast<u32>(teacher.layers.size());
+    return compressLayers(teacher, [&](u32 li, std::vector<LayerSpec> &out) {
+        compressGenericLayer(knobs, teacher.layers[li], li + 1 == layers,
+                             out);
+    });
 }
 
 } // namespace sonic::dnn

@@ -50,12 +50,6 @@ f64 paperAccuracy(NetId id);
 NetworkSpec buildTeacher(NetId id, u64 seed = 0x5eed);
 
 /**
- * The compressed configuration used on-device, derived from the
- * teacher per Table 2 (separation + pruning budgets).
- */
-NetworkSpec buildCompressed(NetId id, u64 seed = 0x5eed);
-
-/**
  * Knobs for building alternative compressed configurations (GENESIS'
  * search space). fcKeep/convKeep are the fractions of FC/conv weights
  * kept by pruning; fcRank scales the SVD ranks (1.0 = Table 2 ranks);
@@ -70,7 +64,17 @@ struct CompressionKnobs
     bool svdFc = true;
 };
 
-/** Build a compressed network with explicit knobs (GENESIS sweep). */
+/**
+ * Compress a teacher built by buildTeacher(id, ...) per Table 2
+ * (separation + pruning budgets, scaled by the knobs; default knobs
+ * give the on-device configuration). The per-layer decompositions run
+ * concurrently; the result is the same network at any thread count.
+ */
+NetworkSpec compress(NetId id, const NetworkSpec &teacher,
+                     const CompressionKnobs &knobs);
+
+/** buildTeacher(id, seed) compressed with explicit knobs (GENESIS
+ * sweep). */
 NetworkSpec buildWithKnobs(NetId id, const CompressionKnobs &knobs,
                            u64 seed = 0x5eed);
 

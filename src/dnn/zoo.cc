@@ -89,7 +89,7 @@ ModelZoo::ModelZoo()
         add(netName(row.id), meta, [id = row.id] {
             ModelDef def;
             def.teacher = buildTeacher(id);
-            def.compressed = buildCompressed(id);
+            def.compressed = compress(id, def.teacher, CompressionKnobs{});
             def.teacherAt = [id](u64 seed) {
                 return buildTeacher(id, seed);
             };

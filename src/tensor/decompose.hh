@@ -25,13 +25,18 @@ struct EigenResult
     Matrix vectors; ///< column i is the eigenvector for values[i]
 };
 
+/** symmetricEigen's defaults, which truncatedSvd also uses. */
+inline constexpr u32 kEigenMaxSweeps = 64;
+inline constexpr f64 kEigenTolerance = 1e-12;
+
 /**
  * Jacobi eigendecomposition of a symmetric matrix. O(n^3) per sweep;
  * intended for the small Gram matrices (n <= a few hundred) that arise
  * when decomposing our layers.
  */
-EigenResult symmetricEigen(const Matrix &sym, u32 max_sweeps = 64,
-                           f64 tol = 1e-12);
+EigenResult symmetricEigen(const Matrix &sym,
+                           u32 max_sweeps = kEigenMaxSweeps,
+                           f64 tol = kEigenTolerance);
 
 /** Truncated SVD A ~= U diag(S) V^T with k columns. */
 struct SvdResult
@@ -46,6 +51,13 @@ struct SvdResult
     /** Parameter count of the factored form (m*k + k*n). */
     u64 factoredParams() const;
 };
+
+/**
+ * The smaller Gram matrix of a: A A^T when rows <= cols, else A^T A.
+ * Entries (r, c) and (c, r) are bitwise equal, and each is bitwise the
+ * entry Matrix::matmul gives against an explicit transpose.
+ */
+Matrix gramMatrix(const Matrix &a);
 
 /**
  * Rank-k SVD computed via eigendecomposition of the smaller Gram

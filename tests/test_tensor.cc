@@ -2,13 +2,19 @@
  * @file
  * Unit tests for the host tensor kit: matrices, decompositions
  * (symmetric eigen, truncated SVD, rank-1 CP), pruning, sparse
- * formats, and the reference NN primitives.
+ * formats, and the reference NN primitives. Eigen, Gram, SVD and the
+ * dense convolution are also held bit-identical to textbook loops.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "dnn/networks.hh"
 #include "tensor/decompose.hh"
 #include "tensor/matrix.hh"
 #include "tensor/nnref.hh"
@@ -19,6 +25,191 @@ namespace sonic::tensor
 {
 namespace
 {
+
+/**
+ * The textbook loops the library must match bit for bit: bounds-checked
+ * at() throughout, the Gram product through Matrix::matmul against an
+ * explicit transpose, eigenvectors accumulated as columns, A^T u formed
+ * one column at a time, and the convolution one element at a time.
+ */
+namespace reference
+{
+
+EigenResult
+symmetricEigen(const Matrix &sym)
+{
+    const u32 n = sym.rows();
+    Matrix a = sym;
+    Matrix v = Matrix::identity(n);
+    for (u32 sweep = 0; sweep < kEigenMaxSweeps; ++sweep) {
+        f64 off = 0.0;
+        for (u32 p = 0; p < n; ++p)
+            for (u32 q = p + 1; q < n; ++q)
+                off += a.at(p, q) * a.at(p, q);
+        if (off < kEigenTolerance * kEigenTolerance)
+            break;
+        for (u32 p = 0; p < n; ++p) {
+            for (u32 q = p + 1; q < n; ++q) {
+                const f64 apq = a.at(p, q);
+                if (std::fabs(apq) < 1e-300)
+                    continue;
+                const f64 app = a.at(p, p);
+                const f64 aqq = a.at(q, q);
+                const f64 theta = (aqq - app) / (2.0 * apq);
+                const f64 t = (theta >= 0.0 ? 1.0 : -1.0)
+                    / (std::fabs(theta)
+                       + std::sqrt(theta * theta + 1.0));
+                const f64 c = 1.0 / std::sqrt(t * t + 1.0);
+                const f64 s = t * c;
+                for (u32 k = 0; k < n; ++k) {
+                    const f64 akp = a.at(k, p);
+                    const f64 akq = a.at(k, q);
+                    a.at(k, p) = c * akp - s * akq;
+                    a.at(k, q) = s * akp + c * akq;
+                }
+                for (u32 k = 0; k < n; ++k) {
+                    const f64 apk = a.at(p, k);
+                    const f64 aqk = a.at(q, k);
+                    a.at(p, k) = c * apk - s * aqk;
+                    a.at(q, k) = s * apk + c * aqk;
+                }
+                for (u32 k = 0; k < n; ++k) {
+                    const f64 vkp = v.at(k, p);
+                    const f64 vkq = v.at(k, q);
+                    v.at(k, p) = c * vkp - s * vkq;
+                    v.at(k, q) = s * vkp + c * vkq;
+                }
+            }
+        }
+    }
+    std::vector<u32> order(n);
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](u32 x, u32 y) {
+        return a.at(x, x) > a.at(y, y);
+    });
+    EigenResult result;
+    result.values.resize(n);
+    result.vectors = Matrix(n, n);
+    for (u32 i = 0; i < n; ++i) {
+        result.values[i] = a.at(order[i], order[i]);
+        for (u32 r = 0; r < n; ++r)
+            result.vectors.at(r, i) = v.at(r, order[i]);
+    }
+    return result;
+}
+
+Matrix
+gramMatrix(const Matrix &a)
+{
+    return a.rows() <= a.cols() ? a.matmul(a.transpose())
+                                : a.transpose().matmul(a);
+}
+
+SvdResult
+truncatedSvd(const Matrix &a, u32 k)
+{
+    const u32 m = a.rows();
+    const u32 n = a.cols();
+    const bool use_rows = m <= n;
+    const EigenResult eig =
+        reference::symmetricEigen(reference::gramMatrix(a));
+    SvdResult result;
+    result.s.resize(k);
+    result.u = Matrix(m, k);
+    result.v = Matrix(n, k);
+    for (u32 i = 0; i < k; ++i) {
+        const f64 sigma = std::sqrt(std::max(0.0, eig.values[i]));
+        result.s[i] = sigma;
+        if (use_rows) {
+            for (u32 r = 0; r < m; ++r)
+                result.u.at(r, i) = eig.vectors.at(r, i);
+            if (sigma > 1e-300) {
+                for (u32 c = 0; c < n; ++c) {
+                    f64 acc = 0.0;
+                    for (u32 r = 0; r < m; ++r)
+                        acc += a.at(r, c) * eig.vectors.at(r, i);
+                    result.v.at(c, i) = acc / sigma;
+                }
+            }
+        } else {
+            for (u32 c = 0; c < n; ++c)
+                result.v.at(c, i) = eig.vectors.at(c, i);
+            if (sigma > 1e-300) {
+                for (u32 r = 0; r < m; ++r) {
+                    f64 acc = 0.0;
+                    for (u32 c = 0; c < n; ++c)
+                        acc += a.at(r, c) * eig.vectors.at(c, i);
+                    result.u.at(r, i) = acc / sigma;
+                }
+            }
+        }
+    }
+    return result;
+}
+
+FeatureMap
+conv2dValid(const FeatureMap &in, const FilterBank &filters)
+{
+    const u32 oh = in.height - filters.kh + 1;
+    const u32 ow = in.width - filters.kw + 1;
+    FeatureMap out(filters.outChannels, oh, ow);
+    for (u32 oc = 0; oc < filters.outChannels; ++oc)
+        for (u32 ic = 0; ic < filters.inChannels; ++ic)
+            for (u32 fy = 0; fy < filters.kh; ++fy)
+                for (u32 fx = 0; fx < filters.kw; ++fx) {
+                    const f64 w = filters.at(oc, ic, fy, fx);
+                    if (w == 0.0)
+                        continue;
+                    for (u32 y = 0; y < oh; ++y)
+                        for (u32 x = 0; x < ow; ++x)
+                            out.at(oc, y, x) +=
+                                w * in.at(ic, y + fy, x + fx);
+                }
+    return out;
+}
+
+} // namespace reference
+
+bool
+sameBits(const std::vector<f64> &x, const std::vector<f64> &y)
+{
+    return x.size() == y.size()
+        && std::memcmp(x.data(), y.data(), x.size() * sizeof(f64)) == 0;
+}
+
+bool
+sameBits(const Matrix &x, const Matrix &y)
+{
+    return x.sameShape(y) && sameBits(x.data(), y.data());
+}
+
+/** Gram matrix and rank-k SVD of a, bitwise against the reference. */
+void
+expectSvdMatchesReference(const Matrix &a, u32 k)
+{
+    const Matrix gram = gramMatrix(a);
+    EXPECT_TRUE(sameBits(gram, reference::gramMatrix(a)));
+    EXPECT_TRUE(sameBits(gram, gram.transpose()));
+    const SvdResult got = truncatedSvd(a, k);
+    const SvdResult want = reference::truncatedSvd(a, k);
+    EXPECT_TRUE(sameBits(got.u, want.u));
+    EXPECT_TRUE(sameBits(got.s, want.s));
+    EXPECT_TRUE(sameBits(got.v, want.v));
+}
+
+/** a with roughly a third of its entries and all of row 1 set to 0. */
+Matrix
+withExactZeros(u32 m, u32 n, u64 seed)
+{
+    Rng rng(seed);
+    Matrix a = Matrix::gaussian(m, n, rng);
+    for (auto &x : a.data())
+        if (rng.below(3) == 0)
+            x = 0.0;
+    for (u32 c = 0; c < n; ++c)
+        a.at(1, c) = 0.0;
+    return a;
+}
 
 TEST(Matrix, IdentityMatmul)
 {
@@ -94,6 +285,58 @@ TEST(Eigen, ReconstructsSymmetricMatrix)
             rec.at(r, c) = acc;
         }
     EXPECT_LT(sym.relativeError(rec), 1e-8);
+}
+
+TEST(Eigen, BitIdenticalToReferenceLoops)
+{
+    Rng rng(40);
+    for (u32 n : {1u, 2u, 3u, 17u, 64u}) {
+        const Matrix a = Matrix::gaussian(n, n, rng);
+        const Matrix sym = a + a.transpose();
+        const EigenResult got = symmetricEigen(sym);
+        const EigenResult want = reference::symmetricEigen(sym);
+        EXPECT_TRUE(sameBits(got.values, want.values)) << n;
+        EXPECT_TRUE(sameBits(got.vectors, want.vectors)) << n;
+    }
+    Matrix diag(5, 5);
+    for (u32 i = 0; i < 5; ++i)
+        diag.at(i, i) = rng.gaussian();
+    const EigenResult got = symmetricEigen(diag);
+    const EigenResult want = reference::symmetricEigen(diag);
+    EXPECT_TRUE(sameBits(got.values, want.values));
+    EXPECT_TRUE(sameBits(got.vectors, want.vectors));
+}
+
+TEST(Svd, BitIdenticalToReferenceWithExactZeros)
+{
+    // Wide (A A^T), tall (A^T A) and square shapes, at full and
+    // truncated rank.
+    const u32 shapes[][2] = {{7, 19}, {23, 6}, {12, 12}};
+    u64 seed = 41;
+    for (const auto &shape : shapes) {
+        const Matrix a = withExactZeros(shape[0], shape[1], seed++);
+        const u32 rank = std::min(shape[0], shape[1]);
+        expectSvdMatchesReference(a, rank);
+        expectSvdMatchesReference(a, 3);
+    }
+}
+
+TEST(Svd, BitIdenticalToReferenceOnPaperTeacherFcLayers)
+{
+    for (auto id : {dnn::NetId::Mnist, dnn::NetId::Har, dnn::NetId::Okg}) {
+        const dnn::NetworkSpec teacher = dnn::buildTeacher(id);
+        for (const auto &layer : teacher.layers) {
+            const auto *fc = std::get_if<dnn::DenseFcLayer>(&layer.op);
+            if (fc == nullptr)
+                continue;
+            SCOPED_TRACE(std::string(dnn::netName(id)) + " "
+                         + std::to_string(fc->weights.rows()) + "x"
+                         + std::to_string(fc->weights.cols()));
+            expectSvdMatchesReference(
+                fc->weights,
+                std::min(fc->weights.rows(), fc->weights.cols()));
+        }
+    }
 }
 
 TEST(Svd, FullRankReconstructs)
@@ -275,6 +518,25 @@ TEST(NnRef, Conv2dHandComputed)
     EXPECT_EQ(out.width, 2u);
     EXPECT_NEAR(out.at(0, 0, 0), 1 + 5, 1e-12);
     EXPECT_NEAR(out.at(0, 1, 1), 5 + 9, 1e-12);
+}
+
+TEST(NnRef, Conv2dBitIdenticalToReferenceLoops)
+{
+    // Output widths 8 (even) and 5 (odd: the one-element tail), with
+    // pruned taps skipped.
+    Rng rng(16);
+    for (u32 width : {12u, 9u}) {
+        FeatureMap in(3, 10, width);
+        for (auto &v : in.data)
+            v = rng.gaussian();
+        FilterBank f(4, 3, 5, 5);
+        for (auto &v : f.data)
+            v = rng.below(4) == 0 ? 0.0 : rng.gaussian();
+        const FeatureMap got = conv2dValid(in, f);
+        const FeatureMap want = reference::conv2dValid(in, f);
+        EXPECT_EQ(got.width, width - 4);
+        EXPECT_TRUE(sameBits(got.data, want.data)) << width;
+    }
 }
 
 TEST(NnRef, FactoredEqualsRankOneConv)

@@ -3,14 +3,18 @@
  * Tests for the model zoo and the declarative NetworkBuilder: registry
  * semantics (lazy caching, registration order, duplicate/unknown
  * names), builder shape propagation and fusion, the synthetic model
- * families, generic knob compression, and the unknown-model error
- * paths in SweepPlan and Engine.
+ * families, generic knob compression, determinism of the concurrent
+ * model and dataset construction, and the unknown-model error paths in
+ * SweepPlan and Engine.
  */
+
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "app/engine.hh"
 #include "dnn/builder.hh"
+#include "dnn/model_io.hh"
 #include "dnn/zoo.hh"
 
 namespace sonic::dnn
@@ -179,6 +183,60 @@ TEST(ModelZoo, GenericKnobCompressionShrinksSyntheticTeachers)
     const auto compressed = entry.withKnobs(lean, 0x5eed);
     EXPECT_LT(compressed.paramCount(), entry.teacher().paramCount());
     EXPECT_EQ(compressed.numClasses, entry.teacher().numClasses);
+}
+
+TEST(ModelZoo, PaperCompressionIsIndependentOfConstructionPath)
+{
+    // The zoo compresses the teacher it built; GENESIS rebuilds the
+    // teacher per call. Both run the per-layer decompositions
+    // concurrently and must give the same bytes.
+    CompressionKnobs lean;
+    lean.fcKeep = 0.35;
+    lean.convKeep = 0.6;
+    lean.fcRankScale = 0.5;
+    for (NetId id : {NetId::Mnist, NetId::Har, NetId::Okg}) {
+        const NetworkSpec teacher = buildTeacher(id);
+        const std::string direct =
+            modelJson(compress(id, teacher, CompressionKnobs{}));
+        EXPECT_EQ(direct, modelJson(buildWithKnobs(id, CompressionKnobs{})))
+            << netName(id);
+        EXPECT_EQ(direct,
+                  modelJson(ModelZoo::instance().get(netName(id))
+                                .compressed()))
+            << netName(id);
+        EXPECT_EQ(modelJson(compress(id, teacher, lean)),
+                  modelJson(buildWithKnobs(id, lean)))
+            << netName(id);
+    }
+}
+
+TEST(ModelZoo, DatasetsMatchASerialTeacherPass)
+{
+    auto &zoo = ModelZoo::instance();
+    for (const auto &name : zoo.names()) {
+        const ModelEntry &entry = zoo.get(name);
+        // Test-registered models may ship their own datasets.
+        if (entry.meta().family == "custom")
+            continue;
+        const Dataset data = makeDataset(entry.teacher(),
+                                         entry.meta().datasetSamples,
+                                         entry.meta().datasetSeed);
+        const Dataset &cached = entry.dataset();
+        ASSERT_EQ(data.size(), cached.size()) << name;
+        for (u32 i = 0; i < data.size(); ++i) {
+            const auto &input = data[i].input.data;
+            ASSERT_EQ(input.size(), cached[i].input.data.size());
+            EXPECT_EQ(std::memcmp(input.data(),
+                                  cached[i].input.data.data(),
+                                  input.size() * sizeof(f64)),
+                      0)
+                << name << " sample " << i;
+            EXPECT_EQ(data[i].label, entry.teacher().classify(data[i].input))
+                << name << " sample " << i;
+            EXPECT_EQ(cached[i].label, data[i].label)
+                << name << " sample " << i;
+        }
+    }
 }
 
 TEST(Builder, TracksShapesThroughConvPoolAndFc)
