@@ -41,18 +41,19 @@ statusOf(const app::ExperimentResult &r)
 
 /**
  * Find a sweep record by coordinates; nullptr if the plan did not
- * cover that grid point.
+ * cover that grid point. The default environment is the empty EnvRef
+ * (continuous wall power).
  */
 inline const app::SweepRecord *
 findRecord(const std::vector<app::SweepRecord> &records,
            const dnn::NetRef &net, kernels::Impl impl,
-           app::PowerKind power = app::PowerKind::Continuous,
+           const env::EnvRef &environment = {},
            app::ProfileVariant profile = app::ProfileVariant::Standard,
            u32 sample = 0)
 {
     for (const auto &record : records) {
         if (record.spec.net == net && record.spec.impl == impl
-            && record.spec.power == power
+            && record.spec.environment == environment
             && record.spec.profile == profile
             && record.spec.sampleIndex == sample)
             return &record;
@@ -64,15 +65,15 @@ findRecord(const std::vector<app::SweepRecord> &records,
 inline const app::ExperimentResult &
 resultFor(const std::vector<app::SweepRecord> &records,
           const dnn::NetRef &net, kernels::Impl impl,
-          app::PowerKind power = app::PowerKind::Continuous,
+          const env::EnvRef &environment = {},
           app::ProfileVariant profile = app::ProfileVariant::Standard,
           u32 sample = 0)
 {
-    const auto *record = findRecord(records, net, impl, power,
+    const auto *record = findRecord(records, net, impl, environment,
                                     profile, sample);
     if (record == nullptr)
         fatal("sweep record missing for ", net, "/",
-              kernels::implName(impl), "/", app::powerName(power));
+              kernels::implName(impl), "/", environment.label());
     return record->result;
 }
 

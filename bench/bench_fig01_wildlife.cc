@@ -99,18 +99,17 @@ main(int argc, char **argv)
                              "full images").c_str());
 
     // Measure Einfer on the prototype (MNIST, 1 mF capacitor).
+    const env::EnvRef cap1mF{"rf-paper", 1e-3};
     app::Engine engine;
     app::SweepPlan measure;
     measure.nets({"MNIST"})
         .impls({kernels::Impl::Tile8, kernels::Impl::Tails})
-        .power({app::PowerKind::Cap1mF});
+        .environments({cap1mF});
     const auto records = engine.run(measure);
-    const auto &naive_run = resultFor(records, "MNIST",
-                                      kernels::Impl::Tile8,
-                                      app::PowerKind::Cap1mF);
-    const auto &tails_run = resultFor(records, "MNIST",
-                                      kernels::Impl::Tails,
-                                      app::PowerKind::Cap1mF);
+    const auto &naive_run =
+        resultFor(records, "MNIST", kernels::Impl::Tile8, cap1mF);
+    const auto &tails_run =
+        resultFor(records, "MNIST", kernels::Impl::Tails, cap1mF);
 
     auto params = app::WildlifeParams::fromRadio(
         arch::EnergyProfile::openChirpRadio());
@@ -145,7 +144,7 @@ main(int argc, char **argv)
                 top.sonicTails / top.naive);
 
     const auto cmp = app::offloadVsLocal(
-        28 * 28, tails_run.energyJ, app::kHarvestWatts);
+        28 * 28, tails_run.energyJ, env::kRfPaperWatts);
     std::printf("\nSec. 3.1: offloading one 28x28 image over OpenChirp "
                 "~= %.0f s of harvest; local inference ~= %.1f s; "
                 "speedup %.0fx (paper >=360x)\n",

@@ -20,21 +20,20 @@ main()
     std::printf("%s", banner("Fig. 2 — wildlife monitoring, sending "
                              "results only").c_str());
 
+    const env::EnvRef cap1mF{"rf-paper", 1e-3};
     app::Engine engine;
     app::SweepPlan measure;
     measure.nets({"MNIST"})
         .impls({kernels::Impl::Tile8, kernels::Impl::Tails})
-        .power({app::PowerKind::Cap1mF});
+        .environments({cap1mF});
     const auto records = engine.run(measure);
 
     auto params = app::WildlifeParams::fromRadio(
         arch::EnergyProfile::openChirpRadio());
-    params.naiveInferJ = resultFor(records, "MNIST",
-                                   kernels::Impl::Tile8,
-                                   app::PowerKind::Cap1mF).energyJ;
-    params.tailsInferJ = resultFor(records, "MNIST",
-                                   kernels::Impl::Tails,
-                                   app::PowerKind::Cap1mF).energyJ;
+    params.naiveInferJ =
+        resultFor(records, "MNIST", kernels::Impl::Tile8, cap1mF).energyJ;
+    params.tailsInferJ =
+        resultFor(records, "MNIST", kernels::Impl::Tails, cap1mF).energyJ;
 
     std::printf("radio profile: result shrink = %.1fx (paper 98x)\n\n",
                 params.resultCommShrink);

@@ -20,7 +20,7 @@ main()
 
     app::Engine engine;
     app::SweepPlan plan;
-    plan.allNets().allImpls().power({app::PowerKind::Continuous});
+    plan.allNets().allImpls();
     const auto records = engine.run(plan);
 
     Table table({"net", "impl", "conv1 (s)", "conv2 (s)", "fc (s)",

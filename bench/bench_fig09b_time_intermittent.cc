@@ -19,7 +19,7 @@ main()
 
     app::Engine engine;
     app::SweepPlan plan;
-    plan.allNets().allImpls().power({app::PowerKind::Cap100uF});
+    plan.allNets().allImpls().environmentLabels({"rf-paper@100uF"});
     const auto records = engine.run(plan);
 
     Table table({"net", "impl", "status", "live (s)", "dead (s)",

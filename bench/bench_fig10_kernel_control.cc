@@ -23,8 +23,7 @@ main()
     app::SweepPlan plan;
     plan.allNets()
         .impls({kernels::Impl::Base, kernels::Impl::Tile32,
-                kernels::Impl::Sonic, kernels::Impl::Tails})
-        .power({app::PowerKind::Continuous});
+                kernels::Impl::Sonic, kernels::Impl::Tails});
     const auto records = engine.run(plan);
 
     Table table({"net", "impl", "layer", "kernel (s)", "control (s)",

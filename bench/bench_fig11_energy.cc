@@ -18,7 +18,7 @@ main()
 
     app::Engine engine;
     app::SweepPlan plan;
-    plan.allNets().allImpls().power({app::PowerKind::Cap1mF});
+    plan.allNets().allImpls().environmentLabels({"rf-paper@1mF"});
     const auto records = engine.run(plan);
 
     Table table({"net", "impl", "status", "energy (mJ)", "reboots"});

@@ -19,9 +19,7 @@ main()
 
     app::Engine engine;
     app::SweepPlan plan;
-    plan.allNets()
-        .impls({kernels::Impl::Sonic})
-        .power({app::PowerKind::Continuous});
+    plan.allNets().impls({kernels::Impl::Sonic});
     const auto records = engine.run(plan);
 
     for (const auto &record : records) {

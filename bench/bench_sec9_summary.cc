@@ -30,13 +30,12 @@ main()
     // The continuous-power grid plus the TAILS hardware ablation, as
     // one declarative sweep per axis combination.
     app::SweepPlan grid;
-    grid.allNets().allImpls().power({app::PowerKind::Continuous});
+    grid.allNets().allImpls();
     const auto records = engine.run(grid);
 
     app::SweepPlan ablation;
     ablation.allNets()
         .impls({kernels::Impl::Tails})
-        .power({app::PowerKind::Continuous})
         .profiles({app::ProfileVariant::NoLea,
                    app::ProfileVariant::NoDma});
     const auto ablation_records = engine.run(ablation);
@@ -100,12 +99,10 @@ main()
     GeoMean lea_gain, dma_gain;
     for (const auto &net : dnn::kPaperNets) {
         const f64 no_lea =
-            resultFor(ablation_records, net, kernels::Impl::Tails,
-                      app::PowerKind::Continuous,
+            resultFor(ablation_records, net, kernels::Impl::Tails, {},
                       app::ProfileVariant::NoLea).liveSeconds;
         const f64 no_dma =
-            resultFor(ablation_records, net, kernels::Impl::Tails,
-                      app::PowerKind::Continuous,
+            resultFor(ablation_records, net, kernels::Impl::Tails, {},
                       app::ProfileVariant::NoDma).liveSeconds;
         const f64 with_hw =
             resultFor(records, net, kernels::Impl::Tails).liveSeconds;

@@ -54,7 +54,8 @@ main()
                                  .withKnobs(result.chosen().knobs,
                                             opts.seed);
     arch::Device dev(arch::EnergyProfile::msp430fr5994(),
-                     app::makePower(app::PowerKind::Cap100uF));
+                     env::EnvRegistry::instance().make(
+                         {"rf-paper", 100e-6}, /*seed=*/0));
     dnn::DeviceNetwork net(dev, chosen_spec);
     app::Engine engine;
     const auto &data = engine.dataset("HAR");

@@ -28,7 +28,7 @@ main()
     app::SweepPlan plan;
     plan.nets({"HAR"})
         .impls({kernels::Impl::Sonic})
-        .power({app::PowerKind::Cap100uF})
+        .environmentLabels({"rf-paper@100uF"})
         .samples(kWindows);
     const auto records = engine.run(plan);
 

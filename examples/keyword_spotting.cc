@@ -28,20 +28,18 @@ main()
     app::SweepPlan plan;
     plan.nets({"OkG"})
         .impls({kernels::Impl::Sonic, kernels::Impl::Tails})
-        .power({app::PowerKind::Continuous, app::PowerKind::Cap1mF,
-                app::PowerKind::Cap100uF});
+        .environmentLabels(
+            {"continuous", "rf-paper@1mF", "rf-paper@100uF"});
     const auto records = engine.run(plan);
 
     Table table({"power", "impl", "latency", "energy", "reboots",
                  "LEA tile"});
-    for (auto power : {app::PowerKind::Continuous,
-                       app::PowerKind::Cap1mF,
-                       app::PowerKind::Cap100uF}) {
+    for (const auto &environment : plan.environmentAxis()) {
         for (auto impl : {kernels::Impl::Sonic, kernels::Impl::Tails}) {
             const app::SweepRecord *record = nullptr;
             for (const auto &cand : records) {
                 if (cand.spec.impl == impl
-                    && cand.spec.power == power) {
+                    && cand.spec.environment == environment) {
                     record = &cand;
                     break;
                 }
@@ -49,10 +47,10 @@ main()
             if (record == nullptr)
                 fatal("sweep record missing for ",
                       kernels::implName(impl), "/",
-                      app::powerName(power));
+                      environment.label());
             const auto &r = record->result;
             table.row()
-                .cell(std::string(app::powerName(power)))
+                .cell(environment.label())
                 .cell(std::string(kernels::implName(impl)))
                 .cell(formatSeconds(r.completed ? r.totalSeconds
                                                 : 0.0))

@@ -26,7 +26,7 @@ main()
     app::SweepPlan plan;
     plan.nets({"HAR"})
         .impls({kernels::Impl::Sonic})
-        .power({app::PowerKind::Continuous, app::PowerKind::Cap100uF});
+        .environmentLabels({"continuous", "rf-paper@100uF"});
 
     app::Engine engine;
     const auto records = engine.run(plan);

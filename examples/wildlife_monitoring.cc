@@ -30,7 +30,7 @@ main()
     app::SweepPlan measure;
     measure.nets({"MNIST"})
         .impls({kernels::Impl::Tile8, kernels::Impl::Tails})
-        .power({app::PowerKind::Cap1mF});
+        .environmentLabels({"rf-paper@1mF"});
     const auto records = engine.run(measure);
     const f64 naive_j = records[0].result.energyJ;
     const f64 tails_j = records[1].result.energyJ;

@@ -34,8 +34,7 @@ MemorySink::add(const SweepRecord &record)
 void
 CsvSink::begin(u64)
 {
-    os_ << "planIndex,net,impl,power,environment,profile,sample,seed,"
-           "status,"
+    os_ << "planIndex,net,impl,environment,profile,sample,seed,status,"
            "reboots,tasksExecuted,liveSeconds,deadSeconds,"
            "totalSeconds,energyJ,harvestedJ,predictedClass,"
            "tailsTileWords,scheduleLen,scheduleFired\n";
@@ -51,8 +50,7 @@ CsvSink::add(const SweepRecord &record)
     std::ostringstream row;
     row << record.planIndex << ',' << csvQuote(record.spec.net) << ','
         << csvQuote(std::string(kernels::implName(record.spec.impl)))
-        << ',' << powerName(record.spec.power) << ','
-        << csvQuote(record.spec.environment.label()) << ','
+        << ',' << csvQuote(record.spec.environment.label()) << ','
         << profileName(record.spec.profile) << ','
         << record.spec.sampleIndex << ',' << record.spec.seed << ','
         << (r.completed ? "ok" : (r.nonTerminating ? "dnf" : "fail"))
@@ -86,7 +84,6 @@ JsonSink::add(const SweepRecord &record)
         << "\", \"impl\": \""
         << jsonEscape(std::string(
                kernels::implName(record.spec.impl)))
-        << "\", \"power\": \"" << powerName(record.spec.power)
         << "\", \"environment\": \""
         << jsonEscape(record.spec.environment.label())
         << "\", \"profile\": \"" << profileName(record.spec.profile)
@@ -194,8 +191,8 @@ Engine::dataset(const dnn::NetRef &net)
 ExperimentResult
 Engine::runOne(const RunSpec &spec)
 {
-    // Supply precedence (makeSupply): an explicit failure-index trace
-    // overrides the environment, which overrides the power-kind axis.
+    // The supply (makeSupply): an explicit failure-index trace
+    // overrides the environment.
     std::unique_ptr<arch::PowerSupply> psu = makeSupply(spec);
     const auto *schedule_psu = spec.failureSchedule.empty()
         ? nullptr

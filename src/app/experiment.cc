@@ -6,30 +6,6 @@ namespace sonic::app
 {
 
 const char *
-powerName(PowerKind kind)
-{
-    switch (kind) {
-      case PowerKind::Continuous: return "Continuous";
-      case PowerKind::Cap50mF: return "50mF";
-      case PowerKind::Cap1mF: return "1mF";
-      case PowerKind::Cap100uF: return "100uF";
-    }
-    return "?";
-}
-
-bool
-powerFromName(const std::string &name, PowerKind *out)
-{
-    for (const PowerKind kind : kAllPower) {
-        if (name == powerName(kind)) {
-            *out = kind;
-            return true;
-        }
-    }
-    return false;
-}
-
-const char *
 profileName(ProfileVariant variant)
 {
     switch (variant) {
@@ -53,34 +29,13 @@ profileFromName(const std::string &name, ProfileVariant *out)
 }
 
 std::unique_ptr<arch::PowerSupply>
-makePower(PowerKind kind)
-{
-    switch (kind) {
-      case PowerKind::Continuous:
-        return std::make_unique<arch::ContinuousPower>();
-      case PowerKind::Cap50mF:
-        return std::make_unique<arch::CapacitorPower>(50e-3,
-                                                      kHarvestWatts);
-      case PowerKind::Cap1mF:
-        return std::make_unique<arch::CapacitorPower>(1e-3,
-                                                      kHarvestWatts);
-      case PowerKind::Cap100uF:
-        return std::make_unique<arch::CapacitorPower>(100e-6,
-                                                      kHarvestWatts);
-    }
-    panic("bad PowerKind");
-}
-
-std::unique_ptr<arch::PowerSupply>
 makeSupply(const RunSpec &spec)
 {
     if (!spec.failureSchedule.empty())
         return std::make_unique<arch::SchedulePower>(
             spec.failureSchedule);
-    if (!spec.environment.empty())
-        return env::EnvRegistry::instance().make(spec.environment,
-                                                 spec.seed);
-    return makePower(spec.power);
+    return env::EnvRegistry::instance().make(spec.environment,
+                                             spec.seed);
 }
 
 arch::EnergyProfile

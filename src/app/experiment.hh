@@ -27,27 +27,6 @@
 namespace sonic::app
 {
 
-/** The four power systems of Fig. 9c. */
-enum class PowerKind : u8
-{
-    Continuous,
-    Cap50mF,
-    Cap1mF,
-    Cap100uF
-};
-
-inline constexpr PowerKind kAllPower[] = {
-    PowerKind::Continuous, PowerKind::Cap50mF, PowerKind::Cap1mF,
-    PowerKind::Cap100uF};
-
-const char *powerName(PowerKind kind);
-
-/** Inverse of powerName (telemetry decode); false if unknown. */
-bool powerFromName(const std::string &name, PowerKind *out);
-
-/** Harvester income of the RF setup (Powercast at 1 m, Sec. 8). */
-constexpr f64 kHarvestWatts = 0.5e-3;
-
 /** Energy-profile ablations (Sec. 9.1's LEA/DMA software emulation). */
 enum class ProfileVariant : u8
 {
@@ -71,32 +50,28 @@ struct RunSpec
     /** Registered model name, resolved through dnn::ModelZoo. */
     dnn::NetRef net = "MNIST";
     kernels::Impl impl = kernels::Impl::Sonic;
-    PowerKind power = PowerKind::Continuous;
     ProfileVariant profile = ProfileVariant::Standard;
     u32 sampleIndex = 0;
     /**
      * Per-run seed, assigned deterministically by SweepPlan::expand
-     * and recorded by every sink. Reserved for stochastic run-time
-     * models (e.g. harvester jitter); the current workloads and power
-     * models are fully deterministic and do not consume it.
+     * and recorded by every sink. The environment uses it to pick the
+     * deployment phase (env::EnvRegistry::make); the workloads are
+     * deterministic and do not consume it.
      */
     u64 seed = 0x5eed;
 
     /**
-     * Harvested-energy environment (the env::EnvRegistry axis). When
-     * non-empty the run is powered by the named environment — seeded
-     * with this spec's `seed`, honoring the capacitor override — and
-     * the legacy `power` axis value is ignored; when empty (the
-     * default) `power` selects the supply as before the axis existed.
+     * The supply: a registered env::EnvRegistry environment, seeded
+     * with this spec's `seed` and honoring the capacitor override
+     * (the paper's capacitors are "rf-paper@50mF|1mF|100uF"). The
+     * empty EnvRef (the default) is continuous wall power.
      */
     env::EnvRef environment;
 
     /**
      * Explicit failure-index trace (the oracle's coordinate). When
      * non-empty the run is powered by arch::SchedulePower over these
-     * draw indices and the `power`/`environment` axis values are
-     * ignored; when empty (the default) they select the supply as
-     * always.
+     * draw indices and `environment` is ignored.
      */
     std::vector<u64> failureSchedule;
 
@@ -148,12 +123,9 @@ struct ExperimentResult
     /// @}
 };
 
-/** Build the power supply for a kind (exposed for tests). */
-std::unique_ptr<arch::PowerSupply> makePower(PowerKind kind);
-
 /**
- * Build the supply a spec runs under, applying the documented
- * precedence: failureSchedule > environment > power kind.
+ * Build the supply a spec runs under: the failure schedule when one
+ * is set, else the environment.
  */
 std::unique_ptr<arch::PowerSupply> makeSupply(const RunSpec &spec);
 

@@ -23,7 +23,8 @@ nameHash(const std::string &name)
 SweepPlan &
 SweepPlan::nets(std::vector<dnn::NetRef> values)
 {
-    SONIC_ASSERT(!values.empty(), "empty net axis");
+    if (values.empty())
+        fatal("empty net axis");
     // Validate at plan-build, not mid-sweep: a typo should fail before
     // any worker thread spins up, with the remedy in the message.
     auto &zoo = dnn::ModelZoo::instance();
@@ -46,7 +47,8 @@ SweepPlan::allNets()
 SweepPlan &
 SweepPlan::impls(std::vector<kernels::Impl> values)
 {
-    SONIC_ASSERT(!values.empty(), "empty impl axis");
+    if (values.empty())
+        fatal("empty impl axis");
     impls_ = std::move(values);
     return *this;
 }
@@ -73,23 +75,10 @@ SweepPlan::allImpls()
 }
 
 SweepPlan &
-SweepPlan::power(std::vector<PowerKind> values)
-{
-    SONIC_ASSERT(!values.empty(), "empty power axis");
-    power_ = std::move(values);
-    return *this;
-}
-
-SweepPlan &
-SweepPlan::allPower()
-{
-    return power({std::begin(kAllPower), std::end(kAllPower)});
-}
-
-SweepPlan &
 SweepPlan::environments(std::vector<env::EnvRef> values)
 {
-    SONIC_ASSERT(!values.empty(), "empty environment axis");
+    if (values.empty())
+        fatal("empty environment axis");
     // Validate at plan-build: a typo should fail before any worker
     // spins up, naming the registered environments.
     auto &registry = env::EnvRegistry::instance();
@@ -122,7 +111,8 @@ SweepPlan::environmentLabels(const std::vector<std::string> &labels)
 SweepPlan &
 SweepPlan::profiles(std::vector<ProfileVariant> values)
 {
-    SONIC_ASSERT(!values.empty(), "empty profile axis");
+    if (values.empty())
+        fatal("empty profile axis");
     profiles_ = std::move(values);
     return *this;
 }
@@ -130,7 +120,8 @@ SweepPlan::profiles(std::vector<ProfileVariant> values)
 SweepPlan &
 SweepPlan::samples(u32 n)
 {
-    SONIC_ASSERT(n > 0, "samples(n) needs n > 0");
+    if (n == 0)
+        fatal("samples(n) needs n > 0");
     std::vector<u32> indices(n);
     for (u32 i = 0; i < n; ++i)
         indices[i] = i;
@@ -140,7 +131,8 @@ SweepPlan::samples(u32 n)
 SweepPlan &
 SweepPlan::sampleIndices(std::vector<u32> values)
 {
-    SONIC_ASSERT(!values.empty(), "empty sample axis");
+    if (values.empty())
+        fatal("empty sample axis");
     samples_ = std::move(values);
     return *this;
 }
@@ -148,7 +140,8 @@ SweepPlan::sampleIndices(std::vector<u32> values)
 SweepPlan &
 SweepPlan::failureSchedules(std::vector<std::vector<u64>> values)
 {
-    SONIC_ASSERT(!values.empty(), "empty schedule axis");
+    if (values.empty())
+        fatal("empty schedule axis");
     schedules_ = std::move(values);
     return *this;
 }
@@ -171,7 +164,7 @@ u64
 SweepPlan::size() const
 {
     return static_cast<u64>(nets_.size()) * impls_.size()
-         * power_.size() * environments_.size() * profiles_.size()
+         * environments_.size() * profiles_.size()
          * samples_.size() * schedules_.size();
 }
 
@@ -183,7 +176,6 @@ SweepPlan::specSeed(u64 baseSeed, const RunSpec &spec)
     // coordinate is a hash of its registered name, so a model keeps
     // its seeds no matter what else is in the zoo.
     u64 coord = static_cast<u64>(spec.impl) << 48
-              | static_cast<u64>(spec.power) << 40
               | static_cast<u64>(spec.profile) << 32
               | static_cast<u64>(spec.sampleIndex);
     u64 h = mix64(baseSeed) ^ mix64(nameHash(spec.net)) ^ coord;
@@ -215,24 +207,20 @@ SweepPlan::expand() const
     specs.reserve(size());
     for (const auto &net : nets_) {
         for (auto impl : impls_) {
-            for (auto power : power_) {
-                for (const auto &environment : environments_) {
-                    for (auto profile : profiles_) {
-                        for (auto sample : samples_) {
-                            for (const auto &schedule : schedules_) {
-                                RunSpec spec;
-                                spec.net = net;
-                                spec.impl = impl;
-                                spec.power = power;
-                                spec.environment = environment;
-                                spec.profile = profile;
-                                spec.sampleIndex = sample;
-                                spec.failureSchedule = schedule;
-                                spec.captureNvmDigests =
-                                    captureNvmDigests_;
-                                spec.seed = specSeed(baseSeed_, spec);
-                                specs.push_back(spec);
-                            }
+            for (const auto &environment : environments_) {
+                for (auto profile : profiles_) {
+                    for (auto sample : samples_) {
+                        for (const auto &schedule : schedules_) {
+                            RunSpec spec;
+                            spec.net = net;
+                            spec.impl = impl;
+                            spec.environment = environment;
+                            spec.profile = profile;
+                            spec.sampleIndex = sample;
+                            spec.failureSchedule = schedule;
+                            spec.captureNvmDigests = captureNvmDigests_;
+                            spec.seed = specSeed(baseSeed_, spec);
+                            specs.push_back(spec);
                         }
                     }
                 }

@@ -1,25 +1,23 @@
 /**
  * @file
  * Declarative experiment grids. A SweepPlan names the axes of a
- * cross-product sweep — workloads, implementations, power systems,
- * energy-profile ablations, input samples — and expands to the
- * ordered RunSpec list the Engine executes:
+ * cross-product sweep — workloads, implementations, power
+ * environments, energy-profile ablations, input samples — and expands
+ * to the ordered RunSpec list the Engine executes:
  *
  *     app::SweepPlan plan;
- *     plan.allNets().allImpls().power({app::PowerKind::Continuous});
+ *     plan.allNets().allImpls().environmentLabels({"rf-paper@100uF"});
  *     app::Engine engine;
  *     const auto records = engine.run(plan);
  *
  * Expansion order is fixed and documented (nets outermost, then
- * impls, power, environments, profiles, samples, failure schedules
- * innermost) so
- * figure code can rely
- * on record ordering, and each expanded spec gets a deterministic
- * seed derived from the plan's base seed and the spec's coordinates —
- * independent of plan shape and of how many worker threads run it.
- * (Seeds are recorded into every spec and streamed by the sinks;
- * today's workloads and power models are fully deterministic, so the
- * seed feeds future stochastic models rather than changing results.)
+ * impls, environments, profiles, samples, failure schedules
+ * innermost) so figure code can rely on record ordering, and each
+ * expanded spec gets a deterministic seed derived from the plan's base
+ * seed and the spec's coordinates — independent of plan shape and of
+ * how many worker threads run it. (Seeds are recorded into every spec
+ * and streamed by the sinks; an environment uses its seed only to
+ * pick the deployment phase, and the workloads are deterministic.)
  */
 
 #ifndef SONIC_APP_SWEEP_HH
@@ -38,7 +36,8 @@ class SweepPlan
 {
   public:
     /** @name Axis setters (each replaces the axis; default = the
-     * RunSpec default as a single point). */
+     * RunSpec default as a single point). An empty axis is a fatal
+     * configuration error. */
     /// @{
     /**
      * Workloads by registered model name. Every name is validated
@@ -56,16 +55,13 @@ class SweepPlan
     /** The paper's six implementations (kAllImpls). */
     SweepPlan &allImpls();
 
-    SweepPlan &power(std::vector<PowerKind> values);
-    SweepPlan &allPower();
-
     /**
-     * Harvested-energy environment axis. Each value names a registered
-     * environment (env::EnvRegistry) with an optional capacitor-size
-     * override; names are validated here, at plan-build time. The
-     * empty EnvRef (the default single point) means "use the
-     * power-kind axis", so plans built before this axis existed keep
-     * their exact specs and seeds.
+     * Power-supply axis. Each value names a registered environment
+     * (env::EnvRegistry) with an optional capacitor-size override;
+     * names are validated here, at plan-build time. The empty EnvRef
+     * (the default single point) is continuous wall power and keeps
+     * the seeds plans had before the axis existed; the paper's
+     * capacitors are rf-paper@50mF, rf-paper@1mF and rf-paper@100uF.
      */
     SweepPlan &environments(std::vector<env::EnvRef> values);
     /** Environments by label ("solar", "rf-paper@50mF"); bad labels
@@ -74,14 +70,14 @@ class SweepPlan
 
     SweepPlan &profiles(std::vector<ProfileVariant> values);
 
-    /** Sample indices 0..n-1. */
+    /** Sample indices 0..n-1 (n = 0 is fatal). */
     SweepPlan &samples(u32 n);
     SweepPlan &sampleIndices(std::vector<u32> values);
 
     /**
      * Failure-schedule axis (innermost). Each value is an explicit
      * draw-index trace executed under arch::SchedulePower; the empty
-     * schedule (the default single point) means "use the power-kind
+     * schedule (the default single point) means "use the environment
      * axis". The verification oracle fans a batch of adversarial
      * schedules across the worker pool through this axis.
      */
@@ -111,7 +107,6 @@ class SweepPlan
     /// @{
     const std::vector<dnn::NetRef> &netAxis() const { return nets_; }
     const std::vector<kernels::Impl> &implAxis() const { return impls_; }
-    const std::vector<PowerKind> &powerAxis() const { return power_; }
     const std::vector<env::EnvRef> &environmentAxis() const
     {
         return environments_;
@@ -137,7 +132,6 @@ class SweepPlan
   private:
     std::vector<dnn::NetRef> nets_{"MNIST"};
     std::vector<kernels::Impl> impls_{kernels::Impl::Sonic};
-    std::vector<PowerKind> power_{PowerKind::Continuous};
     std::vector<env::EnvRef> environments_{{}};
     std::vector<ProfileVariant> profiles_{ProfileVariant::Standard};
     std::vector<u32> samples_{0};

@@ -6,11 +6,13 @@
  *     sonic_sweep --nets=MNIST --impls=SONIC,TAILS --samples=3 \
  *                 --csv=sweep.csv
  *     sonic_sweep --envs=solar@1mF,rf-paper --sonicz=sweep.sonicz
- *     sonic_sweep --power=Continuous,50mF --json=sweep.json
+ *     sonic_sweep --envs=continuous,rf-paper@50mF --json=sweep.json
  *     sonic_sweep --from-plan=plan.json --csv=planned.csv
  *
- * The axes mirror app::SweepPlan: nets x impls x (power | envs) x
- * profiles x samples, expanded in the documented order. Any
+ * The axes mirror app::SweepPlan: nets x impls x envs x profiles x
+ * samples, expanded in the documented order. Without --envs every run
+ * is on continuous wall power; the paper's capacitors are
+ * rf-paper@50mF, rf-paper@1mF and rf-paper@100uF. Any
  * combination of output sinks may be given; each receives the same
  * records in plan order, so sonic_cat over the .sonicz output is
  * byte-identical to the CSV/JSON written directly.
@@ -47,7 +49,6 @@ usage()
 {
     std::cerr
         << "usage: sonic_sweep [--nets=A,B,...] [--impls=SONIC,...]\n"
-           "                   [--power=Continuous,50mF,...]\n"
            "                   [--envs=solar@1mF,rf-paper,...]\n"
            "                   [--profiles=standard,no-lea,...]\n"
            "                   [--samples=N] [--seed=S]\n"
@@ -103,16 +104,6 @@ main(int argc, char **argv)
                 plan.nets(std::move(nets));
             } else if (consumeFlag(arg, "--impls", &value)) {
                 plan.implNames(splitCsv(value));
-            } else if (consumeFlag(arg, "--power", &value)) {
-                std::vector<app::PowerKind> kinds;
-                for (const auto &name : splitCsv(value)) {
-                    app::PowerKind kind;
-                    if (!app::powerFromName(name, &kind))
-                        fatal("unknown power kind '", name,
-                              "' (Continuous | 50mF | 1mF | 100uF)");
-                    kinds.push_back(kind);
-                }
-                plan.power(std::move(kinds));
             } else if (consumeFlag(arg, "--envs", &value)) {
                 plan.environmentLabels(splitCsv(value));
             } else if (consumeFlag(arg, "--profiles", &value)) {

@@ -52,37 +52,56 @@ parseEnvRef(const std::string &text, EnvRef *out, std::string *error)
         return true;
 
     const std::string cap = text.substr(at + 1);
-    std::size_t used = 0;
-    f64 value = 0.0;
-    try {
-        value = std::stod(cap, &used);
-    } catch (const std::exception &) {
+    const auto unparsable = [&] {
         *error = "environment reference '" + text
                + "': unparsable capacitance '" + cap + "'";
         return false;
-    }
-    const std::string unit = cap.substr(used);
-    f64 scale = 0.0;
-    if (unit == "F")
-        scale = 1.0;
-    else if (unit == "mF")
-        scale = 1e-3;
-    else if (unit == "uF")
-        scale = 1e-6;
-    else if (unit == "nF")
-        scale = 1e-9;
-    if (scale == 0.0) {
+    };
+    // "<decimal>[e<int>]<unit>". The unit folds into the decimal
+    // exponent ("100uF" -> "100e-6") before one correctly rounded
+    // conversion, so the result is the double nearest the written
+    // value. (Multiplying by 1e-6, itself rounded, would put 100uF one
+    // ULP below the literal 100e-6.)
+    const auto unit_at = cap.find_first_not_of("+-0123456789.eE");
+    std::string number = cap.substr(0, unit_at);
+    const std::string unit =
+        unit_at == std::string::npos ? "" : cap.substr(unit_at);
+    if (number.empty())
+        return unparsable();
+    i64 exp10 = unit == "F" ? 0
+              : unit == "mF" ? -3
+              : unit == "uF" ? -6
+              : unit == "nF" ? -9
+                             : 1;
+    if (exp10 == 1) {
         *error = "environment reference '" + text
                + "': capacitance unit must be F, mF, uF or nF (got '"
                + unit + "')";
         return false;
+    }
+    f64 value = 0.0;
+    try {
+        std::size_t used = 0;
+        if (const auto e = number.find_first_of("eE");
+            e != std::string::npos) {
+            exp10 += std::stoi(number.substr(e + 1), &used);
+            if (used != number.size() - e - 1)
+                return unparsable();
+            number.resize(e);
+        }
+        number += "e" + std::to_string(exp10);
+        value = std::stod(number, &used);
+        if (used != number.size())
+            return unparsable();
+    } catch (const std::exception &) { // includes over/underflow
+        return unparsable();
     }
     if (value <= 0.0) {
         *error = "environment reference '" + text
                + "': capacitance must be positive";
         return false;
     }
-    out->capacitanceFarads = value * scale;
+    out->capacitanceFarads = value;
     return true;
 }
 
@@ -342,7 +361,8 @@ EnvRegistry::EnvRegistry()
         meta.family = "bench";
         meta.description = "the paper's Powercast RF deployment: "
                            "constant 0.5 mW harvest into the capacitor";
-        addHarvest("rf-paper", meta, HarvestModel::constant(0.5e-3));
+        addHarvest("rf-paper", meta,
+                   HarvestModel::constant(kRfPaperWatts));
     }
     {
         EnvMeta meta;
@@ -511,9 +531,11 @@ EnvRegistry::make(const EnvRef &ref, u64 seed) const
     EnvBuilder build;
     EnvInstance inst;
     inst.seed = seed;
+    const std::string_view name =
+        ref.empty() ? std::string_view("continuous") : ref.env;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (const Row *row = rowFor(ref.env)) {
+        if (const Row *row = rowFor(name)) {
             inst.capacitanceFarads = ref.capacitanceFarads > 0.0
                 ? ref.capacitanceFarads
                 : row->meta.defaultCapacitanceFarads;

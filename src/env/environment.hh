@@ -48,10 +48,17 @@ namespace sonic::env
 {
 
 /**
+ * Harvester income of the paper's RF setup (Powercast at 1 m, Sec. 8):
+ * the constant rate the registered `rf-paper` environment charges its
+ * capacitor at.
+ */
+constexpr f64 kRfPaperWatts = 0.5e-3;
+
+/**
  * One environment-axis point: a registered environment name plus an
  * optional capacitor-size override (0 = the environment's default).
  * Carried by app::RunSpec and fleet::FleetPlan; an empty name means
- * "no environment" (the legacy PowerKind axis selects the supply).
+ * wall power (EnvRegistry::make builds `continuous` for it).
  */
 struct EnvRef
 {
@@ -73,9 +80,13 @@ struct EnvRef
 
 /**
  * Parse an environment label of the form "name" or "name@<cap>" where
- * <cap> is a capacitance with unit suffix (e.g. "100uF", "1mF",
- * "0.05F"). Returns false with a diagnostic in *error on bad syntax;
- * the name itself is validated against the registry by the caller.
+ * <cap> is a decimal capacitance with unit suffix (e.g. "100uF",
+ * "1mF", "0.05F", "1e-06nF"). The unit folds into the decimal
+ * exponent before a single correctly rounded conversion, so "100uF"
+ * yields exactly the double of the literal 100e-6 and every label()
+ * parses back to its EnvRef. Returns false with a diagnostic in *error
+ * on bad syntax; the name itself is validated against the registry by
+ * the caller.
  */
 bool parseEnvRef(const std::string &text, EnvRef *out,
                  std::string *error);
@@ -370,8 +381,9 @@ class EnvRegistry
     /**
      * Build the supply for an environment reference. The ref's
      * capacitance override (or the registered default) and the seed
-     * resolve the instance; an unknown name is a fatal configuration
-     * error reporting the registered environments.
+     * resolve the instance; the empty ref builds `continuous`, and an
+     * unknown name is a fatal configuration error reporting the
+     * registered environments.
      */
     std::unique_ptr<arch::PowerSupply> make(const EnvRef &ref,
                                             u64 seed) const;

@@ -35,13 +35,16 @@ FleetPlan::coordinateKey(const std::string &envLabel,
 void
 FleetPlan::validate() const
 {
-    SONIC_ASSERT(devices > 0, "fleet needs at least one device");
-    SONIC_ASSERT(!nets.empty(), "empty fleet net distribution");
-    SONIC_ASSERT(!impls.empty(), "empty fleet impl distribution");
-    SONIC_ASSERT(!environments.empty(),
-                 "empty fleet environment distribution");
-    SONIC_ASSERT(horizonSeconds > 0.0,
-                 "fleet horizon must be positive");
+    if (devices == 0)
+        fatal("fleet needs at least one device");
+    if (nets.empty())
+        fatal("empty fleet net distribution");
+    if (impls.empty())
+        fatal("empty fleet impl distribution");
+    if (environments.empty())
+        fatal("empty fleet environment distribution");
+    if (!(horizonSeconds > 0.0))
+        fatal("fleet horizon must be positive");
     auto &zoo = dnn::ModelZoo::instance();
     for (const auto &net : nets) {
         if (!zoo.contains(net))
@@ -63,8 +66,8 @@ FleetPlan::validate() const
             fatal("unregistered implementation id in the fleet impl "
                   "distribution");
     }
-    SONIC_ASSERT(!pipelines.empty(),
-                 "empty fleet pipeline distribution");
+    if (pipelines.empty())
+        fatal("empty fleet pipeline distribution");
     auto &pipes = pipeline::PipelineRegistry::instance();
     for (const auto &name : pipelines) {
         if (!pipes.contains(name))

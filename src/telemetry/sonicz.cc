@@ -35,7 +35,6 @@ const std::vector<ColumnSpec> kSweepColumns = {
     {"planIndex", ColType::Int},
     {"net", ColType::Str},
     {"impl", ColType::Str},
-    {"power", ColType::Str},
     {"env", ColType::Str},
     {"envCapFarads", ColType::F64},
     {"profile", ColType::Str},
@@ -107,6 +106,15 @@ const std::vector<ColumnSpec> kTraceColumns = {
     {"label", ColType::Str},
 };
 // clang-format on
+
+/**
+ * A retired sweep column the reader still decodes. Sweep files written
+ * while the supply had two selectors carry a power-system label here
+ * (Continuous, 50mF, 1mF or 100uF). Its capacitors were the paper's RF
+ * harvester, so they read back as rf-paper@<C> on rows whose env is
+ * empty.
+ */
+const ColumnSpec kRetiredPowerColumn = {"power", ColType::Str};
 
 constexpr u8 kBlockMarker = 0x42;  // 'B'
 constexpr u8 kIndexMarker = 0x49;  // 'I'
@@ -582,7 +590,6 @@ appendSweepRow(SoniczWriter &w, const app::SweepRecord &record)
     w.putInt(c++, record.planIndex);
     w.putStr(c++, spec.net);
     w.putStr(c++, std::string(kernels::implName(spec.impl)));
-    w.putStr(c++, app::powerName(spec.power));
     w.putStr(c++, spec.environment.env);
     w.putF64(c++, spec.environment.capacitanceFarads);
     w.putStr(c++, app::profileName(spec.profile));
@@ -838,8 +845,13 @@ decodeStrColumn(const Bytes &raw, std::vector<std::string> *out)
     return pos == raw.size();
 }
 
+/**
+ * One sweep row. `legacy_power`: the file carries kRetiredPowerColumn,
+ * decoded into the slot just past the schema.
+ */
 bool
-materializeSweepRow(BlockReader &b, app::SweepRecord *out)
+materializeSweepRow(BlockReader &b, app::SweepRecord *out,
+                    bool legacy_power)
 {
     auto &record = *out;
     auto &spec = record.spec;
@@ -862,14 +874,23 @@ materializeSweepRow(BlockReader &b, app::SweepRecord *out)
                       + "' in the impl column (not registered in "
                         "this build)");
     spec.impl = impl_info->id;
-    if (!b.takeStr(c++, &s))
-        return false;
-    if (!app::powerFromName(s, &spec.power))
-        return b.fail("unknown power kind '" + s + "'");
     if (!b.takeStr(c++, &spec.environment.env))
         return false;
     if (!b.takeF64(c++, &spec.environment.capacitanceFarads))
         return false;
+    if (legacy_power) {
+        if (!b.takeStr(kSweepColumns.size(), &s))
+            return false;
+        const f64 farads = s == "50mF" ? 50e-3
+                         : s == "1mF"  ? 1e-3
+                         : s == "100uF" ? 100e-6
+                                        : 0.0;
+        if (farads == 0.0 && s != "Continuous")
+            return b.fail("unknown power kind '" + s + "'");
+        // The environment took precedence over the power kind.
+        if (farads > 0.0 && spec.environment.empty())
+            spec.environment = {"rf-paper", farads};
+    }
     if (!b.takeStr(c++, &s))
         return false;
     if (!app::profileFromName(s, &spec.profile))
@@ -1173,6 +1194,11 @@ readSoniczImpl(std::istream &in,
                     + std::to_string(kind_byte));
     const SchemaKind kind = static_cast<SchemaKind>(kind_byte);
     const auto &specs = schemaColumns(kind);
+    // The columns this build decodes: the schema, then the retired
+    // ones older writers of this kind still carry.
+    std::vector<ColumnSpec> known = specs;
+    if (kind == SchemaKind::Sweep)
+        known.push_back(kRetiredPowerColumn);
     if (onFleetBlock && kind != SchemaKind::Fleet)
         return fail("columnar block reads apply to fleet telemetry; "
                     "this is not a fleet file");
@@ -1189,7 +1215,7 @@ readSoniczImpl(std::istream &in,
     if (column_count > bytes.size())
         return fail("truncated header");
     std::vector<FileColumn> file_cols(column_count);
-    std::vector<u64> build_to_file(specs.size(), kUnknownCol);
+    std::vector<u64> build_to_file(known.size(), kUnknownCol);
     for (u64 c = 0; c < column_count; ++c) {
         u64 name_len = 0;
         if (!getVarint(bytes, &pos, &name_len)
@@ -1206,12 +1232,12 @@ readSoniczImpl(std::istream &in,
                         + "' has unknown type "
                         + std::to_string(type));
         fc.type = static_cast<ColType>(type);
-        for (u64 b = 0; b < specs.size(); ++b) {
-            if (fc.name != specs[b].name)
+        for (u64 b = 0; b < known.size(); ++b) {
+            if (fc.name != known[b].name)
                 continue;
             if (build_to_file[b] != kUnknownCol)
                 return fail("duplicate column '" + fc.name + "'");
-            if (fc.type != specs[b].type)
+            if (fc.type != known[b].type)
                 return fail("column '" + fc.name
                             + "' changed type; this build cannot "
                               "read it");
@@ -1225,6 +1251,8 @@ readSoniczImpl(std::istream &in,
             return fail("missing column '"
                         + std::string(specs[b].name)
                         + "' (this build needs it)");
+    const bool legacy_power = known.size() > specs.size()
+        && build_to_file[specs.size()] != kUnknownCol;
 
     SoniczInfo local_info;
     SoniczInfo &out_info = info != nullptr ? *info : local_info;
@@ -1324,7 +1352,7 @@ readSoniczImpl(std::istream &in,
                         + std::to_string(file_cols.size()));
 
         BlockReader block;
-        block.columns.resize(specs.size());
+        block.columns.resize(known.size());
         for (u64 k = 0; k < chunk_count; ++k) {
             const u64 chunk_start = bpos;
             u64 col = 0;
@@ -1426,7 +1454,7 @@ readSoniczImpl(std::istream &in,
             for (u64 c = 0; c < block.columns.size(); ++c)
                 if (block.columns[c].size() != row_count)
                     return fail("column '"
-                                + std::string(specs[c].name)
+                                + std::string(known[c].name)
                                 + "' holds "
                                 + std::to_string(
                                       block.columns[c].size())
@@ -1443,7 +1471,8 @@ readSoniczImpl(std::istream &in,
             for (u64 row = 0; row < row_count; ++row) {
                 bool ok;
                 if (kind == SchemaKind::Sweep) {
-                    ok = materializeSweepRow(block, &sweep_row);
+                    ok = materializeSweepRow(block, &sweep_row,
+                                             legacy_power);
                     if (ok && onSweep)
                         onSweep(sweep_row);
                 } else if (kind == SchemaKind::Fleet) {
@@ -1468,7 +1497,7 @@ readSoniczImpl(std::istream &in,
                 if (block.columns[c].cursor
                     != block.columns[c].size())
                     return fail(
-                        "column '" + std::string(specs[c].name)
+                        "column '" + std::string(known[c].name)
                         + "' holds "
                         + std::to_string(block.columns[c].size())
                         + " values but the rows consumed "

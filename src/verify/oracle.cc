@@ -581,7 +581,6 @@ verifyWithEngine(app::Engine &engine, const EngineOracleConfig &config)
     app::RunSpec base;
     base.net = config.net;
     base.impl = config.impl;
-    base.power = app::PowerKind::Continuous;
     base.captureNvmDigests = true;
 
     RunScheduleFn probe = [&engine, base](const Schedule &schedule) {

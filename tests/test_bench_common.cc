@@ -98,12 +98,12 @@ TEST(FindRecordTest, MatchesCoordinatesOrNull)
     records[0].result.energyJ = 1.0;
     records[1].spec.net = "HAR";
     records[1].spec.impl = kernels::Impl::Tails;
-    records[1].spec.power = app::PowerKind::Cap1mF;
+    records[1].spec.environment = {"rf-paper", 1e-3};
     records[1].result.energyJ = 2.0;
 
     const auto *hit = findRecord(records, "HAR",
                                  kernels::Impl::Tails,
-                                 app::PowerKind::Cap1mF);
+                                 {"rf-paper", 1e-3});
     ASSERT_NE(hit, nullptr);
     EXPECT_EQ(hit->result.energyJ, 2.0);
 
@@ -112,8 +112,14 @@ TEST(FindRecordTest, MatchesCoordinatesOrNull)
               nullptr);
     EXPECT_EQ(findRecord(records, "HAR",
                          kernels::Impl::Tails,
-                         app::PowerKind::Cap100uF),
+                         {"rf-paper", 100e-6}),
               nullptr);
+    // The lookup is by EnvRef, so a parsed label finds its record.
+    env::EnvRef parsed;
+    std::string error;
+    ASSERT_TRUE(env::parseEnvRef("rf-paper@1mF", &parsed, &error));
+    EXPECT_EQ(findRecord(records, "HAR", kernels::Impl::Tails, parsed),
+              hit);
 
     EXPECT_EQ(resultFor(records, "HAR",
                         kernels::Impl::Sonic)

@@ -102,6 +102,38 @@ TEST(EnvRef, ParsesNamesAndCapacitorOverrides)
     EXPECT_NE(error.find("unit"), std::string::npos);
     EXPECT_FALSE(parseEnvRef("solar@-3uF", &ref, &error));
     EXPECT_NE(error.find("positive"), std::string::npos);
+    for (const char *bad : {"solar@nanuF", "solar@infF", "solar@0x10uF",
+                            "solar@1e400F", "solar@1.2.3uF", "solar@1e",
+                            "solar@1eF", "solar@1e99999999999F"}) {
+        EXPECT_FALSE(parseEnvRef(bad, &ref, &error)) << bad;
+        EXPECT_FALSE(error.empty()) << bad;
+    }
+}
+
+TEST(EnvRef, CapacitancesParseToTheirLiterals)
+{
+    // The unit folds into the decimal exponent before one conversion,
+    // so a label is the literal it reads as (a multiply by a rounded
+    // 1e-6 left 100uF, 5uF, 20uF and 50uF one ULP low).
+    const std::pair<const char *, f64> cases[] = {
+        {"x@100uF", 100e-6}, {"x@5uF", 5e-6},     {"x@20uF", 20e-6},
+        {"x@50uF", 50e-6},   {"x@4.7uF", 4.7e-6}, {"x@0.05F", 0.05},
+        {"x@100nF", 100e-9}, {"x@1mF", 1e-3},     {"x@50mF", 50e-3},
+        {"x@1e-06nF", 1e-15}, {"x@2.5e3uF", 2.5e-3}};
+    for (const auto &[label, farads] : cases) {
+        EnvRef ref;
+        std::string error;
+        ASSERT_TRUE(parseEnvRef(label, &ref, &error)) << error;
+        EXPECT_EQ(ref.capacitanceFarads, farads) << label;
+    }
+    // label() and parseEnvRef are inverses on printed values.
+    for (const f64 farads : {100e-6, 5e-6, 4.7e-6, 50e-3, 1e-15, 1e7}) {
+        const EnvRef ref{"rf-paper", farads};
+        EnvRef parsed;
+        std::string error;
+        ASSERT_TRUE(parseEnvRef(ref.label(), &parsed, &error)) << error;
+        EXPECT_EQ(parsed, ref) << ref.label();
+    }
 }
 
 // --- Registry -------------------------------------------------------

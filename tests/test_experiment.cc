@@ -8,6 +8,7 @@
 
 #include "app/engine.hh"
 #include "app/wildlife.hh"
+#include "dnn/device_net.hh"
 #include "tests/test_helpers.hh"
 
 namespace sonic::app
@@ -22,12 +23,6 @@ engine()
     return instance;
 }
 
-TEST(Experiment, PowerNames)
-{
-    EXPECT_STREQ(powerName(PowerKind::Continuous), "Continuous");
-    EXPECT_STREQ(powerName(PowerKind::Cap100uF), "100uF");
-}
-
 TEST(Experiment, ProfileNames)
 {
     EXPECT_STREQ(profileName(ProfileVariant::Standard), "standard");
@@ -35,12 +30,69 @@ TEST(Experiment, ProfileNames)
     EXPECT_STREQ(profileName(ProfileVariant::NoDma), "no-dma");
 }
 
-TEST(Experiment, MakePowerKinds)
+TEST(Experiment, RfPaperEnvironmentMatchesCapacitorPower)
 {
-    EXPECT_FALSE(makePower(PowerKind::Continuous)->intermittent());
-    const auto cap = makePower(PowerKind::Cap1mF);
+    // The paper's capacitor runs are rf-paper@C environments: a
+    // HarvestSupply over a constant 0.5 mW model. The reference is a
+    // device on arch::CapacitorPower(C, 0.5 mW), the same physics in
+    // closed form. Everything is bit-identical except the recharge
+    // dead time, which the two supplies integrate along different
+    // roundings (a few ULPs at most).
+    for (const auto &net : dnn::kPaperNets) {
+        const auto input = dnn::DeviceNetwork::quantizeInput(
+            engine().dataset(net)[0].input);
+        for (const auto impl : kernels::kAllImpls) {
+            for (const f64 farads : {50e-3, 1e-3, 100e-6}) {
+                RunSpec spec;
+                spec.net = net;
+                spec.impl = impl;
+                spec.environment = {"rf-paper", farads};
+                const std::string what = net + "/"
+                    + std::string(kernels::implName(impl)) + "/"
+                    + spec.environment.label();
+                const auto r = engine().runOne(spec);
+
+                arch::Device dev(makeProfile(spec.profile),
+                                 std::make_unique<arch::CapacitorPower>(
+                                     farads, env::kRfPaperWatts));
+                dnn::DeviceNetwork device_net(dev,
+                                              engine().compressed(net));
+                device_net.loadInput(input);
+                const auto ref = kernels::runInference(device_net, impl);
+                u64 ops = 0;
+                for (u32 o = 0; o < arch::kNumOps; ++o)
+                    ops += dev.stats().opCount(static_cast<arch::Op>(o));
+
+                EXPECT_EQ(r.completed, ref.completed) << what;
+                EXPECT_EQ(r.nonTerminating, ref.nonTerminating) << what;
+                EXPECT_EQ(r.reboots, ref.reboots) << what;
+                EXPECT_EQ(r.liveSeconds, dev.liveSeconds()) << what;
+                EXPECT_EQ(r.energyJ, dev.consumedJoules()) << what;
+                EXPECT_EQ(r.harvestedJ, dev.power().harvestedNj() * 1e-9)
+                    << what;
+                if (ref.completed)
+                    EXPECT_EQ(r.logits, ref.logits) << what;
+                EXPECT_EQ(r.opInstances, ops) << what;
+                EXPECT_NEAR(r.deadSeconds, dev.deadSeconds(),
+                            1e-15 * dev.deadSeconds())
+                    << what;
+                EXPECT_NEAR(r.totalSeconds, dev.totalSeconds(),
+                            1e-15 * dev.totalSeconds())
+                    << what;
+            }
+        }
+    }
+}
+
+TEST(Experiment, EmptyEnvironmentIsContinuous)
+{
+    RunSpec spec;
+    EXPECT_FALSE(makeSupply(spec)->intermittent());
+    spec.environment = {"rf-paper", 1e-3};
+    const auto cap = makeSupply(spec);
     EXPECT_TRUE(cap->intermittent());
-    EXPECT_GT(cap->capacityNj(), 0.0);
+    EXPECT_EQ(cap->capacityNj(),
+              arch::CapacitorPower(1e-3, env::kRfPaperWatts).capacityNj());
 }
 
 TEST(Experiment, EngineCachesAreStable)
@@ -174,7 +226,7 @@ TEST(Wildlife, SendResultCalloutsMatchPaperShape)
 
 TEST(Wildlife, OffloadComparisonHuge)
 {
-    const auto cmp = offloadVsLocal(28 * 28, 26e-3, kHarvestWatts);
+    const auto cmp = offloadVsLocal(28 * 28, 26e-3, env::kRfPaperWatts);
     EXPECT_GT(cmp.speedup, 300.0); // paper: >=360x
     EXPECT_GT(cmp.offloadSeconds, 3600.0); // over an hour
 }

@@ -84,6 +84,31 @@ TEST(FleetPlan, InvalidDistributionsDie)
     EXPECT_DEATH(plan2.validate(), "registered environments");
 }
 
+TEST(FleetPlan, EmptyDistributionsAndZeroCountsExitWithDiagnostics)
+{
+    // User input (sonic_fleet --devices=0, --nets=, --horizon=-5), so
+    // fatal() (exit 1 with a message), never a panic.
+    const auto exits = ::testing::ExitedWithCode(1);
+    auto no_devices = goldenFleet(4);
+    no_devices.devices = 0;
+    EXPECT_EXIT(no_devices.validate(), exits, "at least one device");
+    auto no_nets = goldenFleet(4);
+    no_nets.nets.clear();
+    EXPECT_EXIT(no_nets.validate(), exits, "empty fleet net");
+    auto no_impls = goldenFleet(4);
+    no_impls.impls.clear();
+    EXPECT_EXIT(no_impls.validate(), exits, "empty fleet impl");
+    auto no_envs = goldenFleet(4);
+    no_envs.environments.clear();
+    EXPECT_EXIT(no_envs.validate(), exits, "empty fleet environment");
+    auto no_pipes = goldenFleet(4);
+    no_pipes.pipelines.clear();
+    EXPECT_EXIT(no_pipes.validate(), exits, "empty fleet pipeline");
+    auto past = goldenFleet(4);
+    past.horizonSeconds = -5.0;
+    EXPECT_EXIT(past.validate(), exits, "horizon must be positive");
+}
+
 TEST(Fleet, DeviceLifetimeProducesConsistentTelemetry)
 {
     const auto plan = goldenFleet(8);
@@ -349,6 +374,21 @@ scenarioPlan(const std::string &name, u32 devices)
     }
     ADD_FAILURE() << "missing scenario " << name;
     return FleetPlan{};
+}
+
+TEST(FleetScenarios, EnvironmentsRoundTripThroughTheirLabels)
+{
+    // --from-plan and sonic_plan rebuild environments from labels, so a
+    // label must parse back to the exact EnvRef it was printed from.
+    for (const auto &scenario : namedScenarios()) {
+        for (const auto &ref : scenario.plan.environments) {
+            env::EnvRef parsed;
+            std::string error;
+            ASSERT_TRUE(env::parseEnvRef(ref.label(), &parsed, &error))
+                << error;
+            EXPECT_EQ(parsed, ref) << scenario.name << ": " << ref.label();
+        }
+    }
 }
 
 /**

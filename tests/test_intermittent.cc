@@ -162,11 +162,10 @@ TEST(Intermittent, HarSonicCapacitorBitIdentical)
     app::RunSpec spec;
     spec.net = "HAR";
     spec.impl = Impl::Sonic;
-    spec.power = app::PowerKind::Continuous;
     const auto cont = testEngine().runOne(spec);
     ASSERT_TRUE(cont.completed);
 
-    spec.power = app::PowerKind::Cap100uF;
+    spec.environment = {"rf-paper", 100e-6};
     const auto inter = testEngine().runOne(spec);
     ASSERT_TRUE(inter.completed);
     EXPECT_GT(inter.reboots, 50u);
@@ -179,11 +178,10 @@ TEST(Intermittent, OkgTailsCapacitorBitIdentical)
     app::RunSpec spec;
     spec.net = "OkG";
     spec.impl = Impl::Tails;
-    spec.power = app::PowerKind::Continuous;
     const auto cont = testEngine().runOne(spec);
     ASSERT_TRUE(cont.completed);
 
-    spec.power = app::PowerKind::Cap100uF;
+    spec.environment = {"rf-paper", 100e-6};
     const auto inter = testEngine().runOne(spec);
     ASSERT_TRUE(inter.completed);
     EXPECT_GT(inter.reboots, 20u);
@@ -195,7 +193,7 @@ TEST(Intermittent, BaseDoesNotCompleteOnHarvestedPower)
     app::RunSpec spec;
     spec.net = "HAR";
     spec.impl = Impl::Base;
-    spec.power = app::PowerKind::Cap100uF;
+    spec.environment = {"rf-paper", 100e-6};
     const auto r = testEngine().runOne(spec);
     EXPECT_FALSE(r.completed);
     EXPECT_TRUE(r.nonTerminating);
@@ -206,7 +204,7 @@ TEST(Intermittent, Tile128DoesNotCompleteAt100uF)
     app::RunSpec spec;
     spec.net = "OkG";
     spec.impl = Impl::Tile128;
-    spec.power = app::PowerKind::Cap100uF;
+    spec.environment = {"rf-paper", 100e-6};
     const auto r = testEngine().runOne(spec);
     EXPECT_FALSE(r.completed);
     EXPECT_TRUE(r.nonTerminating);
@@ -216,7 +214,7 @@ TEST(Intermittent, Tile32CompletesOnHarButNotMnist)
 {
     app::RunSpec spec;
     spec.impl = Impl::Tile32;
-    spec.power = app::PowerKind::Cap100uF;
+    spec.environment = {"rf-paper", 100e-6};
 
     spec.net = "HAR";
     EXPECT_TRUE(testEngine().runOne(spec).completed);
@@ -232,21 +230,20 @@ TEST(Intermittent, SonicConsistentAcrossCapacitorSizes)
     app::RunSpec spec;
     spec.net = "HAR";
     spec.impl = Impl::Sonic;
-    spec.power = app::PowerKind::Continuous;
     const auto golden = testEngine().runOne(spec);
     ASSERT_TRUE(golden.completed);
-    for (auto power : {app::PowerKind::Cap50mF, app::PowerKind::Cap1mF,
-                       app::PowerKind::Cap100uF}) {
-        spec.power = power;
+    for (const f64 farads : {50e-3, 1e-3, 100e-6}) {
+        spec.environment = {"rf-paper", farads};
+        const std::string label = spec.environment.label();
         const auto r = testEngine().runOne(spec);
-        ASSERT_TRUE(r.completed) << app::powerName(power);
-        EXPECT_EQ(r.logits, golden.logits) << app::powerName(power);
+        ASSERT_TRUE(r.completed) << label;
+        EXPECT_EQ(r.logits, golden.logits) << label;
         // Live time is the same work regardless of the power system
         // (within the re-execution noise of failures).
         EXPECT_LT(std::abs(r.liveSeconds - golden.liveSeconds)
                       / golden.liveSeconds,
                   0.25)
-            << app::powerName(power);
+            << label;
     }
 }
 

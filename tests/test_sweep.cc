@@ -59,9 +59,37 @@ TEST(SweepPlan, DefaultsToSingleDefaultSpec)
     ASSERT_EQ(specs.size(), 1u);
     EXPECT_EQ(specs[0].net, "MNIST");
     EXPECT_EQ(specs[0].impl, kernels::Impl::Sonic);
-    EXPECT_EQ(specs[0].power, PowerKind::Continuous);
+    EXPECT_TRUE(specs[0].environment.empty());
     EXPECT_EQ(specs[0].profile, ProfileVariant::Standard);
     EXPECT_EQ(specs[0].sampleIndex, 0u);
+}
+
+TEST(SweepPlan, DefaultSpecSeedIsPinned)
+{
+    // Specs on the default (empty) environment keep the seeds they had
+    // when the supply still had a second selector: a refactor of the
+    // seed mix must never silently reseed recorded sweeps.
+    SweepPlan plan;
+    plan.nets({"golden"});
+    const auto specs = plan.expand();
+    ASSERT_EQ(specs.size(), 1u);
+    EXPECT_EQ(specs[0].seed, 6322557469518132022ull);
+    EXPECT_EQ(SweepPlan::specSeed(0x5eed, specs[0]),
+              6322557469518132022ull);
+}
+
+TEST(SweepPlan, EmptyAxesAndZeroCountsExitWithDiagnostics)
+{
+    // User input, so fatal() (exit 1 with a message), never a panic.
+    const auto exits = ::testing::ExitedWithCode(1);
+    SweepPlan plan;
+    EXPECT_EXIT(plan.nets({}), exits, "empty net axis");
+    EXPECT_EXIT(plan.implNames({}), exits, "empty impl axis");
+    EXPECT_EXIT(plan.environments({}), exits, "empty environment axis");
+    EXPECT_EXIT(plan.profiles({}), exits, "empty profile axis");
+    EXPECT_EXIT(plan.sampleIndices({}), exits, "empty sample axis");
+    EXPECT_EXIT(plan.failureSchedules({}), exits, "empty schedule axis");
+    EXPECT_EXIT(plan.samples(0), exits, "needs n > 0");
 }
 
 TEST(SweepPlan, CrossProductSizeAndOrder)
@@ -69,7 +97,7 @@ TEST(SweepPlan, CrossProductSizeAndOrder)
     SweepPlan plan;
     plan.nets({"HAR", "OkG"})
         .impls({kernels::Impl::Base, kernels::Impl::Sonic})
-        .power({PowerKind::Continuous, PowerKind::Cap1mF})
+        .environments({{}, {"rf-paper", 1e-3}})
         .samples(2);
     EXPECT_EQ(plan.size(), 16u);
     const auto specs = plan.expand();
@@ -78,24 +106,27 @@ TEST(SweepPlan, CrossProductSizeAndOrder)
     // Nets outermost ... samples innermost.
     EXPECT_EQ(specs[0].net, "HAR");
     EXPECT_EQ(specs[0].impl, kernels::Impl::Base);
-    EXPECT_EQ(specs[0].power, PowerKind::Continuous);
+    EXPECT_TRUE(specs[0].environment.empty());
     EXPECT_EQ(specs[0].sampleIndex, 0u);
     EXPECT_EQ(specs[1].sampleIndex, 1u);
-    EXPECT_EQ(specs[2].power, PowerKind::Cap1mF);
+    EXPECT_EQ(specs[2].environment.label(), "rf-paper@1mF");
     EXPECT_EQ(specs[4].impl, kernels::Impl::Sonic);
     EXPECT_EQ(specs[8].net, "OkG");
     EXPECT_EQ(specs[15].net, "OkG");
     EXPECT_EQ(specs[15].impl, kernels::Impl::Sonic);
-    EXPECT_EQ(specs[15].power, PowerKind::Cap1mF);
+    EXPECT_EQ(specs[15].environment.label(), "rf-paper@1mF");
     EXPECT_EQ(specs[15].sampleIndex, 1u);
 }
 
 TEST(SweepPlan, AllAxisHelpersCoverThePaperGrid)
 {
     SweepPlan plan;
-    plan.allNets().allImpls().allPower().profiles(
-        {ProfileVariant::Standard, ProfileVariant::NoLea,
-         ProfileVariant::NoDma});
+    plan.allNets()
+        .allImpls()
+        .environmentLabels({"continuous", "rf-paper@50mF",
+                            "rf-paper@1mF", "rf-paper@100uF"})
+        .profiles({ProfileVariant::Standard, ProfileVariant::NoLea,
+                   ProfileVariant::NoDma});
     EXPECT_EQ(plan.size(), 3u * 6u * 4u * 3u);
 }
 
@@ -118,19 +149,23 @@ TEST(SweepPlan, SeedsAreDeterministicAndShapeIndependent)
     SweepPlan large;
     large.allNets()
         .impls({kernels::Impl::Base, kernels::Impl::Sonic})
-        .allPower()
+        .environments({{},
+                       {"rf-paper", 50e-3},
+                       {"rf-paper", 1e-3},
+                       {"rf-paper", 100e-6}})
         .samples(2);
 
     const auto small_specs = small.expand();
     const auto large_specs = large.expand();
-    // The (Har, Sonic, Continuous, Standard, 0) point exists in both
+    // The (Har, Sonic, continuous, Standard, 0) point exists in both
     // plans and must carry the same seed: seeding is a function of
     // coordinates, not of plan shape or expansion index.
     const RunSpec &a = small_specs[0];
     const RunSpec *b = nullptr;
     for (const auto &spec : large_specs) {
         if (spec.net == a.net && spec.impl == a.impl
-            && spec.power == a.power && spec.profile == a.profile
+            && spec.environment == a.environment
+            && spec.profile == a.profile
             && spec.sampleIndex == a.sampleIndex)
             b = &spec;
     }
@@ -159,13 +194,13 @@ TEST(SweepPlan, SeedsIndependentOfAxisInsertionOrder)
     SweepPlan ab;
     ab.nets({"HAR", "OkG"})
         .impls({kernels::Impl::Base, kernels::Impl::Sonic})
-        .power({PowerKind::Continuous, PowerKind::Cap1mF})
+        .environments({{}, {"rf-paper", 1e-3}})
         .samples(2)
         .baseSeed(77);
     SweepPlan ba;
     ba.baseSeed(77)
         .samples(2)
-        .power({PowerKind::Continuous, PowerKind::Cap1mF})
+        .environments({{}, {"rf-paper", 1e-3}})
         .impls({kernels::Impl::Base, kernels::Impl::Sonic})
         .nets({"HAR", "OkG"});
 
@@ -253,7 +288,7 @@ TEST(Engine, ParallelSweepBitIdenticalToSerial)
     SweepPlan plan;
     plan.nets({"HAR"})
         .impls({kernels::Impl::Sonic, kernels::Impl::Tails})
-        .power({PowerKind::Continuous, PowerKind::Cap100uF});
+        .environments({{}, {"rf-paper", 100e-6}});
 
     Engine serial(EngineOptions{1});
     Engine parallel(EngineOptions{4});
@@ -273,13 +308,13 @@ TEST(Engine, ParallelSweepBitIdenticalToSerial)
         EXPECT_EQ(p.planIndex, i);
         EXPECT_EQ(s.spec.net, p.spec.net);
         EXPECT_EQ(s.spec.impl, p.spec.impl);
-        EXPECT_EQ(s.spec.power, p.spec.power);
+        EXPECT_EQ(s.spec.environment, p.spec.environment);
         EXPECT_EQ(s.spec.seed, p.spec.seed);
         expectResultsEqual(
             s.result, p.result,
             "record " + std::to_string(i) + " ("
                 + std::string(kernels::implName(s.spec.impl)) + "/"
-                + powerName(s.spec.power) + ")");
+                + s.spec.environment.label() + ")");
         EXPECT_TRUE(s.result.completed);
     }
 }
@@ -310,11 +345,10 @@ TEST(Engine, SinksStreamInPlanOrder)
     while (std::getline(csv_lines, line))
         lines.push_back(line);
     ASSERT_EQ(lines.size(), 3u);
-    EXPECT_EQ(lines[0].rfind("planIndex,net,impl,power", 0), 0u);
-    EXPECT_NE(lines[1].find("HAR,Base,Continuous"),
-              std::string::npos);
-    EXPECT_NE(lines[2].find("HAR,SONIC,Continuous"),
-              std::string::npos);
+    EXPECT_EQ(lines[0].rfind("planIndex,net,impl,environment,profile", 0),
+              0u);
+    EXPECT_NE(lines[1].find("HAR,Base,,standard"), std::string::npos);
+    EXPECT_NE(lines[2].find("HAR,SONIC,,standard"), std::string::npos);
 
     // JSON: an array with one object per record and the trajectory
     // payload (layers, per-op energies, logits).

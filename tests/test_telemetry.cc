@@ -78,15 +78,22 @@ randomSweepRecord(std::mt19937_64 &rng, u32 index)
     auto &spec = record.spec;
     spec.net = kAwkwardNames[rng() % std::size(kAwkwardNames)];
     spec.impl = impls[rng() % impls.size()];
-    spec.power = app::kAllPower[rng() % std::size(app::kAllPower)];
     spec.profile =
         app::kAllProfiles[rng() % std::size(app::kAllProfiles)];
     spec.sampleIndex = static_cast<u32>(rng() % 16);
     spec.seed = rng();
-    if (rng() % 3 == 0) {
+    switch (rng() % 3) {
+      case 0: // awkward names and f64 bit patterns
         spec.environment.env =
             kAwkwardNames[rng() % std::size(kAwkwardNames)];
         spec.environment.capacitanceFarads = randomF64(rng);
+        break;
+      case 1: { // the paper's capacitors
+        const f64 farads[] = {50e-3, 1e-3, 100e-6};
+        spec.environment = {"rf-paper", farads[rng() % 3]};
+        break;
+      }
+      default: break; // continuous wall power
     }
     if (rng() % 4 == 0) {
         const u64 len = rng() % 5;
@@ -446,7 +453,6 @@ TEST(Sonicz, FieldsSurviveBitExactly)
         EXPECT_EQ(a.planIndex, b.planIndex);
         EXPECT_EQ(a.spec.net, b.spec.net);
         EXPECT_EQ(a.spec.impl, b.spec.impl);
-        EXPECT_EQ(a.spec.power, b.spec.power);
         EXPECT_EQ(a.spec.profile, b.spec.profile);
         EXPECT_EQ(a.spec.environment.env, b.spec.environment.env);
         // f64 equality must be on the bit pattern: -0.0 == 0.0 would
@@ -703,6 +709,90 @@ TEST(Sonicz, ReadsVersion1GoldenFixtureByteForByte)
     EXPECT_EQ(catToString(packed, ranged), expected);
 }
 #endif
+
+#ifdef SONIC_GOLDEN_DIR
+/**
+ * A sweep file written while sweeps still had a power axis beside the
+ * environment (sonic_sweep --nets=golden --impls=SONIC
+ * --power=Continuous,100uF): its retired `power` column must come back
+ * on the environment axis, every other field unchanged.
+ */
+TEST(Sonicz, ReadsLegacyPowerColumnAsRfPaperEnvironments)
+{
+    std::ifstream sonicz(SONIC_GOLDEN_DIR "/sweep_legacy_power.sonicz",
+                         std::ios::binary);
+    ASSERT_TRUE(sonicz) << "missing golden fixture";
+    std::ostringstream packed_os;
+    packed_os << sonicz.rdbuf();
+    const std::string packed = packed_os.str();
+
+    std::vector<app::SweepRecord> records;
+    std::istringstream in(packed);
+    std::string error;
+    ASSERT_TRUE(telemetry::readSonicz(
+        in, [&](const app::SweepRecord &r) { records.push_back(r); },
+        nullptr, nullptr, &error))
+        << error;
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_TRUE(records[0].spec.environment.empty());
+    EXPECT_EQ(records[1].spec.environment,
+              (env::EnvRef{"rf-paper", 100e-6}));
+
+    // The same rows the writing build's CSV sink printed, with the
+    // power column folded into the environment column.
+    const std::string expected =
+        directSweepOutput({}, /*json=*/false)
+        + "0,golden,SONIC,,standard,0,6322557469518132022,ok,0,74,"
+          "0.001768375,0,0.001768375,5.6816000000000006e-05,"
+          "5.6816000000000006e-05,1,0,0,0\n"
+          "1,golden,SONIC,rf-paper@100uF,standard,0,"
+          "17164434913896211336,ok,3,74,0.001779625,"
+          "0.09030929999999976,0.09208892499999977,"
+          "5.7146000000000005e-05,6.0206199999999844e-05,1,0,0,0\n";
+    EXPECT_EQ(catToString(packed, telemetry::CatOptions{}), expected);
+}
+#endif
+
+TEST(Sonicz, RetiredPowerColumnKeepsTheOldPrecedence)
+{
+    // The environment outranked the power kind when both were set, and
+    // a label the old axis never had is corruption, not continuous.
+    const auto pack = [](const std::string &power, env::EnvRef ref) {
+        app::SweepRecord record;
+        record.spec.environment = std::move(ref);
+        std::ostringstream os;
+        telemetry::SoniczWriter writer(os, telemetry::SchemaKind::Sweep,
+                                       {{"power", telemetry::ColType::Str}});
+        writer.putStr(telemetry::schemaColumns(
+                          telemetry::SchemaKind::Sweep).size(),
+                      power);
+        telemetry::appendSweepRow(writer, record);
+        writer.finish();
+        return os.str();
+    };
+    const auto read = [](const std::string &packed,
+                         std::vector<app::SweepRecord> *out,
+                         std::string *error) {
+        std::istringstream in(packed);
+        return telemetry::readSonicz(
+            in, [&](const app::SweepRecord &r) { out->push_back(r); },
+            nullptr, nullptr, error);
+    };
+
+    std::vector<app::SweepRecord> rows;
+    std::string error;
+    ASSERT_TRUE(read(pack("1mF", {"solar", 5e-3}), &rows, &error))
+        << error;
+    ASSERT_TRUE(read(pack("50mF", {}), &rows, &error)) << error;
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_EQ(rows[0].spec.environment, (env::EnvRef{"solar", 5e-3}));
+    EXPECT_EQ(rows[1].spec.environment,
+              (env::EnvRef{"rf-paper", 50e-3}));
+
+    EXPECT_FALSE(read(pack("33uF", {}), &rows, &error));
+    EXPECT_NE(error.find("unknown power kind '33uF'"), std::string::npos)
+        << error;
+}
 
 TEST(Sonicz, UnknownTrailingColumnsAreTolerated)
 {
