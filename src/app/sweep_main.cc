@@ -20,14 +20,14 @@
  * --from-plan seeds the grid from a sonic_plan artifact: the axes
  * become the distinct models, kernels, and environments the plan's
  * choices actually use (see plan::Plan::toSweepPlan), so per-run
- * telemetry for a planned deployment is one flag away. Later axis
- * flags still override.
+ * telemetry for a planned deployment is one flag away. Axis flags
+ * override the plan's axes wherever they appear on the command line.
  */
 
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,109 +37,70 @@
 #include "util/cli.hh"
 #include "util/logging.hh"
 
-namespace
-{
-
-using namespace sonic;
-using cli::consumeFlag;
-using cli::splitCsv;
-
-int
-usage()
-{
-    std::cerr
-        << "usage: sonic_sweep [--nets=A,B,...] [--impls=SONIC,...]\n"
-           "                   [--envs=solar@1mF,rf-paper,...]\n"
-           "                   [--profiles=standard,no-lea,...]\n"
-           "                   [--samples=N] [--seed=S]\n"
-           "                   [--threads=T] [--digests]\n"
-           "                   [--progress]\n"
-           "                   [--from-plan=PLAN.json]\n"
-           "                   [--csv=PATH] [--json=PATH]\n"
-           "                   [--sonicz=PATH]\n";
-    return 2;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    app::SweepPlan plan;
+    using namespace sonic;
+
+    std::optional<std::vector<std::string>> nets, impls, envs, profiles;
+    std::optional<u32> samples;
+    std::optional<u64> seed;
+    bool digests = false;
     app::EngineOptions engine_options;
-    std::string csv_path, json_path, sonicz_path, value;
+    std::string from_plan_path, csv_path, json_path, sonicz_path;
 
-    // --from-plan resolves first so explicit axis flags override the
-    // plan's axes, whatever the flag order was.
-    std::vector<std::string> args(argv + 1, argv + argc);
-    try {
-        for (const auto &arg : args) {
-            if (!consumeFlag(arg, "--from-plan", &value))
-                continue;
-            std::ifstream in(value);
-            if (!in) {
-                std::cerr << "cannot read " << value << "\n";
-                return 2;
-            }
-            std::ostringstream text;
-            text << in.rdbuf();
-            plan::Plan deployment;
-            std::string error;
-            if (!plan::Plan::fromJson(text.str(), &deployment,
-                                      &error)) {
-                std::cerr << "bad plan " << value << ": " << error
-                          << "\n";
-                return 2;
-            }
-            plan = deployment.toSweepPlan();
-        }
+    cli::Flags flags("sonic_sweep");
+    flags.add("--nets", &nets, "A,B,...")
+        .add("--impls", &impls, "SONIC,...")
+        .add("--envs", &envs, "solar@1mF,rf-paper,...")
+        .add("--profiles", &profiles, "standard,no-lea,...")
+        .add("--samples", &samples, "N")
+        .add("--seed", &seed, "S")
+        .add("--threads", &engine_options.threads, "T")
+        .add("--digests", &digests)
+        .add("--progress", &engine_options.progress)
+        .add("--from-plan", &from_plan_path, "PLAN.json")
+        .add("--csv", &csv_path, "PATH")
+        .add("--json", &json_path, "PATH")
+        .add("--sonicz", &sonicz_path, "PATH");
+    if (!flags.parse(argc, argv))
+        return 2;
 
-        for (const auto &arg : args) {
-            if (consumeFlag(arg, "--from-plan", &value)) {
-                continue; // handled above
-            } else if (consumeFlag(arg, "--nets", &value)) {
-                std::vector<dnn::NetRef> nets;
-                for (const auto &name : splitCsv(value))
-                    nets.push_back(name);
-                plan.nets(std::move(nets));
-            } else if (consumeFlag(arg, "--impls", &value)) {
-                plan.implNames(splitCsv(value));
-            } else if (consumeFlag(arg, "--envs", &value)) {
-                plan.environmentLabels(splitCsv(value));
-            } else if (consumeFlag(arg, "--profiles", &value)) {
-                std::vector<app::ProfileVariant> variants;
-                for (const auto &name : splitCsv(value)) {
-                    app::ProfileVariant variant;
-                    if (!app::profileFromName(name, &variant))
-                        fatal("unknown profile '", name,
-                              "' (standard | no-lea | no-dma)");
-                    variants.push_back(variant);
-                }
-                plan.profiles(std::move(variants));
-            } else if (consumeFlag(arg, "--samples", &value)) {
-                plan.samples(static_cast<u32>(std::stoul(value)));
-            } else if (consumeFlag(arg, "--seed", &value)) {
-                plan.baseSeed(std::stoull(value));
-            } else if (consumeFlag(arg, "--threads", &value)) {
-                engine_options.threads =
-                    static_cast<u32>(std::stoul(value));
-            } else if (arg == "--progress") {
-                engine_options.progress = true;
-            } else if (arg == "--digests") {
-                plan.captureNvmDigests(true);
-            } else if (consumeFlag(arg, "--csv", &value)) {
-                csv_path = value;
-            } else if (consumeFlag(arg, "--json", &value)) {
-                json_path = value;
-            } else if (consumeFlag(arg, "--sonicz", &value)) {
-                sonicz_path = value;
-            } else {
-                return usage();
-            }
+    // The grid: the plan's axes under --from-plan, else the defaults;
+    // then each axis flag given overrides its axis.
+    app::SweepPlan plan;
+    if (!from_plan_path.empty()) {
+        plan::Plan deployment;
+        std::string error;
+        if (!plan::Plan::fromFile(from_plan_path, &deployment, &error)) {
+            std::cerr << error << "\n";
+            return 2;
         }
-    } catch (const std::exception &) { // bad numeric flag value
-        return usage();
+        plan = deployment.toSweepPlan();
     }
+    if (nets)
+        plan.nets(*nets);
+    if (impls)
+        plan.implNames(*impls);
+    if (envs)
+        plan.environmentLabels(*envs);
+    if (profiles) {
+        std::vector<app::ProfileVariant> variants;
+        for (const auto &name : *profiles) {
+            app::ProfileVariant variant;
+            if (!app::profileFromName(name, &variant))
+                fatal("unknown profile '", name,
+                      "' (standard | no-lea | no-dma)");
+            variants.push_back(variant);
+        }
+        plan.profiles(std::move(variants));
+    }
+    if (samples)
+        plan.samples(*samples);
+    if (seed)
+        plan.baseSeed(*seed);
+    if (digests)
+        plan.captureNvmDigests(true);
 
     std::vector<app::ResultSink *> sinks;
     std::ofstream csv_file, json_file, sonicz_file;
@@ -147,27 +108,18 @@ main(int argc, char **argv)
     app::JsonSink json_sink(json_file);
     std::unique_ptr<telemetry::SoniczSweepSink> sonicz_sink;
     if (!csv_path.empty()) {
-        csv_file.open(csv_path);
-        if (!csv_file) {
-            std::cerr << "cannot write " << csv_path << "\n";
+        if (!cli::openOutput(csv_file, csv_path))
             return 2;
-        }
         sinks.push_back(&csv_sink);
     }
     if (!json_path.empty()) {
-        json_file.open(json_path);
-        if (!json_file) {
-            std::cerr << "cannot write " << json_path << "\n";
+        if (!cli::openOutput(json_file, json_path))
             return 2;
-        }
         sinks.push_back(&json_sink);
     }
     if (!sonicz_path.empty()) {
-        sonicz_file.open(sonicz_path, std::ios::binary);
-        if (!sonicz_file) {
-            std::cerr << "cannot write " << sonicz_path << "\n";
+        if (!cli::openOutput(sonicz_file, sonicz_path, std::ios::binary))
             return 2;
-        }
         // Parallel block encoding: byte-identical to serial, so the
         // sweep worker count is a safe default.
         sonicz_sink = std::make_unique<telemetry::SoniczSweepSink>(

@@ -13,6 +13,8 @@
  * re-serialization, then, per kernel, a continuous-power run through
  * the verification oracle's observation harness comparing logits,
  * cycles, op instances and the final FRAM digest bit for bit.
+ * --list, then --smoke, then --export decides the mode; with none of
+ * them the usage is printed and the exit code is 2.
  */
 
 #include <cctype>
@@ -33,29 +35,9 @@ namespace
 {
 
 using namespace sonic;
-using cli::consumeFlag;
-using cli::splitCsv;
-
-struct Args
-{
-    bool list = false;
-    std::string exportDir;
-    std::string smokeDir;
-    std::vector<std::string> loadModels;
-    std::vector<std::string> impls; ///< empty = acceptance four
-};
 
 /** The acceptance kernels for the round-trip property. */
 const char *kDefaultImpls[] = {"Base", "Tile-8", "SONIC", "TAILS"};
-
-int
-usage()
-{
-    std::cerr << "usage: sonic_zoo [--list] [--export=DIR]\n"
-                 "                 [--smoke=DIR] [--impls=A,B,...]\n"
-                 "                 [--load=model.json[,...]]\n";
-    return 2;
-}
 
 /**
  * File name for a model (names may hold path-hostile characters).
@@ -215,27 +197,21 @@ smoke(const std::string &dir, const std::vector<std::string> &impl_names)
 int
 main(int argc, char **argv)
 {
-    Args args;
-    std::string value;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--list") {
-            args.list = true;
-        } else if (consumeFlag(arg, "--export", &value)) {
-            args.exportDir = value;
-        } else if (consumeFlag(arg, "--smoke", &value)) {
-            args.smokeDir = value;
-        } else if (consumeFlag(arg, "--load", &value)) {
-            args.loadModels = splitCsv(value);
-        } else if (consumeFlag(arg, "--impls", &value)) {
-            args.impls = splitCsv(value);
-        } else {
-            return usage();
-        }
-    }
+    bool list = false;
+    std::string export_dir, smoke_dir;
+    std::vector<std::string> load_models;
+    std::vector<std::string> impls; ///< empty = acceptance four
+    cli::Flags flags("sonic_zoo");
+    flags.add("--list", &list)
+        .add("--export", &export_dir, "DIR")
+        .add("--smoke", &smoke_dir, "DIR")
+        .add("--impls", &impls, "A,B,...")
+        .add("--load", &load_models, "model.json[,...]");
+    if (!flags.parse(argc, argv))
+        return 2;
 
     auto &zoo = dnn::ModelZoo::instance();
-    for (const auto &path : args.loadModels) {
+    for (const auto &path : load_models) {
         std::string error;
         if (!dnn::loadModelIntoZoo(path, zoo, &error)) {
             std::cerr << "cannot load model " << path << ": " << error
@@ -244,7 +220,7 @@ main(int argc, char **argv)
         }
     }
 
-    if (args.list) {
+    if (list) {
         for (const auto &name : zoo.names()) {
             const auto &entry = zoo.get(name);
             std::cout << name << " [" << entry.meta().family << "] "
@@ -255,16 +231,16 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (!args.smokeDir.empty()) {
-        std::vector<std::string> impls = args.impls;
+    if (!smoke_dir.empty()) {
         if (impls.empty())
             impls.assign(std::begin(kDefaultImpls),
                          std::end(kDefaultImpls));
-        return smoke(args.smokeDir, impls);
+        return smoke(smoke_dir, impls);
     }
 
-    if (!args.exportDir.empty())
-        return exportAll(args.exportDir);
+    if (!export_dir.empty())
+        return exportAll(export_dir);
 
-    return usage();
+    std::cerr << flags.usage();
+    return 2;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <mutex>
 #include <ostream>
 #include <sstream>
@@ -43,8 +44,8 @@ FleetPlan::validate() const
         fatal("empty fleet impl distribution");
     if (environments.empty())
         fatal("empty fleet environment distribution");
-    if (!(horizonSeconds > 0.0))
-        fatal("fleet horizon must be positive");
+    if (!(horizonSeconds > 0.0 && std::isfinite(horizonSeconds)))
+        fatal("fleet horizon must be positive and finite");
     auto &zoo = dnn::ModelZoo::instance();
     for (const auto &net : nets) {
         if (!zoo.contains(net))

@@ -16,38 +16,35 @@
  * --from-plan replays a sonic_plan artifact: the plan carries its own
  * scenario (axes, seed, horizon) plus the per-coordinate kernel
  * assignment, so the planned deployment rebuilds exactly — no
- * matching flags required. Axis overrides that keep the coordinate
- * set intact (e.g. --devices, --threads) still apply afterwards.
+ * matching flags required, and it replaces any --scenario. Axis
+ * overrides that keep the coordinate set intact (e.g. --devices,
+ * --threads) still apply, wherever they appear on the command line.
  *
- * --list-envs and --list-scenarios enumerate the registered
- * environments and the named scenarios. The process exits 1 when the
- * fleet completed zero inferences (a deployment that delivers nothing
- * is a failure unless --allow-zero says otherwise), so CI can gate on
- * the exit code alone.
+ * --list-envs, --list-scenarios and --list-pipelines enumerate the
+ * registered environments, scenarios and pipelines. The process exits
+ * 1 when the fleet completed zero inferences (a deployment that
+ * delivers nothing is a failure unless --allow-zero says otherwise),
+ * so CI can gate on the exit code alone.
  */
 
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "fleet/fleet.hh"
+#include "fleet/fleet_flags.hh"
 #include "plan/plan.hh"
 #include "telemetry/sonicz.hh"
 #include "trace/trace.hh"
 #include "util/cli.hh"
-#include "util/logging.hh"
 #include "util/table.hh"
 
 namespace
 {
 
 using namespace sonic;
-using cli::consumeFlag;
-using cli::splitCsv;
 
 /** The worker count runFleet resolves 0 to. */
 u32
@@ -58,226 +55,114 @@ effectiveThreads(u32 requested)
         : std::max(1u, std::thread::hardware_concurrency());
 }
 
-int
-usage()
-{
-    std::cerr
-        << "usage: sonic_fleet [--scenario=NAME]\n"
-           "                   [--devices=N] [--nets=A,B,...]\n"
-           "                   [--impls=SONIC,TAILS,...]\n"
-           "                   [--envs=solar@1mF,rf-paper,...]\n"
-           "                   [--pipelines=wildlife,infer-only,...]\n"
-           "                   [--horizon=SECONDS]\n"
-           "                   [--max-inferences=K] [--threads=T]\n"
-           "                   [--seed=S] [--csv=PATH]\n"
-           "                   [--json=PATH] [--sonicz=PATH]\n"
-           "                   [--summary=PATH]\n"
-           "                   [--from-plan=PLAN.json]\n"
-           "                   [--trace=NAME=FILE] [--allow-zero]\n"
-           "                   [--trace-out=RUN.sonictrace]\n"
-           "                   [--trace-every=N] [--progress]\n"
-           "                   [--require-delivered]\n"
-           "                   [--list-envs] [--list-scenarios]\n"
-           "                   [--list-pipelines]\n";
-    return 2;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    fleet::FleetPlan plan;
+    fleet::FleetFlags fleet_flags;
     fleet::FleetOptions options;
-    bool allow_zero = false;
-    bool require_delivered = false;
-    bool require_cache_hits = false;
-    std::string csv_path, json_path, sonicz_path, summary_path;
-    std::string trace_out_path;
     std::vector<std::string> trace_args;
-    std::string value;
+    std::string from_plan_path, csv_path, json_path, sonicz_path;
+    std::string summary_path, trace_out_path;
+    u32 trace_every = 0;
+    bool no_cache = false, allow_zero = false, require_delivered = false;
+    bool require_cache_hits = false, list_envs = false;
+    bool list_pipelines = false;
 
-    // Two passes: traces must register and --scenario/--from-plan
-    // must resolve before axis overrides apply, whatever the flag
-    // order was.
-    std::vector<std::string> args(argv + 1, argv + argc);
-    try {
-        for (const auto &arg : args) {
-            if (consumeFlag(arg, "--trace", &value)) {
-                trace_args.push_back(value);
-            } else if (consumeFlag(arg, "--from-plan", &value)) {
-                std::ifstream in(value);
-                if (!in) {
-                    std::cerr << "cannot read " << value << "\n";
-                    return 2;
-                }
-                std::ostringstream text;
-                text << in.rdbuf();
-                sonic::plan::Plan deployment;
-                std::string error;
-                if (!sonic::plan::Plan::fromJson(text.str(),
-                                                 &deployment,
-                                                 &error)) {
-                    std::cerr << "bad plan " << value << ": "
-                              << error << "\n";
-                    return 2;
-                }
-                plan = deployment.toFleetPlan();
-            } else if (consumeFlag(arg, "--scenario", &value)) {
-                bool found = false;
-                for (const auto &scenario :
-                     fleet::namedScenarios()) {
-                    if (scenario.name == value) {
-                        plan = scenario.plan;
-                        found = true;
-                    }
-                }
-                if (!found) {
-                    std::cerr << "unknown scenario '" << value
-                              << "' (--list-scenarios)\n";
-                    return 2;
-                }
-            }
-        }
+    cli::Flags flags("sonic_fleet");
+    fleet_flags.declare(flags);
+    flags.add("--from-plan", &from_plan_path, "PLAN.json")
+        .repeatable("--trace", &trace_args, "NAME=FILE")
+        .add("--threads", &options.threads, "T")
+        .add("--csv", &csv_path, "PATH")
+        .add("--json", &json_path, "PATH")
+        .add("--sonicz", &sonicz_path, "PATH")
+        .add("--summary", &summary_path, "PATH")
+        .add("--trace-out", &trace_out_path, "RUN.sonictrace")
+        .add("--trace-every", &trace_every, "N")
+        .add("--progress", &options.progress)
+        .add("--no-cache", &no_cache)
+        .add("--require-cache-hits", &require_cache_hits)
+        .add("--allow-zero", &allow_zero)
+        .add("--require-delivered", &require_delivered)
+        .add("--list-envs", &list_envs)
+        .add("--list-pipelines", &list_pipelines);
+    if (!flags.parse(argc, argv))
+        return 2;
 
-        for (const auto &trace : trace_args) {
-            const auto eq = trace.find('=');
-            if (eq == std::string::npos || eq == 0) {
-                std::cerr << "--trace expects NAME=FILE (got '"
-                          << trace << "')\n";
-                return 2;
-            }
-            std::string error;
-            if (!env::EnvRegistry::instance().addTraceFile(
-                    trace.substr(0, eq), trace.substr(eq + 1),
-                    &error)) {
-                std::cerr << "cannot register trace: " << error
-                          << "\n";
-                return 2;
-            }
+    // Traces register first, so environments named by the plan, the
+    // axes and --list-envs can refer to them.
+    for (const auto &trace : trace_args) {
+        const auto eq = trace.find('=');
+        if (eq == std::string::npos || eq == 0) {
+            std::cerr << "--trace expects NAME=FILE (got '" << trace
+                      << "')\n";
+            return 2;
         }
-
-        for (const auto &arg : args) {
-            if (consumeFlag(arg, "--trace", &value)
-                || consumeFlag(arg, "--scenario", &value)
-                || consumeFlag(arg, "--from-plan", &value)) {
-                continue; // handled above
-            } else if (arg == "--list-envs") {
-                auto &registry = env::EnvRegistry::instance();
-                for (const auto &name : registry.names()) {
-                    const auto *meta = registry.meta(name);
-                    std::cout
-                        << name << " [" << meta->family << "] — "
-                        << meta->description << " (default "
-                        << env::formatCapacitance(
-                               meta->defaultCapacitanceFarads)
-                        << ")\n";
-                }
-                return 0;
-            } else if (arg == "--list-scenarios") {
-                for (const auto &scenario : fleet::namedScenarios())
-                    std::cout << scenario.name << " — "
-                              << scenario.description << "\n";
-                return 0;
-            } else if (arg == "--list-pipelines") {
-                std::cout
-                    << pipeline::PipelineRegistry::instance()
-                           .availableList();
-                return 0;
-            } else if (consumeFlag(arg, "--devices", &value)) {
-                plan.devices = static_cast<u32>(std::stoul(value));
-            } else if (consumeFlag(arg, "--nets", &value)) {
-                plan.nets = splitCsv(value);
-            } else if (consumeFlag(arg, "--impls", &value)) {
-                plan.impls.clear();
-                for (const auto &name : splitCsv(value)) {
-                    const auto *info =
-                        kernels::ImplRegistry::instance().find(name);
-                    if (info == nullptr)
-                        fatal("unknown implementation '", name, "'");
-                    plan.impls.push_back(info->id);
-                }
-            } else if (consumeFlag(arg, "--envs", &value)) {
-                plan.environments.clear();
-                for (const auto &label : splitCsv(value)) {
-                    env::EnvRef ref;
-                    std::string error;
-                    if (!env::parseEnvRef(label, &ref, &error))
-                        fatal(error);
-                    plan.environments.push_back(std::move(ref));
-                }
-            } else if (consumeFlag(arg, "--pipelines", &value)) {
-                plan.pipelines = splitCsv(value);
-            } else if (consumeFlag(arg, "--horizon", &value)) {
-                plan.horizonSeconds = std::stod(value);
-            } else if (consumeFlag(arg, "--max-inferences", &value)) {
-                plan.maxInferencesPerDevice =
-                    static_cast<u32>(std::stoul(value));
-            } else if (consumeFlag(arg, "--threads", &value)) {
-                options.threads =
-                    static_cast<u32>(std::stoul(value));
-            } else if (consumeFlag(arg, "--seed", &value)) {
-                plan.baseSeed = std::stoull(value);
-            } else if (consumeFlag(arg, "--trace-out", &value)) {
-                trace_out_path = value;
-            } else if (consumeFlag(arg, "--trace-every", &value)) {
-                plan.traceEvery =
-                    static_cast<u32>(std::stoul(value));
-            } else if (arg == "--progress") {
-                options.progress = true;
-            } else if (consumeFlag(arg, "--csv", &value)) {
-                csv_path = value;
-            } else if (consumeFlag(arg, "--json", &value)) {
-                json_path = value;
-            } else if (consumeFlag(arg, "--sonicz", &value)) {
-                sonicz_path = value;
-            } else if (consumeFlag(arg, "--summary", &value)) {
-                summary_path = value;
-            } else if (arg == "--no-cache") {
-                options.useCache = false;
-            } else if (arg == "--require-cache-hits") {
-                require_cache_hits = true;
-            } else if (arg == "--allow-zero") {
-                allow_zero = true;
-            } else if (arg == "--require-delivered") {
-                require_delivered = true;
-            } else {
-                return usage();
-            }
+        std::string error;
+        if (!env::EnvRegistry::instance().addTraceFile(
+                trace.substr(0, eq), trace.substr(eq + 1), &error)) {
+            std::cerr << "cannot register trace: " << error << "\n";
+            return 2;
         }
-    } catch (const std::exception &) { // bad numeric flag value
-        return usage();
     }
+
+    // The fleet: a named scenario or the defaults, replaced whole by
+    // --from-plan (the plan carries its own scenario), then the axis
+    // overrides.
+    fleet::FleetPlan plan = fleet_flags.scenarioPlan();
+    if (!from_plan_path.empty()) {
+        plan::Plan deployment;
+        std::string error;
+        if (!plan::Plan::fromFile(from_plan_path, &deployment, &error)) {
+            std::cerr << error << "\n";
+            return 2;
+        }
+        plan = deployment.toFleetPlan();
+    }
+    fleet_flags.applyAxes(&plan);
+    plan.traceEvery = trace_every;
+    options.useCache = !no_cache;
+
+    if (list_envs) {
+        auto &registry = env::EnvRegistry::instance();
+        for (const auto &name : registry.names()) {
+            const auto *meta = registry.meta(name);
+            std::cout << name << " [" << meta->family << "] — "
+                      << meta->description << " (default "
+                      << env::formatCapacitance(
+                             meta->defaultCapacitanceFarads)
+                      << ")\n";
+        }
+    }
+    if (fleet_flags.listScenarios)
+        fleet::FleetFlags::printScenarios(std::cout);
+    if (list_pipelines)
+        std::cout << pipeline::PipelineRegistry::instance().availableList();
+    if (list_envs || fleet_flags.listScenarios || list_pipelines)
+        return 0;
 
     std::vector<fleet::FleetSink *> sinks;
     std::ofstream csv_file;
     fleet::FleetCsvSink csv_sink(csv_file);
     if (!csv_path.empty()) {
-        csv_file.open(csv_path);
-        if (!csv_file) {
-            std::cerr << "cannot write " << csv_path << "\n";
+        if (!cli::openOutput(csv_file, csv_path))
             return 2;
-        }
         sinks.push_back(&csv_sink);
     }
     std::ofstream json_file;
     fleet::FleetJsonSink json_sink(json_file);
     if (!json_path.empty()) {
-        json_file.open(json_path);
-        if (!json_file) {
-            std::cerr << "cannot write " << json_path << "\n";
+        if (!cli::openOutput(json_file, json_path))
             return 2;
-        }
         sinks.push_back(&json_sink);
     }
     std::ofstream sonicz_file;
     std::unique_ptr<telemetry::SoniczFleetSink> sonicz_sink;
     if (!sonicz_path.empty()) {
-        sonicz_file.open(sonicz_path, std::ios::binary);
-        if (!sonicz_file) {
-            std::cerr << "cannot write " << sonicz_path << "\n";
+        if (!cli::openOutput(sonicz_file, sonicz_path, std::ios::binary))
             return 2;
-        }
         // Block encoding fans out across the worker count the fleet
         // itself uses; the bytes are identical either way.
         sonicz_sink = std::make_unique<telemetry::SoniczFleetSink>(
@@ -298,11 +183,9 @@ main(int argc, char **argv)
     const auto summary = fleet::runFleet(plan, options, sinks);
 
     if (!trace_out_path.empty()) {
-        std::ofstream trace_file(trace_out_path, std::ios::binary);
-        if (!trace_file) {
-            std::cerr << "cannot write " << trace_out_path << "\n";
+        std::ofstream trace_file;
+        if (!cli::openOutput(trace_file, trace_out_path, std::ios::binary))
             return 2;
-        }
         collector.write(trace_file,
                         effectiveThreads(options.threads));
         std::cout << "trace: " << collector.devices() << " devices, "
@@ -355,11 +238,9 @@ main(int argc, char **argv)
     }
 
     if (!summary_path.empty()) {
-        std::ofstream out(summary_path);
-        if (!out) {
-            std::cerr << "cannot write " << summary_path << "\n";
+        std::ofstream out;
+        if (!cli::openOutput(out, summary_path))
             return 2;
-        }
         out << summary.toJson();
         std::cout << "fleet summary written to " << summary_path
                   << "\n";

@@ -1,6 +1,7 @@
 #include "plan/plan.hh"
 
 #include <algorithm>
+#include <fstream>
 #include <set>
 #include <sstream>
 
@@ -8,6 +9,7 @@
 #include "env/environment.hh"
 #include "kernels/runner.hh"
 #include "pipeline/pipeline.hh"
+#include "util/cli.hh"
 #include "util/fmt.hh"
 #include "util/json.hh"
 #include "util/json_parse.hh"
@@ -20,23 +22,6 @@ namespace
 {
 
 constexpr const char *kPlanFormat = "sonic-plan-v1";
-
-bool
-parseU64Decimal(const std::string &s, u64 *out)
-{
-    if (s.empty())
-        return false;
-    u64 v = 0;
-    for (const char ch : s) {
-        if (ch < '0' || ch > '9')
-            return false;
-        if (v > (~0ull - static_cast<u64>(ch - '0')) / 10)
-            return false;
-        v = v * 10 + static_cast<u64>(ch - '0');
-    }
-    *out = v;
-    return true;
-}
 
 } // namespace
 
@@ -196,7 +181,7 @@ Plan::fromJson(const std::string &text, Plan *out, std::string *error)
         || !jsonp::getString(sc, "baseSeed", &seed_text, error,
                              "plan.scenario"))
         return false;
-    if (!parseU64Decimal(seed_text, &plan.baseSeed)) {
+    if (!cli::parseU64(seed_text, &plan.baseSeed)) {
         *error = "plan.scenario: baseSeed is not a decimal u64 "
                  "string";
         return false;
@@ -344,6 +329,22 @@ Plan::fromJson(const std::string &text, Plan *out, std::string *error)
 
     *out = std::move(plan);
     return true;
+}
+
+bool
+Plan::fromFile(const std::string &path, Plan *out, std::string *error)
+{
+    std::ifstream in(path);
+    if (!in) {
+        *error = "cannot read " + path;
+        return false;
+    }
+    std::ostringstream text;
+    text << in.rdbuf();
+    if (fromJson(text.str(), out, error))
+        return true;
+    *error = "bad plan " + path + ": " + *error;
+    return false;
 }
 
 fleet::FleetPlan

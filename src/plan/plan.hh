@@ -114,6 +114,11 @@ struct Plan
     static bool fromJson(const std::string &text, Plan *out,
                          std::string *error);
 
+    /** Read and parse the plan file at `path` (--from-plan); the
+     * error names the path. */
+    static bool fromFile(const std::string &path, Plan *out,
+                         std::string *error);
+
     /** Rebuild the fleet this plan assigns: the scenario axes plus
      * FleetPlan::implByCoordinate from the choices. */
     fleet::FleetPlan toFleetPlan() const;

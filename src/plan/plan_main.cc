@@ -22,51 +22,28 @@
  *              small grids, then optionally confirmed by running the
  *              planned fleet and every baseline.
  *
+ * --scenario, --list-scenarios and the axis flags are sonic_fleet's
+ * (fleet/fleet_flags.hh); --from-plan confirms an existing artifact,
+ * whose own scenario makes them moot. --ingest may repeat.
+ *
  * Exits 1 when the confirming run fails to tie-or-beat some baseline,
  * so CI can gate on the exit code alone. Exits 2 on usage errors.
  */
 
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "fleet/fleet_flags.hh"
 #include "plan/planner.hh"
 #include "util/cli.hh"
-#include "util/logging.hh"
 #include "util/table.hh"
 
 namespace
 {
 
 using namespace sonic;
-using cli::consumeFlag;
-using cli::splitCsv;
-
-int
-usage()
-{
-    std::cerr
-        << "usage: sonic_plan [--scenario=NAME]\n"
-           "                  [--devices=N] [--nets=A,B,...]\n"
-           "                  [--impls=SONIC,TAILS,...]\n"
-           "                  [--envs=solar@1mF,rf-paper,...]\n"
-           "                  [--pipelines=wildlife,...]\n"
-           "                  [--horizon=SECONDS]\n"
-           "                  [--max-inferences=K] [--seed=S]\n"
-           "                  [--objective=delivered-per-day|\n"
-           "                     inferences-per-day|energy-per-inference]\n"
-           "                  [--ingest=FILE.sonicz]... [--no-probe]\n"
-           "                  [--probe-devices=N (0=full fleet)]\n"
-           "                  [--min-cell-devices=N]\n"
-           "                  [--plan=OUT.json] [--confirm]\n"
-           "                  [--confirm-summary=PATH]\n"
-           "                  [--from-plan=PLAN.json]\n"
-           "                  [--threads=T] [--no-cache]\n"
-           "                  [--list-scenarios] [--list-objectives]\n";
-    return 2;
-}
 
 /** Natural (human) display of an objective's mean per-device value:
  * energy objectives are internally negated so higher is always better;
@@ -97,139 +74,59 @@ displayColumn(plan::Objective objective)
 int
 main(int argc, char **argv)
 {
-    fleet::FleetPlan fleet_plan;
+    fleet::FleetFlags fleet_flags;
     plan::PlannerOptions options;
-    std::string scenario_name;
-    std::string plan_path, confirm_summary_path, from_plan_path;
+    std::string objective, plan_path, confirm_summary_path;
+    std::string from_plan_path;
     std::vector<std::string> ingest_paths;
-    bool confirm = false;
-    std::string value;
+    bool confirm = false, no_probe = false, no_cache = false;
+    bool list_objectives = false;
 
-    // Two passes, like sonic_fleet: --scenario must resolve before
-    // axis overrides apply, whatever the flag order was.
-    std::vector<std::string> args(argv + 1, argv + argc);
-    try {
-        for (const auto &arg : args) {
-            if (consumeFlag(arg, "--scenario", &value)) {
-                bool found = false;
-                for (const auto &scenario :
-                     fleet::namedScenarios()) {
-                    if (scenario.name == value) {
-                        fleet_plan = scenario.plan;
-                        scenario_name = value;
-                        found = true;
-                    }
-                }
-                if (!found) {
-                    std::cerr << "unknown scenario '" << value
-                              << "' (--list-scenarios)\n";
-                    return 2;
-                }
-            }
-        }
+    std::vector<std::string> objectives;
+    for (const auto o :
+         {plan::Objective::DeliveredPerDay, plan::Objective::InferencesPerDay,
+          plan::Objective::EnergyPerInference})
+        objectives.push_back(plan::objectiveName(o));
 
-        for (const auto &arg : args) {
-            if (consumeFlag(arg, "--scenario", &value)) {
-                continue; // handled above
-            } else if (arg == "--list-scenarios") {
-                for (const auto &scenario : fleet::namedScenarios())
-                    std::cout << scenario.name << " — "
-                              << scenario.description << "\n";
-                return 0;
-            } else if (arg == "--list-objectives") {
-                for (const auto objective :
-                     {plan::Objective::DeliveredPerDay,
-                      plan::Objective::InferencesPerDay,
-                      plan::Objective::EnergyPerInference})
-                    std::cout << plan::objectiveName(objective)
-                              << "\n";
-                return 0;
-            } else if (consumeFlag(arg, "--devices", &value)) {
-                fleet_plan.devices =
-                    static_cast<u32>(std::stoul(value));
-            } else if (consumeFlag(arg, "--nets", &value)) {
-                fleet_plan.nets = splitCsv(value);
-            } else if (consumeFlag(arg, "--impls", &value)) {
-                fleet_plan.impls.clear();
-                for (const auto &name : splitCsv(value)) {
-                    const auto *info =
-                        kernels::ImplRegistry::instance().find(name);
-                    if (info == nullptr)
-                        fatal("unknown implementation '", name, "'");
-                    fleet_plan.impls.push_back(info->id);
-                }
-            } else if (consumeFlag(arg, "--envs", &value)) {
-                fleet_plan.environments.clear();
-                for (const auto &label : splitCsv(value)) {
-                    env::EnvRef ref;
-                    std::string error;
-                    if (!env::parseEnvRef(label, &ref, &error))
-                        fatal(error);
-                    fleet_plan.environments.push_back(std::move(ref));
-                }
-            } else if (consumeFlag(arg, "--pipelines", &value)) {
-                fleet_plan.pipelines = splitCsv(value);
-            } else if (consumeFlag(arg, "--horizon", &value)) {
-                fleet_plan.horizonSeconds = std::stod(value);
-            } else if (consumeFlag(arg, "--max-inferences", &value)) {
-                fleet_plan.maxInferencesPerDevice =
-                    static_cast<u32>(std::stoul(value));
-            } else if (consumeFlag(arg, "--seed", &value)) {
-                fleet_plan.baseSeed = std::stoull(value);
-            } else if (consumeFlag(arg, "--objective", &value)) {
-                if (!plan::objectiveFromName(value,
-                                             &options.objective)) {
-                    std::cerr << "unknown objective '" << value
-                              << "' (--list-objectives)\n";
-                    return 2;
-                }
-            } else if (consumeFlag(arg, "--ingest", &value)) {
-                ingest_paths.push_back(value);
-            } else if (arg == "--no-probe") {
-                options.probe = false;
-            } else if (consumeFlag(arg, "--probe-devices", &value)) {
-                options.probeDevices =
-                    static_cast<u32>(std::stoul(value));
-            } else if (consumeFlag(arg, "--min-cell-devices",
-                                   &value)) {
-                options.minCellDevices = std::stoull(value);
-            } else if (consumeFlag(arg, "--plan", &value)) {
-                plan_path = value;
-            } else if (arg == "--confirm") {
-                confirm = true;
-            } else if (consumeFlag(arg, "--confirm-summary",
-                                   &value)) {
-                confirm_summary_path = value;
-            } else if (consumeFlag(arg, "--from-plan", &value)) {
-                from_plan_path = value;
-            } else if (consumeFlag(arg, "--threads", &value)) {
-                options.fleet.threads =
-                    static_cast<u32>(std::stoul(value));
-            } else if (arg == "--no-cache") {
-                options.fleet.useCache = false;
-            } else {
-                return usage();
-            }
-        }
-    } catch (const std::exception &) { // bad numeric flag value
-        return usage();
-    }
+    cli::Flags flags("sonic_plan");
+    fleet_flags.declare(flags);
+    flags.oneOf("--objective", &objective, objectives)
+        .repeatable("--ingest", &ingest_paths, "FILE.sonicz")
+        .add("--no-probe", &no_probe)
+        .add("--probe-devices", &options.probeDevices, "N (0=full fleet)")
+        .add("--min-cell-devices", &options.minCellDevices, "N")
+        .add("--plan", &plan_path, "OUT.json")
+        .add("--confirm", &confirm)
+        .add("--confirm-summary", &confirm_summary_path, "PATH")
+        .add("--from-plan", &from_plan_path, "PLAN.json")
+        .add("--threads", &options.fleet.threads, "T")
+        .add("--no-cache", &no_cache)
+        .add("--list-objectives", &list_objectives);
+    if (!flags.parse(argc, argv))
+        return 2;
+
+    fleet::FleetPlan fleet_plan = fleet_flags.scenarioPlan();
+    fleet_flags.applyAxes(&fleet_plan);
+    if (!objective.empty())
+        plan::objectiveFromName(objective, &options.objective);
+    options.probe = !no_probe;
+    options.fleet.useCache = !no_cache;
+
+    if (fleet_flags.listScenarios)
+        fleet::FleetFlags::printScenarios(std::cout);
+    if (list_objectives)
+        for (const auto &name : objectives)
+            std::cout << name << "\n";
+    if (fleet_flags.listScenarios || list_objectives)
+        return 0;
 
     plan::Plan plan;
     if (!from_plan_path.empty()) {
         // Confirming an existing artifact: the plan carries its own
         // scenario (axes, seed, horizon), so axis flags do not apply.
-        std::ifstream in(from_plan_path);
-        if (!in) {
-            std::cerr << "cannot read " << from_plan_path << "\n";
-            return 2;
-        }
-        std::ostringstream text;
-        text << in.rdbuf();
         std::string error;
-        if (!plan::Plan::fromJson(text.str(), &plan, &error)) {
-            std::cerr << "bad plan " << from_plan_path << ": "
-                      << error << "\n";
+        if (!plan::Plan::fromFile(from_plan_path, &plan, &error)) {
+            std::cerr << error << "\n";
             return 2;
         }
         options.objective = plan.objective;
@@ -238,7 +135,7 @@ main(int argc, char **argv)
                   << plan.choices.size() << " coordinates, objective "
                   << plan::objectiveName(plan.objective) << ")\n";
     } else {
-        plan::Scenario scenario{scenario_name, fleet_plan};
+        plan::Scenario scenario{fleet_flags.scenario, fleet_plan};
         plan::PlanModel model(options.objective);
 
         for (const auto &path : ingest_paths) {
@@ -290,11 +187,9 @@ main(int argc, char **argv)
         table.print(std::cout);
 
         if (!plan_path.empty()) {
-            std::ofstream out(plan_path);
-            if (!out) {
-                std::cerr << "cannot write " << plan_path << "\n";
+            std::ofstream out;
+            if (!cli::openOutput(out, plan_path))
                 return 2;
-            }
             out << plan.toJson();
             std::cout << "plan written to " << plan_path << "\n";
         }
@@ -321,12 +216,9 @@ main(int argc, char **argv)
     table.print(std::cout);
 
     if (!confirm_summary_path.empty()) {
-        std::ofstream out(confirm_summary_path);
-        if (!out) {
-            std::cerr << "cannot write " << confirm_summary_path
-                      << "\n";
+        std::ofstream out;
+        if (!cli::openOutput(out, confirm_summary_path))
             return 2;
-        }
         out << result.planSummaryJson;
         std::cout << "confirming fleet summary written to "
                   << confirm_summary_path << "\n";

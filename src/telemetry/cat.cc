@@ -4,6 +4,7 @@
 #include <ostream>
 
 #include "telemetry/aggregate.hh"
+#include "util/cli.hh"
 
 namespace sonic::telemetry
 {
@@ -11,29 +12,16 @@ namespace sonic::telemetry
 bool
 parseIndexRange(const std::string &text, u64 *lo, u64 *hi)
 {
-    const auto parse_u64 = [](const std::string &s, u64 *out) {
-        if (s.empty())
-            return false;
-        u64 v = 0;
-        for (const char ch : s) {
-            if (ch < '0' || ch > '9')
-                return false;
-            if (v > (~0ull - (ch - '0')) / 10)
-                return false; // overflow
-            v = v * 10 + static_cast<u64>(ch - '0');
-        }
-        *out = v;
-        return true;
-    };
     const auto dots = text.find("..");
     if (dots == std::string::npos) {
-        if (!parse_u64(text, lo))
+        if (!cli::parseU64(text, lo))
             return false;
         *hi = *lo;
         return true;
     }
-    return parse_u64(text.substr(0, dots), lo)
-        && parse_u64(text.substr(dots + 2), hi) && *lo <= *hi;
+    const std::string_view view(text);
+    return cli::parseU64(view.substr(0, dots), lo)
+        && cli::parseU64(view.substr(dots + 2), hi) && *lo <= *hi;
 }
 
 namespace

@@ -10,6 +10,8 @@
  *     sonic_cat fleet.sonicz --info                 # validate + stats
  *     sonic_cat fleet.sonicz --summary              # FleetSummary JSON
  *
+ * --status is one of ok, dnf or fail, so a typo is a usage error.
+ *
  * Re-emission goes through the exact sink classes the live tools use,
  * so an unfiltered cat is byte-identical to the CSV/JSON a direct run
  * writes. Any corruption — flipped payload bytes, a truncated tail, a
@@ -19,87 +21,48 @@
 
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
-#include <vector>
 
 #include "telemetry/cat.hh"
 #include "util/cli.hh"
 
-namespace
-{
-
-using namespace sonic;
-using cli::consumeFlag;
-
-int
-usage()
-{
-    std::cerr
-        << "usage: sonic_cat FILE.sonicz [--format=csv|json]\n"
-           "                 [--env=NAME] [--impl=NAME] [--net=NAME]\n"
-           "                 [--pipeline=NAME] [--status=ok|dnf|fail]\n"
-           "                 [--devices=A..B] [--out=PATH] [--info]\n"
-           "                 [--summary]\n";
-    return 2;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
+    using namespace sonic;
+
     telemetry::CatOptions options;
-    std::string input_path, out_path, value;
+    std::string input_path, out_path, format;
+    std::optional<std::string> devices;
     bool info_only = false;
     bool summary_only = false;
 
-    for (const std::string arg :
-         std::vector<std::string>(argv + 1, argv + argc)) {
-        if (consumeFlag(arg, "--format", &value)) {
-            if (value == "csv") {
-                options.format = telemetry::CatOptions::Format::Csv;
-            } else if (value == "json") {
-                options.format = telemetry::CatOptions::Format::Json;
-            } else {
-                std::cerr << "unknown format '" << value
-                          << "' (csv | json)\n";
-                return 2;
-            }
-        } else if (consumeFlag(arg, "--env", &value)) {
-            options.env = value;
-        } else if (consumeFlag(arg, "--impl", &value)) {
-            options.impl = value;
-        } else if (consumeFlag(arg, "--net", &value)) {
-            options.net = value;
-        } else if (consumeFlag(arg, "--pipeline", &value)) {
-            options.pipeline = value;
-        } else if (consumeFlag(arg, "--status", &value)) {
-            options.status = value;
-        } else if (consumeFlag(arg, "--devices", &value)) {
-            if (!telemetry::parseIndexRange(value, &options.rangeLo,
-                                            &options.rangeHi)) {
-                std::cerr << "--devices expects A..B or a single "
-                             "index (got '"
-                          << value << "')\n";
-                return 2;
-            }
-            options.hasRange = true;
-        } else if (consumeFlag(arg, "--out", &value)) {
-            out_path = value;
-        } else if (arg == "--info") {
-            info_only = true;
-        } else if (arg == "--summary") {
-            summary_only = true;
-        } else if (!arg.empty() && arg[0] == '-') {
-            return usage();
-        } else if (input_path.empty()) {
-            input_path = arg;
-        } else {
-            return usage();
+    cli::Flags flags("sonic_cat");
+    flags.positional("FILE.sonicz", &input_path)
+        .oneOf("--format", &format, {"csv", "json"})
+        .add("--env", &options.env, "NAME")
+        .add("--impl", &options.impl, "NAME")
+        .add("--net", &options.net, "NAME")
+        .add("--pipeline", &options.pipeline, "NAME")
+        .oneOf("--status", &options.status, {"ok", "dnf", "fail"})
+        .add("--devices", &devices, "A..B")
+        .add("--out", &out_path, "PATH")
+        .add("--info", &info_only)
+        .add("--summary", &summary_only);
+    if (!flags.parse(argc, argv))
+        return 2;
+    if (format == "json")
+        options.format = telemetry::CatOptions::Format::Json;
+    if (devices) {
+        if (!telemetry::parseIndexRange(*devices, &options.rangeLo,
+                                        &options.rangeHi)) {
+            std::cerr << "--devices expects A..B or a single index (got '"
+                      << *devices << "')\n";
+            return 2;
         }
+        options.hasRange = true;
     }
-    if (input_path.empty())
-        return usage();
 
     std::ifstream in(input_path, std::ios::binary);
     if (!in) {
@@ -117,13 +80,9 @@ main(int argc, char **argv)
     }
 
     std::ofstream out_file;
-    if (!out_path.empty()) {
-        out_file.open(out_path, std::ios::binary);
-        if (!out_file) {
-            std::cerr << "cannot write " << out_path << "\n";
-            return 2;
-        }
-    }
+    if (!out_path.empty()
+        && !cli::openOutput(out_file, out_path, std::ios::binary))
+        return 2;
     std::ostream &out = out_path.empty() ? std::cout : out_file;
 
     if (summary_only) {

@@ -12,6 +12,7 @@
  * charges every joule between consecutive cumulative-energy stamps to
  * the layer/part that was active, reproducing the paper's per-layer
  * energy split from a recorded deployment instead of a bench run.
+ * --export takes precedence over --flame; the summary is the default.
  * Corrupt or truncated inputs are rejected by the container checksums.
  */
 
@@ -23,55 +24,23 @@
 #include "trace/trace.hh"
 #include "util/cli.hh"
 
-namespace
-{
-
-using namespace sonic;
-using cli::consumeFlag;
-
-int
-usage()
-{
-    std::cerr
-        << "usage: sonic_trace FILE.sonictrace [--export=chrome]\n"
-           "                   [--flame] [--summary] [--out=PATH]\n";
-    return 2;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    std::string input_path, out_path, export_format, value;
+    using namespace sonic;
+
+    std::string input_path, out_path, export_format;
     bool flame = false;
     bool summary = false;
 
-    for (const std::string arg :
-         std::vector<std::string>(argv + 1, argv + argc)) {
-        if (consumeFlag(arg, "--export", &value)) {
-            if (value != "chrome") {
-                std::cerr << "unknown export format '" << value
-                          << "' (chrome)\n";
-                return 2;
-            }
-            export_format = value;
-        } else if (consumeFlag(arg, "--out", &value)) {
-            out_path = value;
-        } else if (arg == "--flame") {
-            flame = true;
-        } else if (arg == "--summary") {
-            summary = true;
-        } else if (!arg.empty() && arg[0] == '-') {
-            return usage();
-        } else if (input_path.empty()) {
-            input_path = arg;
-        } else {
-            return usage();
-        }
-    }
-    if (input_path.empty())
-        return usage();
+    cli::Flags flags("sonic_trace");
+    flags.positional("FILE.sonictrace", &input_path)
+        .oneOf("--export", &export_format, {"chrome"})
+        .add("--flame", &flame)
+        .add("--summary", &summary)
+        .add("--out", &out_path, "PATH");
+    if (!flags.parse(argc, argv))
+        return 2;
 
     std::ifstream in(input_path, std::ios::binary);
     if (!in) {
@@ -88,13 +57,9 @@ main(int argc, char **argv)
     }
 
     std::ofstream out_file;
-    if (!out_path.empty()) {
-        out_file.open(out_path, std::ios::binary);
-        if (!out_file) {
-            std::cerr << "cannot write " << out_path << "\n";
-            return 2;
-        }
-    }
+    if (!out_path.empty()
+        && !cli::openOutput(out_file, out_path, std::ios::binary))
+        return 2;
     std::ostream &out = out_path.empty() ? std::cout : out_file;
 
     if (export_format == "chrome") {

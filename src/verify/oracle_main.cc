@@ -39,10 +39,10 @@
  *
  * On divergence the failure-shrink artifact (reasons, schedules,
  * shrunk counterexamples, NVM digest chains) is written to --artifact
- * (default oracle_failures.json) and the exit code is 1.
+ * (default oracle_failures.json) and the exit code is 1. A usage error
+ * exits 2 and lists the registered models and environments.
  */
 
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -63,8 +63,6 @@ namespace
 {
 
 using namespace sonic;
-using cli::consumeFlag;
-using cli::splitCsv;
 
 struct Args
 {
@@ -82,28 +80,6 @@ struct Args
     std::string emitGolden;
     std::string verifyGolden;
 };
-
-int
-usage()
-{
-    std::cerr
-        << "usage: sonic_oracle [--net=golden|<zoo model name>]\n"
-           "                    [--impls=SONIC,TAILS,...]\n"
-           "                    [--load=model.json[,model2.json]]\n"
-           "                    [--env=<environment[@cap]>]\n"
-           "                    [--pipelines=all|wildlife,...]\n"
-           "                    [--list]\n"
-           "                    [--schedules=N] [--seed=S]\n"
-           "                    [--max-failures=K] [--threads=T]\n"
-           "                    [--artifact=PATH]\n"
-           "                    [--emit-golden=PATH]\n"
-           "                    [--verify-golden=PATH]\n"
-           "registered models: "
-        << sonic::dnn::ModelZoo::instance().availableList()
-        << "\nregistered environments: "
-        << sonic::env::EnvRegistry::instance().availableList() << "\n";
-    return 2;
-}
 
 /** The acceptance battery: the paper's kernels plus a second tiling. */
 const char *kDefaultImpls[] = {"Base", "Tile-8", "Tile-32", "SONIC",
@@ -171,11 +147,9 @@ runGoldenFileMode(const Args &args)
 {
     const std::string content = verify::goldenJson();
     if (!args.emitGolden.empty()) {
-        std::ofstream out(args.emitGolden);
-        if (!out) {
-            std::cerr << "cannot write " << args.emitGolden << "\n";
+        std::ofstream out;
+        if (!cli::openOutput(out, args.emitGolden))
             return 2;
-        }
         out << content;
         std::cout << "wrote golden digests to " << args.emitGolden
                   << "\n";
@@ -338,45 +312,29 @@ int
 main(int argc, char **argv)
 {
     Args args;
-    std::string value;
-    try {
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (consumeFlag(arg, "--net", &value)) {
-                args.net = value;
-            } else if (consumeFlag(arg, "--impls", &value)) {
-                args.impls = splitCsv(value);
-            } else if (consumeFlag(arg, "--load", &value)) {
-                args.loadModels = splitCsv(value);
-            } else if (consumeFlag(arg, "--env", &value)) {
-                args.environment = value;
-            } else if (consumeFlag(arg, "--pipelines", &value)) {
-                args.pipelines = value == "all"
-                    ? pipeline::PipelineRegistry::instance().names()
-                    : splitCsv(value);
-            } else if (arg == "--list") {
-                args.list = true;
-            } else if (consumeFlag(arg, "--schedules", &value)) {
-                args.schedules = static_cast<u32>(std::stoul(value));
-            } else if (consumeFlag(arg, "--seed", &value)) {
-                args.seed = std::stoull(value);
-            } else if (consumeFlag(arg, "--max-failures", &value)) {
-                args.maxFailures = static_cast<u32>(std::stoul(value));
-            } else if (consumeFlag(arg, "--threads", &value)) {
-                args.threads = static_cast<u32>(std::stoul(value));
-            } else if (consumeFlag(arg, "--artifact", &value)) {
-                args.artifact = value;
-            } else if (consumeFlag(arg, "--emit-golden", &value)) {
-                args.emitGolden = value;
-            } else if (consumeFlag(arg, "--verify-golden", &value)) {
-                args.verifyGolden = value;
-            } else {
-                return usage();
-            }
-        }
-    } catch (const std::exception &) { // bad numeric flag value
-        return usage();
+    cli::Flags flags("sonic_oracle");
+    flags.add("--net", &args.net, "golden|<zoo model name>")
+        .add("--impls", &args.impls, "SONIC,TAILS,...")
+        .add("--load", &args.loadModels, "model.json[,model2.json]")
+        .add("--env", &args.environment, "<environment[@cap]>")
+        .add("--pipelines", &args.pipelines, "all|wildlife,...")
+        .add("--list", &args.list)
+        .add("--schedules", &args.schedules, "N")
+        .add("--seed", &args.seed, "S")
+        .add("--max-failures", &args.maxFailures, "K")
+        .add("--threads", &args.threads, "T")
+        .add("--artifact", &args.artifact, "PATH")
+        .add("--emit-golden", &args.emitGolden, "PATH")
+        .add("--verify-golden", &args.verifyGolden, "PATH");
+    if (!flags.parse(argc, argv)) {
+        std::cerr << "registered models: "
+                  << dnn::ModelZoo::instance().availableList()
+                  << "\nregistered environments: "
+                  << env::EnvRegistry::instance().availableList() << "\n";
+        return 2;
     }
+    if (args.pipelines == std::vector<std::string>{"all"})
+        args.pipelines = pipeline::PipelineRegistry::instance().names();
 
     auto &zoo = dnn::ModelZoo::instance();
     for (const auto &path : args.loadModels) {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -87,7 +88,8 @@ TEST(FleetPlan, InvalidDistributionsDie)
 TEST(FleetPlan, EmptyDistributionsAndZeroCountsExitWithDiagnostics)
 {
     // User input (sonic_fleet --devices=0, --nets=, --horizon=-5), so
-    // fatal() (exit 1 with a message), never a panic.
+    // fatal() (exit 1 with a message), never a panic. API callers skip
+    // the CLI's finite-number check, so an infinite horizon lands here.
     const auto exits = ::testing::ExitedWithCode(1);
     auto no_devices = goldenFleet(4);
     no_devices.devices = 0;
@@ -107,6 +109,9 @@ TEST(FleetPlan, EmptyDistributionsAndZeroCountsExitWithDiagnostics)
     auto past = goldenFleet(4);
     past.horizonSeconds = -5.0;
     EXPECT_EXIT(past.validate(), exits, "horizon must be positive");
+    auto endless = goldenFleet(4);
+    endless.horizonSeconds = std::numeric_limits<f64>::infinity();
+    EXPECT_EXIT(endless.validate(), exits, "horizon must be positive");
 }
 
 TEST(Fleet, DeviceLifetimeProducesConsistentTelemetry)

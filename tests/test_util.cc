@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for util: deterministic RNG, table formatting, and the
- * shortest-round-trip f64 formatter.
+ * Unit tests for util: deterministic RNG, table formatting, the
+ * shortest-round-trip f64 formatter, and the command-line flag table.
  */
 
 #include <gtest/gtest.h>
@@ -9,9 +9,14 @@
 #include <bit>
 #include <charconv>
 #include <cmath>
+#include <initializer_list>
+#include <optional>
 #include <random>
+#include <sstream>
 #include <string>
+#include <vector>
 
+#include "util/cli.hh"
 #include "util/fmt.hh"
 #include "util/rng.hh"
 #include "util/table.hh"
@@ -198,6 +203,206 @@ TEST(FmtF64, RoundTripsRandomBitPatterns)
     const f64 a = 0.1234567890123456;
     const f64 b = std::nextafter(a, 1.0);
     EXPECT_NE(fmtF64(a), fmtF64(b));
+}
+
+/** Run `flags` over "prog ARGS..."; stderr goes to *err. */
+bool
+parseArgs(const cli::Flags &flags, std::initializer_list<const char *> args,
+          std::string *err = nullptr)
+{
+    std::vector<const char *> argv{"prog"};
+    argv.insert(argv.end(), args);
+    std::ostringstream stream;
+    const bool ok =
+        flags.parse(static_cast<int>(argv.size()), argv.data(), stream);
+    if (err != nullptr)
+        *err = stream.str();
+    return ok;
+}
+
+/** A bad value: one diagnostic line naming the whole argument, then
+ * the usage. */
+void
+expectRejected(const cli::Flags &flags, const std::string &arg)
+{
+    std::string err;
+    EXPECT_FALSE(parseArgs(flags, {arg.c_str()}, &err));
+    EXPECT_EQ(err.rfind("prog: " + arg + ": ", 0), 0u) << err;
+    EXPECT_NE(err.find("\nusage: prog "), std::string::npos) << err;
+}
+
+class CliRejectsU32 : public ::testing::TestWithParam<const char *>
+{};
+
+TEST_P(CliRejectsU32, ValueIsNotAWholeDecimalThatFits)
+{
+    u32 count = 7;
+    cli::Flags flags("prog");
+    flags.add("--count", &count, "N");
+    expectRejected(flags, std::string("--count=") + GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Cli, CliRejectsU32,
+                         ::testing::Values("-1", "12abc", "+4", " 4",
+                                           "0x10", "4294967297", ""));
+
+class CliRejectsF64 : public ::testing::TestWithParam<const char *>
+{};
+
+TEST_P(CliRejectsF64, ValueIsNotAFiniteNumber)
+{
+    f64 seconds = 1.0;
+    cli::Flags flags("prog");
+    flags.add("--horizon", &seconds, "SECONDS");
+    expectRejected(flags, std::string("--horizon=") + GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Cli, CliRejectsF64,
+                         ::testing::Values("inf", "nan", "1e400", "1.5s",
+                                           "0x1p3"));
+
+TEST(Cli, ConvertsByStorageType)
+{
+    u32 count = 0;
+    u64 seed = 0;
+    f64 horizon = 0.0;
+    std::string name;
+    std::vector<std::string> list;
+    bool toggle = false;
+    cli::Flags flags("prog");
+    flags.add("--count", &count, "N")
+        .add("--seed", &seed, "S")
+        .add("--horizon", &horizon, "SECONDS")
+        .add("--name", &name, "NAME")
+        .add("--list", &list, "A,B")
+        .add("--toggle", &toggle);
+    ASSERT_TRUE(parseArgs(flags, {"--count=4294967295",
+                                  "--seed=18446744073709551615",
+                                  "--horizon=-2.5e3", "--name=a=b",
+                                  "--list=x,,y,", "--toggle"}));
+    EXPECT_EQ(count, 4294967295u);
+    EXPECT_EQ(seed, 18446744073709551615ull);
+    EXPECT_EQ(horizon, -2500.0);
+    EXPECT_EQ(name, "a=b");
+    EXPECT_EQ(list, (std::vector<std::string>{"x", "y"}));
+    EXPECT_TRUE(toggle);
+}
+
+TEST(Cli, UnknownFlagIsNamed)
+{
+    cli::Flags flags("prog");
+    std::string err;
+    EXPECT_FALSE(parseArgs(flags, {"--bogus=3"}, &err));
+    EXPECT_EQ(err.rfind("prog: unknown flag '--bogus'\n", 0), 0u) << err;
+}
+
+TEST(Cli, ToggleTakesNoValue)
+{
+    bool toggle = false;
+    cli::Flags flags("prog");
+    flags.add("--toggle", &toggle);
+    expectRejected(flags, "--toggle=1");
+}
+
+TEST(Cli, ValueFlagNeedsAValue)
+{
+    u32 count = 0;
+    cli::Flags flags("prog");
+    flags.add("--count", &count, "N");
+    std::string err;
+    EXPECT_FALSE(parseArgs(flags, {"--count"}, &err));
+    EXPECT_EQ(err.rfind("prog: --count needs a value (--count=N)\n", 0), 0u)
+        << err;
+}
+
+TEST(Cli, OneOfAcceptsOnlyItsChoices)
+{
+    std::string status;
+    cli::Flags flags("prog");
+    flags.oneOf("--status", &status, {"ok", "dnf", "fail"});
+    ASSERT_TRUE(parseArgs(flags, {"--status=dnf"}));
+    EXPECT_EQ(status, "dnf");
+    expectRejected(flags, "--status=bogus");
+}
+
+TEST(Cli, RepeatedFlagKeepsTheLastValue)
+{
+    u32 count = 0;
+    cli::Flags flags("prog");
+    flags.add("--count", &count, "N");
+    ASSERT_TRUE(parseArgs(flags, {"--count=1", "--count=2"}));
+    EXPECT_EQ(count, 2u);
+}
+
+TEST(Cli, RepeatableFlagAppendsWholeValues)
+{
+    std::vector<std::string> traces;
+    cli::Flags flags("prog");
+    flags.repeatable("--trace", &traces, "NAME=FILE");
+    ASSERT_TRUE(parseArgs(flags, {"--trace=a=x.csv", "--trace=b=y,z.csv"}));
+    EXPECT_EQ(traces, (std::vector<std::string>{"a=x.csv", "b=y,z.csv"}));
+}
+
+TEST(Cli, MissingPositionalIsAnError)
+{
+    std::string input;
+    cli::Flags flags("prog");
+    flags.positional("FILE", &input);
+    std::string err;
+    EXPECT_FALSE(parseArgs(flags, {}, &err));
+    EXPECT_EQ(err.rfind("prog: missing FILE\n", 0), 0u) << err;
+}
+
+TEST(Cli, ExtraPositionalIsAnError)
+{
+    std::string input;
+    cli::Flags flags("prog");
+    flags.positional("FILE", &input);
+    std::string err;
+    EXPECT_FALSE(parseArgs(flags, {"a.sonicz", "b.sonicz"}, &err));
+    EXPECT_EQ(err.rfind("prog: unexpected argument 'b.sonicz'\n", 0), 0u)
+        << err;
+}
+
+TEST(Cli, OptionalRecordsAnEmptyOverride)
+{
+    // --nets= must reach the empty-axis fatal, not read as "not given".
+    std::optional<std::vector<std::string>> nets;
+    std::optional<u32> devices;
+    cli::Flags flags("prog");
+    flags.add("--nets", &nets, "A,B").add("--devices", &devices, "N");
+    ASSERT_TRUE(parseArgs(flags, {"--nets="}));
+    ASSERT_TRUE(nets.has_value());
+    EXPECT_TRUE(nets->empty());
+    EXPECT_FALSE(devices.has_value());
+}
+
+TEST(Cli, UsageListsEveryDeclaredFlag)
+{
+    bool toggle = false;
+    u32 count = 0;
+    std::string format, input;
+    std::vector<std::string> traces;
+    cli::Flags flags("prog");
+    flags.positional("FILE", &input)
+        .add("--toggle", &toggle)
+        .add("--count", &count, "N")
+        .oneOf("--format", &format, {"csv", "json"})
+        .repeatable("--trace", &traces, "NAME=FILE");
+    const std::string usage = flags.usage();
+    EXPECT_EQ(usage.rfind("usage: prog FILE ", 0), 0u) << usage;
+    for (const char *item : {"[--toggle]", "[--count=N]",
+                             "[--format=csv|json]", "[--trace=NAME=FILE]..."})
+        EXPECT_NE(usage.find(item), std::string::npos) << item;
+}
+
+TEST(Cli, ParseU64IsStrict)
+{
+    u64 v = 0;
+    EXPECT_TRUE(cli::parseU64("0", &v));
+    EXPECT_EQ(v, 0u);
+    for (const char *bad : {"", "-0", "+1", "1 ", "0x1", "18446744073709551616"})
+        EXPECT_FALSE(cli::parseU64(bad, &v)) << bad;
 }
 
 } // namespace
