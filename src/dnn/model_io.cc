@@ -705,18 +705,15 @@ loadModelIntoZoo(const std::string &path, ModelZoo &zoo,
     auto net = loadModelFile(path, error);
     if (!net)
         return false;
-    if (zoo.contains(net->name)) {
-        if (error != nullptr)
-            *error = "model '" + net->name
-                   + "' is already registered in the zoo";
-        return false;
-    }
     ModelMeta meta;
     meta.family = "loaded";
     meta.description = "loaded from " + path;
     std::string name = net->name; // copy before the spec is moved from
-    zoo.add(std::move(name), meta, std::move(*net));
-    return true;
+    if (zoo.tryAdd(name, meta, std::move(*net)))
+        return true;
+    if (error != nullptr)
+        *error = "model '" + name + "' is already registered in the zoo";
+    return false;
 }
 
 } // namespace sonic::dnn

@@ -25,9 +25,9 @@ ModelEntry::ModelEntry(std::string name, ModelMeta meta, ModelDef def)
         teacherAt_ = std::move(def.teacherAt);
     } else {
         // Fixed-weight model: every seed sees the registered teacher.
-        // Entries are non-copyable and address-stable (the zoo holds
-        // them by unique_ptr), so capturing `this` avoids doubling the
-        // weight storage in the closure.
+        // Entries are non-copyable and address-stable (the zoo builds
+        // them in place in its row), so capturing `this` avoids
+        // doubling the weight storage in the closure.
         teacherAt_ = [this](u64) { return teacher_; };
     }
     if (def.withKnobs) {
@@ -162,123 +162,69 @@ ModelZoo::ModelZoo()
     }
 }
 
+namespace
+{
+
+/** The builder of a fixed, already-built network. */
+std::function<ModelDef()>
+fixedBuild(NetworkSpec net)
+{
+    return [net = std::move(net)] { return ModelDef{net, {}, {}, {}, {}}; };
+}
+
+} // namespace
+
 void
 ModelZoo::add(std::string name, ModelMeta meta,
               std::function<ModelDef()> build)
 {
-    SONIC_ASSERT(!name.empty(), "model name must be non-empty");
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &row : rows_)
-        SONIC_ASSERT(row->name != name, "model '", name,
-                     "' registered twice");
-    auto row = std::make_unique<Row>();
-    row->name = std::move(name);
-    row->meta = std::move(meta);
-    row->build = std::move(build);
-    rows_.push_back(std::move(row));
+    rows_.add(std::move(name), std::move(meta), std::move(build));
 }
 
 void
 ModelZoo::add(std::string name, ModelMeta meta, NetworkSpec net)
 {
-    add(std::move(name), std::move(meta),
-        [net = std::move(net)] { return ModelDef{net, {}, {}, {}}; });
+    add(std::move(name), std::move(meta), fixedBuild(std::move(net)));
 }
 
 bool
-ModelZoo::contains(std::string_view name) const
+ModelZoo::tryAdd(std::string name, ModelMeta meta, NetworkSpec net)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &row : rows_)
-        if (row->name == name)
-            return true;
-    return false;
+    return rows_.tryAdd(std::move(name), std::move(meta),
+                        fixedBuild(std::move(net)))
+        != nullptr;
 }
 
 const ModelMeta *
 ModelZoo::meta(std::string_view name) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &row : rows_)
-        if (row->name == name)
-            return &row->meta;
-    return nullptr;
+    const Row *row = rows_.find(name);
+    return row != nullptr ? &row->meta : nullptr;
 }
 
-std::vector<std::string>
-ModelZoo::names() const
+const ModelEntry &
+ModelZoo::entryOf(const Row &row)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::string> out;
-    out.reserve(rows_.size());
-    for (const auto &row : rows_)
-        out.push_back(row->name);
-    return out;
-}
-
-std::string
-ModelZoo::availableList() const
-{
-    std::string out;
-    for (const auto &name : names()) {
-        if (!out.empty())
-            out += ", ";
-        out += name;
-    }
-    return out;
-}
-
-ModelZoo::Row *
-ModelZoo::rowFor(std::string_view name)
-{
-    for (const auto &row : rows_)
-        if (row->name == name)
-            return row.get();
-    return nullptr;
+    // Build outside the registry lock: builders are user code and may
+    // themselves consult the zoo (e.g. compose from another model).
+    // Racing first lookups build once; the others wait for it.
+    std::call_once(row.built, [&row] {
+        row.entry.emplace(row.name, row.meta, row.build());
+    });
+    return *row.entry;
 }
 
 const ModelEntry *
 ModelZoo::find(std::string_view name)
 {
-    std::function<ModelDef()> build;
-    ModelMeta meta;
-    std::string row_name;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        Row *row = rowFor(name);
-        if (row == nullptr)
-            return nullptr;
-        if (row->entry)
-            return row->entry.get();
-        build = row->build;
-        meta = row->meta;
-        row_name = row->name;
-    }
-
-    // Build outside the lock: builders are user code and may
-    // themselves consult the zoo (e.g. compose from another model),
-    // which would deadlock on the non-recursive mutex. Two threads
-    // racing here build the same deterministic content; the first to
-    // publish wins and the duplicate is discarded.
-    auto entry =
-        std::make_unique<ModelEntry>(std::move(row_name),
-                                     std::move(meta), build());
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    Row *row = rowFor(name);
-    if (!row->entry)
-        row->entry = std::move(entry);
-    return row->entry.get();
+    const Row *row = rows_.find(name);
+    return row != nullptr ? &entryOf(*row) : nullptr;
 }
 
 const ModelEntry &
 ModelZoo::get(std::string_view name)
 {
-    const ModelEntry *entry = find(name);
-    if (entry == nullptr)
-        fatal("unknown model '", std::string(name),
-              "'; registered models: ", availableList());
-    return *entry;
+    return entryOf(rows_.get(name));
 }
 
 } // namespace sonic::dnn

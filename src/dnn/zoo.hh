@@ -25,8 +25,8 @@
 #define SONIC_DNN_ZOO_HH
 
 #include <functional>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,6 +34,7 @@
 #include "dnn/dataset.hh"
 #include "dnn/networks.hh"
 #include "dnn/spec.hh"
+#include "util/registry.hh"
 #include "util/types.hh"
 
 namespace sonic::dnn
@@ -164,9 +165,8 @@ class ModelEntry
 };
 
 /**
- * The process-wide model registry. Thread-safe; entries are stable
- * once built (lookups return pointers that stay valid for the life of
- * the process).
+ * The process-wide model registry: a util::Registry of models (unique
+ * names, thread-safe, entries stable for the life of the process).
  */
 class ModelZoo
 {
@@ -176,7 +176,8 @@ class ModelZoo
 
     /**
      * Register a model under a unique name. The builder runs lazily on
-     * first lookup; re-registering an existing name panics.
+     * first lookup; re-registering an existing name is a fatal
+     * configuration error.
      */
     void add(std::string name, ModelMeta meta,
              std::function<ModelDef()> build);
@@ -184,18 +185,21 @@ class ModelZoo
     /** Register a fixed, already-built network (teacher == device). */
     void add(std::string name, ModelMeta meta, NetworkSpec net);
 
+    /** As add(), but a taken name returns false and registers nothing. */
+    bool tryAdd(std::string name, ModelMeta meta, NetworkSpec net);
+
     /** Whether a name is registered (no build triggered). */
-    bool contains(std::string_view name) const;
+    bool contains(std::string_view name) const { return rows_.contains(name); }
 
     /** Registered metadata (no build triggered); nullptr if unknown.
      * The pointer stays valid for the life of the process. */
     const ModelMeta *meta(std::string_view name) const;
 
     /** Registered names, in registration order. */
-    std::vector<std::string> names() const;
+    std::vector<std::string> names() const { return rows_.names(); }
 
     /** Comma-separated names(), for error messages. */
-    std::string availableList() const;
+    std::string availableList() const { return rows_.availableList(); }
 
     /** Lookup, building and caching on first use; nullptr if unknown. */
     const ModelEntry *find(std::string_view name);
@@ -207,18 +211,20 @@ class ModelZoo
   private:
     ModelZoo();
 
+    /** One registered model; `entry` is built once, on first lookup. */
     struct Row
     {
         std::string name;
         ModelMeta meta;
         std::function<ModelDef()> build;
-        std::unique_ptr<ModelEntry> entry;
+        mutable std::once_flag built;
+        mutable std::optional<ModelEntry> entry;
     };
 
-    Row *rowFor(std::string_view name);
+    /** The row's entry, building it on first use. */
+    static const ModelEntry &entryOf(const Row &row);
 
-    mutable std::mutex mutex_;
-    std::vector<std::unique_ptr<Row>> rows_;
+    util::Registry<Row> rows_{"model"};
 };
 
 } // namespace sonic::dnn

@@ -343,6 +343,18 @@ seededPhase(const HarvestModel &model, u64 seed)
     return Rng(seed).uniform(0.0, model.periodSeconds());
 }
 
+/** The builder of a harvest-model environment named `label`. */
+EnvBuilder
+harvestBuild(std::string label, HarvestModel model)
+{
+    return [label = std::move(label),
+            model = std::move(model)](const EnvInstance &inst) {
+        return std::make_unique<HarvestSupply>(
+            label, model, inst.capacitanceFarads,
+            seededPhase(model, inst.seed));
+    };
+}
+
 } // namespace
 
 EnvRegistry::EnvRegistry()
@@ -433,29 +445,14 @@ EnvRegistry::EnvRegistry()
 void
 EnvRegistry::add(std::string name, EnvMeta meta, EnvBuilder build)
 {
-    SONIC_ASSERT(!name.empty(), "environment name must be non-empty");
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &row : rows_)
-        SONIC_ASSERT(row->name != name, "environment '", name,
-                     "' registered twice");
-    auto row = std::make_unique<Row>();
-    row->name = std::move(name);
-    row->meta = std::move(meta);
-    row->build = std::move(build);
-    rows_.push_back(std::move(row));
+    rows_.add(std::move(name), std::move(meta), std::move(build));
 }
 
 void
 EnvRegistry::addHarvest(std::string name, EnvMeta meta,
                         HarvestModel model)
 {
-    const std::string label = name;
-    add(std::move(name), std::move(meta),
-        [label, model = std::move(model)](const EnvInstance &inst) {
-            return std::make_unique<HarvestSupply>(
-                label, model, inst.capacitanceFarads,
-                seededPhase(model, inst.seed));
-        });
+    add(name, std::move(meta), harvestBuild(name, std::move(model)));
 }
 
 bool
@@ -467,84 +464,38 @@ EnvRegistry::addTraceFile(const std::string &name,
     HarvestModel model;
     if (!loadTraceFile(path, &model, &err))
         return false;
-    if (contains(name)) {
-        err = "environment '" + name + "' is already registered";
-        return false;
-    }
     EnvMeta meta;
     meta.family = "trace";
     meta.description = "power trace playback from " + path;
-    addHarvest(name, meta, std::move(model));
-    return true;
-}
-
-bool
-EnvRegistry::contains(std::string_view name) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return rowFor(name) != nullptr;
+    if (rows_.tryAdd(name, std::move(meta),
+                     harvestBuild(name, std::move(model))))
+        return true;
+    err = "environment '" + name + "' is already registered";
+    return false;
 }
 
 const EnvMeta *
 EnvRegistry::meta(std::string_view name) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const Row *row = rowFor(name);
+    const EnvEntry *row = rows_.find(name);
     return row != nullptr ? &row->meta : nullptr;
 }
 
-std::vector<std::string>
-EnvRegistry::names() const
+const EnvEntry &
+EnvRegistry::get(const EnvRef &ref) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::string> out;
-    out.reserve(rows_.size());
-    for (const auto &row : rows_)
-        out.push_back(row->name);
-    return out;
-}
-
-std::string
-EnvRegistry::availableList() const
-{
-    std::string out;
-    for (const auto &name : names()) {
-        if (!out.empty())
-            out += ", ";
-        out += name;
-    }
-    return out;
-}
-
-const EnvRegistry::Row *
-EnvRegistry::rowFor(std::string_view name) const
-{
-    for (const auto &row : rows_)
-        if (row->name == name)
-            return row.get();
-    return nullptr;
+    return rows_.get(ref.empty() ? std::string_view("continuous")
+                                 : std::string_view(ref.env));
 }
 
 std::unique_ptr<arch::PowerSupply>
-EnvRegistry::make(const EnvRef &ref, u64 seed) const
+EnvEntry::make(const EnvRef &ref, u64 seed) const
 {
-    EnvBuilder build;
     EnvInstance inst;
+    inst.capacitanceFarads = ref.capacitanceFarads > 0.0
+        ? ref.capacitanceFarads
+        : meta.defaultCapacitanceFarads;
     inst.seed = seed;
-    const std::string_view name =
-        ref.empty() ? std::string_view("continuous") : ref.env;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (const Row *row = rowFor(name)) {
-            inst.capacitanceFarads = ref.capacitanceFarads > 0.0
-                ? ref.capacitanceFarads
-                : row->meta.defaultCapacitanceFarads;
-            build = row->build;
-        }
-    }
-    if (!build)
-        fatal("unknown environment '", ref.env,
-              "'; registered environments: ", availableList());
     return build(inst);
 }
 

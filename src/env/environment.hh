@@ -36,12 +36,12 @@
 #include <cmath>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "arch/power.hh"
+#include "util/registry.hh"
 #include "util/types.hh"
 
 namespace sonic::env
@@ -326,9 +326,22 @@ struct EnvInstance
 using EnvBuilder = std::function<std::unique_ptr<arch::PowerSupply>(
     const EnvInstance &)>;
 
+/** One registered environment. */
+struct EnvEntry
+{
+    std::string name;
+    EnvMeta meta;
+    EnvBuilder build;
+
+    /** Build the supply for `ref` at `seed`: the ref's capacitance
+     * override, or the registered default. */
+    std::unique_ptr<arch::PowerSupply> make(const EnvRef &ref,
+                                            u64 seed) const;
+};
+
 /**
- * The process-wide environment registry. Thread-safe; registration
- * mirrors ModelZoo (unique names, fatal on duplicates). Built-ins:
+ * The process-wide environment registry: a util::Registry of EnvEntry
+ * rows (unique names, fatal on duplicates, thread-safe). Built-ins:
  *
  *   continuous   — wall power, never fails (family "bench")
  *   rf-paper     — the paper's Powercast RF deployment: constant
@@ -366,42 +379,34 @@ class EnvRegistry
     bool addTraceFile(const std::string &name, const std::string &path,
                       std::string *error = nullptr);
 
-    bool contains(std::string_view name) const;
+    bool contains(std::string_view name) const { return rows_.contains(name); }
 
     /** Registered metadata; nullptr if unknown. Pointer stays valid
      * for the life of the process. */
     const EnvMeta *meta(std::string_view name) const;
 
     /** Registered names, in registration order. */
-    std::vector<std::string> names() const;
+    std::vector<std::string> names() const { return rows_.names(); }
 
     /** Comma-separated names(), for error messages. */
-    std::string availableList() const;
+    std::string availableList() const { return rows_.availableList(); }
 
-    /**
-     * Build the supply for an environment reference. The ref's
-     * capacitance override (or the registered default) and the seed
-     * resolve the instance; the empty ref builds `continuous`, and an
-     * unknown name is a fatal configuration error reporting the
-     * registered environments.
-     */
-    std::unique_ptr<arch::PowerSupply> make(const EnvRef &ref,
-                                            u64 seed) const;
+    /** The entry a reference names (the empty ref is `continuous`);
+     * an unknown name is fatal, listing the registered ones. */
+    const EnvEntry &get(const EnvRef &ref) const;
+
+    /** Build the supply for an environment reference at a seed
+     * (get(ref).make(ref, seed)). */
+    std::unique_ptr<arch::PowerSupply>
+    make(const EnvRef &ref, u64 seed) const
+    {
+        return get(ref).make(ref, seed);
+    }
 
   private:
     EnvRegistry();
 
-    struct Row
-    {
-        std::string name;
-        EnvMeta meta;
-        EnvBuilder build;
-    };
-
-    const Row *rowFor(std::string_view name) const;
-
-    mutable std::mutex mutex_;
-    std::vector<std::unique_ptr<Row>> rows_;
+    util::Registry<EnvEntry> rows_{"environment"};
 };
 
 /** Format a capacitance for labels ("100uF", "50mF", "1.5F"). */

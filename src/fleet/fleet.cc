@@ -171,6 +171,39 @@ struct SimContext
     trace::TraceRecorder *recorder = nullptr;
 };
 
+/**
+ * The plan's names, resolved once per run into rows addressed by the
+ * assignment's list positions (netIndex, implIndex, envIndex,
+ * pipelineIndex), so devices take no registry lock. Models are built
+ * here, datasets included, on the calling thread, so workers only
+ * read immutable artifacts (same discipline as Engine::run).
+ */
+struct PlanRows
+{
+    std::vector<const dnn::ModelEntry *> nets;
+    std::vector<std::string> implNames;
+    std::vector<const env::EnvEntry *> environments;
+    std::vector<const pipeline::PipelineSpec *> pipelines;
+};
+
+PlanRows
+resolveRows(const FleetPlan &plan)
+{
+    PlanRows rows;
+    for (const auto &net : plan.nets) {
+        rows.nets.push_back(&dnn::ModelZoo::instance().get(net));
+        rows.nets.back()->dataset();
+    }
+    for (const auto impl : plan.impls)
+        rows.implNames.emplace_back(kernels::implName(impl));
+    for (const auto &ref : plan.environments)
+        rows.environments.push_back(&env::EnvRegistry::instance().get(ref));
+    for (const auto &name : plan.pipelines)
+        rows.pipelines.push_back(
+            &pipeline::PipelineRegistry::instance().get(name));
+    return rows;
+}
+
 /** A real round's full result: the clock-independent trace plus the
  * clock-dependent dead time it observed. */
 struct RoundRun
@@ -181,12 +214,12 @@ struct RoundRun
 
 void
 verifyTracesMatch(const RoundTrace &cached, const RoundTrace &fresh,
-                  const DeviceAssignment &a, u32 round_index)
+                  const DeviceAssignment &a, std::string_view impl_name,
+                  u32 round_index)
 {
     const auto die = [&](const char *field) {
         fatal("fleet round-cache divergence on '", field, "': device ",
-              a.deviceIndex, " (", a.net, " / ",
-              kernels::implName(a.impl), " / ",
+              a.deviceIndex, " (", a.net, " / ", impl_name, " / ",
               a.environment.label(), " / ", a.pipeline, "), round ",
               round_index,
               " — the memoized trace does not match re-execution");
@@ -244,18 +277,17 @@ verifyLifetimesMatch(const DeviceTelemetry &cached,
 }
 
 DeviceTelemetry
-simulateDeviceImpl(const FleetPlan &plan, u32 device_index,
-                   const SimContext &ctx)
+simulateDeviceImpl(const FleetPlan &plan, const PlanRows &rows,
+                   u32 device_index, const SimContext &ctx)
 {
     DeviceTelemetry t;
     t.assignment = plan.assignmentFor(device_index);
 
-    const auto &entry = dnn::ModelZoo::instance().get(t.assignment.net);
+    const auto &entry = *rows.nets[t.assignment.netIndex];
     const auto &net_spec = entry.compressed();
     const auto &data = entry.dataset();
-    const auto &spec =
-        pipeline::PipelineRegistry::instance().get(t.assignment.pipeline);
-    auto supply = env::EnvRegistry::instance().make(
+    const auto &spec = *rows.pipelines[t.assignment.pipelineIndex];
+    auto supply = rows.environments[t.assignment.envIndex]->make(
         t.assignment.environment, t.assignment.seed);
 
     // Memoization eligibility. Sharing across devices is sound only
@@ -429,8 +461,9 @@ simulateDeviceImpl(const FleetPlan &plan, u32 device_index,
                     // cross-check the whole trace (including the NVM
                     // digest) against the memoized entry.
                     RoundRun fresh = run_real_round(k, true);
-                    verifyTracesMatch(*hit, fresh.trace, t.assignment,
-                                      k);
+                    verifyTracesMatch(
+                        *hit, fresh.trace, t.assignment,
+                        rows.implNames[t.assignment.implIndex], k);
                     keep_going =
                         accrue_round(fresh.trace, fresh.deadSeconds);
                 } else {
@@ -479,7 +512,8 @@ simulateDeviceImpl(const FleetPlan &plan, u32 device_index,
 DeviceTelemetry
 simulateDevice(const FleetPlan &plan, u32 device_index)
 {
-    return simulateDeviceImpl(plan, device_index, SimContext{});
+    return simulateDeviceImpl(plan, resolveRows(plan), device_index,
+                              SimContext{});
 }
 
 // --- FleetColumns ---------------------------------------------------
@@ -790,14 +824,7 @@ runFleet(const FleetPlan &plan, FleetOptions options,
          const std::vector<FleetSink *> &sinks)
 {
     plan.validate();
-
-    // Warm the zoo cache single-threaded so workers only read
-    // immutable artifacts (same discipline as Engine::run).
-    for (const auto &net : plan.nets) {
-        const auto &entry = dnn::ModelZoo::instance().get(net);
-        entry.compressed();
-        entry.dataset();
-    }
+    const PlanRows rows = resolveRows(plan);
 
     const u64 total = plan.devices;
     u32 workers = options.threads > 0
@@ -853,7 +880,7 @@ runFleet(const FleetPlan &plan, FleetOptions options,
     if (workers <= 1) {
         for (u64 i = 0; i < total; ++i) {
             const DeviceTelemetry t = simulateDeviceImpl(
-                plan, static_cast<u32>(i), context_for(i));
+                plan, rows, static_cast<u32>(i), context_for(i));
             devices_done.fetch_add(1, std::memory_order_relaxed);
             columns.store(i, t);
             worker_latencies[0].insert(worker_latencies[0].end(),
@@ -885,7 +912,7 @@ runFleet(const FleetPlan &plan, FleetOptions options,
                 if (i >= total)
                     return;
                 const DeviceTelemetry t = simulateDeviceImpl(
-                    plan, static_cast<u32>(i), context_for(i));
+                    plan, rows, static_cast<u32>(i), context_for(i));
                 devices_done.fetch_add(1, std::memory_order_relaxed);
                 columns.store(i, t);
                 worker_latencies[w].insert(
@@ -935,8 +962,7 @@ runFleet(const FleetPlan &plan, FleetOptions options,
         summary.total.accumulate(t);
         summary.byEnvironment[t.assignment.environment.label()]
             .accumulate(t);
-        summary.byImpl[std::string(
-                           kernels::implName(t.assignment.impl))]
+        summary.byImpl[rows.implNames[t.assignment.implIndex]]
             .accumulate(t);
         summary.byNet[t.assignment.net].accumulate(t);
         summary.byPipeline[t.assignment.pipeline].accumulate(t);

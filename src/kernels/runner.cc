@@ -1,8 +1,5 @@
 #include "kernels/runner.hh"
 
-#include <deque>
-#include <mutex>
-
 #include "tails/tails.hh"
 #include "util/logging.hh"
 
@@ -38,18 +35,10 @@ entryTails(dnn::DeviceNetwork &net, u32)
 
 } // namespace
 
-/**
- * Rows live in a deque so pointers handed out by find() survive later
- * registrations; the mutex serializes add() against concurrent
- * lookups from Engine worker threads.
- */
-struct ImplRegistry::State
-{
-    mutable std::mutex mutex;
-    std::deque<ImplInfo> rows;
-};
-
-ImplRegistry::ImplRegistry() : state_(new State)
+ImplRegistry::ImplRegistry()
+    : rows_("implementation", [](ImplInfo &row, u32 index) {
+          row.id = static_cast<Impl>(index);
+      })
 {
     // The paper's six implementations occupy the named enum ids, in
     // enum order, so dynamic ids start right after Impl::Tails. Base
@@ -75,57 +64,19 @@ ImplRegistry::add(std::string name, u32 tileSize, ImplEntry entry,
                   bool crashConsistent)
 {
     SONIC_ASSERT(entry != nullptr, "impl entry must be non-null");
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    for (const auto &row : state_->rows) {
-        SONIC_ASSERT(row.name != name,
-                     "duplicate impl registration");
-    }
-    ImplInfo info;
-    info.id = static_cast<Impl>(state_->rows.size());
-    info.name = std::move(name);
-    info.tileSize = tileSize;
-    info.entry = entry;
-    info.crashConsistent = crashConsistent;
-    state_->rows.push_back(std::move(info));
-    return state_->rows.back().id;
-}
-
-const ImplInfo *
-ImplRegistry::find(Impl id) const
-{
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    const auto index = static_cast<u32>(id);
-    if (index >= state_->rows.size())
-        return nullptr;
-    return &state_->rows[index];
-}
-
-const ImplInfo *
-ImplRegistry::find(std::string_view name) const
-{
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    for (const auto &row : state_->rows)
-        if (row.name == name)
-            return &row;
-    return nullptr;
+    return rows_
+        .add(ImplInfo{Impl::Base, std::move(name), tileSize, entry,
+                      crashConsistent})
+        .id;
 }
 
 std::vector<Impl>
 ImplRegistry::all() const
 {
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    std::vector<Impl> ids;
-    ids.reserve(state_->rows.size());
-    for (const auto &row : state_->rows)
-        ids.push_back(row.id);
+    std::vector<Impl> ids(rows_.size());
+    for (u32 i = 0; i < ids.size(); ++i)
+        ids[i] = static_cast<Impl>(i);
     return ids;
-}
-
-u32
-ImplRegistry::size() const
-{
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    return static_cast<u32>(state_->rows.size());
 }
 
 std::string_view

@@ -34,17 +34,19 @@
 #include <vector>
 
 #include "dnn/device_net.hh"
+#include "util/registry.hh"
 #include "util/types.hh"
 
 namespace sonic::kernels
 {
 
 /**
- * Identifier of a registered inference implementation. The named
- * values are the paper's six; ids beyond Tails are assigned
- * dynamically by ImplRegistry::add().
+ * Identifier of a registered inference implementation: its
+ * ImplRegistry row index, so the underlying type is the registry's
+ * index type. The named values are the paper's six; ids beyond Tails
+ * are assigned dynamically by ImplRegistry::add().
  */
-enum class Impl : u8
+enum class Impl : u32
 {
     Base,
     Tile8,
@@ -98,8 +100,8 @@ struct ImplInfo
 };
 
 /**
- * The process-wide implementation registry. Thread-safe; rows are
- * stable once added (lookups return pointers that stay valid).
+ * The process-wide implementation registry: a util::Registry of
+ * ImplInfo rows (unique names, thread-safe, stable row pointers).
  */
 class ImplRegistry
 {
@@ -108,29 +110,36 @@ class ImplRegistry
     static ImplRegistry &instance();
 
     /**
-     * Register a new implementation under a fresh id. Names must be
-     * unique; re-registering an existing name panics.
+     * Register a new implementation; its id is its row index.
+     * Re-registering an existing name is a fatal configuration error.
      */
     Impl add(std::string name, u32 tileSize, ImplEntry entry,
              bool crashConsistent = true);
 
     /** Lookup by id; nullptr if unknown. */
-    const ImplInfo *find(Impl id) const;
+    const ImplInfo *
+    find(Impl id) const
+    {
+        return rows_.at(static_cast<u32>(id));
+    }
 
     /** Lookup by exact name; nullptr if unknown. */
-    const ImplInfo *find(std::string_view name) const;
+    const ImplInfo *
+    find(std::string_view name) const
+    {
+        return rows_.find(name);
+    }
 
     /** All registered ids, in registration order. */
     std::vector<Impl> all() const;
 
     /** Number of registered implementations. */
-    u32 size() const;
+    u32 size() const { return rows_.size(); }
 
   private:
     ImplRegistry();
 
-    struct State;
-    State *state_;
+    util::Registry<ImplInfo> rows_;
 };
 
 /** Stable implementation name ("?" if unregistered). */

@@ -372,70 +372,12 @@ PipelineRegistry::PipelineRegistry()
     }
 }
 
-void
-PipelineRegistry::add(PipelineSpec spec)
-{
-    SONIC_ASSERT(!spec.name.empty(), "pipeline spec needs a name");
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (findLocked(spec.name) == nullptr) {
-            specs_.push_back(std::move(spec));
-            return;
-        }
-    }
-    fatal("duplicate pipeline registration: ", spec.name);
-}
-
-const PipelineSpec *
-PipelineRegistry::findLocked(const std::string &name) const
-{
-    for (const auto &s : specs_)
-        if (s.name == name)
-            return &s;
-    return nullptr;
-}
-
-bool
-PipelineRegistry::contains(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return findLocked(name) != nullptr;
-}
-
-const PipelineSpec &
-PipelineRegistry::get(const std::string &name) const
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (const auto *s = findLocked(name))
-            return *s;
-    }
-    fatal("unknown pipeline '", name, "'; registered:\n", availableList());
-}
-
-std::vector<std::string>
-PipelineRegistry::names() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::string> out;
-    out.reserve(specs_.size());
-    for (const auto &s : specs_)
-        out.push_back(s.name);
-    return out;
-}
-
 std::string
 PipelineRegistry::availableList() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     std::string out;
-    for (const auto &s : specs_) {
-        out += "  ";
-        out += s.name;
-        out += " - ";
-        out += s.description;
-        out += "\n";
-    }
+    for (u32 i = 0; const PipelineSpec *s = rows_.at(i); ++i)
+        out += "  " + s->name + " - " + s->description + "\n";
     return out;
 }
 

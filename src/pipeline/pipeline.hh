@@ -34,14 +34,13 @@
 #ifndef SONIC_PIPELINE_PIPELINE_HH
 #define SONIC_PIPELINE_PIPELINE_HH
 
-#include <deque>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "arch/device.hh"
 #include "dnn/device_net.hh"
 #include "kernels/runner.hh"
+#include "util/registry.hh"
 
 namespace sonic::pipeline
 {
@@ -98,7 +97,8 @@ f64 attemptEnergyJ(const RadioConfig &radio,
                    const arch::EnergyProfile &profile);
 
 /**
- * The pipeline registry: string-keyed specs, mirroring ImplRegistry /
+ * The pipeline registry: a util::Registry of specs (unique names,
+ * thread-safe, references stay valid), mirroring ImplRegistry /
  * EnvRegistry / ModelZoo. Built-ins registered at static-init time:
  *
  *  - "infer-only":   no sense, no radio (the FleetPlan default);
@@ -113,15 +113,23 @@ class PipelineRegistry
     static PipelineRegistry &instance();
 
     /** Register a spec; duplicate names are fatal. */
-    void add(PipelineSpec spec);
+    void add(PipelineSpec spec) { rows_.add(std::move(spec)); }
 
-    bool contains(const std::string &name) const;
+    bool
+    contains(const std::string &name) const
+    {
+        return rows_.contains(name);
+    }
 
     /** Lookup by name; unknown names are fatal. */
-    const PipelineSpec &get(const std::string &name) const;
+    const PipelineSpec &
+    get(const std::string &name) const
+    {
+        return rows_.get(name);
+    }
 
     /** Registered names, registration order. */
-    std::vector<std::string> names() const;
+    std::vector<std::string> names() const { return rows_.names(); }
 
     /** One-per-line "name - description" list (CLI help). */
     std::string availableList() const;
@@ -129,14 +137,7 @@ class PipelineRegistry
   private:
     PipelineRegistry();
 
-    /** Lookup with mutex_ already held; nullptr when absent. */
-    const PipelineSpec *findLocked(const std::string &name) const;
-
-    /** Specs live in a deque so references handed out by get() survive
-     * later registrations; the mutex serializes add() against
-     * concurrent lookups from fleet/engine worker threads. */
-    mutable std::mutex mutex_;
-    std::deque<PipelineSpec> specs_;
+    util::Registry<PipelineSpec> rows_{"pipeline"};
 };
 
 /**

@@ -277,16 +277,12 @@ std::vector<u64>
 recordEnvironmentFailures(const LocalWorkload &workload,
                           const env::EnvRef &ref, u64 seed)
 {
-    auto &registry = env::EnvRegistry::instance();
-    const auto *meta = registry.meta(ref.env);
-    if (meta == nullptr)
-        fatal("unknown environment '", ref.env,
-              "'; registered environments: ", registry.availableList());
-    if (meta->alwaysOn)
+    const auto &environment = env::EnvRegistry::instance().get(ref);
+    if (environment.meta.alwaysOn)
         fatal("environment '", ref.env,
               "' never fails — nothing to record for the oracle");
 
-    auto psu = registry.make(ref, seed);
+    auto psu = environment.make(ref, seed);
     SONIC_ASSERT(dynamic_cast<env::HarvestSupply *>(psu.get()) != nullptr,
                  "intermittent environments build HarvestSupply");
 

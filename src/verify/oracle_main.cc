@@ -185,13 +185,7 @@ resolveEnvironment(const std::string &label)
     std::string error;
     if (!env::parseEnvRef(label, &ref, &error))
         fatal(error);
-    auto &registry = env::EnvRegistry::instance();
-    const auto *meta = registry.meta(ref.env);
-    if (meta == nullptr)
-        fatal("unknown environment '", ref.env,
-              "'; registered environments: ",
-              registry.availableList());
-    if (meta->alwaysOn)
+    if (env::EnvRegistry::instance().get(ref).meta.alwaysOn)
         fatal("environment '", ref.env,
               "' never fails; the oracle needs an intermittent one");
     return ref;

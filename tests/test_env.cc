@@ -8,8 +8,13 @@
  * and per-op-draw devices must brown out on the identical operation).
  */
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <fstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -155,6 +160,14 @@ TEST(EnvRegistry, UnknownEnvironmentDies)
 {
     EXPECT_DEATH(EnvRegistry::instance().make({"no-such-env", 0.0}, 1),
                  "registered environments");
+}
+
+TEST(EnvRegistry, DuplicateNameIsFatal)
+{
+    EXPECT_EXIT(EnvRegistry::instance().addHarvest(
+                    "solar", {}, HarvestModel::constant(1e-3)),
+                ::testing::ExitedWithCode(1),
+                "fatal: duplicate environment registration: solar");
 }
 
 TEST(EnvRegistry, CapacitorOverrideScalesTheBuffer)
@@ -333,6 +346,54 @@ TEST(Traces, FileRegistrationAndDiagnostics)
                                        &error));
     EXPECT_NE(error.find("line 2"), std::string::npos);
     EXPECT_FALSE(registry.contains("test-bad-trace"));
+}
+
+TEST(Traces, RacingRegistrationsAreAtomic)
+{
+    // Eight threads register the same 64 trace names at once: each
+    // name is won by exactly one call, and every other call gets false
+    // and "already registered". In a child process, so the extra
+    // environments stay out of tests that iterate the registry.
+    const std::string path =
+        ::testing::TempDir() + "sonic_env_trace_race.csv";
+    {
+        std::ofstream out(path);
+        out << "0,0.0005\n60,0.001\n";
+    }
+    EXPECT_EXIT(
+        {
+            constexpr u32 kThreads = 8;
+            constexpr u32 kNames = 64;
+            std::vector<std::atomic<u32>> wins(kNames);
+            std::atomic<u32> bad_errors{0};
+            // All threads line up before each name, so every name is a
+            // genuine race.
+            std::atomic<u32> arrived{0};
+            std::vector<std::thread> pool;
+            for (u32 t = 0; t < kThreads; ++t)
+                pool.emplace_back([&] {
+                    for (u32 i = 0; i < kNames; ++i) {
+                        arrived.fetch_add(1);
+                        while (arrived.load() < kThreads * (i + 1))
+                            std::this_thread::yield();
+                        std::string error;
+                        if (EnvRegistry::instance().addTraceFile(
+                                "race-" + std::to_string(i), path,
+                                &error))
+                            wins[i].fetch_add(1);
+                        else if (error.find("already registered")
+                                 == std::string::npos)
+                            bad_errors.fetch_add(1);
+                    }
+                });
+            for (auto &thread : pool)
+                thread.join();
+            bool once_each = bad_errors.load() == 0;
+            for (const auto &count : wins)
+                once_each = once_each && count.load() == 1;
+            std::exit(once_each ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "");
 }
 
 // --- Determinism and the lease protocol -----------------------------

@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -164,6 +166,41 @@ TEST(Registry, DynamicImplPlugsInWithoutRunnerChanges)
     const auto all = registry.all();
     EXPECT_EQ(all.front(), Impl::Base);
     EXPECT_NE(std::find(all.begin(), all.end(), tile64), all.end());
+}
+
+TEST(Registry, DuplicateNameIsFatal)
+{
+    EXPECT_EXIT(ImplRegistry::instance().add(
+                    "SONIC", 0,
+                    [](dnn::DeviceNetwork &net, u32) {
+                        return runSonic(net);
+                    }),
+                ::testing::ExitedWithCode(1),
+                "fatal: duplicate implementation registration: SONIC");
+}
+
+TEST(Registry, KernelIdsDoNotAlias)
+{
+    // Ids are row indices: the 257th registration must not wrap onto
+    // an earlier id (an 8-bit Impl turned it into Base). Runs in a
+    // child process so the extra kernels stay out of other tests.
+    EXPECT_EXIT(
+        {
+            auto &registry = ImplRegistry::instance();
+            Impl last = Impl::Base;
+            for (u32 i = 0; i < 251; ++i)
+                last = registry.add("alias-" + std::to_string(i), 0,
+                                    [](dnn::DeviceNetwork &net, u32) {
+                                        return runBase(net);
+                                    });
+            const auto *by_name = registry.find("alias-250");
+            const auto *by_id = registry.find(last);
+            const bool round_trips = static_cast<u32>(last) >= 256
+                && by_name != nullptr && by_name->id == last
+                && implName(last) == "alias-250" && by_id == by_name;
+            std::exit(round_trips ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "");
 }
 
 TEST(Kernels, SonicCheaperThanTiledOnDevice)

@@ -81,10 +81,12 @@ TEST(PipelineRegistry, DuplicateAndUnknownNamesDie)
 {
     PipelineSpec dup;
     dup.name = "wildlife";
-    EXPECT_DEATH(PipelineRegistry::instance().add(dup),
-                 "duplicate pipeline");
-    EXPECT_DEATH(PipelineRegistry::instance().get("no-such-pipeline"),
-                 "registered");
+    EXPECT_EXIT(PipelineRegistry::instance().add(dup),
+                ::testing::ExitedWithCode(1),
+                "duplicate pipeline registration: wildlife");
+    EXPECT_EXIT(PipelineRegistry::instance().get("no-such-pipeline"),
+                ::testing::ExitedWithCode(1),
+                "registered pipelines: infer-only, wildlife");
 }
 
 TEST(PipelineRegistry, ReferencesSurviveLaterRegistrations)

@@ -1,7 +1,9 @@
 /**
  * @file
  * Unit tests for util: deterministic RNG, table formatting, the
- * shortest-round-trip f64 formatter, and the command-line flag table.
+ * shortest-round-trip f64 formatter, the command-line flag table, and
+ * the name-keyed Registry behind the kernel/model/environment/pipeline
+ * tables.
  */
 
 #include <gtest/gtest.h>
@@ -14,10 +16,12 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/cli.hh"
 #include "util/fmt.hh"
+#include "util/registry.hh"
 #include "util/rng.hh"
 #include "util/table.hh"
 
@@ -403,6 +407,135 @@ TEST(Cli, ParseU64IsStrict)
     EXPECT_EQ(v, 0u);
     for (const char *bad : {"", "-0", "+1", "1 ", "0x1", "18446744073709551616"})
         EXPECT_FALSE(cli::parseU64(bad, &v)) << bad;
+}
+
+// --- Registry -------------------------------------------------------
+
+struct Widget
+{
+    std::string name;
+    int value = 0;
+};
+
+TEST(UtilRegistry, IndexIsRegistrationOrder)
+{
+    util::Registry<Widget> reg("widget");
+    EXPECT_EQ(reg.size(), 0u);
+    EXPECT_EQ(reg.at(0), nullptr);
+    const Widget &a = reg.add("a", 1);
+    const Widget *b = reg.tryAdd(Widget{"b", 2});
+    ASSERT_NE(b, nullptr);
+    EXPECT_EQ(reg.size(), 2u);
+    EXPECT_EQ(reg.at(0), &a);
+    EXPECT_EQ(reg.at(1), b);
+    EXPECT_EQ(reg.at(2), nullptr);
+    EXPECT_EQ(reg.find("b"), b);
+    EXPECT_EQ(&reg.get("a"), &a);
+    EXPECT_EQ(reg.find("c"), nullptr);
+    EXPECT_TRUE(reg.contains("a"));
+    EXPECT_FALSE(reg.contains("c"));
+    EXPECT_EQ(reg.names(), (std::vector<std::string>{"a", "b"}));
+    EXPECT_EQ(reg.availableList(), "a, b");
+}
+
+TEST(UtilRegistry, StampSeesTheRowIndex)
+{
+    util::Registry<Widget> reg(
+        "widget", [](Widget &row, u32 index) {
+            row.value = static_cast<int>(index) * 10;
+        });
+    reg.add("a");
+    reg.add("b");
+    EXPECT_EQ(reg.tryAdd("a"), nullptr);
+    reg.add("c");
+    EXPECT_EQ(reg.get("a").value, 0);
+    EXPECT_EQ(reg.get("b").value, 10);
+    EXPECT_EQ(reg.get("c").value, 20);
+}
+
+TEST(UtilRegistry, PointersSurviveLaterRegistrations)
+{
+    util::Registry<Widget> reg("widget");
+    const Widget *first = &reg.add("first", 7);
+    for (int i = 0; i < 1000; ++i)
+        reg.add("w" + std::to_string(i), i);
+    EXPECT_EQ(reg.size(), 1001u);
+    EXPECT_EQ(reg.find("first"), first);
+    EXPECT_EQ(first->name, "first");
+    EXPECT_EQ(first->value, 7);
+    EXPECT_EQ(reg.at(1000)->name, "w999");
+}
+
+TEST(UtilRegistry, TryAddOfATakenNameChangesNothing)
+{
+    util::Registry<Widget> reg("widget");
+    const Widget *original = &reg.add("a", 1);
+    EXPECT_EQ(reg.tryAdd("a", 2), nullptr);
+    EXPECT_EQ(reg.size(), 1u);
+    EXPECT_EQ(reg.find("a"), original);
+    EXPECT_EQ(original->value, 1);
+    // The rejected candidate left no slot behind: the next row takes
+    // index 1.
+    EXPECT_EQ(reg.at(1), nullptr);
+    const Widget &b = reg.add("b", 3);
+    EXPECT_EQ(reg.at(1), &b);
+}
+
+TEST(UtilRegistry, DuplicateAddIsFatal)
+{
+    util::Registry<Widget> reg("widget");
+    reg.add("a");
+    EXPECT_EXIT(reg.add("a"), ::testing::ExitedWithCode(1),
+                "fatal: duplicate widget registration: a");
+}
+
+TEST(UtilRegistry, UnknownNameDiagnosticListsTheRegisteredOnes)
+{
+    util::Registry<Widget> reg("widget");
+    reg.add("a");
+    reg.add("b");
+    EXPECT_EXIT(reg.get("zz"), ::testing::ExitedWithCode(1),
+                "fatal: unknown widget 'zz'; registered widgets: a, b");
+}
+
+TEST(UtilRegistry, ConcurrentTryAddAndFindAgree)
+{
+    // Every thread races to register the same 64 names (and a private
+    // one each) while looking names up: each name is won exactly once,
+    // and a winner's row is the one every later lookup returns.
+    constexpr int kThreads = 8;
+    constexpr int kNames = 64;
+    util::Registry<Widget> reg("widget");
+    std::vector<std::vector<const Widget *>> won(kThreads);
+    std::vector<int> lookups_missed(kThreads, 0);
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t) {
+        pool.emplace_back([&, t] {
+            reg.add("own-" + std::to_string(t), t);
+            for (int i = 0; i < kNames; ++i) {
+                const std::string name = "shared-" + std::to_string(i);
+                if (const Widget *row = reg.tryAdd(name, t))
+                    won[t].push_back(row);
+                const Widget *seen = reg.find(name);
+                if (seen == nullptr || seen->name != name)
+                    ++lookups_missed[t];
+            }
+        });
+    }
+    for (auto &thread : pool)
+        thread.join();
+
+    EXPECT_EQ(reg.size(), static_cast<u32>(kThreads + kNames));
+    int wins = 0;
+    for (int t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(lookups_missed[t], 0) << t;
+        for (const Widget *row : won[t]) {
+            ++wins;
+            EXPECT_EQ(reg.find(row->name), row);
+            EXPECT_EQ(row->value, t);
+        }
+    }
+    EXPECT_EQ(wins, kNames);
 }
 
 } // namespace

@@ -8,7 +8,12 @@
  * SweepPlan and Engine.
  */
 
+#include <atomic>
+#include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -173,6 +178,50 @@ TEST(ModelZoo, UnknownNameInEngineDies)
             engine.runOne(spec);
         },
         ::testing::ExitedWithCode(1), "registered models");
+}
+
+TEST(ModelZoo, DuplicateNameIsFatal)
+{
+    EXPECT_EXIT(ModelZoo::instance().add(
+                    "HAR", {}, deepFcNet("HAR", 16, 2, 8, 4)),
+                ::testing::ExitedWithCode(1),
+                "fatal: duplicate model registration: HAR");
+}
+
+TEST(ModelZoo, RacingFirstLookupsBuildOnce)
+{
+    // Eight threads make the first lookup of a fresh model at once:
+    // the builder runs once and every thread gets the same entry. In
+    // a child process, so the model stays out of other tests.
+    EXPECT_EXIT(
+        {
+            auto &zoo = ModelZoo::instance();
+            std::atomic<int> builds{0};
+            zoo.add("test-race-once", {}, [&builds] {
+                builds.fetch_add(1);
+                // Slow enough that every thread arrives mid-build.
+                std::this_thread::sleep_for(std::chrono::milliseconds(50));
+                return ModelDef{deepFcNet("test-race-once", 16, 2, 8, 4),
+                                {}, {}, {}, {}};
+            });
+            std::vector<const ModelEntry *> seen(8, nullptr);
+            std::atomic<u32> waiting{static_cast<u32>(seen.size())};
+            std::vector<std::thread> pool;
+            for (u32 t = 0; t < seen.size(); ++t)
+                pool.emplace_back([&, t] {
+                    waiting.fetch_sub(1);
+                    while (waiting.load() > 0)
+                        std::this_thread::yield();
+                    seen[t] = &zoo.get("test-race-once");
+                });
+            for (auto &thread : pool)
+                thread.join();
+            bool same = true;
+            for (const ModelEntry *entry : seen)
+                same = same && entry == seen[0];
+            std::exit(builds.load() == 1 && same ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "");
 }
 
 TEST(ModelZoo, GenericKnobCompressionShrinksSyntheticTeachers)
