@@ -205,8 +205,7 @@ Engine::runOne(const RunSpec &spec)
     arch::Device dev(makeProfile(spec.profile), std::move(psu));
     if (spec.captureNvmDigests)
         dev.setProbe(&digests);
-    const dnn::NetworkSpec &net_spec = compressed(spec.net);
-    dnn::DeviceNetwork net(dev, net_spec);
+    dnn::DeviceNetwork net(dev, model(spec.net).flashImage());
 
     const dnn::Dataset &data = dataset(spec.net);
     const auto &sample = data[spec.sampleIndex % data.size()];
@@ -276,7 +275,7 @@ Engine::run(const SweepPlan &plan,
     // ever read immutable artifacts (and so cache construction order —
     // hence content — is independent of the thread count).
     for (const auto &net : plan.netAxis()) {
-        compressed(net);
+        model(net).flashImage();
         dataset(net);
     }
 

@@ -79,7 +79,8 @@ struct RunSpec
      * Snapshot the FRAM digest at every reboot boundary and at run
      * end (ExperimentResult::rebootDigests / finalNvmDigest). Off by
      * default: a capacitor run can reboot hundreds of thousands of
-     * times and a digest walks the whole non-volatile region.
+     * times, and each digest walks every FRAM region the run can
+     * write (the read-only weights fold in one step each).
      */
     bool captureNvmDigests = false;
 };

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "dnn/builder.hh"
+#include "dnn/device_net.hh"
 #include "util/logging.hh"
 // The verify subsystem's platform-stable integer-dyadic workload
 // pre-registers here so the oracle CLI and the golden harness can
@@ -41,6 +42,8 @@ ModelEntry::ModelEntry(std::string name, ModelMeta meta, ModelDef def)
     datasetBuilder_ = std::move(def.dataset);
 }
 
+ModelEntry::~ModelEntry() = default;
+
 const Dataset &
 ModelEntry::dataset() const
 {
@@ -56,6 +59,15 @@ ModelEntry::dataset() const
                      "model '", name_, "' built an empty dataset");
     });
     return dataset_;
+}
+
+const FlashImage &
+ModelEntry::flashImage() const
+{
+    std::call_once(imageOnce_, [this] {
+        image_ = std::make_unique<const FlashImage>(compressed_);
+    });
+    return *image_;
 }
 
 // --- ModelZoo -------------------------------------------------------

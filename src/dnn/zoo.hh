@@ -25,6 +25,7 @@
 #define SONIC_DNN_ZOO_HH
 
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -39,6 +40,8 @@
 
 namespace sonic::dnn
 {
+
+class FlashImage;
 
 /**
  * A workload reference: the registered model name. Carried by
@@ -124,6 +127,7 @@ class ModelEntry
 {
   public:
     ModelEntry(std::string name, ModelMeta meta, ModelDef def);
+    ~ModelEntry();
 
     ModelEntry(const ModelEntry &) = delete;
     ModelEntry &operator=(const ModelEntry &) = delete;
@@ -139,6 +143,12 @@ class ModelEntry
 
     /** The labelled synthetic dataset (lazily built, thread-safe). */
     const Dataset &dataset() const;
+
+    /**
+     * The on-device configuration lowered to its flash image (lazily
+     * built, thread-safe): every device running the model views it.
+     */
+    const FlashImage &flashImage() const;
 
     /** Teacher rebuilt at an explicit seed (see ModelDef::teacherAt). */
     NetworkSpec teacherAt(u64 seed) const { return teacherAt_(seed); }
@@ -162,6 +172,9 @@ class ModelEntry
 
     mutable std::once_flag datasetOnce_;
     mutable Dataset dataset_;
+
+    mutable std::once_flag imageOnce_;
+    mutable std::unique_ptr<const FlashImage> image_;
 };
 
 /**

@@ -175,8 +175,9 @@ struct SimContext
  * The plan's names, resolved once per run into rows addressed by the
  * assignment's list positions (netIndex, implIndex, envIndex,
  * pipelineIndex), so devices take no registry lock. Models are built
- * here, datasets included, on the calling thread, so workers only
- * read immutable artifacts (same discipline as Engine::run).
+ * here, flash images and datasets included, on the calling thread, so
+ * workers only read immutable artifacts (same discipline as
+ * Engine::run).
  */
 struct PlanRows
 {
@@ -192,6 +193,7 @@ resolveRows(const FleetPlan &plan)
     PlanRows rows;
     for (const auto &net : plan.nets) {
         rows.nets.push_back(&dnn::ModelZoo::instance().get(net));
+        rows.nets.back()->flashImage();
         rows.nets.back()->dataset();
     }
     for (const auto impl : plan.impls)
@@ -284,7 +286,7 @@ simulateDeviceImpl(const FleetPlan &plan, const PlanRows &rows,
     t.assignment = plan.assignmentFor(device_index);
 
     const auto &entry = *rows.nets[t.assignment.netIndex];
-    const auto &net_spec = entry.compressed();
+    const auto &image = entry.flashImage();
     const auto &data = entry.dataset();
     const auto &spec = *rows.pipelines[t.assignment.pipelineIndex];
     auto supply = rows.environments[t.assignment.envIndex]->make(
@@ -344,7 +346,7 @@ simulateDeviceImpl(const FleetPlan &plan, const PlanRows &rows,
                 ctx.recorder->setBase(t.totalSeconds(), t.energyJ);
                 dev.setProbe(ctx.recorder);
             }
-            dnn::DeviceNetwork net(dev, net_spec);
+            dnn::DeviceNetwork net(dev, image);
             const auto round = pipeline::runRound(
                 net, t.assignment.impl,
                 dnn::DeviceNetwork::quantizeInput(

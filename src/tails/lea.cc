@@ -129,7 +129,7 @@ LeaUnit::dotProduct(const std::vector<i16> &coeffs,
 }
 
 i16
-LeaUnit::dotProductFram(const arch::NvArray<i16> &weights, u64 w_base,
+LeaUnit::dotProductFram(const arch::NvRegion<i16> &weights, u64 w_base,
                         const arch::NvArray<i16> &src, u32 src_base,
                         u32 count)
 {

@@ -81,7 +81,7 @@ class LeaUnit
      * Vector MAC of a contiguous FRAM weight chunk against a
      * contiguous FRAM source chunk (dense FC rows).
      */
-    i16 dotProductFram(const arch::NvArray<i16> &weights, u64 w_base,
+    i16 dotProductFram(const arch::NvRegion<i16> &weights, u64 w_base,
                        const arch::NvArray<i16> &src, u32 src_base,
                        u32 count);
 

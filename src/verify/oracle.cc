@@ -509,22 +509,25 @@ Oracle::verify(const std::vector<Schedule> &schedules)
     observed.reserve(schedules.size());
     for (const auto &schedule : schedules)
         observed.push_back(run_(schedule));
-    return report(schedules, observed);
+    std::vector<Observation> replayed;
+    if (!options_.crashConsistent) {
+        replayed.reserve(schedules.size());
+        for (const auto &schedule : schedules)
+            replayed.push_back(schedule.empty() ? Observation{}
+                                                : run_(schedule));
+    }
+    return judgeBatch(schedules, observed, replayed);
 }
 
 OracleReport
 Oracle::judgeBatch(const std::vector<Schedule> &schedules,
-                   const std::vector<Observation> &observed)
+                   const std::vector<Observation> &observed,
+                   const std::vector<Observation> &replayed)
 {
-    SONIC_ASSERT(schedules.size() == observed.size(),
+    SONIC_ASSERT(schedules.size() == observed.size()
+                     && (options_.crashConsistent
+                         || replayed.size() == schedules.size()),
                  "schedule/observation count mismatch");
-    return report(schedules, observed);
-}
-
-OracleReport
-Oracle::report(const std::vector<Schedule> &schedules,
-               const std::vector<Observation> &observed)
-{
     OracleReport rep;
     rep.schedulesRun = schedules.size();
     for (u64 i = 0; i < schedules.size(); ++i) {
@@ -537,8 +540,7 @@ Oracle::report(const std::vector<Schedule> &schedules,
         if (options_.crashConsistent) {
             verdict = judge(schedule, o);
         } else if (!schedule.empty()) {
-            const Observation replay = run_(schedule);
-            verdict = judgeReplay(o, replay);
+            verdict = judgeReplay(o, replayed[i]);
             // Even without crash consistency, delivery accounting is
             // downstream of completion and a pure function of (seed,
             // round, attempt) — it must match the continuous
@@ -630,14 +632,21 @@ verifyWithEngine(app::Engine &engine, const EngineOracleConfig &config)
         .impls({config.impl})
         .failureSchedules(schedules)
         .captureNvmDigests(true);
-    const auto records = engine.run(plan);
+    const auto observe = [&] {
+        std::vector<Observation> observed;
+        observed.reserve(schedules.size());
+        for (const auto &record : engine.run(plan))
+            observed.push_back(toObservation(record.result));
+        return observed;
+    };
+    const auto observed = observe();
+    // A kernel held to deterministic replay runs the batch a second
+    // time on the pool rather than replaying it on this thread.
+    const auto replayed = info->crashConsistent
+        ? std::vector<Observation>{}
+        : observe();
 
-    std::vector<Observation> observed;
-    observed.reserve(records.size());
-    for (const auto &record : records)
-        observed.push_back(toObservation(record.result));
-
-    OracleReport rep = oracle.judgeBatch(schedules, observed);
+    OracleReport rep = oracle.judgeBatch(schedules, observed, replayed);
     rep.impl = info->name;
     rep.workload = config.environment.empty()
         ? config.net

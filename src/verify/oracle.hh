@@ -245,9 +245,13 @@ class Oracle
     /**
      * Judge pre-computed observations (the engine path runs them in
      * parallel first), shrinking divergences via the probe function.
+     * A kernel held to deterministic replay compares each observation
+     * with replayed[i], a second run of the same schedule; a
+     * crash-consistent kernel ignores replayed.
      */
     OracleReport judgeBatch(const std::vector<Schedule> &schedules,
-                            const std::vector<Observation> &observed);
+                            const std::vector<Observation> &observed,
+                            const std::vector<Observation> &replayed);
 
     /**
      * Delta-debug a failing schedule to a minimal failing subset:
@@ -260,9 +264,6 @@ class Oracle
     /** Deterministic-replay judgment for non-crash-consistent impls. */
     std::optional<std::string>
     judgeReplay(const Observation &first, const Observation &second);
-
-    OracleReport report(const std::vector<Schedule> &schedules,
-                        const std::vector<Observation> &observed);
 
     RunScheduleFn run_;
     OracleOptions options_;

@@ -1,14 +1,21 @@
 /**
  * @file
  * Unit tests for the device substrate: energy profile, power supplies,
- * the device's consume/fail path, stats attribution, and the memory
- * handles (including volatile scrambling at reboot).
+ * the device's consume/fail path, stats attribution, the memory
+ * handles (including volatile scrambling at reboot), and the NVM
+ * digest's shortcuts against a byte-wise FNV-1a walk (including
+ * devices on eight threads sharing one read-only region).
  */
+
+#include <cstdint>
+#include <limits>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "arch/device.hh"
 #include "arch/memory.hh"
+#include "util/rng.hh"
 
 namespace sonic::arch
 {
@@ -619,6 +626,166 @@ TEST(NvmDigest, RebootDigestProbeSnapshotsEveryReboot)
     }
     EXPECT_EQ(chain.size(), dev.rebootCount());
     EXPECT_GT(chain.size(), 1u);
+}
+
+/** Byte-wise FNV-1a of a region as NvRegion lays it out: the size
+ * word, then every element sign-extended to 64 bits. */
+u64
+walkRegion(u64 state, const std::vector<i16> &data)
+{
+    const auto fold = [&state](u64 word) {
+        for (u32 i = 0; i < 8; ++i) {
+            state ^= (word >> (8 * i)) & 0xffu;
+            state *= 0x00000100000001b3ull;
+        }
+    };
+    fold(data.size());
+    for (const i16 v : data)
+        fold(static_cast<u64>(static_cast<i64>(v)));
+    return state;
+}
+
+std::vector<i16>
+randomWords(Rng &rng, u64 n)
+{
+    std::vector<i16> out(n);
+    for (auto &v : out)
+        v = static_cast<i16>(rng.next());
+    return out;
+}
+
+template <typename T>
+void
+expectElementMatchesWord(u64 state, T v)
+{
+    NvmDigest fast(state);
+    fast.element(v);
+    NvmDigest bytes(state);
+    bytes.word(static_cast<u64>(static_cast<i64>(v)));
+    ASSERT_EQ(fast.value(), bytes.value())
+        << "state " << state << " value " << i64{v};
+}
+
+TEST(NvmDigest, ElementFoldsSignExtensionLikeTheByteWiseWord)
+{
+    // Exhaustive over 16-bit values (NvArray<i16>, NvVar<i16>).
+    Rng rng(0xe1e);
+    std::vector<u64> states(64);
+    for (auto &s : states)
+        s = rng.next();
+    for (const u64 s : states)
+        for (i32 v = std::numeric_limits<i16>::min();
+             v <= std::numeric_limits<i16>::max(); ++v)
+            expectElementMatchesWord(s, static_cast<i16>(v));
+
+    // Random plus the extremes for 32-bit values (NvVar<i32>).
+    const i32 edges[] = {std::numeric_limits<i32>::min(), -1, 0, 1,
+                         std::numeric_limits<i32>::max()};
+    for (const u64 s : states) {
+        for (const i32 v : edges)
+            expectElementMatchesWord(s, v);
+        for (u32 k = 0; k < 4096; ++k)
+            expectElementMatchesWord(s, static_cast<i32>(rng.next()));
+    }
+}
+
+TEST(FixedFold, MatchesTheWalkFromEveryLowOctet)
+{
+    auto dev = makeContinuousDevice();
+    Rng rng(0xf01d);
+    std::vector<std::vector<i16>> regions;
+    regions.push_back({0}); // a padded empty index list
+    for (const u64 n : {0, 1, 2, 3, 7, 8, 9, 31, 32, 33, 255, 256, 257,
+                        1000, 1023, 1024, 1025, 4095, 4096})
+        regions.push_back(randomWords(rng, n));
+    for (const auto &data : regions) {
+        const FlashRegion<i16> region("r", data);
+        const NvConstArray<i16> view(dev, region);
+        for (u64 low = 0; low < 256; ++low) {
+            // First entry with this low octet walks, the second folds.
+            for (u32 pass = 0; pass < 2; ++pass) {
+                const u64 s = (rng.next() & ~u64{0xff}) | low;
+                NvmDigest d(s);
+                view.digestInto(d);
+                ASSERT_EQ(d.value(), walkRegion(s, data))
+                    << data.size() << " elements, low octet " << low
+                    << ", pass " << pass;
+            }
+        }
+    }
+}
+
+TEST(Memory, NvConstArrayReadsLikeAFlashedNvArray)
+{
+    Rng rng(0xc0de);
+    const auto data = randomWords(rng, 40);
+    const FlashRegion<i16> region("w", data);
+    auto a = makeContinuousDevice();
+    auto b = makeContinuousDevice();
+    NvArray<i16> poked(a, data.size(), "w");
+    for (u64 i = 0; i < data.size(); ++i)
+        poked.poke(i, data[i]);
+    const NvConstArray<i16> view(b, region);
+    EXPECT_EQ(a.framBytesUsed(), b.framBytesUsed());
+    EXPECT_EQ(view.name(), poked.name());
+    EXPECT_EQ(a.nvmDigest(), b.nvmDigest());
+
+    i16 range_a[8], range_b[8], stride_a[4], stride_b[4];
+    EXPECT_EQ(poked.read(5), view.read(5));
+    poked.readRange(3, 8, range_a);
+    view.readRange(3, 8, range_b);
+    poked.readStride(1, 9, 4, stride_a);
+    view.readStride(1, 9, 4, stride_b);
+    for (u32 i = 0; i < 8; ++i)
+        EXPECT_EQ(range_a[i], range_b[i]);
+    for (u32 i = 0; i < 4; ++i)
+        EXPECT_EQ(stride_a[i], stride_b[i]);
+    EXPECT_EQ(a.stats().opCount(Op::FramLoad),
+              b.stats().opCount(Op::FramLoad));
+    EXPECT_EQ(a.cycles(), b.cycles());
+    EXPECT_EQ(view.peek(7), data[7]);
+}
+
+TEST(FixedFold, DevicesOnEightThreadsShareOneRegion)
+{
+    // Each thread's device puts its own FRAM array before the shared
+    // region, so the threads enter the region's fold from different
+    // states and fill its table concurrently.
+    constexpr u32 kThreads = 8;
+    constexpr u32 kRounds = 48;
+    Rng rng(0x5a4ed);
+    const auto data = randomWords(rng, 3000);
+    const FlashRegion<i16> shared("shared", data);
+
+    const auto prefixValue = [](u32 t, u32 k) {
+        return static_cast<i16>(t * 977 + k * 131);
+    };
+    std::vector<std::vector<u64>> want(kThreads);
+    for (u32 t = 0; t < kThreads; ++t)
+        for (u32 k = 0; k < kRounds; ++k) {
+            NvmDigest d;
+            d.word(t + 1);
+            for (u32 i = 0; i <= t; ++i)
+                d.element(prefixValue(t, k));
+            want[t].push_back(walkRegion(d.value(), data));
+        }
+
+    std::vector<std::vector<u64>> got(kThreads);
+    std::vector<std::thread> pool;
+    for (u32 t = 0; t < kThreads; ++t)
+        pool.emplace_back([&, t] {
+            auto dev = makeContinuousDevice();
+            NvArray<i16> prefix(dev, t + 1, "prefix");
+            const NvConstArray<i16> view(dev, shared);
+            for (u32 k = 0; k < kRounds; ++k) {
+                prefix.fillHost(prefixValue(t, k));
+                got[t].push_back(dev.nvmDigest());
+            }
+        });
+    for (auto &thread : pool)
+        thread.join();
+    for (u32 t = 0; t < kThreads; ++t)
+        EXPECT_EQ(got[t], want[t]) << "thread " << t;
 }
 
 TEST(Device, BucketCacheSurvivesLayerRegistration)

@@ -2,7 +2,8 @@
  * @file
  * Tests for the DNN layer: spec shape/count arithmetic, the three
  * Table-2 workloads, synthetic datasets, and device lowering
- * (quantization, sparse formats, buffer schedule).
+ * (quantization, sparse formats, buffer schedule, the shared flash
+ * image and its 16-bit index checks).
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "dnn/device_net.hh"
 #include "dnn/zoo.hh"
 #include "fixed/fixed.hh"
+#include "kernels/runner.hh"
 #include "tests/test_helpers.hh"
 
 namespace sonic::dnn
@@ -261,6 +263,111 @@ TEST(DeviceNet, InputLoadAndQuantize)
     net.loadInput(q);
     EXPECT_EQ(net.act(0).peek(5), fixed::Q78::fromFloat(0.5).raw());
     EXPECT_EQ(dev.cycles(), 0u); // flashing is uncharged
+}
+
+/**
+ * Byte-wise FNV-1a over what a flashed network registers in FRAM:
+ * act.ping, act.pong, scratch0-2, then the image's arrays in order,
+ * each as its size word followed by its sign-extended elements.
+ */
+u64
+walkNetwork(DeviceNetwork &net, const FlashImage &image)
+{
+    u64 state = 0xcbf29ce484222325ull;
+    const auto fold = [&state](u64 word) {
+        for (u32 i = 0; i < 8; ++i) {
+            state ^= (word >> (8 * i)) & 0xffu;
+            state *= 0x00000100000001b3ull;
+        }
+    };
+    const auto array = [&fold](u64 n, const auto &at) {
+        fold(n);
+        for (u64 i = 0; i < n; ++i)
+            fold(static_cast<u64>(static_cast<i64>(at(i))));
+    };
+    for (u32 b = 0; b < 2; ++b)
+        array(net.act(b).size(), [&](u64 i) { return net.act(b).peek(i); });
+    for (u32 s = 0; s < 3; ++s)
+        array(net.scratch(s).size(),
+              [&](u64 i) { return net.scratch(s).peek(i); });
+    for (const auto &region : image.regions())
+        array(region.size(), [&](u64 i) { return region.data()[i]; });
+    return state;
+}
+
+TEST(FlashImage, SharedImageFlashesLikeTheSpecOnEveryModel)
+{
+    auto &zoo = ModelZoo::instance();
+    for (const auto &name : zoo.names()) {
+        const auto &entry = zoo.get(name);
+        const auto &image = entry.flashImage();
+        const auto input =
+            DeviceNetwork::quantizeInput(entry.dataset()[0].input);
+        for (const auto impl : kernels::kAllImpls) {
+            const std::string what =
+                name + "/" + std::string(kernels::implName(impl));
+            auto shared_dev = continuousDevice();
+            auto own_dev = continuousDevice();
+            DeviceNetwork shared(shared_dev, image);
+            DeviceNetwork own(own_dev, entry.compressed());
+            ASSERT_EQ(shared_dev.framBytesUsed(), own_dev.framBytesUsed())
+                << what;
+            const auto expectSameDigest = [&](const char *when) {
+                const u64 digest = shared_dev.nvmDigest();
+                EXPECT_EQ(digest, own_dev.nvmDigest()) << what << when;
+                EXPECT_EQ(digest, walkNetwork(shared, image))
+                    << what << when;
+            };
+            expectSameDigest(" at boot");
+            shared.loadInput(input);
+            own.loadInput(input);
+            expectSameDigest(" after loadInput");
+            const auto a = kernels::runInference(shared, impl);
+            const auto b = kernels::runInference(own, impl);
+            ASSERT_TRUE(a.completed && b.completed) << what;
+            EXPECT_EQ(a.logits, b.logits) << what;
+            expectSameDigest(" after the inference");
+        }
+    }
+}
+
+/** A 33,000-output sparse FC over 2 inputs, one nonzero at `row`. */
+NetworkSpec
+tallSparseFc(u32 row)
+{
+    NetworkSpec net;
+    net.name = "Wrap";
+    net.input = {1, 1, 2};
+    net.numClasses = 33000;
+    tensor::Matrix w(33000, 2);
+    w.at(row, 1) = 0.5;
+    net.layers.push_back({"fc", SparseFcLayer{std::move(w)}, false, false});
+    return net;
+}
+
+TEST(FlashImage, IndexBeyondSixteenBitsIsFatalNotAWrap)
+{
+    // Row 32,800 would wrap to a negative i16 and the kernels would
+    // write out of bounds; lowering refuses it.
+    EXPECT_EXIT(
+        {
+            auto dev = continuousDevice();
+            DeviceNetwork net(dev, tallSparseFc(32800));
+        },
+        ::testing::ExitedWithCode(1),
+        "fatal: model 'Wrap' layer 0 'fc': sparse-FC row index 32800 "
+        "exceeds the 16-bit device format's limit of 32767");
+
+    // Row 32,000 fits and runs.
+    auto dev = continuousDevice();
+    DeviceNetwork net(dev, tallSparseFc(32000));
+    net.loadInput({fixed::Q78::fromFloat(1.0).raw(),
+                   fixed::Q78::fromFloat(2.0).raw()});
+    const auto run = kernels::runInference(net, kernels::Impl::Sonic);
+    ASSERT_TRUE(run.completed);
+    ASSERT_EQ(run.logits.size(), 33000u);
+    EXPECT_EQ(run.logits[32000], fixed::Q78::fromFloat(1.0).raw());
+    EXPECT_EQ(run.logits[31999], 0);
 }
 
 TEST(DeviceNet, FramFootprintWithinBudget)

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -292,21 +293,64 @@ TEST(Oracle, ShrinkStripsBenignIndicesFromAMixedSchedule)
 
 TEST(Oracle, EngineFanOutMatchesLocalJudgment)
 {
+    // SONIC is judged against the reference; Base, held only to
+    // deterministic replay, is judged against a second pooled run.
+    const std::pair<dnn::NetRef, kernels::Impl> cases[] = {
+        {"HAR", kernels::Impl::Sonic},
+        {"golden", kernels::Impl::Base},
+    };
     app::Engine engine(app::EngineOptions{4});
-    EngineOracleConfig config;
-    config.net = "HAR";
-    config.impl = kernels::Impl::Sonic;
-    config.schedules = 24;
-    config.seed = 0xfa11;
-    const auto report = verifyWithEngine(engine, config);
-    EXPECT_TRUE(report.ok())
-        << report.divergences.size() << " divergences, first: "
-        << (report.ok() ? std::string()
-                        : report.divergences.front().reason);
-    EXPECT_EQ(report.schedulesRun, 24u);
-    EXPECT_EQ(report.impl, "SONIC");
-    EXPECT_EQ(report.workload, "HAR");
-    EXPECT_GT(report.totalFired, 0u);
+    for (const auto &[net, impl] : cases) {
+        EngineOracleConfig config;
+        config.net = net;
+        config.impl = impl;
+        config.schedules = 24;
+        config.seed = 0xfa11;
+        const auto report = verifyWithEngine(engine, config);
+        const auto *info = kernels::ImplRegistry::instance().find(impl);
+        ASSERT_NE(info, nullptr);
+        EXPECT_TRUE(report.ok())
+            << info->name << ": " << report.divergences.size()
+            << " divergences, first: "
+            << (report.ok() ? std::string()
+                            : report.divergences.front().reason);
+        EXPECT_EQ(report.schedulesRun, 24u);
+        EXPECT_EQ(report.impl, info->name);
+        EXPECT_EQ(report.workload, net);
+        EXPECT_GT(report.totalFired, 0u) << info->name;
+    }
+}
+
+TEST(Oracle, OneDivergentReplayGivesExactlyThatDivergence)
+{
+    // Base is held to deterministic replay: a replay list that differs
+    // from the observations in one schedule gives that divergence and
+    // no other.
+    const auto workload = goldenWorkload(kernels::Impl::Base);
+    u64 draws = 0;
+    const auto commits = recordCommitTrace(workload, &draws);
+    ScheduleGenConfig gen;
+    gen.seed = 0x4e91a7;
+    gen.opHorizon = draws;
+    const auto schedules = mixedSchedules(12, commits, gen);
+    std::vector<Observation> observed;
+    for (const auto &schedule : schedules)
+        observed.push_back(runSchedule(workload, schedule));
+
+    OracleOptions options;
+    options.crashConsistent = false;
+    options.shrink = false;
+    Oracle oracle(localRunner(workload), options);
+    const u64 bad = 5;
+    ASSERT_FALSE(schedules[bad].empty());
+    auto replayed = observed;
+    ASSERT_FALSE(replayed[bad].logits.empty());
+    replayed[bad].logits[0] ^= 1;
+    const auto report = oracle.judgeBatch(schedules, observed, replayed);
+    ASSERT_EQ(report.divergences.size(), 1u);
+    EXPECT_EQ(report.divergences[0].schedule, schedules[bad]);
+    EXPECT_EQ(report.divergences[0].reason, "replay diverges: logits");
+    EXPECT_EQ(report.schedulesRun, schedules.size());
 }
 
 TEST(Oracle, ReportJsonCarriesShrunkCounterexample)
