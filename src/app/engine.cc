@@ -10,7 +10,6 @@
 #include "dnn/device_net.hh"
 #include "util/fmt.hh"
 #include "util/progress.hh"
-#include "util/json.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
@@ -67,86 +66,54 @@ CsvSink::add(const SweepRecord &record)
 void
 JsonSink::begin(u64)
 {
-    os_ << "[";
-    first_ = true;
+    w_.beginArray();
 }
 
 void
 JsonSink::add(const SweepRecord &record)
 {
     const auto &r = record.result;
-    std::ostringstream obj;
-    obj.precision(17);
-    obj << (first_ ? "\n" : ",\n");
-    first_ = false;
-    obj << "  {\"planIndex\": " << record.planIndex
-        << ", \"net\": \"" << jsonEscape(record.spec.net)
-        << "\", \"impl\": \""
-        << jsonEscape(std::string(
-               kernels::implName(record.spec.impl)))
-        << "\", \"environment\": \""
-        << jsonEscape(record.spec.environment.label())
-        << "\", \"profile\": \"" << profileName(record.spec.profile)
-        << "\", \"sample\": " << record.spec.sampleIndex
-        << ", \"seed\": " << record.spec.seed
-        << ", \"completed\": " << (r.completed ? "true" : "false")
-        << ", \"nonTerminating\": "
-        << (r.nonTerminating ? "true" : "false")
-        << ", \"reboots\": " << r.reboots
-        << ", \"tasksExecuted\": " << r.tasksExecuted
-        << ", \"liveSeconds\": " << r.liveSeconds
-        << ", \"deadSeconds\": " << r.deadSeconds
-        << ", \"totalSeconds\": " << r.totalSeconds
-        << ", \"energyJ\": " << r.energyJ
-        << ", \"harvestedJ\": " << r.harvestedJ
-        << ", \"predictedClass\": " << r.predictedClass
-        << ", \"tailsTileWords\": " << r.tailsTileWords;
+    w_.br(2).beginObject().field("planIndex", record.planIndex)
+        .field("net", record.spec.net)
+        .field("impl", kernels::implName(record.spec.impl))
+        .field("environment", record.spec.environment.label())
+        .field("profile", profileName(record.spec.profile))
+        .field("sample", record.spec.sampleIndex)
+        .field("seed", record.spec.seed)
+        .field("completed", r.completed)
+        .field("nonTerminating", r.nonTerminating)
+        .field("reboots", r.reboots)
+        .field("tasksExecuted", r.tasksExecuted)
+        .field("liveSeconds", r.liveSeconds)
+        .field("deadSeconds", r.deadSeconds)
+        .field("totalSeconds", r.totalSeconds)
+        .field("energyJ", r.energyJ)
+        .field("harvestedJ", r.harvestedJ)
+        .field("predictedClass", r.predictedClass)
+        .field("tailsTileWords", r.tailsTileWords);
+    if (!record.spec.failureSchedule.empty())
+        w_.key("failureSchedule").array(record.spec.failureSchedule)
+            .field("scheduleFired", r.scheduleFired);
+    if (record.spec.captureNvmDigests)
+        w_.field("finalNvmDigest", r.finalNvmDigest)
+            .key("rebootDigests").array(r.rebootDigests);
 
-    if (!record.spec.failureSchedule.empty()) {
-        obj << ", \"failureSchedule\": [";
-        for (u64 i = 0; i < record.spec.failureSchedule.size(); ++i)
-            obj << (i ? ", " : "") << record.spec.failureSchedule[i];
-        obj << "], \"scheduleFired\": " << r.scheduleFired;
-    }
-    if (record.spec.captureNvmDigests) {
-        obj << ", \"finalNvmDigest\": " << r.finalNvmDigest
-            << ", \"rebootDigests\": [";
-        for (u64 i = 0; i < r.rebootDigests.size(); ++i)
-            obj << (i ? ", " : "") << r.rebootDigests[i];
-        obj << "]";
-    }
-
-    obj << ", \"layers\": [";
-    for (u64 i = 0; i < r.layers.size(); ++i) {
-        const auto &layer = r.layers[i];
-        obj << (i ? ", " : "") << "{\"name\": \""
-            << jsonEscape(layer.name)
-            << "\", \"kernelSeconds\": " << layer.kernelSeconds
-            << ", \"controlSeconds\": " << layer.controlSeconds
-            << ", \"energyJ\": " << layer.energyJ << "}";
-    }
-    obj << "]";
-
-    obj << ", \"energyByOp\": {";
-    bool firstOp = true;
-    for (const auto &[op, joules] : r.energyByOp) {
-        obj << (firstOp ? "" : ", ") << "\"" << jsonEscape(op)
-            << "\": " << joules;
-        firstOp = false;
-    }
-    obj << "}";
-
-    obj << ", \"logits\": [";
-    for (u64 i = 0; i < r.logits.size(); ++i)
-        obj << (i ? ", " : "") << r.logits[i];
-    obj << "]}";
-    os_ << obj.str();
+    w_.key("layers").beginArray();
+    for (const auto &layer : r.layers)
+        w_.beginObject().field("name", layer.name)
+            .field("kernelSeconds", layer.kernelSeconds)
+            .field("controlSeconds", layer.controlSeconds)
+            .field("energyJ", layer.energyJ).end();
+    w_.end().key("energyByOp").beginObject();
+    for (const auto &[op, joules] : r.energyByOp)
+        w_.field(op, joules);
+    w_.end().key("logits").array(r.logits).end();
 }
 
 void
 JsonSink::end()
 {
-    os_ << "\n]\n";
+    w_.br(0, /*evenEmpty=*/true).end();
 }
 
 // --- Engine ---------------------------------------------------------

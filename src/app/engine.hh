@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "app/sweep.hh"
+#include "util/json.hh"
 
 namespace sonic::app
 {
@@ -87,15 +88,14 @@ class CsvSink : public ResultSink
 class JsonSink : public ResultSink
 {
   public:
-    explicit JsonSink(std::ostream &os) : os_(os) {}
+    explicit JsonSink(std::ostream &os) : w_(os) {}
 
     void begin(u64 totalRecords) override;
     void add(const SweepRecord &record) override;
     void end() override;
 
   private:
-    std::ostream &os_;
-    bool first_ = true;
+    json::Writer w_;
 };
 
 /** Engine configuration. */

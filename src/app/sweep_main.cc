@@ -129,6 +129,10 @@ main(int argc, char **argv)
 
     app::Engine engine(engine_options);
     const auto records = engine.run(plan, sinks);
+    if (!cli::finishOutput(csv_file, csv_path)
+        || !cli::finishOutput(json_file, json_path)
+        || !cli::finishOutput(sonicz_file, sonicz_path))
+        return 1;
 
     u64 completed = 0;
     for (const auto &record : records)

@@ -1,5 +1,6 @@
 #include "dnn/model_io.hh"
 
+#include <array>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -306,55 +307,48 @@ kindOf(const LayerOp &op)
 using BlobEncoder = std::string (*)(const std::vector<f64> &);
 
 void
-emitLayer(std::ostream &os, const LayerSpec &layer, BlobEncoder blob)
+emitLayer(json::Writer &w, const LayerSpec &layer, BlobEncoder blob)
 {
-    os << "    {\"name\": " << jsonQuote(layer.name) << ", \"kind\": \""
-       << kindOf(layer.op) << "\", \"relu\": "
-       << (layer.reluAfter ? "true" : "false")
-       << ", \"pool\": " << (layer.poolAfter ? "true" : "false");
-    if (const auto *f = std::get_if<FactoredConvLayer>(&layer.op)) {
-        os << ",\n     \"mix\": \"" << blob(f->mix)
-           << "\", \"col\": \"" << blob(f->col)
-           << "\", \"row\": \"" << blob(f->row)
-           << "\", \"scale\": \"" << blob(f->scale) << "\"";
-    } else if (const auto *s = std::get_if<SparseConvLayer>(&layer.op)) {
-        os << ", \"oc\": " << s->filters.outChannels
-           << ", \"ic\": " << s->filters.inChannels
-           << ", \"kh\": " << s->filters.kh << ", \"kw\": "
-           << s->filters.kw << ",\n     \"data\": \""
-           << blob(s->filters.data) << "\"";
-    } else if (const auto *d = std::get_if<DenseConvLayer>(&layer.op)) {
-        os << ", \"oc\": " << d->filters.outChannels
-           << ", \"ic\": " << d->filters.inChannels
-           << ", \"kh\": " << d->filters.kh << ", \"kw\": "
-           << d->filters.kw << ",\n     \"data\": \""
-           << blob(d->filters.data) << "\"";
-    } else if (const auto *fc = std::get_if<DenseFcLayer>(&layer.op)) {
-        os << ", \"rows\": " << fc->weights.rows() << ", \"cols\": "
-           << fc->weights.cols() << ",\n     \"data\": \""
-           << blob(fc->weights.data()) << "\"";
-    } else if (const auto *sfc = std::get_if<SparseFcLayer>(&layer.op)) {
-        os << ", \"rows\": " << sfc->weights.rows() << ", \"cols\": "
-           << sfc->weights.cols() << ",\n     \"data\": \""
-           << blob(sfc->weights.data()) << "\"";
-    }
-    os << "}";
+    w.br(4).beginObject().field("name", layer.name)
+        .field("kind", kindOf(layer.op))
+        .field("relu", layer.reluAfter).field("pool", layer.poolAfter);
+    const auto bank = [&](const tensor::FilterBank &f) {
+        w.field("oc", f.outChannels).field("ic", f.inChannels)
+            .field("kh", f.kh).field("kw", f.kw)
+            .br(5).field("data", blob(f.data));
+    };
+    const auto matrix = [&](const auto &m) {
+        w.field("rows", m.rows()).field("cols", m.cols())
+            .br(5).field("data", blob(m.data()));
+    };
+    if (const auto *f = std::get_if<FactoredConvLayer>(&layer.op))
+        w.br(5).field("mix", blob(f->mix)).field("col", blob(f->col))
+            .field("row", blob(f->row)).field("scale", blob(f->scale));
+    else if (const auto *s = std::get_if<SparseConvLayer>(&layer.op))
+        bank(s->filters);
+    else if (const auto *d = std::get_if<DenseConvLayer>(&layer.op))
+        bank(d->filters);
+    else if (const auto *fc = std::get_if<DenseFcLayer>(&layer.op))
+        matrix(fc->weights);
+    else if (const auto *sfc = std::get_if<SparseFcLayer>(&layer.op))
+        matrix(sfc->weights);
+    w.end();
 }
 
 void
 emitModel(std::ostream &os, const NetworkSpec &net, u32 version,
           BlobEncoder blob)
 {
-    os << "{\"format\": \"sonic-model\", \"version\": " << version
-       << ",\n \"name\": " << jsonQuote(net.name) << ",\n \"input\": ["
-       << net.input.c << ", " << net.input.h << ", " << net.input.w
-       << "], \"numClasses\": " << net.numClasses
-       << ",\n \"layers\": [";
-    for (u64 li = 0; li < net.layers.size(); ++li) {
-        os << (li ? ",\n" : "\n");
-        emitLayer(os, net.layers[li], blob);
-    }
-    os << "\n ]}\n";
+    json::Writer w(os);
+    w.beginObject().field("format", "sonic-model").field("version", version)
+        .br(1).field("name", net.name)
+        .br(1).key("input").array(std::array{net.input.c, net.input.h,
+                                             net.input.w})
+        .field("numClasses", net.numClasses)
+        .br(1).key("layers").beginArray();
+    for (const auto &layer : net.layers)
+        emitLayer(w, layer, blob);
+    w.br(1).end().end();
 }
 
 bool

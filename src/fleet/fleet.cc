@@ -15,7 +15,6 @@
 #include "trace/trace.hh"
 #include "util/fmt.hh"
 #include "util/progress.hh"
-#include "util/json.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 #include "util/table.hh"
@@ -630,58 +629,48 @@ FleetCsvSink::add(const DeviceTelemetry &t)
 void
 FleetJsonSink::begin(u64)
 {
-    os_ << "[";
-    first_ = true;
+    w_.beginArray();
 }
 
 void
 FleetJsonSink::add(const DeviceTelemetry &t)
 {
-    std::ostringstream obj;
-    obj.precision(17);
-    obj << (first_ ? "\n" : ",\n");
-    first_ = false;
-    obj << "  {\"device\": " << t.assignment.deviceIndex
-        << ", \"net\": \"" << jsonEscape(t.assignment.net)
-        << "\", \"impl\": \""
-        << jsonEscape(std::string(
-               kernels::implName(t.assignment.impl)))
-        << "\", \"environment\": \""
-        << jsonEscape(t.assignment.environment.label())
-        << "\", \"pipeline\": \"" << jsonEscape(t.assignment.pipeline)
-        << "\", \"seed\": " << t.assignment.seed
-        << ", \"status\": \""
-        << (t.diedNonTerminating
-                ? "dnf"
-                : (t.failedIncomplete ? "fail" : "ok"))
-        << "\", \"inferences\": " << t.inferencesCompleted
-        << ", \"reboots\": " << t.reboots
-        << ", \"liveSeconds\": " << t.liveSeconds
-        << ", \"deadSeconds\": " << t.deadSeconds
-        << ", \"totalSeconds\": " << t.totalSeconds()
-        << ", \"energyJ\": " << t.energyJ
-        << ", \"harvestedJ\": " << t.harvestedJ
-        << ", \"inferencesPerDay\": " << t.inferencesPerDay()
-        << ", \"rebootsPerInference\": " << t.rebootsPerInference()
-        << ", \"deadFraction\": " << t.deadFraction()
-        << ", \"energyPerInferenceJ\": " << t.energyPerInferenceJ()
-        << ", \"meanInferenceSeconds\": " << t.meanInferenceSeconds()
-        << ", \"resultsDelivered\": " << t.resultsDelivered
-        << ", \"txAttempts\": " << t.txAttempts
-        << ", \"txRetries\": " << t.txRetries
-        << ", \"txGaveUpRounds\": " << t.txGaveUpRounds
-        << ", \"radioEnergyJ\": " << t.radioEnergyJ
-        << ", \"senseEnergyJ\": " << t.senseEnergyJ
-        << ", \"txBackoffSeconds\": " << t.txBackoffSeconds
-        << ", \"meanDeliverySeconds\": " << t.meanDeliverySeconds()
-        << "}";
-    os_ << obj.str();
+    w_.br(2).beginObject().field("device", t.assignment.deviceIndex)
+        .field("net", t.assignment.net)
+        .field("impl", kernels::implName(t.assignment.impl))
+        .field("environment", t.assignment.environment.label())
+        .field("pipeline", t.assignment.pipeline)
+        .field("seed", t.assignment.seed)
+        .field("status", t.diedNonTerminating
+                             ? "dnf"
+                             : (t.failedIncomplete ? "fail" : "ok"))
+        .field("inferences", t.inferencesCompleted)
+        .field("reboots", t.reboots)
+        .field("liveSeconds", t.liveSeconds)
+        .field("deadSeconds", t.deadSeconds)
+        .field("totalSeconds", t.totalSeconds())
+        .field("energyJ", t.energyJ)
+        .field("harvestedJ", t.harvestedJ)
+        .field("inferencesPerDay", t.inferencesPerDay())
+        .field("rebootsPerInference", t.rebootsPerInference())
+        .field("deadFraction", t.deadFraction())
+        .field("energyPerInferenceJ", t.energyPerInferenceJ())
+        .field("meanInferenceSeconds", t.meanInferenceSeconds())
+        .field("resultsDelivered", t.resultsDelivered)
+        .field("txAttempts", t.txAttempts)
+        .field("txRetries", t.txRetries)
+        .field("txGaveUpRounds", t.txGaveUpRounds)
+        .field("radioEnergyJ", t.radioEnergyJ)
+        .field("senseEnergyJ", t.senseEnergyJ)
+        .field("txBackoffSeconds", t.txBackoffSeconds)
+        .field("meanDeliverySeconds", t.meanDeliverySeconds())
+        .end();
 }
 
 void
 FleetJsonSink::end()
 {
-    os_ << "\n]\n";
+    w_.br(0, /*evenEmpty=*/true).end();
 }
 
 // --- Aggregation ----------------------------------------------------
@@ -748,47 +737,42 @@ nearestRank(const std::vector<f64> &sorted, f64 percentile)
 }
 
 void
-emitGroup(std::ostringstream &os, const GroupStats &g)
+emitGroup(json::Writer &w, const GroupStats &g)
 {
-    os << "{\"devices\": " << g.devices
-       << ", \"dnfDevices\": " << g.dnfDevices
-       << ", \"failedDevices\": " << g.failedDevices
-       << ", \"inferences\": " << g.inferences
-       << ", \"reboots\": " << g.reboots
-       << ", \"liveSeconds\": " << g.liveSeconds
-       << ", \"deadSeconds\": " << g.deadSeconds
-       << ", \"energyJ\": " << g.energyJ
-       << ", \"harvestedJ\": " << g.harvestedJ
-       << ", \"resultsDelivered\": " << g.resultsDelivered
-       << ", \"txGaveUpDevices\": " << g.txGaveUpDevices
-       << ", \"txAttempts\": " << g.txAttempts
-       << ", \"txRetries\": " << g.txRetries
-       << ", \"radioEnergyJ\": " << g.radioEnergyJ
-       << ", \"senseEnergyJ\": " << g.senseEnergyJ
-       << ", \"txBackoffSeconds\": " << g.txBackoffSeconds
-       << ", \"inferencesPerDeviceDay\": " << g.inferencesPerDeviceDay()
-       << ", \"rebootsPerInference\": " << g.rebootsPerInference()
-       << ", \"deadFraction\": " << g.deadFraction()
-       << ", \"energyPerInferenceJ\": " << g.energyPerInferenceJ()
-       << ", \"deliveredPerDeviceDay\": " << g.deliveredPerDeviceDay()
-       << ", \"retriesPerDelivered\": " << g.retriesPerDelivered()
-       << ", \"radioEnergyFraction\": " << g.radioEnergyFraction()
-       << "}";
+    w.beginObject().field("devices", g.devices)
+        .field("dnfDevices", g.dnfDevices)
+        .field("failedDevices", g.failedDevices)
+        .field("inferences", g.inferences)
+        .field("reboots", g.reboots)
+        .field("liveSeconds", g.liveSeconds)
+        .field("deadSeconds", g.deadSeconds)
+        .field("energyJ", g.energyJ)
+        .field("harvestedJ", g.harvestedJ)
+        .field("resultsDelivered", g.resultsDelivered)
+        .field("txGaveUpDevices", g.txGaveUpDevices)
+        .field("txAttempts", g.txAttempts)
+        .field("txRetries", g.txRetries)
+        .field("radioEnergyJ", g.radioEnergyJ)
+        .field("senseEnergyJ", g.senseEnergyJ)
+        .field("txBackoffSeconds", g.txBackoffSeconds)
+        .field("inferencesPerDeviceDay", g.inferencesPerDeviceDay())
+        .field("rebootsPerInference", g.rebootsPerInference())
+        .field("deadFraction", g.deadFraction())
+        .field("energyPerInferenceJ", g.energyPerInferenceJ())
+        .field("deliveredPerDeviceDay", g.deliveredPerDeviceDay())
+        .field("retriesPerDelivered", g.retriesPerDelivered())
+        .field("radioEnergyFraction", g.radioEnergyFraction())
+        .end();
 }
 
 void
-emitGroupMap(std::ostringstream &os, const char *key,
+emitGroupMap(json::Writer &w, const char *key,
              const std::map<std::string, GroupStats> &groups)
 {
-    os << ",\n  \"" << key << "\": {";
-    bool first = true;
-    for (const auto &[name, stats] : groups) {
-        os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(name)
-           << "\": ";
-        emitGroup(os, stats);
-        first = false;
-    }
-    os << (groups.empty() ? "}" : "\n  }");
+    w.br(2).key(key).beginObject();
+    for (const auto &[name, stats] : groups)
+        emitGroup(w.br(4).key(name), stats);
+    w.br(2).end();
 }
 
 } // namespace
@@ -799,23 +783,24 @@ FleetSummary::toJson() const
     // Note: `cache` is deliberately not emitted — the artifact must be
     // byte-identical between memoized and --no-cache runs.
     std::ostringstream os;
-    os.precision(17);
-    os << "{\n  \"devices\": " << devices
-       << ",\n  \"horizonSeconds\": " << horizonSeconds
-       << ",\n  \"baseSeed\": " << baseSeed
-       << ",\n  \"latencyP50Seconds\": " << latencyP50Seconds
-       << ",\n  \"latencyP95Seconds\": " << latencyP95Seconds
-       << ",\n  \"latencyP99Seconds\": " << latencyP99Seconds
-       << ",\n  \"deliveryP50Seconds\": " << deliveryP50Seconds
-       << ",\n  \"deliveryP95Seconds\": " << deliveryP95Seconds
-       << ",\n  \"deliveryP99Seconds\": " << deliveryP99Seconds
-       << ",\n  \"total\": ";
-    emitGroup(os, total);
-    emitGroupMap(os, "byEnvironment", byEnvironment);
-    emitGroupMap(os, "byImpl", byImpl);
-    emitGroupMap(os, "byNet", byNet);
-    emitGroupMap(os, "byPipeline", byPipeline);
-    os << "\n}\n";
+    json::Writer w(os);
+    w.beginObject()
+        .br(2).field("devices", devices)
+        .br(2).field("horizonSeconds", horizonSeconds)
+        .br(2).field("baseSeed", baseSeed)
+        .br(2).field("latencyP50Seconds", latencyP50Seconds)
+        .br(2).field("latencyP95Seconds", latencyP95Seconds)
+        .br(2).field("latencyP99Seconds", latencyP99Seconds)
+        .br(2).field("deliveryP50Seconds", deliveryP50Seconds)
+        .br(2).field("deliveryP95Seconds", deliveryP95Seconds)
+        .br(2).field("deliveryP99Seconds", deliveryP99Seconds)
+        .br(2).key("total");
+    emitGroup(w, total);
+    emitGroupMap(w, "byEnvironment", byEnvironment);
+    emitGroupMap(w, "byImpl", byImpl);
+    emitGroupMap(w, "byNet", byNet);
+    emitGroupMap(w, "byPipeline", byPipeline);
+    w.br(0).end();
     return os.str();
 }
 

@@ -38,6 +38,7 @@
 #include "app/experiment.hh"
 #include "env/environment.hh"
 #include "pipeline/pipeline.hh"
+#include "util/json.hh"
 
 namespace sonic::trace
 {
@@ -331,19 +332,19 @@ class FleetCsvSink : public FleetSink
 };
 
 /** Streams a JSON array with one object per device (the same stored
- * and derived fields as the CSV rows, at round-trip precision). */
+ * and derived fields as the CSV rows, in the same fmtF64 text; a
+ * non-finite rate is null). */
 class FleetJsonSink : public FleetSink
 {
   public:
-    explicit FleetJsonSink(std::ostream &os) : os_(os) {}
+    explicit FleetJsonSink(std::ostream &os) : w_(os) {}
 
     void begin(u64 totalDevices) override;
     void add(const DeviceTelemetry &device) override;
     void end() override;
 
   private:
-    std::ostream &os_;
-    bool first_ = true;
+    json::Writer w_;
 };
 
 /**

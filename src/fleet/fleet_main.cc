@@ -181,6 +181,10 @@ main(int argc, char **argv)
     }
 
     const auto summary = fleet::runFleet(plan, options, sinks);
+    if (!cli::finishOutput(csv_file, csv_path)
+        || !cli::finishOutput(json_file, json_path)
+        || !cli::finishOutput(sonicz_file, sonicz_path))
+        return 1;
 
     if (!trace_out_path.empty()) {
         std::ofstream trace_file;
@@ -188,6 +192,8 @@ main(int argc, char **argv)
             return 2;
         collector.write(trace_file,
                         effectiveThreads(options.threads));
+        if (!cli::finishOutput(trace_file, trace_out_path))
+            return 1;
         std::cout << "trace: " << collector.devices() << " devices, "
                   << collector.events() << " events -> "
                   << trace_out_path << "\n";
@@ -242,6 +248,8 @@ main(int argc, char **argv)
         if (!cli::openOutput(out, summary_path))
             return 2;
         out << summary.toJson();
+        if (!cli::finishOutput(out, summary_path))
+            return 1;
         std::cout << "fleet summary written to " << summary_path
                   << "\n";
     }

@@ -10,7 +10,6 @@
 #include "kernels/runner.hh"
 #include "pipeline/pipeline.hh"
 #include "util/cli.hh"
-#include "util/fmt.hh"
 #include "util/json.hh"
 #include "util/json_parse.hh"
 #include "util/logging.hh"
@@ -84,47 +83,33 @@ std::string
 Plan::toJson() const
 {
     std::ostringstream os;
-    const auto string_list =
-        [&os](const std::vector<std::string> &values) {
-            os << "[";
-            for (u64 i = 0; i < values.size(); ++i)
-                os << (i > 0 ? ", " : "") << jsonQuote(values[i]);
-            os << "]";
-        };
-
-    os << "{\n  \"format\": \"" << kPlanFormat << "\",\n"
-       << "  \"objective\": \"" << objectiveName(objective)
-       << "\",\n"
-       << "  \"scenario\": {\n"
-       << "    \"name\": " << jsonQuote(scenario) << ",\n"
-       << "    \"devices\": " << devices << ",\n"
-       << "    \"horizonSeconds\": " << fmtF64(horizonSeconds)
-       << ",\n"
-       << "    \"maxInferencesPerDevice\": " << maxInferencesPerDevice
-       << ",\n"
-       << "    \"profile\": " << jsonQuote(profile) << ",\n"
-       << "    \"baseSeed\": \"" << baseSeed << "\",\n"
-       << "    \"nets\": ";
-    string_list(nets);
-    os << ",\n    \"impls\": ";
-    string_list(impls);
-    os << ",\n    \"environments\": ";
-    string_list(envLabels);
-    os << ",\n    \"pipelines\": ";
-    string_list(pipelines);
-    os << "\n  },\n  \"choices\": [";
-    for (u64 i = 0; i < choices.size(); ++i) {
-        const auto &c = choices[i];
-        os << (i > 0 ? "," : "") << "\n    {\"env\": "
-           << jsonQuote(c.envLabel) << ", \"net\": "
-           << jsonQuote(c.net) << ", \"pipeline\": "
-           << jsonQuote(c.pipeline) << ", \"impl\": "
-           << jsonQuote(c.impl) << ", \"score\": "
-           << fmtF64(c.score) << ", \"devices\": "
-           << c.devicesObserved << ", \"probed\": "
-           << (c.probed ? "true" : "false") << "}";
-    }
-    os << "\n  ]\n}\n";
+    json::Writer w(os);
+    w.beginObject()
+        .br(2).field("format", kPlanFormat)
+        .br(2).field("objective", objectiveName(objective))
+        .br(2).key("scenario").beginObject()
+        .br(4).field("name", scenario)
+        .br(4).field("devices", devices)
+        .br(4).field("horizonSeconds", horizonSeconds)
+        .br(4).field("maxInferencesPerDevice", maxInferencesPerDevice)
+        .br(4).field("profile", profile)
+        .br(4).field("baseSeed", std::to_string(baseSeed))
+        .br(4).key("nets").array(nets)
+        .br(4).key("impls").array(impls)
+        .br(4).key("environments").array(envLabels)
+        .br(4).key("pipelines").array(pipelines)
+        .br(2).end()
+        .br(2).key("choices").beginArray();
+    for (const auto &c : choices)
+        w.br(4).beginObject().field("env", c.envLabel)
+            .field("net", c.net)
+            .field("pipeline", c.pipeline)
+            .field("impl", c.impl)
+            .field("score", c.score)
+            .field("devices", c.devicesObserved)
+            .field("probed", c.probed)
+            .end();
+    w.br(2, /*evenEmpty=*/true).end().br(0).end();
     return os.str();
 }
 

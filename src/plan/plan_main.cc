@@ -191,6 +191,8 @@ main(int argc, char **argv)
             if (!cli::openOutput(out, plan_path))
                 return 2;
             out << plan.toJson();
+            if (!cli::finishOutput(out, plan_path))
+                return 1;
             std::cout << "plan written to " << plan_path << "\n";
         }
     }
@@ -220,6 +222,8 @@ main(int argc, char **argv)
         if (!cli::openOutput(out, confirm_summary_path))
             return 2;
         out << result.planSummaryJson;
+        if (!cli::finishOutput(out, confirm_summary_path))
+            return 1;
         std::cout << "confirming fleet summary written to "
                   << confirm_summary_path << "\n";
     }

@@ -85,17 +85,12 @@ main(int argc, char **argv)
         return 2;
     std::ostream &out = out_path.empty() ? std::cout : out_file;
 
-    if (summary_only) {
-        if (!telemetry::soniczSummary(in, out, options, &error)) {
-            std::cerr << error << "\n";
-            return 1;
-        }
-        return 0;
-    }
-
-    if (!telemetry::catSonicz(in, out, options, &error)) {
+    const bool ok = summary_only
+        ? telemetry::soniczSummary(in, out, options, &error)
+        : telemetry::catSonicz(in, out, options, &error);
+    if (!ok) {
         std::cerr << error << "\n";
         return 1;
     }
-    return 0;
+    return cli::finishOutput(out_file, out_path) ? 0 : 1;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
@@ -102,7 +103,8 @@ const std::vector<ColumnSpec> kTraceColumns = {
     {"arg", ColType::Int},
     {"t", ColType::F64},
     {"energyJ", ColType::F64},
-    {"value", ColType::F64},
+    // A lease from an unlimited supply grants +inf joules.
+    {"value", ColType::F64, /*plusInfinity=*/true},
     {"label", ColType::Str},
 };
 // clang-format on
@@ -790,8 +792,11 @@ decodeIntColumn(const Bytes &raw, std::vector<u64> *out)
     return pos == raw.size();
 }
 
+/** Fails on NaN and on an infinity, bar +inf where `plusInfinity`: no
+ * writer stores one, and summaries and JSON could not carry it. */
 bool
-decodeF64Column(const Bytes &raw, std::vector<f64> *out)
+decodeF64Column(const Bytes &raw, std::vector<f64> *out,
+                bool plusInfinity)
 {
     if (raw.size() % 8 != 0)
         return false;
@@ -801,7 +806,10 @@ decodeF64Column(const Bytes &raw, std::vector<f64> *out)
         u64 bits = 0;
         if (!getU64Le(raw, &pos, &bits))
             return false;
-        out->push_back(std::bit_cast<f64>(bits));
+        const f64 value = std::bit_cast<f64>(bits);
+        if (!std::isfinite(value) && !(plusInfinity && value > 0.0))
+            return false;
+        out->push_back(value);
     }
     return true;
 }
@@ -1438,7 +1446,8 @@ readSoniczImpl(std::istream &in,
                 ok = decodeIntColumn(raw, &decoded.ints);
                 break;
               case ColType::F64:
-                ok = decodeF64Column(raw, &decoded.f64s);
+                ok = decodeF64Column(raw, &decoded.f64s,
+                                     known[fc.buildCol].plusInfinity);
                 break;
             }
             if (!ok)

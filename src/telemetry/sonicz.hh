@@ -90,6 +90,9 @@ struct ColumnSpec
 {
     const char *name;
     ColType type;
+    /** An F64 column that may hold +inf; readers reject every other
+     * non-finite cell. */
+    bool plusInfinity = false;
 };
 
 /** The fixed column list of a schema kind. */

@@ -5,6 +5,7 @@
 #include <ostream>
 
 #include "arch/device.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace sonic::trace
@@ -265,24 +266,6 @@ enum : u32
     kTidPower = 2
 };
 
-void
-jsonEscape(const std::string &s, std::string *out)
-{
-    for (const char c : s) {
-        if (c == '"' || c == '\\') {
-            out->push_back('\\');
-            out->push_back(c);
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x",
-                          static_cast<unsigned>(c));
-            out->append(buf);
-        } else {
-            out->push_back(c);
-        }
-    }
-}
-
 /** Microsecond timestamp with nanosecond resolution. */
 std::string
 micros(f64 seconds)
@@ -292,88 +275,67 @@ micros(f64 seconds)
     return buf;
 }
 
-std::string
-jsonF64(f64 v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
 class ChromeWriter
 {
   public:
-    explicit ChromeWriter(std::ostream &os) : os_(os)
+    explicit ChromeWriter(std::ostream &os) : w_(os, /*compact=*/true)
     {
-        os_ << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+        w_.beginObject().field("displayTimeUnit", "ms")
+            .key("traceEvents").beginArray();
     }
 
     void
     meta(u64 pid, i64 tid, const char *what, const std::string &name)
     {
-        std::string escaped;
-        jsonEscape(name, &escaped);
-        sep();
-        os_ << "{\"ph\":\"M\",\"pid\":" << pid;
+        w_.beginObject().field("ph", "M").field("pid", pid);
         if (tid >= 0)
-            os_ << ",\"tid\":" << tid;
-        os_ << ",\"name\":\"" << what << "\",\"args\":{\"name\":\""
-            << escaped << "\"}}";
+            w_.field("tid", tid);
+        w_.field("name", what).key("args").beginObject()
+            .field("name", name).end().end();
     }
 
     void
     span(char ph, u64 pid, u32 tid, const char *name, f64 t,
          f64 energyJ, u32 arg)
     {
-        sep();
-        os_ << "{\"ph\":\"" << ph << "\",\"pid\":" << pid
-            << ",\"tid\":" << tid << ",\"name\":\"" << name
-            << "\",\"ts\":" << micros(t)
-            << ",\"args\":{\"energyJ\":" << jsonF64(energyJ)
-            << ",\"arg\":" << arg << "}}";
+        event({&ph, 1}, pid, tid, name, t).key("args").beginObject()
+            .field("energyJ", energyJ).field("arg", arg).end().end();
     }
 
     void
     complete(u64 pid, u32 tid, const std::string &name, f64 t, f64 dur,
              f64 energyJ)
     {
-        std::string escaped;
-        jsonEscape(name, &escaped);
-        sep();
-        os_ << "{\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << tid
-            << ",\"name\":\"" << escaped << "\",\"ts\":" << micros(t)
-            << ",\"dur\":" << micros(dur)
-            << ",\"args\":{\"energyJ\":" << jsonF64(energyJ) << "}}";
+        event("X", pid, tid, name, t).key("dur").number(micros(dur))
+            .key("args").beginObject().field("energyJ", energyJ)
+            .end().end();
     }
 
     void
     instant(u64 pid, u32 tid, const char *name, f64 t, u32 arg,
             const char *argName)
     {
-        sep();
-        os_ << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" << pid
-            << ",\"tid\":" << tid << ",\"name\":\"" << name
-            << "\",\"ts\":" << micros(t) << ",\"args\":{\"" << argName
-            << "\":" << arg << "}}";
+        event("i", pid, tid, name, t).key("args").beginObject()
+            .field(argName, arg).end().end();
     }
 
-    void
-    finish()
-    {
-        os_ << "]}\n";
-    }
+    void finish() { w_.end().end(); }
 
   private:
-    void
-    sep()
+    /** Opens a timed event: its phase, then the fields all of them
+     * share. Instants are thread-scoped. */
+    json::Writer &
+    event(std::string_view ph, u64 pid, u32 tid, std::string_view name,
+          f64 t)
     {
-        if (!first_)
-            os_ << ",";
-        first_ = false;
+        w_.beginObject().field("ph", ph);
+        if (ph == "i")
+            w_.field("s", "t");
+        return w_.field("pid", pid).field("tid", tid).field("name", name)
+            .key("ts").number(micros(t));
     }
 
-    std::ostream &os_;
-    bool first_ = true;
+    json::Writer w_;
 };
 
 /** One device's open layer window (for derived per-layer spans). */

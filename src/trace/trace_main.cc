@@ -64,14 +64,12 @@ main(int argc, char **argv)
 
     if (export_format == "chrome") {
         trace::exportChromeTrace(rows, out);
-        return 0;
-    }
-    if (flame) {
+    } else if (flame) {
         trace::writeFlameRollup(rows, out);
-        return 0;
+    } else {
+        // Default (and explicit --summary): compact statistics.
+        (void)summary;
+        trace::writeTraceSummary(rows, out);
     }
-    // Default (and explicit --summary): compact statistics.
-    (void)summary;
-    trace::writeTraceSummary(rows, out);
-    return 0;
+    return cli::finishOutput(out_file, out_path) ? 0 : 1;
 }

@@ -102,6 +102,17 @@ openOutput(std::ofstream &file, const std::string &path,
     return static_cast<bool>(file);
 }
 
+bool
+finishOutput(std::ofstream &file, const std::string &path)
+{
+    if (!file.is_open())
+        return true;
+    file.close();
+    if (!file)
+        std::cerr << "write to " << path << " failed\n";
+    return static_cast<bool>(file);
+}
+
 Flags &
 Flags::oneOf(std::string name, std::string *target,
              std::vector<std::string> choices)

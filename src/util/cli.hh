@@ -34,6 +34,12 @@ bool parseU64(std::string_view text, u64 *out);
 bool openOutput(std::ofstream &file, const std::string &path,
                 std::ios::openmode mode = std::ios::out);
 
+/** Close a file openOutput opened, after its last write, or print
+ * "write to PATH failed" and return false (the CLI then exits 1): a
+ * full disk only shows once the buffer is flushed. A file that was
+ * never opened passes. */
+bool finishOutput(std::ofstream &file, const std::string &path);
+
 /** One CLI's flag table (see the file comment). */
 class Flags
 {

@@ -1,7 +1,8 @@
 /**
  * @file
  * Shortest-round-trip floating-point formatting shared by every sink
- * that emits f64 values as text (the CSV sinks, sonic_cat re-emission).
+ * that emits f64 values as text: the CSV sinks, sonic_cat re-emission
+ * and, through json::Writer (util/json.hh), every JSON artifact.
  * One formatter so "lossless" means the same thing everywhere: the
  * emitted digits are the fewest that parse back to the identical bit
  * pattern (std::to_chars general form), so CSV -> parse -> re-emit is

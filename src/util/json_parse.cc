@@ -1,5 +1,6 @@
 #include "util/json_parse.hh"
 
+#include <charconv>
 #include <cstring>
 
 namespace sonic::jsonp
@@ -237,17 +238,16 @@ class JsonParser
         }
         if (!digits)
             return fail("invalid number");
-        const std::string token = text_.substr(start, pos_ - start);
-        try {
-            std::size_t used = 0;
-            out->v = std::stod(token, &used);
-            // stod parsing a valid prefix of a malformed token (e.g.
-            // "6..2e+-") is not acceptance.
-            if (used != token.size())
-                return fail("invalid number");
-        } catch (const std::exception &) {
-            return fail("unparsable number");
-        }
+        // from_chars, not stod: stod throws on a subnormal such as
+        // 5e-324, which the writer emits. Parsing only a valid prefix
+        // of a malformed token (e.g. "6..2e+-") is not acceptance.
+        const char *last = text_.data() + pos_;
+        f64 value = 0.0;
+        const auto [stop, ec] =
+            std::from_chars(text_.data() + start, last, value);
+        if (ec != std::errc() || stop != last)
+            return fail("invalid number");
+        out->v = value;
         return true;
     }
 

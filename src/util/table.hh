@@ -61,7 +61,7 @@ class Table
  * RFC 4180 CSV quoting: a field containing a comma, quote or newline
  * is wrapped in quotes with embedded quotes doubled. One
  * implementation for every CSV-emitting sink, so a quoting fix lands
- * everywhere at once (the jsonEscape principle, util/json.hh).
+ * everywhere at once (as json::Writer does for JSON, util/json.hh).
  */
 inline std::string
 csvQuote(const std::string &s)

@@ -103,33 +103,6 @@ hex64(u64 v)
     return os.str();
 }
 
-void
-appendIndexArray(std::ostringstream &os, const std::vector<u64> &values)
-{
-    os << "[";
-    for (u64 i = 0; i < values.size(); ++i)
-        os << (i ? ", " : "") << values[i];
-    os << "]";
-}
-
-void
-appendDigestArray(std::ostringstream &os, const std::vector<u64> &values)
-{
-    os << "[";
-    for (u64 i = 0; i < values.size(); ++i)
-        os << (i ? ", " : "") << "\"" << hex64(values[i]) << "\"";
-    os << "]";
-}
-
-void
-appendLogitArray(std::ostringstream &os, const std::vector<i16> &values)
-{
-    os << "[";
-    for (u64 i = 0; i < values.size(); ++i)
-        os << (i ? ", " : "") << values[i];
-    os << "]";
-}
-
 } // namespace
 
 Observation
@@ -660,31 +633,28 @@ std::string
 reportJson(const OracleReport &report)
 {
     std::ostringstream os;
-    os << "{\n  \"impl\": " << jsonQuote(report.impl)
-       << ",\n  \"workload\": " << jsonQuote(report.workload)
-       << ",\n  \"schedulesRun\": "
-       << report.schedulesRun << ",\n  \"totalFired\": "
-       << report.totalFired << ",\n  \"totalReboots\": "
-       << report.totalReboots << ",\n  \"divergences\": [";
-    for (u64 i = 0; i < report.divergences.size(); ++i) {
-        const Divergence &d = report.divergences[i];
-        os << (i ? ",\n" : "\n") << "    {\"reason\": "
-           << jsonQuote(d.reason) << ",\n     \"schedule\": ";
-        appendIndexArray(os, d.schedule);
-        os << ",\n     \"shrunk\": ";
-        appendIndexArray(os, d.shrunk);
-        os << ",\n     \"shrunkCompleted\": "
-           << (d.observed.completed ? "true" : "false")
-           << ", \"shrunkReboots\": " << d.observed.reboots
-           << ",\n     \"shrunkLogits\": ";
-        appendLogitArray(os, d.observed.logits);
-        os << ",\n     \"shrunkRebootDigests\": ";
-        appendDigestArray(os, d.observed.rebootDigests);
+    json::Writer w(os);
+    w.beginObject()
+        .br(2).field("impl", report.impl)
+        .br(2).field("workload", report.workload)
+        .br(2).field("schedulesRun", report.schedulesRun)
+        .br(2).field("totalFired", report.totalFired)
+        .br(2).field("totalReboots", report.totalReboots)
+        .br(2).key("divergences").beginArray();
+    for (const Divergence &d : report.divergences) {
+        w.br(4).beginObject().field("reason", d.reason)
+            .br(5).key("schedule").array(d.schedule)
+            .br(5).key("shrunk").array(d.shrunk)
+            .br(5).field("shrunkCompleted", d.observed.completed)
+            .field("shrunkReboots", d.observed.reboots)
+            .br(5).key("shrunkLogits").array(d.observed.logits)
+            .br(5).key("shrunkRebootDigests")
+            .array(d.observed.rebootDigests, hex64);
         if (!d.tracePath.empty())
-            os << ",\n     \"tracePath\": " << jsonQuote(d.tracePath);
-        os << "}";
+            w.br(5).field("tracePath", d.tracePath);
+        w.end();
     }
-    os << (report.divergences.empty() ? "]" : "\n  ]") << "\n}\n";
+    w.br(2).end().br(0).end();
     return os.str();
 }
 
@@ -812,12 +782,14 @@ goldenJson(const GoldenConfig &config)
     // only exactly-reproducible integers are committed — counts,
     // cycles, logits and digests.
     std::ostringstream os;
-    os << "{\n  \"workload\": \"golden\",\n  \"netSeed\": "
-       << config.netSeed << ",\n  \"scheduleSeed\": "
-       << config.scheduleSeed << ",\n  \"impls\": [";
+    json::Writer w(os);
+    w.beginObject()
+        .br(2).field("workload", "golden")
+        .br(2).field("netSeed", config.netSeed)
+        .br(2).field("scheduleSeed", config.scheduleSeed)
+        .br(2).key("impls").beginArray();
 
     const auto impls = kernels::ImplRegistry::instance().all();
-    bool first_impl = true;
     for (const auto impl : impls) {
         const auto *info = kernels::ImplRegistry::instance().find(impl);
         LocalWorkload workload;
@@ -826,53 +798,40 @@ goldenJson(const GoldenConfig &config)
         workload.impl = impl;
 
         const GoldenContinuous cont = goldenContinuousRun(workload);
-        os << (first_impl ? "\n" : ",\n");
-        first_impl = false;
-        os << "    {\"name\": \"" << info->name
-           << "\", \"crashConsistent\": "
-           << (info->crashConsistent ? "true" : "false")
-           << ",\n     \"continuous\": {\"cycles\": " << cont.obs.cycles
-           << ", \"opInstances\": " << cont.obs.opInstances
-           << ", \"draws\": " << cont.draws << ",\n       \"logits\": ";
-        appendLogitArray(os, cont.obs.logits);
-        os << ", \"finalNvmDigest\": \""
-           << hex64(cont.obs.finalNvmDigest) << "\",\n       \"layers\": [";
-        for (u64 l = 0; l < cont.layerDigests.size(); ++l) {
-            os << (l ? ", " : "") << "{\"name\": \""
-               << cont.layerDigests[l].first << "\", \"digest\": \""
-               << hex64(cont.layerDigests[l].second) << "\"}";
-        }
-        os << "]},\n     \"schedules\": [";
+        w.br(4).beginObject().field("name", info->name)
+            .field("crashConsistent", info->crashConsistent)
+            .br(5).key("continuous").beginObject()
+            .field("cycles", cont.obs.cycles)
+            .field("opInstances", cont.obs.opInstances)
+            .field("draws", cont.draws)
+            .br(7).key("logits").array(cont.obs.logits)
+            .field("finalNvmDigest", hex64(cont.obs.finalNvmDigest))
+            .br(7).key("layers").beginArray();
+        for (const auto &[name, digest] : cont.layerDigests)
+            w.beginObject().field("name", name)
+                .field("digest", hex64(digest)).end();
+        w.end().end().br(5).key("schedules").beginArray();
 
         ScheduleGenConfig gen;
         gen.seed = config.scheduleSeed
             ^ (static_cast<u64>(impl) * 0x9e3779b97f4a7c15ull);
         gen.opHorizon = cont.draws;
         gen.maxFailures = config.maxFailures;
-        const auto schedules =
-            uniformSchedules(config.schedulesPerImpl, gen);
-        for (u64 s = 0; s < schedules.size(); ++s) {
-            const Observation o =
-                runSchedule(workload, schedules[s], true);
-            os << (s ? ",\n       " : "\n       ")
-               << "{\"indices\": ";
-            appendIndexArray(os, schedules[s]);
-            os << ", \"fired\": " << o.fired << ", \"reboots\": "
-               << o.reboots << ", \"completed\": "
-               << (o.completed ? "true" : "false")
-               << ", \"logitsMatchContinuous\": "
-               << (o.completed && o.logits == cont.obs.logits
-                       ? "true"
-                       : "false")
-               << ",\n        \"finalNvmDigest\": \""
-               << hex64(o.finalNvmDigest)
-               << "\", \"rebootDigests\": ";
-            appendDigestArray(os, o.rebootDigests);
-            os << "}";
+        for (const auto &schedule :
+             uniformSchedules(config.schedulesPerImpl, gen)) {
+            const Observation o = runSchedule(workload, schedule, true);
+            w.br(7).beginObject().key("indices").array(schedule)
+                .field("fired", o.fired).field("reboots", o.reboots)
+                .field("completed", o.completed)
+                .field("logitsMatchContinuous",
+                       o.completed && o.logits == cont.obs.logits)
+                .br(8).field("finalNvmDigest", hex64(o.finalNvmDigest))
+                .key("rebootDigests").array(o.rebootDigests, hex64)
+                .end();
         }
-        os << (schedules.empty() ? "]}" : "\n     ]}");
+        w.br(5).end().end();
     }
-    os << "\n  ]\n}\n";
+    w.br(2).end().br(0).end();
     return os.str();
 }
 

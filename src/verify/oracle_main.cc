@@ -151,6 +151,8 @@ runGoldenFileMode(const Args &args)
         if (!cli::openOutput(out, args.emitGolden))
             return 2;
         out << content;
+        if (!cli::finishOutput(out, args.emitGolden))
+            return 1;
         std::cout << "wrote golden digests to " << args.emitGolden
                   << "\n";
         return 0;
@@ -407,7 +409,9 @@ main(int argc, char **argv)
     }
 
     if (divergent > 0 && !args.artifact.empty()) {
-        std::ofstream out(args.artifact);
+        std::ofstream out;
+        if (!cli::openOutput(out, args.artifact))
+            return 2;
         out << "[\n";
         bool first = true;
         for (const auto &report : reports) {
@@ -417,6 +421,8 @@ main(int argc, char **argv)
             first = false;
         }
         out << "]\n";
+        if (!cli::finishOutput(out, args.artifact))
+            return 1;
         std::cout << "failure-shrink artifact written to "
                   << args.artifact << "\n";
     }

@@ -18,13 +18,16 @@
 #include <cstdint>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <random>
 #include <sstream>
+#include <variant>
 
 #include "telemetry/aggregate.hh"
 #include "telemetry/cat.hh"
 #include "telemetry/codec.hh"
 #include "telemetry/sonicz.hh"
+#include "util/json_parse.hh"
 
 namespace sonic
 {
@@ -247,6 +250,105 @@ catToString(const std::string &packed,
     return out.str();
 }
 
+// --- Parsed JSON sink output ----------------------------------------
+
+/** The array `json` parses to (empty when it does not parse). */
+jsonp::JsonArray
+parsedArray(const std::string &json)
+{
+    jsonp::JsonValue root;
+    std::string error;
+    EXPECT_TRUE(jsonp::parseJson(json, &root, &error)) << error;
+    const auto *array = root.array();
+    return array != nullptr ? *array : jsonp::JsonArray{};
+}
+
+/** `obj[key]` is `expected` bit for bit, or null where `expected` is
+ * not finite (JSON has no token for it). */
+void
+expectJsonF64(const jsonp::JsonObject &obj, const std::string &key,
+              f64 expected)
+{
+    const auto it = obj.find(key);
+    ASSERT_NE(it, obj.end()) << key;
+    if (!std::isfinite(expected)) {
+        EXPECT_TRUE(
+            std::holds_alternative<std::nullptr_t>(it->second.v))
+            << key;
+        return;
+    }
+    const f64 *got = it->second.number();
+    ASSERT_NE(got, nullptr) << key;
+    EXPECT_EQ(std::bit_cast<u64>(*got), std::bit_cast<u64>(expected))
+        << key << " = " << *got;
+}
+
+void
+expectSweepJsonValues(const std::string &json,
+                      const std::vector<app::SweepRecord> &records)
+{
+    const auto array = parsedArray(json);
+    ASSERT_EQ(array.size(), records.size());
+    for (u64 i = 0; i < records.size(); ++i) {
+        const auto *obj = array[i].object();
+        ASSERT_NE(obj, nullptr);
+        const auto &r = records[i].result;
+        expectJsonF64(*obj, "liveSeconds", r.liveSeconds);
+        expectJsonF64(*obj, "deadSeconds", r.deadSeconds);
+        expectJsonF64(*obj, "totalSeconds", r.totalSeconds);
+        expectJsonF64(*obj, "energyJ", r.energyJ);
+        expectJsonF64(*obj, "harvestedJ", r.harvestedJ);
+        const auto *layers = obj->at("layers").array();
+        ASSERT_NE(layers, nullptr);
+        ASSERT_EQ(layers->size(), r.layers.size());
+        for (u64 l = 0; l < r.layers.size(); ++l) {
+            const auto *layer = (*layers)[l].object();
+            ASSERT_NE(layer, nullptr);
+            expectJsonF64(*layer, "kernelSeconds",
+                          r.layers[l].kernelSeconds);
+            expectJsonF64(*layer, "controlSeconds",
+                          r.layers[l].controlSeconds);
+            expectJsonF64(*layer, "energyJ", r.layers[l].energyJ);
+        }
+        const auto *ops = obj->at("energyByOp").object();
+        ASSERT_NE(ops, nullptr);
+        ASSERT_EQ(ops->size(), r.energyByOp.size());
+        for (const auto &[op, joules] : r.energyByOp)
+            expectJsonF64(*ops, op, joules);
+    }
+}
+
+void
+expectFleetJsonValues(const std::string &json,
+                      const std::vector<fleet::DeviceTelemetry> &rows)
+{
+    const auto array = parsedArray(json);
+    ASSERT_EQ(array.size(), rows.size());
+    for (u64 i = 0; i < rows.size(); ++i) {
+        const auto *obj = array[i].object();
+        ASSERT_NE(obj, nullptr);
+        const auto &t = rows[i];
+        expectJsonF64(*obj, "liveSeconds", t.liveSeconds);
+        expectJsonF64(*obj, "deadSeconds", t.deadSeconds);
+        expectJsonF64(*obj, "totalSeconds", t.totalSeconds());
+        expectJsonF64(*obj, "energyJ", t.energyJ);
+        expectJsonF64(*obj, "harvestedJ", t.harvestedJ);
+        expectJsonF64(*obj, "inferencesPerDay", t.inferencesPerDay());
+        expectJsonF64(*obj, "rebootsPerInference",
+                      t.rebootsPerInference());
+        expectJsonF64(*obj, "deadFraction", t.deadFraction());
+        expectJsonF64(*obj, "energyPerInferenceJ",
+                      t.energyPerInferenceJ());
+        expectJsonF64(*obj, "meanInferenceSeconds",
+                      t.meanInferenceSeconds());
+        expectJsonF64(*obj, "radioEnergyJ", t.radioEnergyJ);
+        expectJsonF64(*obj, "senseEnergyJ", t.senseEnergyJ);
+        expectJsonF64(*obj, "txBackoffSeconds", t.txBackoffSeconds);
+        expectJsonF64(*obj, "meanDeliverySeconds",
+                      t.meanDeliverySeconds());
+    }
+}
+
 // --- Codec primitives -----------------------------------------------
 
 TEST(TelemetryCodec, VarintRoundTrip)
@@ -379,8 +481,9 @@ TEST(Sonicz, SweepRoundTripIsByteIdentical)
     EXPECT_EQ(catToString(packed, options),
               directSweepOutput(records, /*json=*/false));
     options.format = telemetry::CatOptions::Format::Json;
-    EXPECT_EQ(catToString(packed, options),
-              directSweepOutput(records, /*json=*/true));
+    const std::string json = directSweepOutput(records, /*json=*/true);
+    EXPECT_EQ(catToString(packed, options), json);
+    expectSweepJsonValues(json, records);
 }
 
 TEST(Sonicz, FleetRoundTripIsByteIdenticalAcrossBlocks)
@@ -397,8 +500,9 @@ TEST(Sonicz, FleetRoundTripIsByteIdenticalAcrossBlocks)
     EXPECT_EQ(catToString(packed, options),
               directFleetOutput(rows, /*json=*/false));
     options.format = telemetry::CatOptions::Format::Json;
-    EXPECT_EQ(catToString(packed, options),
-              directFleetOutput(rows, /*json=*/true));
+    const std::string json = directFleetOutput(rows, /*json=*/true);
+    EXPECT_EQ(catToString(packed, options), json);
+    expectFleetJsonValues(json, rows);
 
     std::istringstream in(packed);
     telemetry::SoniczInfo info;
@@ -656,6 +760,98 @@ TEST(Sonicz, EverySingleByteCorruptionIsRejected)
  * format grew one) must keep reading byte-for-byte — the oldest
  * telemetry a deployment archived is the telemetry the planner will
  * one day be asked to ingest. */
+TEST(Sonicz, NonFiniteCellsAreRejectedNamingTheColumn)
+{
+    // No writer stores NaN or an infinity in these schemas; a file
+    // that does must fail every reader, not sum into a summary or
+    // print as `inf` (the trace schema's one exception is in
+    // test_trace).
+    std::mt19937_64 rng(0x7a7);
+    std::vector<fleet::DeviceTelemetry> rows;
+    for (u32 i = 0; i < 8; ++i)
+        rows.push_back(randomFleetTelemetry(rng, i));
+    rows[5].liveSeconds = std::nan("");
+    const std::string fleet_packed = packFleet(rows);
+
+    std::vector<app::SweepRecord> records;
+    for (u32 i = 0; i < 8; ++i)
+        records.push_back(randomSweepRecord(rng, i));
+    records[2].result.energyJ = -std::numeric_limits<f64>::infinity();
+    const std::string sweep_packed = packSweep(records);
+
+    const auto expect_rejected = [](bool ok, const std::string &error,
+                                    const char *column) {
+        EXPECT_FALSE(ok);
+        EXPECT_NE(error.find("block 0"), std::string::npos) << error;
+        EXPECT_NE(error.find(std::string("column '") + column + "'"),
+                  std::string::npos)
+            << error;
+    };
+    for (const auto &[packed, column] :
+         {std::pair{fleet_packed, "liveSeconds"},
+          std::pair{sweep_packed, "energyJ"}}) {
+        std::istringstream in(packed);
+        std::string error;
+        expect_rejected(telemetry::readSonicz(in, nullptr, nullptr,
+                                              nullptr, &error),
+                        error, column);
+        // sonic_cat exits 1 when these fail.
+        for (const auto format : {telemetry::CatOptions::Format::Csv,
+                                  telemetry::CatOptions::Format::Json}) {
+            telemetry::CatOptions options;
+            options.format = format;
+            std::istringstream cat_in(packed);
+            std::ostringstream out;
+            error.clear();
+            expect_rejected(
+                telemetry::catSonicz(cat_in, out, options, &error),
+                error, column);
+        }
+    }
+
+    std::istringstream in(fleet_packed);
+    fleet::FleetSummary summary;
+    std::string error;
+    expect_rejected(telemetry::aggregate(in, &summary, &error), error,
+                    "liveSeconds");
+    std::istringstream summary_in(fleet_packed);
+    std::ostringstream out;
+    error.clear();
+    expect_rejected(telemetry::soniczSummary(summary_in, out,
+                                             telemetry::CatOptions{},
+                                             &error),
+                    error, "liveSeconds");
+}
+
+TEST(FleetJson, NonFiniteRatesAreWrittenAsNull)
+{
+    // A finite row whose derived rate overflows: 3 inferences in the
+    // smallest positive time is +inf inferences per day.
+    fleet::DeviceTelemetry t;
+    t.assignment.net = "HAR";
+    t.assignment.pipeline = "infer-only";
+    t.inferencesCompleted = 3;
+    t.liveSeconds = 5e-324;
+    ASSERT_TRUE(std::isinf(t.inferencesPerDay()));
+    const std::string json = directFleetOutput({t}, /*json=*/true);
+    expectFleetJsonValues(json, {t});
+    EXPECT_NE(json.find("\"inferencesPerDay\": null"), std::string::npos)
+        << json;
+
+    fleet::FleetSummary summary;
+    summary.total.accumulate(t);
+    summary.byNet["HAR"].accumulate(t);
+    jsonp::JsonValue root;
+    std::string error;
+    ASSERT_TRUE(jsonp::parseJson(summary.toJson(), &root, &error))
+        << error;
+    for (const auto *group :
+         {&root.object()->at("total"),
+          &root.object()->at("byNet").object()->at("HAR")})
+        expectJsonF64(*group->object(), "inferencesPerDeviceDay",
+                      summary.total.inferencesPerDeviceDay());
+}
+
 TEST(Sonicz, ReadsVersion1GoldenFixtureByteForByte)
 {
     std::ifstream sonicz(SONIC_GOLDEN_DIR "/fleet_v1.sonicz",

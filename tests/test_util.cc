@@ -1,9 +1,9 @@
 /**
  * @file
  * Unit tests for util: deterministic RNG, table formatting, the
- * shortest-round-trip f64 formatter, the command-line flag table, and
- * the name-keyed Registry behind the kernel/model/environment/pipeline
- * tables.
+ * shortest-round-trip f64 formatter, the JSON writer, the command-line
+ * flag table, and the name-keyed Registry behind the
+ * kernel/model/environment/pipeline tables.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,9 @@
 #include <bit>
 #include <charconv>
 #include <cmath>
+#include <functional>
 #include <initializer_list>
+#include <limits>
 #include <optional>
 #include <random>
 #include <sstream>
@@ -21,6 +23,8 @@
 
 #include "util/cli.hh"
 #include "util/fmt.hh"
+#include "util/json.hh"
+#include "util/json_parse.hh"
 #include "util/registry.hh"
 #include "util/rng.hh"
 #include "util/table.hh"
@@ -207,6 +211,153 @@ TEST(FmtF64, RoundTripsRandomBitPatterns)
     const f64 a = 0.1234567890123456;
     const f64 b = std::nextafter(a, 1.0);
     EXPECT_NE(fmtF64(a), fmtF64(b));
+}
+
+// --- JSON writer ----------------------------------------------------
+
+/** What `write` makes on a fresh writer. */
+std::string
+jsonText(const std::function<void(json::Writer &)> &write,
+         bool compact = false)
+{
+    std::ostringstream os;
+    json::Writer w(os, compact);
+    write(w);
+    return os.str();
+}
+
+jsonp::JsonValue
+parsed(const std::string &text)
+{
+    jsonp::JsonValue root;
+    std::string error;
+    EXPECT_TRUE(jsonp::parseJson(text, &root, &error))
+        << error << "\n" << text;
+    return root;
+}
+
+TEST(JsonWriter, EveryAwkwardNameRoundTrips)
+{
+    std::vector<std::string> names;
+    for (int c = 0; c < 0x20; ++c)
+        names.push_back("a" + std::string(1, static_cast<char>(c)) + "b");
+    names.push_back("say \"hi\"");
+    names.push_back("back\\slash\\");
+    names.push_back("del\x7f");
+    names.push_back("caf\xc3\xa9 \xe2\x9a\xa1 \xf0\x9f\x94\x8b"); // UTF-8
+    for (const auto &name : names) {
+        const std::string text = jsonText([&](json::Writer &w) {
+            w.beginObject().field(name, name).end();
+        });
+        // No control byte is left raw: only the document's newline.
+        for (u64 i = 0; i + 1 < text.size(); ++i)
+            EXPECT_GE(static_cast<unsigned char>(text[i]), 0x20) << text;
+        const auto root = parsed(text);
+        const auto *obj = root.object();
+        ASSERT_NE(obj, nullptr) << text;
+        ASSERT_EQ(obj->size(), 1u);
+        EXPECT_EQ(obj->begin()->first, name);
+        const std::string *value = obj->begin()->second.string();
+        ASSERT_NE(value, nullptr) << text;
+        EXPECT_EQ(*value, name);
+    }
+    EXPECT_EQ(jsonText([](json::Writer &w) {
+                  w.array(std::vector<std::string>{"\n\t\r", "\x01"});
+              }),
+              "[\"\\n\\t\\r\", \"\\u0001\"]\n");
+}
+
+TEST(JsonWriter, LayoutSeparatorsBreaksAndEmptyContainers)
+{
+    const auto doc = [](json::Writer &w) {
+        w.beginObject()
+            .br(2).field("n", 1)
+            .br(2).key("list").array(std::vector<int>{1, 2})
+            .field("flag", true)
+            .br(2).key("empty").beginArray().br(2).end()
+            .br(2).key("none").beginObject().br(2).end()
+            .br(2).key("rows").beginArray();
+        for (int i = 0; i < 2; ++i)
+            w.br(4).beginObject().field("a", i).field("s", "x").end();
+        w.br(2).end()
+            .br(2).key("kept").beginArray().br(2, /*evenEmpty=*/true).end()
+            .br(2).key("stamp").number("12.500")
+            .br(0).end();
+    };
+    EXPECT_EQ(jsonText(doc), "{\n"
+                             "  \"n\": 1,\n"
+                             "  \"list\": [1, 2], \"flag\": true,\n"
+                             "  \"empty\": [],\n"
+                             "  \"none\": {},\n"
+                             "  \"rows\": [\n"
+                             "    {\"a\": 0, \"s\": \"x\"},\n"
+                             "    {\"a\": 1, \"s\": \"x\"}\n"
+                             "  ],\n"
+                             "  \"kept\": [\n"
+                             "  ],\n"
+                             "  \"stamp\": 12.500\n"
+                             "}\n");
+    EXPECT_EQ(jsonText(doc, /*compact=*/true),
+              "{\n"
+              "  \"n\":1,\n"
+              "  \"list\":[1,2],\"flag\":true,\n"
+              "  \"empty\":[],\n"
+              "  \"none\":{},\n"
+              "  \"rows\":[\n"
+              "    {\"a\":0,\"s\":\"x\"},\n"
+              "    {\"a\":1,\"s\":\"x\"}\n"
+              "  ],\n"
+              "  \"kept\":[\n"
+              "  ],\n"
+              "  \"stamp\":12.500\n"
+              "}\n");
+    parsed(jsonText(doc));
+    parsed(jsonText(doc, true));
+    // Without breaks, everything stays on one line; empty closes in
+    // place; each outermost close ends its line.
+    EXPECT_EQ(jsonText([](json::Writer &w) {
+                  w.beginArray().end();
+                  w.beginObject().key("a").beginArray().end().end();
+              }),
+              "[]\n{\"a\": []}\n");
+}
+
+TEST(JsonWriter, NumbersAreExactAndNonFiniteIsNull)
+{
+    EXPECT_EQ(jsonText([](json::Writer &w) {
+                  w.beginArray()
+                      .value(i16{-32768})
+                      .value(std::numeric_limits<u64>::max())
+                      .value(0.1)
+                      .value(-0.0)
+                      .value(5e-324)
+                      .end();
+              }),
+              "[-32768, 18446744073709551615, 0.1, -0, 5e-324]\n");
+    constexpr f64 inf = std::numeric_limits<f64>::infinity();
+    EXPECT_EQ(jsonText([&](json::Writer &w) {
+                  w.array(std::vector<f64>{std::nan(""), inf, -inf});
+              }),
+              "[null, null, null]\n");
+
+    std::mt19937_64 rng(0x75011);
+    std::vector<f64> values;
+    while (values.size() < 10000) {
+        const f64 v = std::bit_cast<f64>(rng());
+        if (std::isfinite(v))
+            values.push_back(v);
+    }
+    const auto root = parsed(
+        jsonText([&](json::Writer &w) { w.array(values); }));
+    const auto *array = root.array();
+    ASSERT_NE(array, nullptr);
+    ASSERT_EQ(array->size(), values.size());
+    for (u64 i = 0; i < values.size(); ++i) {
+        const f64 *n = (*array)[i].number();
+        ASSERT_NE(n, nullptr) << i;
+        EXPECT_EQ(std::bit_cast<u64>(*n), std::bit_cast<u64>(values[i]))
+            << fmtF64(values[i]);
+    }
 }
 
 /** Run `flags` over "prog ARGS..."; stderr goes to *err. */
