@@ -25,7 +25,7 @@ Device::Device(EnergyProfile profile, std::unique_ptr<PowerSupply> power,
 {
     SONIC_ASSERT(power_ != nullptr);
     costs_ = profile_.table().data();
-    bucket_ = &stats_.bucketRef(layer_, part_);
+    refreshLayerBuckets();
 }
 
 Device::~Device()
@@ -90,7 +90,7 @@ Device::registerLayer(const std::string &name)
     const u16 id = stats_.registerLayer(name);
     // Bucket addresses are stable, but re-derive defensively in case a
     // future Stats changes storage.
-    bucket_ = &stats_.bucketRef(layer_, part_);
+    refreshLayerBuckets();
     return id;
 }
 

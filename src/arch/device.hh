@@ -118,7 +118,7 @@ class Device
         if (probe_ != nullptr && layer != layer_)
             probe_->onLayer(*this, layer);
         layer_ = layer;
-        bucket_ = &stats_.bucketRef(layer_, part_);
+        refreshLayerBuckets();
     }
 
     void
@@ -127,7 +127,7 @@ class Device
         if (probe_ != nullptr && part != part_)
             probe_->onPart(*this, part);
         part_ = part;
-        bucket_ = &stats_.bucketRef(layer_, part_);
+        bucket_ = &(*layerBuckets_)[static_cast<u32>(part_)];
     }
 
     u16 currentLayer() const { return layer_; }
@@ -251,6 +251,15 @@ class Device
     /** Close the open lease, returning unused budget to the supply. */
     void settleLease() const;
 
+    /** Re-derive the cached bucket pair of layer_ (bounds-checked) and
+     * the bucket of part_ within it. */
+    void
+    refreshLayerBuckets()
+    {
+        layerBuckets_ = &stats_.layerBuckets(layer_);
+        bucket_ = &(*layerBuckets_)[static_cast<u32>(part_)];
+    }
+
     EnergyProfile profile_;
     std::unique_ptr<PowerSupply> power_;
     DeviceConfig config_;
@@ -262,8 +271,10 @@ class Device
     u16 layer_ = 0;
     Part part_ = Part::Control;
 
-    /** Cached (layer_, part_) counters — Stats buckets are address-
-     * stable, so this is refreshed only on attribution changes. */
+    /** Cached buckets of layer_ and the (layer_, part_) counters
+     * within them — Stats buckets are address-stable, so the pair is
+     * refreshed only on layer changes and bucket_ on part changes. */
+    Stats::LayerBuckets *layerBuckets_ = nullptr;
     OpCounters *bucket_ = nullptr;
 
     /**

@@ -58,11 +58,11 @@ Stats::bucket(u16 layer, Part part) const
     return buckets_[layer][static_cast<u32>(part)];
 }
 
-OpCounters &
-Stats::bucketRef(u16 layer, Part part)
+Stats::LayerBuckets &
+Stats::layerBuckets(u16 layer)
 {
     SONIC_ASSERT(layer < buckets_.size());
-    return buckets_[layer][static_cast<u32>(part)];
+    return buckets_[layer];
 }
 
 u64

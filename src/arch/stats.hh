@@ -66,15 +66,18 @@ class Stats
 
     const OpCounters &bucket(u16 layer, Part part) const;
 
+    /** One layer's buckets, indexed by Part. */
+    using LayerBuckets = std::array<OpCounters, kNumParts>;
+
     /**
-     * Mutable bucket for the Device's batched-accounting fast path: the
-     * Device caches this pointer per (layer, part) and bumps the
-     * counters directly, so Stats::add's bounds check and double
-     * indexing are paid once per attribution change instead of once per
-     * simulated operation. Bucket storage is a deque, so the reference
-     * stays valid across registerLayer().
+     * Mutable buckets of one layer for the Device's batched-accounting
+     * fast path: the Device caches this pair per layer and bumps the
+     * counters directly, so the bounds check and layer indexing are
+     * paid once per layer change and a part switch is an offset into
+     * the pair. Bucket storage is a deque, so the reference stays
+     * valid across registerLayer().
      */
-    OpCounters &bucketRef(u16 layer, Part part);
+    LayerBuckets &layerBuckets(u16 layer);
 
     /** Sum over parts for one layer. */
     u64 layerCycles(u16 layer) const;
@@ -96,8 +99,9 @@ class Stats
 
   private:
     std::vector<std::string> layers_;
-    // buckets_[layer][part]; deque for address stability (see bucketRef)
-    std::deque<std::array<OpCounters, kNumParts>> buckets_;
+    // buckets_[layer][part]; deque for address stability (see
+    // layerBuckets)
+    std::deque<LayerBuckets> buckets_;
 };
 
 } // namespace sonic::arch

@@ -6,78 +6,14 @@ namespace sonic::task
 {
 
 void
-Runtime::pushLog(const LogEntry &entry)
+Runtime::growIndex()
 {
-    log_.push_back(entry);
-    // Latest write to a location wins on reads, exactly as the old
-    // reverse scan resolved it.
-    logIndex_[{entry.target, entry.idx, entry.kind}] = entry.value;
-}
-
-void
-Runtime::clearLog()
-{
-    log_.clear();
-    logIndex_.clear();
-}
-
-void
-Runtime::logWrite(arch::NvArray<i16> &arr, u32 idx, i16 value)
-{
-    SONIC_DASSERT(idx < arr.size());
-    dev_.consume(arch::Op::LogWrite);
-    pushLog({LogEntry::Arr16, &arr, idx, value});
-}
-
-i16
-Runtime::logRead(const arch::NvArray<i16> &arr, u32 idx)
-{
-    SONIC_DASSERT(idx < arr.size());
-    // Alpaca resolves privatized locations statically, so a read costs
-    // the FRAM access plus an indirection; the host-side index lookup
-    // below is the semantic lookup, not a charged one.
-    dev_.consume(arch::Op::FramLoad);
-    dev_.consume(arch::Op::RegOp, 6);
-    const auto it = logIndex_.find({&arr, idx, LogEntry::Arr16});
-    if (it != logIndex_.end())
-        return static_cast<i16>(it->second);
-    return arr.peek(idx);
-}
-
-void
-Runtime::logWrite(arch::NvVar<i32> &var, i32 value)
-{
-    dev_.consume(arch::Op::LogWrite);
-    pushLog({LogEntry::Var32, &var, 0, value});
-}
-
-i32
-Runtime::logRead(const arch::NvVar<i32> &var)
-{
-    dev_.consume(arch::Op::FramLoad, 2);
-    dev_.consume(arch::Op::RegOp, 6);
-    const auto it = logIndex_.find({&var, 0, LogEntry::Var32});
-    if (it != logIndex_.end())
-        return it->second;
-    return var.peek();
-}
-
-void
-Runtime::logWrite(arch::NvVar<i16> &var, i16 value)
-{
-    dev_.consume(arch::Op::LogWrite);
-    pushLog({LogEntry::Var16, &var, 0, value});
-}
-
-i16
-Runtime::logRead(const arch::NvVar<i16> &var)
-{
-    dev_.consume(arch::Op::FramLoad);
-    dev_.consume(arch::Op::RegOp, 6);
-    const auto it = logIndex_.find({&var, 0, LogEntry::Var16});
-    if (it != logIndex_.end())
-        return static_cast<i16>(it->second);
-    return var.peek();
+    std::vector<Slot> old(2 * slots_.size());
+    old.swap(slots_);
+    --shift_;
+    for (const Slot &s : old)
+        if (s.gen == gen_)
+            slots_[slotOf(s.target, s.idx, s.kind)] = s;
 }
 
 void

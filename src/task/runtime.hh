@@ -20,13 +20,14 @@
 #ifndef SONIC_TASK_RUNTIME_HH
 #define SONIC_TASK_RUNTIME_HH
 
+#include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "arch/device.hh"
 #include "arch/memory.hh"
+#include "util/logging.hh"
 #include "util/types.hh"
 
 namespace sonic::task
@@ -111,18 +112,61 @@ class Runtime
 
     /** Privatized write of arr[idx]; visible to logRead immediately,
      * applied to the home location only at commit. */
-    void logWrite(arch::NvArray<i16> &arr, u32 idx, i16 value);
+    void
+    logWrite(arch::NvArray<i16> &arr, u32 idx, i16 value)
+    {
+        SONIC_DASSERT(idx < arr.size());
+        dev_.consume(arch::Op::LogWrite);
+        pushLog({LogEntry::Arr16, &arr, idx, value});
+    }
 
     /** Read of arr[idx] honoring earlier logged writes in this task. */
-    i16 logRead(const arch::NvArray<i16> &arr, u32 idx);
+    i16
+    logRead(const arch::NvArray<i16> &arr, u32 idx)
+    {
+        SONIC_DASSERT(idx < arr.size());
+        // Alpaca resolves privatized locations statically, so a read
+        // costs the FRAM access plus an indirection; the host-side
+        // index lookup is the semantic lookup, not a charged one.
+        dev_.consume(arch::Op::FramLoad);
+        dev_.consume(arch::Op::RegOp, 6);
+        const Slot &s = slots_[slotOf(&arr, idx, LogEntry::Arr16)];
+        return s.gen == gen_ ? static_cast<i16>(s.value) : arr.peek(idx);
+    }
 
     /** Privatized write of a task-shared scalar. */
-    void logWrite(arch::NvVar<i32> &var, i32 value);
-    void logWrite(arch::NvVar<i16> &var, i16 value);
+    void
+    logWrite(arch::NvVar<i32> &var, i32 value)
+    {
+        dev_.consume(arch::Op::LogWrite);
+        pushLog({LogEntry::Var32, &var, 0, value});
+    }
+
+    void
+    logWrite(arch::NvVar<i16> &var, i16 value)
+    {
+        dev_.consume(arch::Op::LogWrite);
+        pushLog({LogEntry::Var16, &var, 0, value});
+    }
 
     /** Read of a task-shared scalar honoring earlier logged writes. */
-    i32 logRead(const arch::NvVar<i32> &var);
-    i16 logRead(const arch::NvVar<i16> &var);
+    i32
+    logRead(const arch::NvVar<i32> &var)
+    {
+        dev_.consume(arch::Op::FramLoad, 2);
+        dev_.consume(arch::Op::RegOp, 6);
+        const Slot &s = slots_[slotOf(&var, 0, LogEntry::Var32)];
+        return s.gen == gen_ ? s.value : var.peek();
+    }
+
+    i16
+    logRead(const arch::NvVar<i16> &var)
+    {
+        dev_.consume(arch::Op::FramLoad);
+        dev_.consume(arch::Op::RegOp, 6);
+        const Slot &s = slots_[slotOf(&var, 0, LogEntry::Var16)];
+        return s.gen == gen_ ? static_cast<i16>(s.value) : var.peek();
+    }
 
     /** Number of uncommitted log entries (diagnostics/tests). */
     u64 logSize() const { return log_.size(); }
@@ -140,55 +184,89 @@ class Runtime
         i32 value;
     };
 
-    /** Host-side key of one logged location (kind, target, index). */
-    struct LogKey
+    /**
+     * One slot of the read index: the latest uncommitted value of one
+     * logged location (target, idx, kind). A slot is live only while
+     * its gen equals the runtime's gen_; any other stamp reads as
+     * empty.
+     */
+    struct Slot
     {
+        u64 gen;
         const void *target;
         u32 idx;
+        i32 value;
         u8 kind;
-
-        bool
-        operator==(const LogKey &o) const
-        {
-            return target == o.target && idx == o.idx
-                && kind == o.kind;
-        }
-    };
-
-    struct LogKeyHash
-    {
-        std::size_t
-        operator()(const LogKey &k) const
-        {
-            // Mix in u64 so the shift stays defined on 32-bit hosts.
-            u64 h = static_cast<u64>(
-                reinterpret_cast<std::uintptr_t>(k.target));
-            h ^= (h >> 33) ^ (static_cast<u64>(k.idx) << 8)
-               ^ static_cast<u64>(k.kind);
-            return static_cast<std::size_t>(
-                h * 0x9e3779b97f4a7c15ull);
-        }
     };
 
     static void applyEntry(const LogEntry &entry);
 
-    /** Append an entry and index it (latest write wins on reads). */
-    void pushLog(const LogEntry &entry);
+    /**
+     * Index of the slot holding (target, idx, kind) in this
+     * generation, or of the empty slot where it would go (linear
+     * probing; the load bound guarantees an empty slot).
+     */
+    u64
+    slotOf(const void *target, u32 idx, u8 kind) const
+    {
+        // Mix in u64 so the shift stays defined on 32-bit hosts.
+        u64 h =
+            static_cast<u64>(reinterpret_cast<std::uintptr_t>(target));
+        h ^= (h >> 33) ^ (u64{idx} << 8) ^ u64{kind};
+        for (u64 i = (h * 0x9e3779b97f4a7c15ull) >> shift_;;
+             i = (i + 1) & (slots_.size() - 1)) {
+            const Slot &s = slots_[i];
+            if (s.gen != gen_
+                || (s.target == target && s.idx == idx
+                    && s.kind == kind))
+                return i;
+        }
+    }
 
-    /** Discard the uncommitted log and its read index. */
-    void clearLog();
+    /** Append an entry and index it (latest write wins on reads). */
+    void
+    pushLog(const LogEntry &entry)
+    {
+        log_.push_back(entry);
+        if (2 * (live_ + 1) > slots_.size())
+            growIndex();
+        Slot &s = slots_[slotOf(entry.target, entry.idx, entry.kind)];
+        live_ += s.gen != gen_ ? 1 : 0;
+        s = {gen_, entry.target, entry.idx, entry.value, entry.kind};
+    }
+
+    /** Double the index, carrying over this generation's slots. */
+    void growIndex();
+
+    /** Discard the uncommitted log: O(1), every slot goes stale. */
+    void
+    clearLog()
+    {
+        log_.clear();
+        ++gen_;
+        live_ = 0;
+    }
 
     arch::Device &dev_;
     std::vector<LogEntry> log_;
 
     /**
-     * Read index over log_: maps each logged location to its latest
-     * uncommitted value, making logRead O(1) instead of a reverse
-     * scan (Tile-128 carries hundred-entry logs and pays a logRead
-     * per task-shared load). Host-side bookkeeping only; the charged
-     * device costs in logRead/logWrite are unchanged.
+     * Read index over log_: an open-addressed table owned by the
+     * runtime, mapping each logged location to its latest uncommitted
+     * value, so logRead is O(1) instead of a reverse scan (Tile-128
+     * carries hundred-entry logs and pays a logRead per task-shared
+     * load). It doubles to keep live slots at most half the table and
+     * never shrinks, so once a run has reached its largest task a
+     * logged write allocates nothing. Discarding bumps the 64-bit
+     * generation, which cannot wrap. Host-side bookkeeping only: the
+     * index charges no device op.
      */
-    std::unordered_map<LogKey, i32, LogKeyHash> logIndex_;
+    static constexpr u32 kInitialSlotsLog2 = 4;
+    std::vector<Slot> slots_ =
+        std::vector<Slot>(u64{1} << kInitialSlotsLog2);
+    u32 shift_ = 64 - kInitialSlotsLog2; ///< 64 - log2(slots_.size())
+    u64 gen_ = 1;  ///< stamp of live slots (fresh slots hold 0)
+    u64 live_ = 0; ///< live slots in this generation
 
     u64 lastProgress_ = ~u64{0};
     bool progressed_ = false;
@@ -207,8 +285,9 @@ struct SchedulerConfig
     TransitionStyle transitionStyle = TransitionStyle::Alpaca;
 
     /**
-     * Declare non-termination after this many consecutive power
-     * failures with no task completion and no progress-beacon change.
+     * Declare non-termination after more than this many consecutive
+     * power failures with no task completion and no progress-beacon
+     * change (the verdict comes on failure N + 1).
      */
     u64 maxFailuresWithoutProgress = 48;
 

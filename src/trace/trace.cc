@@ -1,6 +1,7 @@
 #include "trace/trace.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <ostream>
 
@@ -266,12 +267,18 @@ enum : u32
     kTidPower = 2
 };
 
-/** Microsecond timestamp with nanosecond resolution. */
+/** Microsecond timestamp with nanosecond resolution. A stamp whose
+ * microsecond value is not finite is null, as json::Writer writes
+ * every non-finite f64. */
 std::string
 micros(f64 seconds)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.3f", seconds * 1e6);
+    const f64 us = seconds * 1e6;
+    if (!std::isfinite(us))
+        return "null";
+    // %.3f of the largest finite f64: a sign, 309 digits and ".000".
+    char buf[320];
+    std::snprintf(buf, sizeof(buf), "%.3f", us);
     return buf;
 }
 

@@ -322,6 +322,43 @@ TEST(TraceExport, ChromeFlameAndSummaryRenderTheFleetTrace)
     EXPECT_NE(summary.str().find("reboots:"), std::string::npos);
 }
 
+TEST(TraceExport, ChromeWritesNullForStampsBeyondF64Microseconds)
+{
+    // The cells are finite seconds, so the trace itself round-trips;
+    // only their microsecond values overflow. Such a stamp or duration
+    // is null, never "inf".
+    TraceRecorder recorder(5);
+    recorder.record(TraceEventKind::RoundBegin, 0, 2e302, 0.0, 0.0);
+    recorder.record(TraceEventKind::Recharge, 0, 3e302, 0.0, 1e303);
+    recorder.record(TraceEventKind::Recharge, 0, 3e302, 0.0, 1e302);
+    recorder.record(TraceEventKind::RoundEnd, 0, 3e302, 0.0, 0.0);
+    std::ostringstream os;
+    writeTrace(os, {&recorder});
+    std::istringstream in(os.str());
+    std::vector<telemetry::TraceRow> rows;
+    std::string error;
+    ASSERT_TRUE(readTrace(in, &rows, nullptr, &error)) << error;
+    ASSERT_EQ(rows.size(), 4u);
+
+    std::ostringstream chrome;
+    exportChromeTrace(rows, chrome);
+    const std::string json = chrome.str();
+    EXPECT_EQ(json.find("inf"), std::string::npos) << json;
+    jsonp::JsonValue root;
+    ASSERT_TRUE(jsonp::parseJson(json, &root, &error)) << error;
+    std::vector<const jsonp::JsonObject *> timed;
+    for (const auto &event : *root.object()->at("traceEvents").array())
+        if (event.object()->count("ts") != 0)
+            timed.push_back(event.object());
+    ASSERT_EQ(timed.size(), 4u);
+    for (const auto *event : timed)
+        EXPECT_EQ(event->at("ts").number(), nullptr);
+    // 1e309 us overflows; 1e308 us is finite and printed in full.
+    EXPECT_EQ(timed[1]->at("dur").number(), nullptr);
+    ASSERT_NE(timed[2]->at("dur").number(), nullptr);
+    EXPECT_DOUBLE_EQ(*timed[2]->at("dur").number(), 1e308);
+}
+
 // --- Oracle divergence dumps ----------------------------------------
 
 TEST(OracleTrace, DumpScheduleTraceWritesAReadableTrace)
