@@ -3,15 +3,12 @@
 #include <atomic>
 #include <condition_variable>
 #include <ostream>
-#include <sstream>
 #include <thread>
 
 #include "arch/memory.hh"
 #include "dnn/device_net.hh"
-#include "util/fmt.hh"
 #include "util/progress.hh"
 #include "util/logging.hh"
-#include "util/table.hh"
 
 namespace sonic::app
 {
@@ -30,37 +27,67 @@ MemorySink::add(const SweepRecord &record)
     records_.push_back(record);
 }
 
-void
-CsvSink::begin(u64)
+const telemetry::FieldTable<SweepRecord> &
+sweepFields()
 {
-    os_ << "planIndex,net,impl,environment,profile,sample,seed,status,"
-           "reboots,tasksExecuted,liveSeconds,deadSeconds,"
-           "totalSeconds,energyJ,harvestedJ,predictedClass,"
-           "tailsTileWords,scheduleLen,scheduleFired\n";
+    using S = SweepRecord;
+    using R = RunSpec;
+    using X = ExperimentResult;
+    using E = env::EnvRef;
+    static const auto table =
+        telemetry::FieldTable<S>()
+            .stored<&S::planIndex>("planIndex")
+            .stored<&S::spec, &R::net>("net")
+            .text<kernels::implName, kernels::implFromName, &S::spec,
+                  &R::impl>("impl")
+            .stored<&S::spec, &R::environment, &E::env>("env")
+            .stored<&S::spec, &R::environment,
+                    &E::capacitanceFarads>("envCapFarads")
+            .derived<[](const S &r) {
+                return r.spec.environment.label();
+            }>("environment")
+            .text<profileName, profileFromName, &S::spec, &R::profile>(
+                "profile")
+            .stored<&S::spec, &R::sampleIndex>("sample")
+            .stored<&S::spec, &R::seed>("seed")
+            .add({{"status", telemetry::ColType::Str},
+                  [](const S &r, telemetry::ColumnCells &col) {
+                      col.strs.emplace_back(r.result.status());
+                  },
+                  [](S &r, telemetry::ColumnCells &col, u64 i) {
+                      r.result.completed = col.strs[i] == "ok";
+                      r.result.nonTerminating = col.strs[i] == "dnf";
+                      return col.strs[i] == r.result.status();
+                  }})
+            .stored<&S::result, &X::reboots>("reboots")
+            .stored<&S::result, &X::tasksExecuted>("tasksExecuted")
+            .stored<&S::result, &X::liveSeconds>("liveSeconds")
+            .stored<&S::result, &X::deadSeconds>("deadSeconds")
+            .stored<&S::result, &X::totalSeconds>("totalSeconds")
+            .stored<&S::result, &X::energyJ>("energyJ")
+            .stored<&S::result, &X::harvestedJ>("harvestedJ")
+            .stored<&S::result, &X::predictedClass>("predictedClass")
+            .stored<&S::result, &X::tailsTileWords>("tailsTileWords")
+            .stored<&S::result, &X::opInstances>("opInstances")
+            .stored<&S::spec, &R::captureNvmDigests>("captureNvmDigests")
+            .derived<[](const S &r) {
+                return r.spec.failureSchedule.size();
+            }>("scheduleLen")
+            .stored<&S::result, &X::scheduleFired>("scheduleFired")
+            .stored<&S::result, &X::finalNvmDigest>("finalNvmDigest");
+    return table;
 }
 
-void
-CsvSink::add(const SweepRecord &record)
+const telemetry::FieldOrder<SweepRecord> &
+csvFields()
 {
-    const auto &r = record.result;
-    // f64 fields go through fmtF64 (shortest round-trip digits): a
-    // fixed precision(12) dropped mantissa bits, so CSV could never be
-    // a lossless artifact. See util/fmt.hh.
-    std::ostringstream row;
-    row << record.planIndex << ',' << csvQuote(record.spec.net) << ','
-        << csvQuote(std::string(kernels::implName(record.spec.impl)))
-        << ',' << csvQuote(record.spec.environment.label()) << ','
-        << profileName(record.spec.profile) << ','
-        << record.spec.sampleIndex << ',' << record.spec.seed << ','
-        << (r.completed ? "ok" : (r.nonTerminating ? "dnf" : "fail"))
-        << ',' << r.reboots << ',' << r.tasksExecuted << ','
-        << fmtF64(r.liveSeconds) << ',' << fmtF64(r.deadSeconds) << ','
-        << fmtF64(r.totalSeconds) << ',' << fmtF64(r.energyJ) << ','
-        << fmtF64(r.harvestedJ) << ',' << r.predictedClass << ','
-        << r.tailsTileWords << ','
-        << record.spec.failureSchedule.size() << ','
-        << r.scheduleFired << '\n';
-    os_ << row.str();
+    static const auto order = sweepFields().order(
+        {"planIndex", "net", "impl", "environment", "profile", "sample",
+         "seed", "status", "reboots", "tasksExecuted", "liveSeconds",
+         "deadSeconds", "totalSeconds", "energyJ", "harvestedJ",
+         "predictedClass", "tailsTileWords", "scheduleLen",
+         "scheduleFired"});
+    return order;
 }
 
 void

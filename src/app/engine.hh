@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "app/sweep.hh"
+#include "telemetry/fields.hh"
 #include "util/json.hh"
 
 namespace sonic::app
@@ -32,6 +33,15 @@ struct SweepRecord
     RunSpec spec;
     ExperimentResult result;
 };
+
+/**
+ * The sweep record's scalar fields: the spec and result scalars, plus
+ * the derived environment label and failure-schedule length the CSV
+ * prints. The CSV sink and the .sonicz sweep schema walk it; the list
+ * fields (schedule, reboot digests, layers, op energies, logits) are
+ * the .sonicz schema's own code, and JsonSink stays hand-written.
+ */
+const telemetry::FieldTable<SweepRecord> &sweepFields();
 
 /**
  * Receives records in plan order as they become available. Sink
@@ -67,18 +77,11 @@ class MemorySink : public ResultSink
     std::vector<SweepRecord> records_;
 };
 
+/** The sweep CSV's columns. */
+const telemetry::FieldOrder<SweepRecord> &csvFields();
+
 /** Streams one CSV row per record (header first). */
-class CsvSink : public ResultSink
-{
-  public:
-    explicit CsvSink(std::ostream &os) : os_(os) {}
-
-    void begin(u64 totalRecords) override;
-    void add(const SweepRecord &record) override;
-
-  private:
-    std::ostream &os_;
-};
+using CsvSink = telemetry::CsvSinkOf<ResultSink, SweepRecord, csvFields>;
 
 /**
  * Streams a JSON array of record objects, including the per-layer

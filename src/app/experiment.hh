@@ -122,6 +122,13 @@ struct ExperimentResult
     u64 finalNvmDigest = 0; ///< FRAM digest at run end (capture only)
     std::vector<u64> rebootDigests; ///< FRAM digest per reboot (capture)
     /// @}
+
+    /** "ok", "dnf" or "fail". */
+    const char *
+    status() const
+    {
+        return completed ? "ok" : (nonTerminating ? "dnf" : "fail");
+    }
 };
 
 /**

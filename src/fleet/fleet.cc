@@ -13,11 +13,9 @@
 #include "dnn/device_net.hh"
 #include "fleet/round_cache.hh"
 #include "trace/trace.hh"
-#include "util/fmt.hh"
 #include "util/progress.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
-#include "util/table.hh"
 
 namespace sonic::fleet
 {
@@ -259,16 +257,8 @@ void
 verifyLifetimesMatch(const DeviceTelemetry &cached,
                      const DeviceTelemetry &fresh)
 {
-    const bool same = cached.inferencesCompleted
-            == fresh.inferencesCompleted
-        && cached.diedNonTerminating == fresh.diedNonTerminating
-        && cached.failedIncomplete == fresh.failedIncomplete
-        && cached.reboots == fresh.reboots
-        && cached.liveSeconds == fresh.liveSeconds
-        && cached.deadSeconds == fresh.deadSeconds
-        && cached.energyJ == fresh.energyJ
-        && cached.harvestedJ == fresh.harvestedJ
-        && cached.resultsDelivered == fresh.resultsDelivered
+    const DeviceCounters &a = cached, &b = fresh;
+    const bool same = a == b
         && cached.inferenceSeconds == fresh.inferenceSeconds
         && cached.deliverySeconds == fresh.deliverySeconds;
     if (!same)
@@ -517,208 +507,100 @@ simulateDevice(const FleetPlan &plan, u32 device_index)
                               SimContext{});
 }
 
-// --- FleetColumns ---------------------------------------------------
+// --- Field table -----------------------------------------------------
 
-FleetColumns::FleetColumns(u64 devices)
-    : inferencesCompleted(devices), status(devices), reboots(devices),
-      liveSeconds(devices), deadSeconds(devices), energyJ(devices),
-      harvestedJ(devices), resultsDelivered(devices),
-      txGaveUpRounds(devices), txAttempts(devices), txRetries(devices),
-      radioEnergyJ(devices), senseEnergyJ(devices),
-      txBackoffSeconds(devices), inferenceSecondsSum(devices),
-      deliverySecondsSum(devices)
+const telemetry::FieldTable<DeviceTelemetry> &
+deviceFields()
 {
+    using D = DeviceTelemetry;
+    using A = DeviceAssignment;
+    using E = env::EnvRef;
+    static const auto table =
+        telemetry::FieldTable<D>()
+            .stored<&D::assignment, &A::deviceIndex>("device")
+            .stored<&D::assignment, &A::net>("net")
+            .text<kernels::implName, kernels::implFromName, &D::assignment,
+                  &A::impl>("impl")
+            .stored<&D::assignment, &A::environment, &E::env>("env")
+            .stored<&D::assignment, &A::environment,
+                    &E::capacitanceFarads>("envCapFarads")
+            .derived<[](const D &t) {
+                return t.assignment.environment.label();
+            }>("environment")
+            .stored<&D::assignment, &A::pipeline>("pipeline")
+            .stored<&D::assignment, &A::seed>("seed")
+            .add({{"status", telemetry::ColType::Str},
+                  [](const D &t, telemetry::ColumnCells &col) {
+                      col.strs.emplace_back(t.status());
+                  },
+                  [](D &t, telemetry::ColumnCells &col, u64 i) {
+                      t.diedNonTerminating = col.strs[i] == "dnf";
+                      t.failedIncomplete = col.strs[i] == "fail";
+                      return col.strs[i] == t.status();
+                  }})
+            .stored<&D::inferencesCompleted>("inferences")
+            .stored<&D::reboots>("reboots")
+            .stored<&D::liveSeconds>("liveSeconds")
+            .stored<&D::deadSeconds>("deadSeconds")
+            .derived<&D::totalSeconds>("totalSeconds")
+            .stored<&D::energyJ>("energyJ")
+            .stored<&D::harvestedJ>("harvestedJ")
+            .derived<&D::inferencesPerDay>("inferencesPerDay")
+            .derived<&D::rebootsPerInference>("rebootsPerInference")
+            .derived<&D::deadFraction>("deadFraction")
+            .derived<&D::energyPerInferenceJ>("energyPerInferenceJ")
+            .derived<&D::meanInferenceSeconds>("meanInferenceSeconds")
+            .stored<&D::resultsDelivered>("resultsDelivered")
+            .stored<&D::txGaveUpRounds>("txGaveUpRounds")
+            .stored<&D::txAttempts>("txAttempts")
+            .stored<&D::txRetries>("txRetries")
+            .stored<&D::radioEnergyJ>("radioEnergyJ")
+            .stored<&D::senseEnergyJ>("senseEnergyJ")
+            .stored<&D::txBackoffSeconds>("txBackoffSeconds")
+            .stored<&D::inferenceSecondsSum>("inferenceSecondsSum")
+            .stored<&D::deliverySecondsSum>("deliverySecondsSum")
+            .derived<&D::meanDeliverySeconds>("meanDeliverySeconds");
+    return table;
 }
 
-void
-FleetColumns::store(u64 i, const DeviceTelemetry &t)
+const telemetry::FieldOrder<DeviceTelemetry> &
+csvFields()
 {
-    inferencesCompleted[i] = t.inferencesCompleted;
-    status[i] = static_cast<u8>((t.diedNonTerminating ? 1u : 0u)
-                                | (t.failedIncomplete ? 2u : 0u));
-    reboots[i] = t.reboots;
-    liveSeconds[i] = t.liveSeconds;
-    deadSeconds[i] = t.deadSeconds;
-    energyJ[i] = t.energyJ;
-    harvestedJ[i] = t.harvestedJ;
-    resultsDelivered[i] = t.resultsDelivered;
-    txGaveUpRounds[i] = t.txGaveUpRounds;
-    txAttempts[i] = t.txAttempts;
-    txRetries[i] = t.txRetries;
-    radioEnergyJ[i] = t.radioEnergyJ;
-    senseEnergyJ[i] = t.senseEnergyJ;
-    txBackoffSeconds[i] = t.txBackoffSeconds;
-    inferenceSecondsSum[i] = t.inferenceSecondsSum;
-    deliverySecondsSum[i] = t.deliverySecondsSum;
-}
-
-DeviceTelemetry
-FleetColumns::materialize(const FleetPlan &plan, u64 i) const
-{
-    DeviceTelemetry t;
-    t.assignment = plan.assignmentFor(static_cast<u32>(i));
-    t.inferencesCompleted = inferencesCompleted[i];
-    t.diedNonTerminating = (status[i] & 1u) != 0;
-    t.failedIncomplete = (status[i] & 2u) != 0;
-    t.reboots = reboots[i];
-    t.liveSeconds = liveSeconds[i];
-    t.deadSeconds = deadSeconds[i];
-    t.energyJ = energyJ[i];
-    t.harvestedJ = harvestedJ[i];
-    t.resultsDelivered = resultsDelivered[i];
-    t.txGaveUpRounds = txGaveUpRounds[i];
-    t.txAttempts = txAttempts[i];
-    t.txRetries = txRetries[i];
-    t.radioEnergyJ = radioEnergyJ[i];
-    t.senseEnergyJ = senseEnergyJ[i];
-    t.txBackoffSeconds = txBackoffSeconds[i];
-    t.inferenceSecondsSum = inferenceSecondsSum[i];
-    t.deliverySecondsSum = deliverySecondsSum[i];
-    return t;
-}
-
-// --- Sinks ----------------------------------------------------------
-
-void
-FleetCsvSink::begin(u64)
-{
-    os_ << "device,net,impl,environment,pipeline,seed,status,"
-           "inferences,reboots,liveSeconds,deadSeconds,totalSeconds,"
-           "energyJ,harvestedJ,inferencesPerDay,rebootsPerInference,"
-           "deadFraction,energyPerInferenceJ,meanInferenceSeconds,"
-           "resultsDelivered,txAttempts,txRetries,txGaveUpRounds,"
-           "radioEnergyJ,senseEnergyJ,txBackoffSeconds,"
-           "meanDeliverySeconds\n";
-}
-
-void
-FleetCsvSink::add(const DeviceTelemetry &t)
-{
-    // f64 fields go through fmtF64 (shortest round-trip digits, see
-    // util/fmt.hh): derived rates included, so recomputing them from
-    // bit-exact stored fields reproduces the row byte-for-byte.
-    std::ostringstream row;
-    row << t.assignment.deviceIndex << ','
-        << csvQuote(t.assignment.net) << ','
-        << csvQuote(std::string(
-               kernels::implName(t.assignment.impl)))
-        << ',' << csvQuote(t.assignment.environment.label()) << ','
-        << csvQuote(t.assignment.pipeline) << ','
-        << t.assignment.seed << ','
-        << (t.diedNonTerminating
-                ? "dnf"
-                : (t.failedIncomplete ? "fail" : "ok"))
-        << ','
-        << t.inferencesCompleted << ',' << t.reboots << ','
-        << fmtF64(t.liveSeconds) << ',' << fmtF64(t.deadSeconds)
-        << ',' << fmtF64(t.totalSeconds()) << ','
-        << fmtF64(t.energyJ) << ',' << fmtF64(t.harvestedJ) << ','
-        << fmtF64(t.inferencesPerDay()) << ','
-        << fmtF64(t.rebootsPerInference()) << ','
-        << fmtF64(t.deadFraction()) << ','
-        << fmtF64(t.energyPerInferenceJ()) << ','
-        << fmtF64(t.meanInferenceSeconds()) << ','
-        << t.resultsDelivered << ',' << t.txAttempts << ','
-        << t.txRetries << ',' << t.txGaveUpRounds << ','
-        << fmtF64(t.radioEnergyJ) << ',' << fmtF64(t.senseEnergyJ)
-        << ',' << fmtF64(t.txBackoffSeconds) << ','
-        << fmtF64(t.meanDeliverySeconds()) << '\n';
-    os_ << row.str();
-}
-
-void
-FleetJsonSink::begin(u64)
-{
-    w_.beginArray();
-}
-
-void
-FleetJsonSink::add(const DeviceTelemetry &t)
-{
-    w_.br(2).beginObject().field("device", t.assignment.deviceIndex)
-        .field("net", t.assignment.net)
-        .field("impl", kernels::implName(t.assignment.impl))
-        .field("environment", t.assignment.environment.label())
-        .field("pipeline", t.assignment.pipeline)
-        .field("seed", t.assignment.seed)
-        .field("status", t.diedNonTerminating
-                             ? "dnf"
-                             : (t.failedIncomplete ? "fail" : "ok"))
-        .field("inferences", t.inferencesCompleted)
-        .field("reboots", t.reboots)
-        .field("liveSeconds", t.liveSeconds)
-        .field("deadSeconds", t.deadSeconds)
-        .field("totalSeconds", t.totalSeconds())
-        .field("energyJ", t.energyJ)
-        .field("harvestedJ", t.harvestedJ)
-        .field("inferencesPerDay", t.inferencesPerDay())
-        .field("rebootsPerInference", t.rebootsPerInference())
-        .field("deadFraction", t.deadFraction())
-        .field("energyPerInferenceJ", t.energyPerInferenceJ())
-        .field("meanInferenceSeconds", t.meanInferenceSeconds())
-        .field("resultsDelivered", t.resultsDelivered)
-        .field("txAttempts", t.txAttempts)
-        .field("txRetries", t.txRetries)
-        .field("txGaveUpRounds", t.txGaveUpRounds)
-        .field("radioEnergyJ", t.radioEnergyJ)
-        .field("senseEnergyJ", t.senseEnergyJ)
-        .field("txBackoffSeconds", t.txBackoffSeconds)
-        .field("meanDeliverySeconds", t.meanDeliverySeconds())
-        .end();
-}
-
-void
-FleetJsonSink::end()
-{
-    w_.br(0, /*evenEmpty=*/true).end();
+    static const auto order = deviceFields().order(
+        {"device", "net", "impl", "environment", "pipeline", "seed",
+         "status", "inferences", "reboots", "liveSeconds", "deadSeconds",
+         "totalSeconds", "energyJ", "harvestedJ", "inferencesPerDay",
+         "rebootsPerInference", "deadFraction", "energyPerInferenceJ",
+         "meanInferenceSeconds", "resultsDelivered", "txAttempts",
+         "txRetries", "txGaveUpRounds", "radioEnergyJ", "senseEnergyJ",
+         "txBackoffSeconds", "meanDeliverySeconds"});
+    return order;
 }
 
 // --- Aggregation ----------------------------------------------------
 
 void
-GroupStats::accumulate(const DeviceTelemetry &t)
-{
-    accumulateRow({
-        .dnf = t.diedNonTerminating,
-        .failed = t.failedIncomplete,
-        .inferences = t.inferencesCompleted,
-        .reboots = t.reboots,
-        .liveSeconds = t.liveSeconds,
-        .deadSeconds = t.deadSeconds,
-        .energyJ = t.energyJ,
-        .harvestedJ = t.harvestedJ,
-        .resultsDelivered = t.resultsDelivered,
-        .txGaveUpRounds = t.txGaveUpRounds,
-        .txAttempts = t.txAttempts,
-        .txRetries = t.txRetries,
-        .radioEnergyJ = t.radioEnergyJ,
-        .senseEnergyJ = t.senseEnergyJ,
-        .txBackoffSeconds = t.txBackoffSeconds,
-    });
-}
-
-void
-GroupStats::accumulateRow(const TelemetryRow &row)
+GroupStats::accumulate(const DeviceCounters &c)
 {
     ++devices;
-    if (row.dnf)
+    if (c.diedNonTerminating)
         ++dnfDevices;
-    if (row.failed)
+    if (c.failedIncomplete)
         ++failedDevices;
-    inferences += row.inferences;
-    reboots += row.reboots;
-    liveSeconds += row.liveSeconds;
-    deadSeconds += row.deadSeconds;
-    energyJ += row.energyJ;
-    harvestedJ += row.harvestedJ;
-    resultsDelivered += row.resultsDelivered;
-    if (row.txGaveUpRounds > 0)
+    inferences += c.inferencesCompleted;
+    reboots += c.reboots;
+    liveSeconds += c.liveSeconds;
+    deadSeconds += c.deadSeconds;
+    energyJ += c.energyJ;
+    harvestedJ += c.harvestedJ;
+    resultsDelivered += c.resultsDelivered;
+    if (c.txGaveUpRounds > 0)
         ++txGaveUpDevices;
-    txAttempts += row.txAttempts;
-    txRetries += row.txRetries;
-    radioEnergyJ += row.radioEnergyJ;
-    senseEnergyJ += row.senseEnergyJ;
-    txBackoffSeconds += row.txBackoffSeconds;
+    txAttempts += c.txAttempts;
+    txRetries += c.txRetries;
+    radioEnergyJ += c.radioEnergyJ;
+    senseEnergyJ += c.senseEnergyJ;
+    txBackoffSeconds += c.txBackoffSeconds;
 }
 
 namespace
@@ -826,7 +708,9 @@ runFleet(const FleetPlan &plan, FleetOptions options,
     for (auto *sink : live_sinks)
         sink->begin(total);
 
-    FleetColumns columns(total);
+    // Each worker writes a finishing device's counters at its own
+    // index; sinks and the reduction read them back in device order.
+    std::vector<DeviceCounters> counters(total);
 
     RoundCache round_cache;
     LifetimeCache lifetime_cache;
@@ -864,24 +748,35 @@ runFleet(const FleetPlan &plan, FleetOptions options,
     std::vector<std::vector<f64>> worker_latencies(workers);
     std::vector<std::vector<f64>> worker_deliveries(workers);
 
+    // Device i on worker w: its counters go to slot i, its latencies
+    // to the worker's buffers.
+    const auto simulate = [&](u64 i, u32 w) {
+        const DeviceTelemetry t = simulateDeviceImpl(
+            plan, rows, static_cast<u32>(i), context_for(i));
+        devices_done.fetch_add(1, std::memory_order_relaxed);
+        counters[i] = t;
+        worker_latencies[w].insert(worker_latencies[w].end(),
+                                   t.inferenceSeconds.begin(),
+                                   t.inferenceSeconds.end());
+        worker_deliveries[w].insert(worker_deliveries[w].end(),
+                                    t.deliverySeconds.begin(),
+                                    t.deliverySeconds.end());
+    };
+    // Sinks see a device's counters with its assignment recomputed
+    // from the plan; the latency lists stay empty.
+    const auto emit = [&](u64 i) {
+        if (live_sinks.empty())
+            return;
+        const DeviceTelemetry view{
+            counters[i], plan.assignmentFor(static_cast<u32>(i)), {}, {}};
+        for (auto *sink : live_sinks)
+            sink->add(view);
+    };
+
     if (workers <= 1) {
         for (u64 i = 0; i < total; ++i) {
-            const DeviceTelemetry t = simulateDeviceImpl(
-                plan, rows, static_cast<u32>(i), context_for(i));
-            devices_done.fetch_add(1, std::memory_order_relaxed);
-            columns.store(i, t);
-            worker_latencies[0].insert(worker_latencies[0].end(),
-                                       t.inferenceSeconds.begin(),
-                                       t.inferenceSeconds.end());
-            worker_deliveries[0].insert(worker_deliveries[0].end(),
-                                        t.deliverySeconds.begin(),
-                                        t.deliverySeconds.end());
-            if (!live_sinks.empty()) {
-                const DeviceTelemetry view =
-                    columns.materialize(plan, i);
-                for (auto *sink : live_sinks)
-                    sink->add(view);
-            }
+            simulate(i, 0);
+            emit(i);
         }
     } else {
         // Work stealing over device lifetimes: the shared cursor hands
@@ -898,30 +793,11 @@ runFleet(const FleetPlan &plan, FleetOptions options,
                 const u64 i = next.fetch_add(1);
                 if (i >= total)
                     return;
-                const DeviceTelemetry t = simulateDeviceImpl(
-                    plan, rows, static_cast<u32>(i), context_for(i));
-                devices_done.fetch_add(1, std::memory_order_relaxed);
-                columns.store(i, t);
-                worker_latencies[w].insert(
-                    worker_latencies[w].end(),
-                    t.inferenceSeconds.begin(),
-                    t.inferenceSeconds.end());
-                worker_deliveries[w].insert(
-                    worker_deliveries[w].end(),
-                    t.deliverySeconds.begin(),
-                    t.deliverySeconds.end());
-
+                simulate(i, w);
                 std::lock_guard<std::mutex> lock(emitMutex);
                 ready[i] = 1;
-                while (emitted < total && ready[emitted]) {
-                    if (!live_sinks.empty()) {
-                        const DeviceTelemetry view =
-                            columns.materialize(plan, emitted);
-                        for (auto *sink : live_sinks)
-                            sink->add(view);
-                    }
-                    ++emitted;
-                }
+                while (emitted < total && ready[emitted])
+                    emit(emitted++);
             }
         };
 
@@ -945,14 +821,14 @@ runFleet(const FleetPlan &plan, FleetOptions options,
     summary.horizonSeconds = plan.horizonSeconds;
     summary.baseSeed = plan.baseSeed;
     for (u64 i = 0; i < total; ++i) {
-        const DeviceTelemetry t = columns.materialize(plan, i);
-        summary.total.accumulate(t);
-        summary.byEnvironment[t.assignment.environment.label()]
-            .accumulate(t);
-        summary.byImpl[rows.implNames[t.assignment.implIndex]]
-            .accumulate(t);
-        summary.byNet[t.assignment.net].accumulate(t);
-        summary.byPipeline[t.assignment.pipeline].accumulate(t);
+        const DeviceAssignment a =
+            plan.assignmentFor(static_cast<u32>(i));
+        const DeviceCounters &c = counters[i];
+        summary.total.accumulate(c);
+        summary.byEnvironment[a.environment.label()].accumulate(c);
+        summary.byImpl[rows.implNames[a.implIndex]].accumulate(c);
+        summary.byNet[a.net].accumulate(c);
+        summary.byPipeline[a.pipeline].accumulate(c);
     }
 
     std::vector<f64> latencies;

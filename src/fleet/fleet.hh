@@ -38,6 +38,7 @@
 #include "app/experiment.hh"
 #include "env/environment.hh"
 #include "pipeline/pipeline.hh"
+#include "telemetry/fields.hh"
 #include "util/json.hh"
 
 namespace sonic::trace
@@ -148,11 +149,14 @@ struct FleetPlan
     DeviceAssignment assignmentFor(u32 device_index) const;
 };
 
-/** Everything measured over one device lifetime. */
-struct DeviceTelemetry
+/**
+ * The scalars measured over one device lifetime and the rates derived
+ * from them: what runFleet keeps per device (a std::vector of these,
+ * 112 B each, written at each device's own index), what a .sonicz row
+ * stores beside the assignment, and what GroupStats folds.
+ */
+struct DeviceCounters
 {
-    DeviceAssignment assignment;
-
     u32 inferencesCompleted = 0;
     bool diedNonTerminating = false; ///< kernel DNF under this env
     /** An inference ended neither completed nor non-terminating (no
@@ -177,24 +181,21 @@ struct DeviceTelemetry
     f64 txBackoffSeconds = 0.0; ///< retry backoff (inside deadSeconds)
     /// @}
 
-    /**
-     * Wall-clock (live + dead) seconds of each completed inference.
-     * Populated by simulateDevice; telemetry materialized from
-     * FleetColumns (what runFleet hands to sinks) carries only the
-     * running sums below — at a million devices the per-round lists
-     * live in the worker-local percentile buffers instead.
-     */
-    std::vector<f64> inferenceSeconds;
-
-    /** Sense-to-ACK wall-clock seconds of each delivered result
-     * (same materialization caveat as inferenceSeconds). */
-    std::vector<f64> deliverySeconds;
-
-    /** Running sums of the two lists (always populated; accumulated
+    /** Running sums of DeviceTelemetry's latency lists (accumulated
      * in round order, so sum/count is bit-identical to the mean a
      * sequential pass over the lists would compute). */
     f64 inferenceSecondsSum = 0.0;
     f64 deliverySecondsSum = 0.0;
+
+    bool operator==(const DeviceCounters &) const = default;
+
+    /** "dnf", "fail" or "ok". */
+    const char *
+    status() const
+    {
+        return diedNonTerminating ? "dnf"
+                                  : (failedIncomplete ? "fail" : "ok");
+    }
 
     f64 totalSeconds() const { return liveSeconds + deadSeconds; }
 
@@ -242,71 +243,42 @@ struct DeviceTelemetry
         return inferencesCompleted > 0 ? energyJ / inferencesCompleted
                                        : 0.0;
     }
+};
 
-    f64
-    resultsDeliveredPerDay() const
-    {
-        const f64 t = totalSeconds();
-        return t > 0.0 ? resultsDelivered * 86400.0 / t : 0.0;
-    }
+/** Everything measured over one device lifetime. */
+struct DeviceTelemetry : DeviceCounters
+{
+    DeviceAssignment assignment;
 
-    f64
-    radioEnergyFraction() const
-    {
-        return energyJ > 0.0 ? radioEnergyJ / energyJ : 0.0;
-    }
+    /**
+     * Wall-clock (live + dead) seconds of each completed inference.
+     * Populated by simulateDevice; the telemetry runFleet hands to
+     * sinks carries only the counters — at a million devices the
+     * per-round lists live in the worker-local percentile buffers
+     * instead.
+     */
+    std::vector<f64> inferenceSeconds;
+
+    /** Sense-to-ACK wall-clock seconds of each delivered result
+     * (same caveat as inferenceSeconds). */
+    std::vector<f64> deliverySeconds;
 };
 
 /**
- * Struct-of-arrays per-device telemetry: one column per scalar field,
- * indexed by device. The worker pool writes each completing device's
- * row at its own index (disjoint writes, no sharing), so a fleet of a
- * million devices streams through the pool cache-linearly instead of
- * chasing a million heap-allocated telemetry objects, and the summary
- * reduction is a columnar pass. DeviceTelemetry remains the row view:
- * materialize() rebuilds one (assignment recomputed from the plan,
- * latency lists elided — see DeviceTelemetry::inferenceSeconds).
+ * The fleet record's field table: the assignment, the counters, and
+ * the derived label, total time and rates the CSV prints. The fleet
+ * CSV and JSON sinks, the .sonicz fleet schema, sonic_cat and the
+ * columnar folds (telemetry::aggregate, the planner's ingest) all walk
+ * it.
  */
-class FleetColumns
-{
-  public:
-    explicit FleetColumns(u64 devices);
-
-    u64 size() const { return inferencesCompleted.size(); }
-
-    /** Write device i's scalar telemetry into the columns. */
-    void store(u64 i, const DeviceTelemetry &t);
-
-    /** Rebuild the row view of device i. */
-    DeviceTelemetry materialize(const FleetPlan &plan, u64 i) const;
-
-    /** @name Columns (public: the reduction reads them directly). */
-    /// @{
-    std::vector<u32> inferencesCompleted;
-    std::vector<u8> status; ///< bit 0: DNF, bit 1: failed-incomplete
-    std::vector<u64> reboots;
-    std::vector<f64> liveSeconds;
-    std::vector<f64> deadSeconds;
-    std::vector<f64> energyJ;
-    std::vector<f64> harvestedJ;
-    std::vector<u32> resultsDelivered;
-    std::vector<u32> txGaveUpRounds;
-    std::vector<u64> txAttempts;
-    std::vector<u64> txRetries;
-    std::vector<f64> radioEnergyJ;
-    std::vector<f64> senseEnergyJ;
-    std::vector<f64> txBackoffSeconds;
-    std::vector<f64> inferenceSecondsSum;
-    std::vector<f64> deliverySecondsSum;
-    /// @}
-};
+const telemetry::FieldTable<DeviceTelemetry> &deviceFields();
 
 /**
  * Receives per-device telemetry in device-index order as lifetimes
  * complete (out-of-order completions are held back, as in the sweep
  * engine). Methods are never called concurrently. Telemetry delivered
- * by runFleet is materialized from FleetColumns: every scalar field
- * and sum is populated, the per-round latency lists are not.
+ * by runFleet carries the assignment and the counters; the per-round
+ * latency lists are empty.
  */
 class FleetSink
 {
@@ -318,60 +290,18 @@ class FleetSink
     virtual void end() {}
 };
 
+/** The fleet CSV's columns, which its JSON objects share. */
+const telemetry::FieldOrder<DeviceTelemetry> &csvFields();
+
 /** Streams one CSV row per device (header first). */
-class FleetCsvSink : public FleetSink
-{
-  public:
-    explicit FleetCsvSink(std::ostream &os) : os_(os) {}
-
-    void begin(u64 totalDevices) override;
-    void add(const DeviceTelemetry &device) override;
-
-  private:
-    std::ostream &os_;
-};
+using FleetCsvSink =
+    telemetry::CsvSinkOf<FleetSink, DeviceTelemetry, csvFields>;
 
 /** Streams a JSON array with one object per device (the same stored
  * and derived fields as the CSV rows, in the same fmtF64 text; a
  * non-finite rate is null). */
-class FleetJsonSink : public FleetSink
-{
-  public:
-    explicit FleetJsonSink(std::ostream &os) : w_(os) {}
-
-    void begin(u64 totalDevices) override;
-    void add(const DeviceTelemetry &device) override;
-    void end() override;
-
-  private:
-    json::Writer w_;
-};
-
-/**
- * The scalar fields one telemetry row contributes to an aggregation
- * bucket — the single field-mapping point shared by
- * GroupStats::accumulate() (row objects from runFleet) and the
- * columnar .sonicz fold (telemetry::aggregate), so the two cannot
- * drift apart field-by-field.
- */
-struct TelemetryRow
-{
-    bool dnf = false;
-    bool failed = false;
-    u32 inferences = 0;
-    u64 reboots = 0;
-    f64 liveSeconds = 0.0;
-    f64 deadSeconds = 0.0;
-    f64 energyJ = 0.0;
-    f64 harvestedJ = 0.0;
-    u32 resultsDelivered = 0;
-    u32 txGaveUpRounds = 0;
-    u64 txAttempts = 0;
-    u64 txRetries = 0;
-    f64 radioEnergyJ = 0.0;
-    f64 senseEnergyJ = 0.0;
-    f64 txBackoffSeconds = 0.0;
-};
+using FleetJsonSink =
+    telemetry::JsonSinkOf<FleetSink, DeviceTelemetry, csvFields>;
 
 /** One aggregation bucket (the whole fleet, or a breakdown group). */
 struct GroupStats
@@ -394,8 +324,8 @@ struct GroupStats
     f64 senseEnergyJ = 0.0;
     f64 txBackoffSeconds = 0.0;
 
-    void accumulate(const DeviceTelemetry &device);
-    void accumulateRow(const TelemetryRow &row);
+    /** The one mapping from a device's counters into a bucket. */
+    void accumulate(const DeviceCounters &device);
 
     f64
     inferencesPerDeviceDay() const

@@ -86,6 +86,15 @@ implName(Impl impl)
     return info ? std::string_view(info->name) : std::string_view("?");
 }
 
+bool
+implFromName(std::string_view name, Impl *out)
+{
+    const auto *info = ImplRegistry::instance().find(name);
+    if (info != nullptr)
+        *out = info->id;
+    return info != nullptr;
+}
+
 u32
 implTileSize(Impl impl)
 {

@@ -145,6 +145,9 @@ class ImplRegistry
 /** Stable implementation name ("?" if unregistered). */
 std::string_view implName(Impl impl);
 
+/** Inverse of implName; false if no registered kernel has the name. */
+bool implFromName(std::string_view name, Impl *out);
+
 /** Tile size of a tiled implementation (0 otherwise). */
 u32 implTileSize(Impl impl);
 

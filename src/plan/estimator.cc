@@ -13,15 +13,14 @@ namespace
 {
 
 void
-fold(CellAccum *cell, f64 objective_value, u64 inferences,
-     u64 delivered, bool dnf)
+fold(CellAccum *cell, Objective objective, const fleet::DeviceCounters &c)
 {
     ++cell->devices;
-    cell->inferences += inferences;
-    cell->delivered += delivered;
-    if (dnf)
+    cell->inferences += c.inferencesCompleted;
+    cell->delivered += c.resultsDelivered;
+    if (c.diedNonTerminating)
         ++cell->dnfDevices;
-    cell->objectiveSum += objective_value;
+    cell->objectiveSum += objectiveValue(objective, c);
 }
 
 } // namespace
@@ -29,30 +28,14 @@ fold(CellAccum *cell, f64 objective_value, u64 inferences,
 bool
 PlanModel::ingestSonicz(std::istream &in, std::string *error)
 {
-    namespace fc = telemetry::fleetcol;
-    const auto on_block = [&](const telemetry::FleetBlockView &v) {
-        for (u64 r = 0; r < v.rows(); ++r) {
-            const u64 inferences = v.intAt(fc::kInferences, r);
-            const u64 delivered =
-                v.intAt(fc::kResultsDelivered, r);
-            const f64 total_seconds = v.f64At(fc::kLiveSeconds, r)
-                + v.f64At(fc::kDeadSeconds, r);
-            const f64 value = objectiveValue(
-                objective_, inferences, delivered, total_seconds,
-                v.f64At(fc::kEnergyJ, r));
-            const env::EnvRef env_ref{v.str(fc::kEnv, r),
-                                      v.f64At(fc::kEnvCap, r)};
-            auto &cell =
-                cells_[fleet::FleetPlan::coordinateKey(
-                           env_ref.label(), v.str(fc::kNet, r),
-                           v.str(fc::kPipeline, r))]
-                      [v.str(fc::kImpl, r)];
-            fold(&cell.telemetry, value, inferences, delivered,
-                 v.str(fc::kStatus, r) == "dnf");
-            ++rowsIngested_;
-        }
+    const auto on_row = [&](const telemetry::FleetFoldRow &row) {
+        auto &cell = cells_[fleet::FleetPlan::coordinateKey(
+                                row.envLabel, row.net, row.pipeline)]
+                           [row.impl];
+        fold(&cell.telemetry, objective_, row.counters);
+        ++rowsIngested_;
     };
-    return telemetry::readFleetBlocks(in, on_block, nullptr, error);
+    return telemetry::readFleetBlocks(in, on_row, nullptr, error);
 }
 
 void
@@ -62,9 +45,7 @@ PlanModel::addProbe(const fleet::DeviceTelemetry &t)
     auto &cell = cells_[fleet::FleetPlan::coordinateKey(
                             a.environment.label(), a.net, a.pipeline)]
                        [std::string(kernels::implName(a.impl))];
-    fold(&cell.probe, objectiveValue(objective_, t),
-         t.inferencesCompleted, t.resultsDelivered,
-         t.diedNonTerminating);
+    fold(&cell.probe, objective_, t);
     ++probeDevices_;
 }
 

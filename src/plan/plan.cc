@@ -51,29 +51,23 @@ objectiveFromName(const std::string &name, Objective *out)
 }
 
 f64
-objectiveValue(Objective objective, const fleet::DeviceTelemetry &t)
+objectiveValue(Objective objective, const fleet::DeviceCounters &c)
 {
-    return objectiveValue(objective, t.inferencesCompleted,
-                          t.resultsDelivered, t.totalSeconds(),
-                          t.energyJ);
-}
-
-f64
-objectiveValue(Objective objective, u64 inferences, u64 delivered,
-               f64 totalSeconds, f64 energyJ)
-{
+    const f64 total_seconds = c.totalSeconds();
     switch (objective) {
       case Objective::DeliveredPerDay:
-        return totalSeconds > 0.0
-            ? static_cast<f64>(delivered) * 86400.0 / totalSeconds
+        return total_seconds > 0.0
+            ? static_cast<f64>(c.resultsDelivered) * 86400.0
+                  / total_seconds
             : 0.0;
       case Objective::InferencesPerDay:
-        return totalSeconds > 0.0
-            ? static_cast<f64>(inferences) * 86400.0 / totalSeconds
+        return total_seconds > 0.0
+            ? static_cast<f64>(c.inferencesCompleted) * 86400.0
+                  / total_seconds
             : 0.0;
       case Objective::EnergyPerInference:
-        return inferences > 0
-            ? -(energyJ / static_cast<f64>(inferences))
+        return c.inferencesCompleted > 0
+            ? -(c.energyJ / static_cast<f64>(c.inferencesCompleted))
             : -kDeadDevicePenaltyJ;
     }
     return 0.0;

@@ -54,16 +54,10 @@ const char *objectiveName(Objective objective);
 bool objectiveFromName(const std::string &name, Objective *out);
 
 /** The per-device value the objective averages (higher = better;
- * energy is negated). The single definition shared by the estimator,
- * the decision, and the confirming run's scoring. */
+ * energy is negated). The single definition shared by the estimator's
+ * ingest and probes, the decision, and the confirming run's scoring. */
 f64 objectiveValue(Objective objective,
-                   const fleet::DeviceTelemetry &device);
-
-/** The same value from the scalar fields alone (the columnar ingest
- * path, which never materializes a DeviceTelemetry). Bit-identical to
- * the row overload: both evaluate the same expressions. */
-f64 objectiveValue(Objective objective, u64 inferences, u64 delivered,
-                   f64 totalSeconds, f64 energyJ);
+                   const fleet::DeviceCounters &device);
 
 /** One coordinate's decided kernel, with the evidence behind it. */
 struct PlanChoice

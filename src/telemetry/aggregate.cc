@@ -2,8 +2,6 @@
 
 #include <istream>
 
-#include "env/environment.hh"
-
 namespace sonic::telemetry
 {
 
@@ -11,52 +9,17 @@ bool
 aggregate(std::istream &in, fleet::FleetSummary *out,
           std::string *error, SoniczInfo *info, const RowRange *range)
 {
-    namespace fc = fleetcol;
     fleet::FleetSummary summary;
 
-    const auto fold = [&](const FleetBlockView &v) {
-        for (u64 r = 0; r < v.rows(); ++r) {
-            const u64 device = v.intAt(fc::kDevice, r);
-            if (range != nullptr
-                && (device < range->lo || device > range->hi))
-                continue;
-
-            const std::string &status = v.str(fc::kStatus, r);
-            fleet::TelemetryRow row{
-                .dnf = status == "dnf",
-                .failed = status == "fail",
-                .inferences = static_cast<u32>(
-                    v.intAt(fc::kInferences, r)),
-                .reboots = v.intAt(fc::kReboots, r),
-                .liveSeconds = v.f64At(fc::kLiveSeconds, r),
-                .deadSeconds = v.f64At(fc::kDeadSeconds, r),
-                .energyJ = v.f64At(fc::kEnergyJ, r),
-                .harvestedJ = v.f64At(fc::kHarvestedJ, r),
-                .resultsDelivered = static_cast<u32>(
-                    v.intAt(fc::kResultsDelivered, r)),
-                .txGaveUpRounds = static_cast<u32>(
-                    v.intAt(fc::kTxGaveUpRounds, r)),
-                .txAttempts = v.intAt(fc::kTxAttempts, r),
-                .txRetries = v.intAt(fc::kTxRetries, r),
-                .radioEnergyJ = v.f64At(fc::kRadioEnergyJ, r),
-                .senseEnergyJ = v.f64At(fc::kSenseEnergyJ, r),
-                .txBackoffSeconds =
-                    v.f64At(fc::kTxBackoffSeconds, r),
-            };
-
-            // Group keys exactly as the live reduction derives them:
-            // the environment label re-formats from the bit-exact
-            // stored capacitance, the others are the stored names.
-            const env::EnvRef env_ref{v.str(fc::kEnv, r),
-                                      v.f64At(fc::kEnvCap, r)};
-            summary.total.accumulateRow(row);
-            summary.byEnvironment[env_ref.label()]
-                .accumulateRow(row);
-            summary.byImpl[v.str(fc::kImpl, r)].accumulateRow(row);
-            summary.byNet[v.str(fc::kNet, r)].accumulateRow(row);
-            summary.byPipeline[v.str(fc::kPipeline, r)]
-                .accumulateRow(row);
-        }
+    const auto fold = [&](const FleetFoldRow &row) {
+        if (range != nullptr
+            && (row.device < range->lo || row.device > range->hi))
+            return;
+        summary.total.accumulate(row.counters);
+        summary.byEnvironment[row.envLabel].accumulate(row.counters);
+        summary.byImpl[row.impl].accumulate(row.counters);
+        summary.byNet[row.net].accumulate(row.counters);
+        summary.byPipeline[row.pipeline].accumulate(row.counters);
     };
 
     if (!readFleetBlocks(in, fold, info, error, range))

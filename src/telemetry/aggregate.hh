@@ -1,16 +1,19 @@
 /**
  * @file
  * Streaming aggregation over fleet .sonicz telemetry: fold a file into
- * a fleet::FleetSummary block-by-block through the columnar reader —
- * no DeviceTelemetry is materialized per row, so a million-device file
- * aggregates in block-sized memory. This is what sonic_cat --summary
- * prints and what the deployment planner (src/plan) ingests.
+ * a fleet::FleetSummary block-by-block through the columnar reader
+ * (readFleetBlocks) — no DeviceTelemetry is materialized per row, so a
+ * million-device file aggregates in block-sized memory. This is what
+ * sonic_cat --summary prints and what the deployment planner
+ * (src/plan) ingests.
  *
  * What the fold can and cannot reproduce of a live runFleet summary:
  * the group stats (total and the byEnvironment/byImpl/byNet/byPipeline
- * breakdowns) are exact — GroupStats::accumulateRow is the shared
- * field-mapping — but horizonSeconds and baseSeed are plan facts that
- * telemetry rows do not carry, and the latency percentiles come from
+ * breakdowns) are exact — the reader sets each row's counters through
+ * the fleet field table, and GroupStats::accumulate(DeviceCounters) is
+ * the one mapping into a bucket, shared with the live reduction — but
+ * horizonSeconds and baseSeed are plan facts that telemetry rows do
+ * not carry, and the latency percentiles come from
  * per-round lists that are not part of the streamed schema. Those
  * fields stay zero.
  */

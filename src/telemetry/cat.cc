@@ -48,18 +48,19 @@ passes(const CatOptions &o, const std::string &env_label,
     return true;
 }
 
-std::string
-sweepStatus(const app::ExperimentResult &r)
+/** A schema's sink, opened on first use (begin() writes its header). */
+template <typename Json, typename Csv, typename Sink>
+Sink &
+opened(std::unique_ptr<Sink> &sink, std::ostream &out, bool json)
 {
-    return r.completed ? "ok" : (r.nonTerminating ? "dnf" : "fail");
-}
-
-std::string
-fleetStatus(const fleet::DeviceTelemetry &t)
-{
-    return t.diedNonTerminating
-        ? "dnf"
-        : (t.failedIncomplete ? "fail" : "ok");
+    if (!sink) {
+        if (json)
+            sink = std::make_unique<Json>(out);
+        else
+            sink = std::make_unique<Csv>(out);
+        sink->begin(0);
+    }
+    return *sink;
 }
 
 } // namespace
@@ -69,63 +70,37 @@ catSonicz(std::istream &in, std::ostream &out,
           const CatOptions &options, std::string *error)
 {
     // One sink per (schema, format); the schema is known only once the
-    // header is read, so both pairs are constructed lazily on the
-    // first row. begin() is header/prologue emission — the sinks
-    // ignore the row-count argument, so filtering costs nothing.
+    // header is read, so the sink opens on the first row that passes.
+    // begin() is header/prologue emission — the sinks ignore the
+    // row-count argument, so filtering costs nothing.
     std::unique_ptr<app::ResultSink> sweep_sink;
     std::unique_ptr<fleet::FleetSink> fleet_sink;
-    bool schema_checked = false;
-    std::string schema_error;
-
-    const auto ensure_sweep = [&]() -> app::ResultSink & {
-        if (!sweep_sink) {
-            if (options.format == CatOptions::Format::Json)
-                sweep_sink = std::make_unique<app::JsonSink>(out);
-            else
-                sweep_sink = std::make_unique<app::CsvSink>(out);
-            sweep_sink->begin(0);
-        }
-        return *sweep_sink;
+    const bool json = options.format == CatOptions::Format::Json;
+    const auto sweep_out = [&]() -> app::ResultSink & {
+        return opened<app::JsonSink, app::CsvSink>(sweep_sink, out, json);
     };
-    const auto ensure_fleet = [&]() -> fleet::FleetSink & {
-        if (!fleet_sink) {
-            if (options.format == CatOptions::Format::Json)
-                fleet_sink =
-                    std::make_unique<fleet::FleetJsonSink>(out);
-            else
-                fleet_sink =
-                    std::make_unique<fleet::FleetCsvSink>(out);
-            fleet_sink->begin(0);
-        }
-        return *fleet_sink;
+    const auto fleet_out = [&]() -> fleet::FleetSink & {
+        return opened<fleet::FleetJsonSink, fleet::FleetCsvSink>(
+            fleet_sink, out, json);
     };
 
+    // A sweep row never passes a --pipeline filter, so that error
+    // (below) is reached before anything is written.
     const auto on_sweep = [&](const app::SweepRecord &record) {
-        if (!schema_checked) {
-            schema_checked = true;
-            if (!options.pipeline.empty())
-                schema_error = "--pipeline filters fleet telemetry; "
-                               "this is a sweep file";
-        }
-        if (!schema_error.empty())
-            return;
         const auto &spec = record.spec;
-        if (!passes(options, spec.environment.label(),
-                    spec.environment.env,
-                    std::string(kernels::implName(spec.impl)),
-                    spec.net, /*pipeline=*/"",
-                    sweepStatus(record.result), record.planIndex))
-            return;
-        ensure_sweep().add(record);
+        if (passes(options, spec.environment.label(),
+                   spec.environment.env,
+                   std::string(kernels::implName(spec.impl)), spec.net,
+                   /*pipeline=*/"", record.result.status(),
+                   record.planIndex))
+            sweep_out().add(record);
     };
     const auto on_fleet = [&](const fleet::DeviceTelemetry &t) {
-        schema_checked = true;
         const auto &a = t.assignment;
-        if (!passes(options, a.environment.label(), a.environment.env,
-                    std::string(kernels::implName(a.impl)), a.net,
-                    a.pipeline, fleetStatus(t), a.deviceIndex))
-            return;
-        ensure_fleet().add(t);
+        if (passes(options, a.environment.label(), a.environment.env,
+                   std::string(kernels::implName(a.impl)), a.net,
+                   a.pipeline, t.status(), a.deviceIndex))
+            fleet_out().add(t);
     };
 
     // The index range doubles as a block-pruning hint: indexed files
@@ -147,26 +122,19 @@ catSonicz(std::istream &in, std::ostream &out,
         return false;
     }
     if (info.kind == SchemaKind::Sweep && !options.pipeline.empty()) {
-        // Also reached when every block was empty of rows.
         if (error != nullptr)
             *error = "sonic_cat: --pipeline filters fleet telemetry; "
                      "this is a sweep file";
-        return false;
-    }
-    if (!schema_error.empty()) {
-        if (error != nullptr)
-            *error = "sonic_cat: " + schema_error;
         return false;
     }
 
     // An empty selection still gets the schema-correct prologue
     // (header line / empty array), exactly like a direct run with no
     // rows.
-    if (info.kind == SchemaKind::Sweep) {
-        ensure_sweep().end();
-    } else {
-        ensure_fleet().end();
-    }
+    if (info.kind == SchemaKind::Sweep)
+        sweep_out().end();
+    else
+        fleet_out().end();
     return true;
 }
 

@@ -20,43 +20,86 @@ namespace sonic::telemetry
 
 // --- Schemas --------------------------------------------------------
 //
-// Column order is part of the writer's layout, but NOT of the read
-// contract: since version 2, readers resolve columns by name, so a
-// column list may grow at the end (or even reorder) without breaking
-// old readers — they skip chunks of columns they do not know.
-// List fields are a length column followed by flattened value columns;
-// every row appends to every column of its schema exactly once per
-// scalar and length-many times per list column.
+// Each schema is its record's field table (telemetry/fields.hh)
+// resolved through an ordered list of names. Column order is part of
+// the writer's layout, but NOT of the read contract: since version 2,
+// readers resolve columns by name, so a column list may grow at the
+// end (or even reorder) without breaking old readers — they skip
+// chunks of columns they do not know. List fields are a length column
+// followed by flattened value columns; every row appends to every
+// column of its schema exactly once per scalar and length-many times
+// per list column.
 
 namespace
 {
 
-// clang-format off
-const std::vector<ColumnSpec> kSweepColumns = {
-    {"planIndex", ColType::Int},
-    {"net", ColType::Str},
-    {"impl", ColType::Str},
-    {"env", ColType::Str},
-    {"envCapFarads", ColType::F64},
-    {"profile", ColType::Str},
-    {"sample", ColType::Int},
-    {"seed", ColType::Int},
-    {"status", ColType::Str},
-    {"reboots", ColType::Int},
-    {"tasksExecuted", ColType::Int},
-    {"liveSeconds", ColType::F64},
-    {"deadSeconds", ColType::F64},
-    {"totalSeconds", ColType::F64},
-    {"energyJ", ColType::F64},
-    {"harvestedJ", ColType::F64},
-    {"predictedClass", ColType::Int},
-    {"tailsTileWords", ColType::Int},
-    {"opInstances", ColType::Int},
-    {"captureNvmDigests", ColType::Int},
-    {"scheduleLen", ColType::Int},
+/** A schema: its columns in file order and the table field behind
+ * each (null for a list column, which the schema's own code fills). */
+template <typename R>
+struct Schema
+{
+    std::vector<ColumnSpec> columns;
+    FieldOrder<R> fields;
+
+    u32
+    position(std::string_view name) const
+    {
+        for (u32 c = 0; c < columns.size(); ++c)
+            if (name == columns[c].name)
+                return c;
+        fatal("sonicz schema has no column '", name, "'");
+    }
+};
+
+/** Resolve `names` against `table`, then against `lists`. */
+template <typename R>
+Schema<R>
+makeSchema(const FieldTable<R> &table,
+           std::initializer_list<const char *> names,
+           const std::vector<ColumnSpec> &lists = {})
+{
+    Schema<R> schema;
+    for (const char *name : names) {
+        const Field<R> *field = table.find(name);
+        const ColumnSpec *spec = field;
+        for (const auto &list : lists)
+            if (spec == nullptr && name == std::string_view(list.name))
+                spec = &list;
+        if (spec == nullptr)
+            fatal("sonicz schema names unknown column '", name, "'");
+        schema.columns.push_back(*spec);
+        schema.fields.push_back(field);
+    }
+    return schema;
+}
+
+const Schema<fleet::DeviceTelemetry> &
+fleetSchema()
+{
+    static const auto schema = makeSchema(
+        fleet::deviceFields(),
+        {"device", "net", "impl", "env", "envCapFarads", "pipeline",
+         "seed", "status", "inferences", "reboots", "liveSeconds",
+         "deadSeconds", "energyJ", "harvestedJ", "resultsDelivered",
+         "txGaveUpRounds", "txAttempts", "txRetries", "radioEnergyJ",
+         "senseEnergyJ", "txBackoffSeconds", "inferenceSecondsSum",
+         "deliverySecondsSum"});
+    return schema;
+}
+
+const Schema<TraceRow> &
+traceSchema()
+{
+    static const auto schema = makeSchema(
+        traceFields(),
+        {"device", "kind", "arg", "t", "energyJ", "value", "label"});
+    return schema;
+}
+
+/** The sweep record's list columns: each list is a length column
+ * ("scheduleLen" is the table's derived field), then its values. */
+const std::vector<ColumnSpec> kSweepListColumns = {
     {"scheduleIndex", ColType::Int},
-    {"scheduleFired", ColType::Int},
-    {"finalNvmDigest", ColType::Int},
     {"rebootDigestLen", ColType::Int},
     {"rebootDigest", ColType::Int},
     {"layerLen", ColType::Int},
@@ -71,43 +114,40 @@ const std::vector<ColumnSpec> kSweepColumns = {
     {"logit", ColType::Int},
 };
 
-const std::vector<ColumnSpec> kFleetColumns = {
-    {"device", ColType::Int},
-    {"net", ColType::Str},
-    {"impl", ColType::Str},
-    {"env", ColType::Str},
-    {"envCapFarads", ColType::F64},
-    {"pipeline", ColType::Str},
-    {"seed", ColType::Int},
-    {"status", ColType::Str},
-    {"inferences", ColType::Int},
-    {"reboots", ColType::Int},
-    {"liveSeconds", ColType::F64},
-    {"deadSeconds", ColType::F64},
-    {"energyJ", ColType::F64},
-    {"harvestedJ", ColType::F64},
-    {"resultsDelivered", ColType::Int},
-    {"txGaveUpRounds", ColType::Int},
-    {"txAttempts", ColType::Int},
-    {"txRetries", ColType::Int},
-    {"radioEnergyJ", ColType::F64},
-    {"senseEnergyJ", ColType::F64},
-    {"txBackoffSeconds", ColType::F64},
-    {"inferenceSecondsSum", ColType::F64},
-    {"deliverySecondsSum", ColType::F64},
+const Schema<app::SweepRecord> &
+sweepSchema()
+{
+    static const auto schema = makeSchema(
+        app::sweepFields(),
+        {"planIndex", "net", "impl", "env", "envCapFarads", "profile",
+         "sample", "seed", "status", "reboots", "tasksExecuted",
+         "liveSeconds", "deadSeconds", "totalSeconds", "energyJ",
+         "harvestedJ", "predictedClass", "tailsTileWords", "opInstances",
+         "captureNvmDigests", "scheduleLen", "scheduleIndex",
+         "scheduleFired", "finalNvmDigest", "rebootDigestLen",
+         "rebootDigest", "layerLen", "layerName", "layerKernelSeconds",
+         "layerControlSeconds", "layerEnergyJ", "opLen", "opName",
+         "opEnergyJ", "logitLen", "logit"},
+        kSweepListColumns);
+    return schema;
+}
+
+/** Positions of the sweep lists' length columns; each list's value
+ * columns follow its length column. */
+struct SweepLists
+{
+    u32 schedule, digests, layers, ops, logits;
 };
 
-const std::vector<ColumnSpec> kTraceColumns = {
-    {"device", ColType::Int},
-    {"kind", ColType::Int},
-    {"arg", ColType::Int},
-    {"t", ColType::F64},
-    {"energyJ", ColType::F64},
-    // A lease from an unlimited supply grants +inf joules.
-    {"value", ColType::F64, /*plusInfinity=*/true},
-    {"label", ColType::Str},
-};
-// clang-format on
+const SweepLists &
+sweepLists()
+{
+    const auto &s = sweepSchema();
+    static const SweepLists lists{
+        s.position("scheduleLen"), s.position("rebootDigestLen"),
+        s.position("layerLen"), s.position("opLen"), s.position("logitLen")};
+    return lists;
+}
 
 /**
  * A retired sweep column the reader still decodes. Sweep files written
@@ -160,17 +200,29 @@ chainDigest(u64 *digest, u64 checksum)
 
 } // namespace
 
+const FieldTable<TraceRow> &
+traceFields()
+{
+    static const auto table =
+        FieldTable<TraceRow>()
+            .stored<&TraceRow::device>("device")
+            .stored<&TraceRow::kind>("kind")
+            .stored<&TraceRow::arg>("arg")
+            .stored<&TraceRow::t>("t")
+            .stored<&TraceRow::energyJ>("energyJ")
+            // A lease from an unlimited supply grants +inf joules.
+            .stored<&TraceRow::value>("value", /*plusInfinity=*/true)
+            .stored<&TraceRow::label>("label");
+    return table;
+}
+
 const std::vector<ColumnSpec> &
 schemaColumns(SchemaKind kind)
 {
-    SONIC_ASSERT(kFleetColumns.size() == fleetcol::kColumnCount,
-                 "fleetcol enum out of sync with kFleetColumns");
-    SONIC_ASSERT(kTraceColumns.size() == tracecol::kColumnCount,
-                 "tracecol enum out of sync with kTraceColumns");
     switch (kind) {
-      case SchemaKind::Sweep: return kSweepColumns;
-      case SchemaKind::Fleet: return kFleetColumns;
-      case SchemaKind::Trace: return kTraceColumns;
+      case SchemaKind::Sweep: return sweepSchema().columns;
+      case SchemaKind::Fleet: return fleetSchema().columns;
+      case SchemaKind::Trace: return traceSchema().columns;
     }
     fatal("unknown schema kind ", static_cast<u32>(kind));
 }
@@ -516,12 +568,18 @@ SoniczWriter::flushBlock()
 
     // Steal the filled column contents (the writer keeps appending
     // into fresh vectors of the same shape while encoders work).
+    // The fresh vectors start at the stolen ones' sizes, so the next
+    // block's appends do not regrow them.
     std::vector<Column> block_columns(columns_.size());
     for (u64 c = 0; c < columns_.size(); ++c) {
-        block_columns[c].type = columns_[c].type;
-        block_columns[c].strs.swap(columns_[c].strs);
-        block_columns[c].ints.swap(columns_[c].ints);
-        block_columns[c].f64s.swap(columns_[c].f64s);
+        auto &col = columns_[c];
+        block_columns[c].type = col.type;
+        block_columns[c].strs.swap(col.strs);
+        block_columns[c].ints.swap(col.ints);
+        block_columns[c].f64s.swap(col.f64s);
+        col.strs.reserve(block_columns[c].strs.size());
+        col.ints.reserve(block_columns[c].ints.size());
+        col.f64s.reserve(block_columns[c].f64s.size());
     }
     const u64 rows = rowsInBlock_;
     rowsInBlock_ = 0;
@@ -583,120 +641,61 @@ SoniczWriter::finish()
 
 // --- Row appenders --------------------------------------------------
 
+namespace
+{
+
+/** Every schema column that has a table field, from its getter. */
+template <typename R>
+void
+putFields(SoniczWriter &w, const Schema<R> &schema, const R &record)
+{
+    for (u32 c = 0; c < schema.fields.size(); ++c)
+        if (const Field<R> *field = schema.fields[c])
+            field->get(record, w.cells(c));
+}
+
+} // namespace
+
 void
 appendSweepRow(SoniczWriter &w, const app::SweepRecord &record)
 {
-    const auto &spec = record.spec;
+    putFields(w, sweepSchema(), record);
+    const auto &at = sweepLists();
     const auto &r = record.result;
-    u32 c = 0;
-    w.putInt(c++, record.planIndex);
-    w.putStr(c++, spec.net);
-    w.putStr(c++, std::string(kernels::implName(spec.impl)));
-    w.putStr(c++, spec.environment.env);
-    w.putF64(c++, spec.environment.capacitanceFarads);
-    w.putStr(c++, app::profileName(spec.profile));
-    w.putInt(c++, spec.sampleIndex);
-    w.putInt(c++, spec.seed);
-    w.putStr(c++, r.completed ? "ok"
-                              : (r.nonTerminating ? "dnf" : "fail"));
-    w.putInt(c++, r.reboots);
-    w.putInt(c++, r.tasksExecuted);
-    w.putF64(c++, r.liveSeconds);
-    w.putF64(c++, r.deadSeconds);
-    w.putF64(c++, r.totalSeconds);
-    w.putF64(c++, r.energyJ);
-    w.putF64(c++, r.harvestedJ);
-    w.putInt(c++, r.predictedClass);
-    w.putInt(c++, r.tailsTileWords);
-    w.putInt(c++, r.opInstances);
-    w.putInt(c++, spec.captureNvmDigests ? 1 : 0);
-    w.putInt(c++, spec.failureSchedule.size());
-    for (const u64 idx : spec.failureSchedule)
-        w.putInt(c, idx);
-    ++c;
-    w.putInt(c++, r.scheduleFired);
-    w.putInt(c++, r.finalNvmDigest);
-    w.putInt(c++, r.rebootDigests.size());
+    for (const u64 idx : record.spec.failureSchedule)
+        w.putInt(at.schedule + 1, idx);
+    w.putInt(at.digests, r.rebootDigests.size());
     for (const u64 digest : r.rebootDigests)
-        w.putInt(c, digest);
-    ++c;
-    w.putInt(c++, r.layers.size());
+        w.putInt(at.digests + 1, digest);
+    w.putInt(at.layers, r.layers.size());
     for (const auto &layer : r.layers) {
-        w.putStr(c, layer.name);
-        w.putF64(c + 1, layer.kernelSeconds);
-        w.putF64(c + 2, layer.controlSeconds);
-        w.putF64(c + 3, layer.energyJ);
+        w.putStr(at.layers + 1, layer.name);
+        w.putF64(at.layers + 2, layer.kernelSeconds);
+        w.putF64(at.layers + 3, layer.controlSeconds);
+        w.putF64(at.layers + 4, layer.energyJ);
     }
-    c += 4;
-    w.putInt(c++, r.energyByOp.size());
+    w.putInt(at.ops, r.energyByOp.size());
     for (const auto &[op, joules] : r.energyByOp) {
-        w.putStr(c, op);
-        w.putF64(c + 1, joules);
+        w.putStr(at.ops + 1, op);
+        w.putF64(at.ops + 2, joules);
     }
-    c += 2;
-    w.putInt(c++, r.logits.size());
+    w.putInt(at.logits, r.logits.size());
     for (const i16 logit : r.logits)
-        w.putInt(c, static_cast<u64>(static_cast<i64>(logit)));
-    ++c;
-    SONIC_ASSERT(c == kSweepColumns.size(),
-                 "sweep schema column walk out of sync");
+        w.putInt(at.logits + 1, static_cast<u64>(static_cast<i64>(logit)));
     w.endRow();
-}
-
-void
-appendFleetCells(SoniczWriter &w, const fleet::DeviceTelemetry &t)
-{
-    const auto &a = t.assignment;
-    u32 c = 0;
-    w.putInt(c++, a.deviceIndex);
-    w.putStr(c++, a.net);
-    w.putStr(c++, std::string(kernels::implName(a.impl)));
-    w.putStr(c++, a.environment.env);
-    w.putF64(c++, a.environment.capacitanceFarads);
-    w.putStr(c++, a.pipeline);
-    w.putInt(c++, a.seed);
-    w.putStr(c++, t.diedNonTerminating
-                 ? "dnf"
-                 : (t.failedIncomplete ? "fail" : "ok"));
-    w.putInt(c++, t.inferencesCompleted);
-    w.putInt(c++, t.reboots);
-    w.putF64(c++, t.liveSeconds);
-    w.putF64(c++, t.deadSeconds);
-    w.putF64(c++, t.energyJ);
-    w.putF64(c++, t.harvestedJ);
-    w.putInt(c++, t.resultsDelivered);
-    w.putInt(c++, t.txGaveUpRounds);
-    w.putInt(c++, t.txAttempts);
-    w.putInt(c++, t.txRetries);
-    w.putF64(c++, t.radioEnergyJ);
-    w.putF64(c++, t.senseEnergyJ);
-    w.putF64(c++, t.txBackoffSeconds);
-    w.putF64(c++, t.inferenceSecondsSum);
-    w.putF64(c++, t.deliverySecondsSum);
-    SONIC_ASSERT(c == kFleetColumns.size(),
-                 "fleet schema column walk out of sync");
 }
 
 void
 appendFleetRow(SoniczWriter &w, const fleet::DeviceTelemetry &t)
 {
-    appendFleetCells(w, t);
+    putFields(w, fleetSchema(), t);
     w.endRow();
 }
 
 void
 appendTraceRow(SoniczWriter &w, const TraceRow &row)
 {
-    u32 c = 0;
-    w.putInt(c++, row.device);
-    w.putInt(c++, row.kind);
-    w.putInt(c++, row.arg);
-    w.putF64(c++, row.t);
-    w.putF64(c++, row.energyJ);
-    w.putF64(c++, row.value);
-    w.putStr(c++, row.label);
-    SONIC_ASSERT(c == kTraceColumns.size(),
-                 "trace schema column walk out of sync");
+    putFields(w, traceSchema(), row);
     w.endRow();
 }
 
@@ -706,29 +705,25 @@ namespace
 {
 
 /** Decoded column values of one block plus the read cursor. */
-struct DecodedColumn
+struct DecodedColumn : ColumnCells
 {
     ColType type = ColType::Int;
-    std::vector<std::string> strs;
-    std::vector<u64> ints;
-    std::vector<f64> f64s;
     u64 cursor = 0;
 
-    u64
-    size() const
-    {
-        switch (type) {
-          case ColType::Str: return strs.size();
-          case ColType::Int: return ints.size();
-          case ColType::F64: return f64s.size();
-        }
-        return 0;
-    }
+    /** Only the vector of the column's type holds cells. */
+    u64 size() const { return strs.size() + ints.size() + f64s.size(); }
 };
 
-/** Reader state shared by the block loop and the row materializers. */
+/** One decoded block: its columns by build position, plus the row
+ * materializers' sticky error. */
 struct BlockReader
 {
+    explicit BlockReader(const std::vector<ColumnSpec> &known)
+        : specs(known), columns(known.size())
+    {
+    }
+
+    const std::vector<ColumnSpec> &specs;
     std::vector<DecodedColumn> columns;
     std::string error;
 
@@ -740,34 +735,42 @@ struct BlockReader
         return false;
     }
 
+    /** The position of column `col`'s next cell, advancing its cursor;
+     * false, with the error set, once the column runs out. */
     bool
-    takeStr(u32 col, std::string *out)
+    next(u32 col, u64 *i)
     {
         auto &c = columns[col];
-        if (c.cursor >= c.strs.size())
-            return fail("string column exhausted mid-row");
-        *out = c.strs[c.cursor++];
+        if (c.cursor >= c.size())
+            return fail(std::string("column '") + specs[col].name
+                        + "' ran out of cells mid-row");
+        *i = c.cursor++;
         return true;
     }
 
+    /** Move column `col`'s next cell into `out`; false, with the error
+     * set, once the column runs out. */
+    template <typename T>
     bool
-    takeInt(u32 col, u64 *out)
+    take(u32 col, T *out)
     {
-        auto &c = columns[col];
-        if (c.cursor >= c.ints.size())
-            return fail("int column exhausted mid-row");
-        *out = c.ints[c.cursor++];
-        return true;
+        u64 i = 0;
+        return next(col, &i) && takeCell(columns[col], i, out);
     }
 
+    /** Store cell `i` of column `col` into `field` of `record`; the
+     * error names the column and the value that does not fit. */
+    template <typename R>
     bool
-    takeF64(u32 col, f64 *out)
+    set(const Field<R> &field, R &record, u32 col, u64 i)
     {
         auto &c = columns[col];
-        if (c.cursor >= c.f64s.size())
-            return fail("f64 column exhausted mid-row");
-        *out = c.f64s[c.cursor++];
-        return true;
+        return field.set(record, c, i)
+            || fail(std::string("column '") + field.name + "': "
+                    + (field.type == ColType::Str
+                           ? "unknown value '" + c.strs[i] + "'"
+                           : "value " + std::to_string(c.ints[i])
+                               + " is out of range"));
     }
 };
 
@@ -853,42 +856,36 @@ decodeStrColumn(const Bytes &raw, std::vector<std::string> *out)
     return pos == raw.size();
 }
 
+/** One row's stored fields through `schema`, in column order. */
+template <typename R>
+bool
+takeFields(BlockReader &b, const Schema<R> &schema, R *out)
+{
+    *out = R{};
+    u64 i = 0;
+    for (u32 c = 0; c < schema.fields.size(); ++c) {
+        const Field<R> *field = schema.fields[c];
+        if (field != nullptr && field->set != nullptr
+            && !(b.next(c, &i) && b.set(*field, *out, c, i)))
+            return false;
+    }
+    return true;
+}
+
 /**
- * One sweep row. `legacy_power`: the file carries kRetiredPowerColumn,
- * decoded into the slot just past the schema.
+ * One sweep row: the scalar walk, then the list columns. `legacy_power`:
+ * the file carries kRetiredPowerColumn, decoded into the slot just past
+ * the schema.
  */
 bool
-materializeSweepRow(BlockReader &b, app::SweepRecord *out,
-                    bool legacy_power)
+takeSweepRow(BlockReader &b, app::SweepRecord *out, bool legacy_power)
 {
-    auto &record = *out;
-    auto &spec = record.spec;
-    auto &r = record.result;
-    record = app::SweepRecord{};
-    u32 c = 0;
-    u64 v = 0;
+    if (!takeFields(b, sweepSchema(), out))
+        return false;
+    auto &spec = out->spec;
+    auto &r = out->result;
     std::string s;
-
-    if (!b.takeInt(c++, &v))
-        return false;
-    record.planIndex = static_cast<u32>(v);
-    if (!b.takeStr(c++, &spec.net))
-        return false;
-    if (!b.takeStr(c++, &s))
-        return false;
-    const auto *impl_info = kernels::ImplRegistry::instance().find(s);
-    if (impl_info == nullptr)
-        return b.fail("unknown implementation '" + s
-                      + "' in the impl column (not registered in "
-                        "this build)");
-    spec.impl = impl_info->id;
-    if (!b.takeStr(c++, &spec.environment.env))
-        return false;
-    if (!b.takeF64(c++, &spec.environment.capacitanceFarads))
-        return false;
-    if (legacy_power) {
-        if (!b.takeStr(kSweepColumns.size(), &s))
-            return false;
+    if (legacy_power && b.take(sweepSchema().columns.size(), &s)) {
         const f64 farads = s == "50mF" ? 50e-3
                          : s == "1mF"  ? 1e-3
                          : s == "100uF" ? 100e-6
@@ -899,200 +896,78 @@ materializeSweepRow(BlockReader &b, app::SweepRecord *out,
         if (farads > 0.0 && spec.environment.empty())
             spec.environment = {"rf-paper", farads};
     }
-    if (!b.takeStr(c++, &s))
-        return false;
-    if (!app::profileFromName(s, &spec.profile))
-        return b.fail("unknown profile '" + s + "'");
-    if (!b.takeInt(c++, &v))
-        return false;
-    spec.sampleIndex = static_cast<u32>(v);
-    if (!b.takeInt(c++, &spec.seed))
-        return false;
-    if (!b.takeStr(c++, &s))
-        return false;
-    if (s == "ok") {
-        r.completed = true;
-    } else if (s == "dnf") {
-        r.nonTerminating = true;
-    } else if (s != "fail") {
-        return b.fail("unknown status '" + s + "'");
-    }
-    if (!b.takeInt(c++, &r.reboots))
-        return false;
-    if (!b.takeInt(c++, &r.tasksExecuted))
-        return false;
-    if (!b.takeF64(c++, &r.liveSeconds))
-        return false;
-    if (!b.takeF64(c++, &r.deadSeconds))
-        return false;
-    if (!b.takeF64(c++, &r.totalSeconds))
-        return false;
-    if (!b.takeF64(c++, &r.energyJ))
-        return false;
-    if (!b.takeF64(c++, &r.harvestedJ))
-        return false;
-    if (!b.takeInt(c++, &v))
-        return false;
-    r.predictedClass = static_cast<u32>(v);
-    if (!b.takeInt(c++, &v))
-        return false;
-    r.tailsTileWords = static_cast<u32>(v);
-    if (!b.takeInt(c++, &r.opInstances))
-        return false;
-    if (!b.takeInt(c++, &v))
-        return false;
-    spec.captureNvmDigests = v != 0;
 
-    u64 len = 0;
-    if (!b.takeInt(c++, &len))
-        return false;
-    spec.failureSchedule.resize(len);
-    for (u64 i = 0; i < len; ++i)
-        if (!b.takeInt(c, &spec.failureSchedule[i]))
-            return false;
-    ++c;
-    if (!b.takeInt(c++, &r.scheduleFired))
-        return false;
-    if (!b.takeInt(c++, &r.finalNvmDigest))
-        return false;
-    if (!b.takeInt(c++, &len))
-        return false;
-    r.rebootDigests.resize(len);
-    for (u64 i = 0; i < len; ++i)
-        if (!b.takeInt(c, &r.rebootDigests[i]))
-            return false;
-    ++c;
-    if (!b.takeInt(c++, &len))
-        return false;
-    r.layers.resize(len);
-    for (u64 i = 0; i < len; ++i) {
-        if (!b.takeStr(c, &r.layers[i].name)
-            || !b.takeF64(c + 1, &r.layers[i].kernelSeconds)
-            || !b.takeF64(c + 2, &r.layers[i].controlSeconds)
-            || !b.takeF64(c + 3, &r.layers[i].energyJ))
-            return false;
+    // A list's length cell, bounded by the cells its first value
+    // column still holds (a corrupt length must not size a vector).
+    const auto &at = sweepLists();
+    const auto list = [&b](u32 col) -> u64 {
+        u64 n = 0;
+        const auto &values = b.columns[col + 1];
+        if (!b.take(col, &n) || n <= values.size() - values.cursor)
+            return n;
+        b.fail(std::string("column '") + b.specs[col].name
+               + "' declares more values than the block holds");
+        return 0;
+    };
+    spec.failureSchedule.resize(list(at.schedule));
+    for (u64 &idx : spec.failureSchedule)
+        b.take(at.schedule + 1, &idx);
+    r.rebootDigests.resize(list(at.digests));
+    for (u64 &digest : r.rebootDigests)
+        b.take(at.digests + 1, &digest);
+    r.layers.resize(list(at.layers));
+    for (auto &layer : r.layers) {
+        b.take(at.layers + 1, &layer.name);
+        b.take(at.layers + 2, &layer.kernelSeconds);
+        b.take(at.layers + 3, &layer.controlSeconds);
+        b.take(at.layers + 4, &layer.energyJ);
     }
-    c += 4;
-    if (!b.takeInt(c++, &len))
-        return false;
-    for (u64 i = 0; i < len; ++i) {
-        f64 joules = 0.0;
-        if (!b.takeStr(c, &s) || !b.takeF64(c + 1, &joules))
-            return false;
-        r.energyByOp[s] = joules;
+    for (u64 n = list(at.ops); n > 0 && b.take(at.ops + 1, &s); --n)
+        b.take(at.ops + 2, &r.energyByOp[s]);
+    r.logits.resize(list(at.logits));
+    for (i16 &logit : r.logits) {
+        u64 bits = 0;
+        b.take(at.logits + 1, &bits);
+        const i64 value = static_cast<i64>(bits);
+        if (!std::in_range<i16>(value))
+            return b.fail("column 'logit': value " + std::to_string(value)
+                          + " is out of range");
+        logit = static_cast<i16>(value);
     }
-    c += 2;
-    if (!b.takeInt(c++, &len))
-        return false;
-    r.logits.resize(len);
-    for (u64 i = 0; i < len; ++i) {
-        if (!b.takeInt(c, &v))
-            return false;
-        r.logits[i] = static_cast<i16>(static_cast<i64>(v));
-    }
-    ++c;
-    return true;
+    return b.error.empty();
 }
 
-bool
-materializeTraceRow(BlockReader &b, TraceRow *out)
-{
-    u32 c = 0;
-    u64 v = 0;
-    if (!b.takeInt(c++, &out->device))
-        return false;
-    if (!b.takeInt(c++, &v))
-        return false;
-    out->kind = static_cast<u32>(v);
-    if (!b.takeInt(c++, &v))
-        return false;
-    out->arg = static_cast<u32>(v);
-    if (!b.takeF64(c++, &out->t))
-        return false;
-    if (!b.takeF64(c++, &out->energyJ))
-        return false;
-    if (!b.takeF64(c++, &out->value))
-        return false;
-    if (!b.takeStr(c++, &out->label))
-        return false;
-    SONIC_ASSERT(c == kTraceColumns.size(),
-                 "trace schema column walk out of sync");
-    return true;
-}
+/** Environment labels by (env, capacitance bits): EnvRef::label()
+ * formats the capacitance through a stream, which cost a fold more
+ * than the rest of a row. */
+using EnvLabels = std::map<std::pair<std::string, u64>, std::string>;
 
+/** Row `row` of a fleet block to a fold: the group-key columns are
+ * read in place, and every other field goes through the fleet table
+ * into `scratch` (its strings and kernel stay unset). */
 bool
-materializeFleetRow(BlockReader &b, fleet::DeviceTelemetry *out)
+foldFleetRow(BlockReader &b, u64 row, fleet::DeviceTelemetry &scratch,
+             EnvLabels &labels,
+             const std::function<void(const FleetFoldRow &)> &onRow)
 {
-    auto &t = *out;
-    t = fleet::DeviceTelemetry{};
-    auto &a = t.assignment;
-    u32 c = 0;
-    u64 v = 0;
-    std::string s;
-
-    if (!b.takeInt(c++, &v))
-        return false;
-    a.deviceIndex = static_cast<u32>(v);
-    if (!b.takeStr(c++, &a.net))
-        return false;
-    if (!b.takeStr(c++, &s))
-        return false;
-    const auto *impl_info = kernels::ImplRegistry::instance().find(s);
-    if (impl_info == nullptr)
-        return b.fail("unknown implementation '" + s
-                      + "' in the impl column (not registered in "
-                        "this build)");
-    a.impl = impl_info->id;
-    if (!b.takeStr(c++, &a.environment.env))
-        return false;
-    if (!b.takeF64(c++, &a.environment.capacitanceFarads))
-        return false;
-    if (!b.takeStr(c++, &a.pipeline))
-        return false;
-    if (!b.takeInt(c++, &a.seed))
-        return false;
-    if (!b.takeStr(c++, &s))
-        return false;
-    if (s == "dnf") {
-        t.diedNonTerminating = true;
-    } else if (s == "fail") {
-        t.failedIncomplete = true;
-    } else if (s != "ok") {
-        return b.fail("unknown status '" + s + "'");
-    }
-    if (!b.takeInt(c++, &v))
-        return false;
-    t.inferencesCompleted = static_cast<u32>(v);
-    if (!b.takeInt(c++, &t.reboots))
-        return false;
-    if (!b.takeF64(c++, &t.liveSeconds))
-        return false;
-    if (!b.takeF64(c++, &t.deadSeconds))
-        return false;
-    if (!b.takeF64(c++, &t.energyJ))
-        return false;
-    if (!b.takeF64(c++, &t.harvestedJ))
-        return false;
-    if (!b.takeInt(c++, &v))
-        return false;
-    t.resultsDelivered = static_cast<u32>(v);
-    if (!b.takeInt(c++, &v))
-        return false;
-    t.txGaveUpRounds = static_cast<u32>(v);
-    if (!b.takeInt(c++, &t.txAttempts))
-        return false;
-    if (!b.takeInt(c++, &t.txRetries))
-        return false;
-    if (!b.takeF64(c++, &t.radioEnergyJ))
-        return false;
-    if (!b.takeF64(c++, &t.senseEnergyJ))
-        return false;
-    if (!b.takeF64(c++, &t.txBackoffSeconds))
-        return false;
-    if (!b.takeF64(c++, &t.inferenceSecondsSum))
-        return false;
-    if (!b.takeF64(c++, &t.deliverySecondsSum))
-        return false;
+    const auto &schema = fleetSchema();
+    static const u32 net = schema.position("net"),
+                     impl = schema.position("impl"),
+                     env = schema.position("env"),
+                     pipeline = schema.position("pipeline");
+    for (u32 c = 0; c < schema.fields.size(); ++c)
+        if (c != net && c != impl && c != env && c != pipeline
+            && !b.set(*schema.fields[c], scratch, c, row))
+            return false;
+    const auto key = [&](u32 c) -> auto & { return b.columns[c].strs[row]; };
+    const auto &a = scratch.assignment;
+    const f64 farads = a.environment.capacitanceFarads;
+    auto [label, fresh] =
+        labels.try_emplace({key(env), std::bit_cast<u64>(farads)});
+    if (fresh)
+        label->second = env::EnvRef{key(env), farads}.label();
+    onRow({scratch, a.deviceIndex, key(net), key(impl), label->second,
+           key(pipeline)});
     return true;
 }
 
@@ -1117,44 +992,11 @@ struct IndexEntry
     u64 digestAfter = 0;
 };
 
-} // namespace
-
-/** Grants sonicz.cc's reader access to FleetBlockView's internals
- * without exposing DecodedColumn in the public header. */
-struct FleetBlockViewAccess
-{
-    template <typename Columns>
-    static void
-    fill(FleetBlockView *view, const Columns &columns, u64 rows)
-    {
-        view->rows_ = rows;
-        view->strCols_.assign(columns.size(), nullptr);
-        view->intCols_.assign(columns.size(), nullptr);
-        view->f64Cols_.assign(columns.size(), nullptr);
-        for (u64 c = 0; c < columns.size(); ++c) {
-            switch (columns[c].type) {
-              case ColType::Str:
-                view->strCols_[c] = &columns[c].strs;
-                break;
-              case ColType::Int:
-                view->intCols_[c] = &columns[c].ints;
-                break;
-              case ColType::F64:
-                view->f64Cols_[c] = &columns[c].f64s;
-                break;
-            }
-        }
-    }
-};
-
-namespace
-{
-
 /**
- * The shared reader core: row callbacks, the columnar fleet-block
- * callback, or both. Handles version 1 (full scan, exact layout) and
- * version 2 (by-name column resolution, unknown-column skipping,
- * index-guided block pruning under a RowRange).
+ * The shared reader core: row callbacks, or the fleet fold's. Handles
+ * version 1 (full scan, exact layout) and version 2 (by-name column
+ * resolution, unknown-column skipping, index-guided block pruning
+ * under a RowRange).
  */
 bool
 readSoniczImpl(std::istream &in,
@@ -1162,8 +1004,7 @@ readSoniczImpl(std::istream &in,
                    &onSweep,
                const std::function<void(const fleet::DeviceTelemetry &)>
                    &onFleet,
-               const std::function<void(const FleetBlockView &)>
-                   &onFleetBlock,
+               const std::function<void(const FleetFoldRow &)> &onFold,
                const std::function<void(const TraceRow &)> &onTrace,
                SoniczInfo *info, std::string *error,
                const RowRange *range)
@@ -1207,8 +1048,8 @@ readSoniczImpl(std::istream &in,
     std::vector<ColumnSpec> known = specs;
     if (kind == SchemaKind::Sweep)
         known.push_back(kRetiredPowerColumn);
-    if (onFleetBlock && kind != SchemaKind::Fleet)
-        return fail("columnar block reads apply to fleet telemetry; "
+    if (onFold && kind != SchemaKind::Fleet)
+        return fail("columnar fleet reads apply to fleet telemetry; "
                     "this is not a fleet file");
     if (onTrace && kind != SchemaKind::Trace)
         return fail("trace row reads apply to .sonictrace files; "
@@ -1338,6 +1179,7 @@ readSoniczImpl(std::istream &in,
     app::SweepRecord sweep_row;
     fleet::DeviceTelemetry fleet_row;
     TraceRow trace_row;
+    EnvLabels env_labels;
 
     // Decode the block at *cursor (which must point at its marker),
     // dispatch its rows or its columnar view, and advance the cursor.
@@ -1359,8 +1201,7 @@ readSoniczImpl(std::istream &in,
                         + " chunks, expected "
                         + std::to_string(file_cols.size()));
 
-        BlockReader block;
-        block.columns.resize(known.size());
+        BlockReader block(known);
         for (u64 k = 0; k < chunk_count; ++k) {
             const u64 chunk_start = bpos;
             u64 col = 0;
@@ -1456,69 +1297,52 @@ readSoniczImpl(std::istream &in,
                             + ", column '" + fc.name + "'");
         }
 
-        if (onFleetBlock) {
-            // The fleet schema is all-scalar: every column must hold
-            // exactly one value per row before the columnar view is
-            // handed out.
-            for (u64 c = 0; c < block.columns.size(); ++c)
-                if (block.columns[c].size() != row_count)
-                    return fail("column '"
-                                + std::string(known[c].name)
-                                + "' holds "
-                                + std::to_string(
-                                      block.columns[c].size())
-                                + " values for "
-                                + std::to_string(row_count)
-                                + " rows (block "
-                                + std::to_string(block_index) + ")");
-            FleetBlockView view;
-            FleetBlockViewAccess::fill(&view, block.columns,
-                                       row_count);
-            onFleetBlock(view);
+        // A fold reads the all-scalar fleet schema by row index, so
+        // every column must hold exactly one value per row; row reads
+        // consume through each column's cursor and must use them up.
+        for (u64 c = 0; onFold && c < block.columns.size(); ++c)
+            if (block.columns[c].size() != row_count)
+                return fail("column '" + std::string(known[c].name)
+                            + "' holds "
+                            + std::to_string(block.columns[c].size())
+                            + " values for " + std::to_string(row_count)
+                            + " rows (block "
+                            + std::to_string(block_index) + ")");
+        for (u64 row = 0; row < row_count; ++row) {
+            bool ok;
+            if (onFold) {
+                ok = foldFleetRow(block, row, fleet_row, env_labels,
+                                  onFold);
+            } else if (kind == SchemaKind::Sweep) {
+                ok = takeSweepRow(block, &sweep_row, legacy_power);
+                if (ok && onSweep)
+                    onSweep(sweep_row);
+            } else if (kind == SchemaKind::Fleet) {
+                ok = takeFields(block, fleetSchema(), &fleet_row);
+                if (ok && onFleet)
+                    onFleet(fleet_row);
+            } else {
+                ok = takeFields(block, traceSchema(), &trace_row);
+                if (ok && onTrace)
+                    onTrace(trace_row);
+            }
+            if (!ok)
+                return fail(block.error + " (block "
+                            + std::to_string(block_index) + ", row "
+                            + std::to_string(row) + ")");
         }
-        if (onSweep || onFleet || !onFleetBlock) {
-            for (u64 row = 0; row < row_count; ++row) {
-                bool ok;
-                if (kind == SchemaKind::Sweep) {
-                    ok = materializeSweepRow(block, &sweep_row,
-                                             legacy_power);
-                    if (ok && onSweep)
-                        onSweep(sweep_row);
-                } else if (kind == SchemaKind::Fleet) {
-                    ok = materializeFleetRow(block, &fleet_row);
-                    if (ok && onFleet)
-                        onFleet(fleet_row);
-                } else {
-                    ok = materializeTraceRow(block, &trace_row);
-                    if (ok && onTrace)
-                        onTrace(trace_row);
-                }
-                if (!ok)
-                    return fail((block.error.empty()
-                                     ? "row materialization failed"
-                                     : block.error)
-                                + " (block "
-                                + std::to_string(block_index)
-                                + ", row " + std::to_string(row)
-                                + ")");
-            }
-            for (u64 c = 0; c < block.columns.size(); ++c) {
-                if (block.columns[c].cursor
-                    != block.columns[c].size())
-                    return fail(
-                        "column '" + std::string(known[c].name)
-                        + "' holds "
-                        + std::to_string(block.columns[c].size())
-                        + " values but the rows consumed "
-                        + std::to_string(block.columns[c].cursor)
-                        + " (block " + std::to_string(block_index)
-                        + ")");
-            }
+        for (u64 c = 0; !onFold && c < block.columns.size(); ++c) {
+            if (block.columns[c].cursor != block.columns[c].size())
+                return fail(
+                    "column '" + std::string(known[c].name) + "' holds "
+                    + std::to_string(block.columns[c].size())
+                    + " values but the rows consumed "
+                    + std::to_string(block.columns[c].cursor)
+                    + " (block " + std::to_string(block_index) + ")");
         }
         out_info.rows += row_count;
         ++out_info.blocks;
         *cursor = bpos;
-        (void)row_count;
         return true;
     };
 
@@ -1615,12 +1439,11 @@ readSonicz(std::istream &in,
 
 bool
 readFleetBlocks(std::istream &in,
-                const std::function<void(const FleetBlockView &)>
-                    &onBlock,
+                const std::function<void(const FleetFoldRow &)> &onRow,
                 SoniczInfo *info, std::string *error,
                 const RowRange *range)
 {
-    return readSoniczImpl(in, nullptr, nullptr, onBlock, nullptr, info,
+    return readSoniczImpl(in, nullptr, nullptr, onRow, nullptr, info,
                           error, range);
 }
 

@@ -37,14 +37,20 @@
  * Every chunk is then LZ-compressed (telemetry/codec.hh) when that
  * wins, or stored raw when it does not.
  *
- * The schemas store exactly the fields the direct CSV/JSON sinks
- * print (derived rates are recomputed from bit-exact stored fields),
- * so sonic_cat re-emission through those same sink classes is
- * byte-identical to a direct run. Schema evolution: readers resolve
- * columns by NAME (order-independent), tolerate unknown columns a
- * newer writer appended (their chunks are checksum-verified and
- * skipped), and error on a missing or type-changed column this build
- * needs. Version-1 files (no index) still read via a full scan.
+ * Each schema is an ordered list of names into its record's field
+ * table (telemetry/fields.hh): the writer walks the table's getters,
+ * the reader its setters, which reject a cell that does not fit its
+ * member, naming the column, block and row. The sweep record's list
+ * fields (a length column, then flattened value columns) are the
+ * schema's own code. The schemas store exactly the fields the direct
+ * CSV/JSON sinks print (derived rates are recomputed from bit-exact
+ * stored fields), and those sinks walk the same tables, so sonic_cat
+ * re-emission through them is byte-identical to a direct run. Schema
+ * evolution: readers resolve columns by NAME (order-independent),
+ * tolerate unknown columns a newer writer appended (their chunks are
+ * checksum-verified and skipped), and error on a missing or
+ * type-changed column this build needs. Version-1 files (no index)
+ * still read via a full scan.
  */
 
 #ifndef SONIC_TELEMETRY_SONICZ_HH
@@ -59,6 +65,7 @@
 #include "app/engine.hh"
 #include "fleet/fleet.hh"
 #include "telemetry/codec.hh"
+#include "telemetry/fields.hh"
 
 namespace sonic::telemetry
 {
@@ -77,75 +84,10 @@ enum class SchemaKind : u8
     Trace = 3  ///< trace::TraceRow events (the .sonictrace container)
 };
 
-/** Column value classes (the three context encoders). */
-enum class ColType : u8
-{
-    Str = 0,
-    Int = 1,
-    F64 = 2
-};
-
-/** One schema column: a name (the resolution key) + type. */
-struct ColumnSpec
-{
-    const char *name;
-    ColType type;
-    /** An F64 column that may hold +inf; readers reject every other
-     * non-finite cell. */
-    bool plusInfinity = false;
-};
-
-/** The fixed column list of a schema kind. */
+/** The columns of a schema kind, in file order: the record's field
+ * table resolved through the schema's name list (sonicz.cc), plus the
+ * sweep schema's list columns. */
 const std::vector<ColumnSpec> &schemaColumns(SchemaKind kind);
-
-/** kFleetColumns positions, for the columnar block accessors below
- * (kept in sync with the list in sonicz.cc by a static_assert). */
-namespace fleetcol
-{
-enum : u32
-{
-    kDevice = 0,
-    kNet,
-    kImpl,
-    kEnv,
-    kEnvCap,
-    kPipeline,
-    kSeed,
-    kStatus,
-    kInferences,
-    kReboots,
-    kLiveSeconds,
-    kDeadSeconds,
-    kEnergyJ,
-    kHarvestedJ,
-    kResultsDelivered,
-    kTxGaveUpRounds,
-    kTxAttempts,
-    kTxRetries,
-    kRadioEnergyJ,
-    kSenseEnergyJ,
-    kTxBackoffSeconds,
-    kInferenceSecondsSum,
-    kDeliverySecondsSum,
-    kColumnCount
-};
-} // namespace fleetcol
-
-/** kTraceColumns positions (same sync contract as fleetcol). */
-namespace tracecol
-{
-enum : u32
-{
-    kDevice = 0,
-    kKind,
-    kArg,
-    kT,
-    kEnergyJ,
-    kValue,
-    kLabel,
-    kColumnCount
-};
-} // namespace tracecol
 
 /**
  * One trace event row of a .sonictrace file (a .sonicz file with the
@@ -165,6 +107,10 @@ struct TraceRow
     std::string label;
 };
 
+/** The trace row's field table: seven stored fields, all in the
+ * .sonictrace schema. */
+const FieldTable<TraceRow> &traceFields();
+
 /**
  * Streaming .sonicz writer. Cells are appended column-wise per row
  * (every column exactly once per scalar, list columns length-first),
@@ -173,11 +119,12 @@ struct TraceRow
  * block index, and the footer; a file without its footer is rejected
  * by the reader as truncated.
  *
- * `extraColumns` appends columns after the schema's fixed list (cell
- * them by index kFleetColumns.size() + i, before endRow()). This is
- * the schema-evolution hook: it writes the file a FUTURE build with a
- * wider schema would write, so tests can pin that today's reader
- * tolerates it. The name pointers must outlive the writer.
+ * `extraColumns` appends columns after the schema's fixed list: put
+ * their cells (column schemaColumns(kind).size() + i) before the
+ * append*Row call that closes the row. This is the schema-evolution
+ * hook: it writes the file a FUTURE build with a wider schema would
+ * write, so tests can pin that today's reader tolerates it. The name
+ * pointers must outlive the writer.
  */
 class SoniczWriter
 {
@@ -195,15 +142,14 @@ class SoniczWriter
     void endRow();
     void finish();
 
-    u64 rowsWritten() const { return totalRows_; }
+    /** Column `col`'s cells of the open block, for the field-table
+     * walk, whose getters append cells of the column's own type. */
+    ColumnCells &cells(u32 col) { return columns_[col]; }
 
   private:
-    struct Column
+    struct Column : ColumnCells
     {
         ColType type;
-        std::vector<std::string> strs;
-        std::vector<u64> ints;
-        std::vector<f64> f64s;
     };
 
     /** One block's index entry, captured as the block is flushed. */
@@ -243,23 +189,15 @@ class SoniczWriter
     std::unique_ptr<Encoder> encoder_;
 };
 
-/** Append one sweep record as a .sonicz row. */
+/** @name Row appenders: every schema cell of one record, then
+ * endRow(). The scalar cells come from the record's field table. */
+/// @{
 void appendSweepRow(SoniczWriter &writer,
                     const app::SweepRecord &record);
-
-/** Append one fleet telemetry row (the runFleet-materialized view:
- * scalar fields and sums; per-round latency lists are not part of the
- * streamed telemetry — see fleet::FleetColumns). */
 void appendFleetRow(SoniczWriter &writer,
                     const fleet::DeviceTelemetry &device);
-
-/** The same standard cells WITHOUT closing the row — for writers
- * built with extraColumns: put the extra cells, then endRow(). */
-void appendFleetCells(SoniczWriter &writer,
-                      const fleet::DeviceTelemetry &device);
-
-/** Append one trace event as a .sonictrace row. */
 void appendTraceRow(SoniczWriter &writer, const TraceRow &row);
+/// @}
 
 /** Reader-side file facts (sonic_cat --info). */
 struct SoniczInfo
@@ -324,97 +262,64 @@ bool readTraceRows(std::istream &in,
                    const RowRange *range = nullptr);
 
 /**
- * One decoded block of a FLEET file, exposed columnar: the reader's
- * decoded arrays by kFleetColumns position (see telemetry::fleetcol),
- * valid only inside the readFleetBlocks callback. This is how the
- * aggregator and the planner ingest a million-device file without
- * materializing a DeviceTelemetry per row.
+ * One row of a FLEET file as the columnar folds read it
+ * (telemetry::aggregate, the planner's ingest), without materializing
+ * a DeviceTelemetry: the counters are set through the fleet field
+ * table, with the checks every reader makes, and the assignment cells
+ * the folds group by are the block's decoded values. Valid only
+ * inside the readFleetBlocks callback.
  */
-class FleetBlockView
+struct FleetFoldRow
 {
-  public:
-    u64 rows() const { return rows_; }
-
-    const std::string &
-    str(u32 col, u64 row) const
-    {
-        return (*strCols_[col])[row];
-    }
-
-    u64
-    intAt(u32 col, u64 row) const
-    {
-        return (*intCols_[col])[row];
-    }
-
-    f64
-    f64At(u32 col, u64 row) const
-    {
-        return (*f64Cols_[col])[row];
-    }
-
-  private:
-    friend struct FleetBlockViewAccess;
-
-    u64 rows_ = 0;
-    std::vector<const std::vector<std::string> *> strCols_;
-    std::vector<const std::vector<u64> *> intCols_;
-    std::vector<const std::vector<f64> *> f64Cols_;
+    const fleet::DeviceCounters &counters;
+    u64 device;
+    const std::string &net;
+    const std::string &impl;
+    /** env::EnvRef::label() of the stored env and capacitance, as the
+     * live reduction groups by. */
+    const std::string &envLabel;
+    const std::string &pipeline;
 };
 
 /**
- * Read a FLEET .sonicz stream block-by-block (columnar, no row
- * materialization). Errors on sweep files. Same validation and
+ * Read a FLEET .sonicz stream block-by-block, invoking onRow once per
+ * row in file order. Errors on other schemas. Same validation and
  * range-pruning semantics as readSonicz.
  */
 bool readFleetBlocks(std::istream &in,
-                     const std::function<void(const FleetBlockView &)>
-                         &onBlock,
+                     const std::function<void(const FleetFoldRow &)>
+                         &onRow,
                      SoniczInfo *info, std::string *error,
                      const RowRange *range = nullptr);
 
-/** Engine sink writing sweep records as .sonicz (open the stream in
- * binary mode). */
-class SoniczSweepSink : public app::ResultSink
+/**
+ * A sink of base class `Base` writing records as .sonicz (open the
+ * stream in binary mode). `encoderThreads` moves block encoding off
+ * the emit path (byte-identical output; see SoniczWriter) — wire it to
+ * the fleet's worker-thread count.
+ */
+template <typename Base, typename R, SchemaKind Kind,
+          void (*Append)(SoniczWriter &, const R &)>
+class SoniczSink : public Base
 {
   public:
-    explicit SoniczSweepSink(std::ostream &os, u32 encoderThreads = 0)
-        : writer_(os, SchemaKind::Sweep, {}, encoderThreads)
+    explicit SoniczSink(std::ostream &os, u32 encoderThreads = 0)
+        : writer_(os, Kind, {}, encoderThreads)
     {
     }
 
-    void add(const app::SweepRecord &record) override
-    {
-        appendSweepRow(writer_, record);
-    }
-
+    void add(const R &record) override { Append(writer_, record); }
     void end() override { writer_.finish(); }
 
   private:
     SoniczWriter writer_;
 };
 
-/** Fleet sink writing device telemetry as .sonicz. `encoderThreads`
- * moves block encoding off the emit path (byte-identical output; see
- * SoniczWriter) — wire it to the fleet's worker-thread count. */
-class SoniczFleetSink : public fleet::FleetSink
-{
-  public:
-    explicit SoniczFleetSink(std::ostream &os, u32 encoderThreads = 0)
-        : writer_(os, SchemaKind::Fleet, {}, encoderThreads)
-    {
-    }
-
-    void add(const fleet::DeviceTelemetry &device) override
-    {
-        appendFleetRow(writer_, device);
-    }
-
-    void end() override { writer_.finish(); }
-
-  private:
-    SoniczWriter writer_;
-};
+using SoniczSweepSink = SoniczSink<app::ResultSink, app::SweepRecord,
+                                   SchemaKind::Sweep, appendSweepRow>;
+using SoniczFleetSink =
+    SoniczSink<fleet::FleetSink, fleet::DeviceTelemetry,
+               SchemaKind::Fleet, appendFleetRow>;
 
 } // namespace sonic::telemetry
 

@@ -83,15 +83,8 @@ void
 TraceRecorder::record(TraceEventKind kind, u32 arg, f64 t, f64 energyJ,
                       f64 value, std::string label)
 {
-    telemetry::TraceRow row;
-    row.device = device_;
-    row.kind = static_cast<u32>(kind);
-    row.arg = arg;
-    row.t = t;
-    row.energyJ = energyJ;
-    row.value = value;
-    row.label = std::move(label);
-    rows_.push_back(std::move(row));
+    rows_.push_back({device_, static_cast<u32>(kind), arg, t, energyJ,
+                     value, std::move(label)});
 }
 
 void

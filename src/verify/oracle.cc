@@ -629,32 +629,38 @@ verifyWithEngine(app::Engine &engine, const EngineOracleConfig &config)
 
 // --- Reports and golden files ---------------------------------------
 
+void
+writeReportJson(json::Writer &w, const OracleReport &report, u32 indent)
+{
+    w.beginObject()
+        .br(indent + 2).field("impl", report.impl)
+        .br(indent + 2).field("workload", report.workload)
+        .br(indent + 2).field("schedulesRun", report.schedulesRun)
+        .br(indent + 2).field("totalFired", report.totalFired)
+        .br(indent + 2).field("totalReboots", report.totalReboots)
+        .br(indent + 2).key("divergences").beginArray();
+    for (const Divergence &d : report.divergences) {
+        w.br(indent + 4).beginObject().field("reason", d.reason)
+            .br(indent + 5).key("schedule").array(d.schedule)
+            .br(indent + 5).key("shrunk").array(d.shrunk)
+            .br(indent + 5).field("shrunkCompleted", d.observed.completed)
+            .field("shrunkReboots", d.observed.reboots)
+            .br(indent + 5).key("shrunkLogits").array(d.observed.logits)
+            .br(indent + 5).key("shrunkRebootDigests")
+            .array(d.observed.rebootDigests, hex64);
+        if (!d.tracePath.empty())
+            w.br(indent + 5).field("tracePath", d.tracePath);
+        w.end();
+    }
+    w.br(indent + 2).end().br(indent).end();
+}
+
 std::string
 reportJson(const OracleReport &report)
 {
     std::ostringstream os;
     json::Writer w(os);
-    w.beginObject()
-        .br(2).field("impl", report.impl)
-        .br(2).field("workload", report.workload)
-        .br(2).field("schedulesRun", report.schedulesRun)
-        .br(2).field("totalFired", report.totalFired)
-        .br(2).field("totalReboots", report.totalReboots)
-        .br(2).key("divergences").beginArray();
-    for (const Divergence &d : report.divergences) {
-        w.br(4).beginObject().field("reason", d.reason)
-            .br(5).key("schedule").array(d.schedule)
-            .br(5).key("shrunk").array(d.shrunk)
-            .br(5).field("shrunkCompleted", d.observed.completed)
-            .field("shrunkReboots", d.observed.reboots)
-            .br(5).key("shrunkLogits").array(d.observed.logits)
-            .br(5).key("shrunkRebootDigests")
-            .array(d.observed.rebootDigests, hex64);
-        if (!d.tracePath.empty())
-            w.br(5).field("tracePath", d.tracePath);
-        w.end();
-    }
-    w.br(2).end().br(0).end();
+    writeReportJson(w, report, 0);
     return os.str();
 }
 

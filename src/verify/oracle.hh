@@ -299,7 +299,12 @@ struct EngineOracleConfig
 OracleReport verifyWithEngine(app::Engine &engine,
                               const EngineOracleConfig &config);
 
-/** JSON rendering of a report (the CI failure-shrink artifact). */
+/** Write a report as one JSON object whose lines are indented past
+ * `indent` (sonic_oracle --artifact writes an array of them). */
+void writeReportJson(json::Writer &w, const OracleReport &report,
+                     u32 indent);
+
+/** One report as a JSON document. */
 std::string reportJson(const OracleReport &report);
 
 /** @name Divergence trace dumps */

@@ -412,15 +412,12 @@ main(int argc, char **argv)
         std::ofstream out;
         if (!cli::openOutput(out, args.artifact))
             return 2;
-        out << "[\n";
-        bool first = true;
-        for (const auto &report : reports) {
-            if (report.ok())
-                continue;
-            out << (first ? "" : ",\n") << verify::reportJson(report);
-            first = false;
-        }
-        out << "]\n";
+        json::Writer w(out);
+        w.beginArray();
+        for (const auto &report : reports)
+            if (!report.ok())
+                verify::writeReportJson(w.br(2), report, 2);
+        w.br(0).end();
         if (!cli::finishOutput(out, args.artifact))
             return 1;
         std::cout << "failure-shrink artifact written to "

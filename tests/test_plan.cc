@@ -56,25 +56,31 @@ twoByTwoScenario()
     return p;
 }
 
-TEST(PlanObjective, RowAndScalarOverloadsAreBitIdentical)
+TEST(PlanObjective, ScoresTheCountersByTheirDefinitions)
 {
+    // The columnar ingest and the probes score the same counters
+    // struct through one function; pin its three definitions.
     std::mt19937_64 rng(0x0b1);
     for (u32 i = 0; i < 200; ++i) {
-        fleet::DeviceTelemetry t;
-        t.inferencesCompleted = static_cast<u32>(rng() % 4);
-        t.resultsDelivered = static_cast<u32>(rng() % 4);
-        t.liveSeconds = static_cast<f64>(rng() % 100000) / 7.0;
-        t.deadSeconds = static_cast<f64>(rng() % 100000) / 3.0;
-        t.energyJ = static_cast<f64>(rng() % 1000) / 11.0;
-        for (const auto objective :
-             {Objective::DeliveredPerDay, Objective::InferencesPerDay,
-              Objective::EnergyPerInference}) {
-            const f64 via_row = plan::objectiveValue(objective, t);
-            const f64 via_scalars = plan::objectiveValue(
-                objective, t.inferencesCompleted, t.resultsDelivered,
-                t.liveSeconds + t.deadSeconds, t.energyJ);
-            EXPECT_EQ(std::bit_cast<u64>(via_row),
-                      std::bit_cast<u64>(via_scalars));
+        fleet::DeviceCounters c;
+        c.inferencesCompleted = static_cast<u32>(rng() % 4);
+        c.resultsDelivered = static_cast<u32>(rng() % 4);
+        c.liveSeconds = static_cast<f64>(rng() % 100000) / 7.0;
+        c.deadSeconds = static_cast<f64>(rng() % 100000) / 3.0;
+        c.energyJ = static_cast<f64>(rng() % 1000) / 11.0;
+        const f64 total = c.totalSeconds();
+        EXPECT_EQ(std::bit_cast<u64>(plan::objectiveValue(
+                      Objective::DeliveredPerDay, c)),
+                  std::bit_cast<u64>(
+                      total > 0.0 ? c.resultsDelivered * 86400.0 / total
+                                  : 0.0));
+        EXPECT_EQ(std::bit_cast<u64>(plan::objectiveValue(
+                      Objective::InferencesPerDay, c)),
+                  std::bit_cast<u64>(c.inferencesPerDay()));
+        if (c.inferencesCompleted > 0) {
+            EXPECT_EQ(std::bit_cast<u64>(plan::objectiveValue(
+                          Objective::EnergyPerInference, c)),
+                      std::bit_cast<u64>(-c.energyPerInferenceJ()));
         }
     }
 

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include <limits>
 #include <random>
 #include <sstream>
+#include <tuple>
 #include <variant>
 
 #include "telemetry/aggregate.hh"
@@ -823,6 +825,137 @@ TEST(Sonicz, NonFiniteCellsAreRejectedNamingTheColumn)
                     error, "liveSeconds");
 }
 
+/**
+ * A one-row file of `kind` written cell by cell: valid names, zeros and
+ * empty lists, except that `column` holds `value` (a list value column
+ * becomes a one-element list).
+ */
+std::string
+packCraftedRow(telemetry::SchemaKind kind, const std::string &column,
+               u64 value)
+{
+    const std::vector<std::string> list_values = {
+        "scheduleIndex", "rebootDigest", "layerName",
+        "layerKernelSeconds", "layerControlSeconds", "layerEnergyJ",
+        "opName", "opEnergyJ", "logit"};
+    const auto is_list_value = [&](const std::string &name) {
+        return std::find(list_values.begin(), list_values.end(), name)
+            != list_values.end();
+    };
+    const auto &cols = telemetry::schemaColumns(kind);
+    std::ostringstream os;
+    telemetry::SoniczWriter w(os, kind);
+    for (u32 c = 0; c < cols.size(); ++c) {
+        const std::string name = cols[c].name;
+        if (is_list_value(name) && name != column)
+            continue;
+        const bool length_of_target = c + 1 < cols.size()
+            && cols[c + 1].name == column && is_list_value(column);
+        switch (cols[c].type) {
+          case telemetry::ColType::Str:
+            w.putStr(c, name == "impl"      ? "SONIC"
+                        : name == "status"  ? "ok"
+                        : name == "profile" ? "standard"
+                                            : "x");
+            break;
+          case telemetry::ColType::Int:
+            w.putInt(c, name == column ? value : length_of_target);
+            break;
+          case telemetry::ColType::F64: w.putF64(c, 0.0); break;
+        }
+    }
+    w.endRow();
+    w.finish();
+    return os.str();
+}
+
+TEST(Sonicz, OutOfRangeIntegerCellsAreRejectedNamingTheColumn)
+{
+    // Int cells decode as u64; a reader must not narrow one into a
+    // smaller member (2^32 + 5 inferences read back as 5).
+    const u64 past_u32 = (u64{1} << 32) + 5;
+    const auto expect_rejected = [](bool ok, const std::string &error,
+                                    const std::string &column) {
+        EXPECT_FALSE(ok);
+        EXPECT_NE(error.find("column '" + column + "'"),
+                  std::string::npos)
+            << error;
+        EXPECT_NE(error.find("block 0, row 0"), std::string::npos)
+            << error;
+    };
+    using telemetry::SchemaKind;
+    const std::tuple<SchemaKind, const char *, u64> cases[] = {
+        {SchemaKind::Fleet, "device", past_u32},
+        {SchemaKind::Fleet, "inferences", past_u32},
+        {SchemaKind::Fleet, "resultsDelivered", past_u32},
+        {SchemaKind::Fleet, "txGaveUpRounds", past_u32},
+        {SchemaKind::Sweep, "planIndex", past_u32},
+        {SchemaKind::Sweep, "sample", past_u32},
+        {SchemaKind::Sweep, "predictedClass", past_u32},
+        {SchemaKind::Sweep, "tailsTileWords", past_u32},
+        {SchemaKind::Sweep, "captureNvmDigests", 2},
+        {SchemaKind::Sweep, "logit", 40000},
+        {SchemaKind::Sweep, "logit", static_cast<u64>(i64{-40000})},
+        {SchemaKind::Trace, "kind", past_u32},
+        {SchemaKind::Trace, "arg", past_u32},
+        // A list length past the cells its value column holds must not
+        // size a vector (2^40 u64s).
+        {SchemaKind::Sweep, "scheduleLen", u64{1} << 40},
+    };
+    for (const auto &[kind, column, value] : cases) {
+        SCOPED_TRACE(column);
+        const std::string packed = packCraftedRow(kind, column, value);
+        std::string error;
+        std::istringstream in(packed);
+        if (kind == SchemaKind::Trace) {
+            expect_rejected(telemetry::readTraceRows(in, nullptr,
+                                                     nullptr, &error),
+                            error, column);
+            continue;
+        }
+        expect_rejected(telemetry::readSonicz(in, nullptr, nullptr,
+                                              nullptr, &error),
+                        error, column);
+        for (const auto format : {telemetry::CatOptions::Format::Csv,
+                                  telemetry::CatOptions::Format::Json}) {
+            telemetry::CatOptions options;
+            options.format = format;
+            std::istringstream cat_in(packed);
+            std::ostringstream out;
+            error.clear();
+            expect_rejected(
+                telemetry::catSonicz(cat_in, out, options, &error),
+                error, column);
+        }
+        if (kind != SchemaKind::Fleet)
+            continue;
+        std::istringstream agg_in(packed);
+        fleet::FleetSummary summary;
+        error.clear();
+        expect_rejected(telemetry::aggregate(agg_in, &summary, &error),
+                        error, column);
+        std::istringstream summary_in(packed);
+        std::ostringstream out;
+        error.clear();
+        expect_rejected(telemetry::soniczSummary(summary_in, out,
+                                                 telemetry::CatOptions{},
+                                                 &error),
+                        error, column);
+    }
+
+    // The crafted rows themselves are valid once the cell fits.
+    for (const auto kind :
+         {SchemaKind::Fleet, SchemaKind::Sweep, SchemaKind::Trace}) {
+        std::istringstream in(packCraftedRow(kind, "logit", 7));
+        std::string error;
+        telemetry::SoniczInfo info;
+        EXPECT_TRUE(telemetry::readSonicz(in, nullptr, nullptr, &info,
+                                          &error))
+            << error;
+        EXPECT_EQ(info.rows, 1u);
+    }
+}
+
 TEST(FleetJson, NonFiniteRatesAreWrittenAsNull)
 {
     // A finite row whose derived rate overflows: 3 inferences in the
@@ -1007,12 +1140,12 @@ TEST(Sonicz, UnknownTrailingColumnsAreTolerated)
     std::ostringstream os;
     telemetry::SoniczWriter writer(os, telemetry::SchemaKind::Fleet,
                                    extra);
-    const u32 base = telemetry::fleetcol::kColumnCount;
+    const auto base = static_cast<u32>(
+        telemetry::schemaColumns(telemetry::SchemaKind::Fleet).size());
     for (const auto &row : rows) {
-        telemetry::appendFleetCells(writer, row);
         writer.putF64(base, randomF64(rng));
         writer.putStr(base + 1, "vNext");
-        writer.endRow();
+        telemetry::appendFleetRow(writer, row);
     }
     writer.finish();
     const std::string packed = os.str();
@@ -1028,10 +1161,9 @@ TEST(Sonicz, UnknownTrailingColumnsAreTolerated)
     telemetry::SoniczWriter small(small_os,
                                   telemetry::SchemaKind::Fleet, extra);
     for (u32 i = 0; i < 4; ++i) {
-        telemetry::appendFleetCells(small, rows[i]);
         small.putF64(base, randomF64(rng));
         small.putStr(base + 1, "vNext");
-        small.endRow();
+        telemetry::appendFleetRow(small, rows[i]);
     }
     small.finish();
     const std::string small_packed = small_os.str();

@@ -388,6 +388,29 @@ TEST(Oracle, ReportJsonCarriesShrunkCounterexample)
     EXPECT_EQ(*div.at("tracePath").string(),
               report.divergences[0].tracePath);
     EXPECT_EQ(*div.at("reason").string(), d.reason);
+
+    // sonic_oracle --artifact: an array of reports through one writer.
+    OracleReport second = report;
+    second.impl = "TAILS";
+    second.divergences[0].shrunk = {5, 12};
+    std::ostringstream artifact;
+    json::Writer w(artifact);
+    w.beginArray();
+    for (const OracleReport *each : {&report, &second})
+        writeReportJson(w.br(2), *each, 2);
+    w.br(0).end();
+    ASSERT_TRUE(jsonp::parseJson(artifact.str(), &doc, &error)) << error;
+    const auto *reports = doc.array();
+    ASSERT_NE(reports, nullptr);
+    ASSERT_EQ(reports->size(), 2u);
+    EXPECT_EQ(*reports->at(0).object()->at("workload").string(),
+              report.workload);
+    const auto &tails = *reports->at(1).object();
+    EXPECT_EQ(*tails.at("impl").string(), "TAILS");
+    const auto &shrunk = *tails.at("divergences").array()->at(0)
+                              .object()->at("shrunk").array();
+    ASSERT_EQ(shrunk.size(), 2u);
+    EXPECT_EQ(*shrunk[1].number(), 12.0);
 }
 
 // --- Environment-recorded schedules ---------------------------------
