@@ -77,11 +77,8 @@ verify::Observation
 observe(const dnn::NetworkSpec &net, const std::vector<i16> &input,
         kernels::Impl impl)
 {
-    verify::LocalWorkload workload;
-    workload.net = net;
-    workload.input = input;
-    workload.impl = impl;
-    return verify::runSchedule(workload, verify::Schedule{}, true);
+    return verify::observe(verify::LocalWorkload(net, input, impl),
+                           std::make_unique<arch::SchedulePower>());
 }
 
 bool

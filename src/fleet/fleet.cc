@@ -181,6 +181,7 @@ struct PlanRows
     std::vector<const dnn::ModelEntry *> nets;
     std::vector<std::string> implNames;
     std::vector<const env::EnvEntry *> environments;
+    std::vector<std::string> envLabels;
     std::vector<const pipeline::PipelineSpec *> pipelines;
 };
 
@@ -195,8 +196,10 @@ resolveRows(const FleetPlan &plan)
     }
     for (const auto impl : plan.impls)
         rows.implNames.emplace_back(kernels::implName(impl));
-    for (const auto &ref : plan.environments)
+    for (const auto &ref : plan.environments) {
         rows.environments.push_back(&env::EnvRegistry::instance().get(ref));
+        rows.envLabels.push_back(ref.label());
+    }
     for (const auto &name : plan.pipelines)
         rows.pipelines.push_back(
             &pipeline::PipelineRegistry::instance().get(name));
@@ -825,7 +828,7 @@ runFleet(const FleetPlan &plan, FleetOptions options,
             plan.assignmentFor(static_cast<u32>(i));
         const DeviceCounters &c = counters[i];
         summary.total.accumulate(c);
-        summary.byEnvironment[a.environment.label()].accumulate(c);
+        summary.byEnvironment[rows.envLabels[a.envIndex]].accumulate(c);
         summary.byImpl[rows.implNames[a.implIndex]].accumulate(c);
         summary.byNet[a.net].accumulate(c);
         summary.byPipeline[a.pipeline].accumulate(c);

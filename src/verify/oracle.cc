@@ -20,6 +20,9 @@ namespace sonic::verify
 namespace
 {
 
+/** The ACK-loss draw seed of every oracle pipeline round (round 0). */
+constexpr u64 kRoundSeed = 0x909e57;
+
 u64
 sumOpInstances(const arch::Device &dev)
 {
@@ -45,22 +48,12 @@ toObservation(const app::ExperimentResult &result)
 }
 
 /**
- * Draw-call cursor of a SchedulePower-driven device. dev.power()
- * settles the open lease first, so this is exact in either accounting
- * mode.
- */
-u64
-scheduleDraws(const arch::Device &dev)
-{
-    return static_cast<const arch::SchedulePower &>(dev.power())
-        .drawsSoFar();
-}
-
-/**
  * Records the draw index of every `instant` (task commits or TX
  * delivery boundaries) on a SchedulePower-driven device. Both are
  * reported just before their first charged operation, so the next
- * draw is the first one of the commit sequence.
+ * draw is the first one of the commit sequence. dev.power() settles
+ * the open lease first, so the cursor is exact in either accounting
+ * mode.
  */
 struct InstantRecorder : arch::TraceProbe
 {
@@ -71,204 +64,62 @@ struct InstantRecorder : arch::TraceProbe
               u32) override
     {
         if (instant == which)
-            draws.push_back(scheduleDraws(dev));
+            draws.push_back(
+                static_cast<const arch::SchedulePower &>(dev.power())
+                    .drawsSoFar());
     }
 
     arch::ProbeInstant which;
     std::vector<u64> draws;
 };
 
-/** Records the draw coordinate of every brown-out of a HarvestSupply. */
-struct BrownOutRecorder : arch::TraceProbe
+/** A spec and the image lowered from it, which refers to the spec:
+ * the two live and die together. */
+struct OwnedImage
 {
-    void
-    onPowerFailure(const arch::Device &dev) override
+    explicit OwnedImage(dnn::NetworkSpec net)
+        : spec(std::move(net)), image(spec)
     {
-        // The lease was settled before the failing draw, and the
-        // supply counts that draw too.
-        failures.push_back(
-            static_cast<const env::HarvestSupply &>(dev.power())
-                .drawsSoFar()
-            - 1);
     }
 
-    std::vector<u64> failures;
+    dnn::NetworkSpec spec;
+    dnn::FlashImage image;
 };
 
-std::string
-hex64(u64 v)
+const kernels::ImplInfo &
+implInfo(kernels::Impl impl)
 {
-    std::ostringstream os;
-    os << "0x" << std::hex << std::setw(16) << std::setfill('0') << v;
-    return os.str();
-}
-
-} // namespace
-
-Observation
-runSchedule(const LocalWorkload &workload, const Schedule &schedule,
-            bool capture_digests)
-{
-    // Probes must outlive the Device (its destructor settles the lease).
-    Observation o;
-    arch::RebootDigestProbe digests(o.rebootDigests);
-    arch::Device dev(app::makeProfile(workload.profile),
-                     std::make_unique<arch::SchedulePower>(schedule));
-    if (capture_digests)
-        dev.setProbe(&digests);
-    dnn::DeviceNetwork net(dev, workload.net);
-    net.loadInput(workload.input);
-    const auto run = kernels::runInference(net, workload.impl);
-    o.completed = run.completed;
-    o.nonTerminating = run.nonTerminating;
-    o.reboots = run.reboots;
-    o.logits = run.logits;
-    o.cycles = dev.cycles();
-    o.opInstances = sumOpInstances(dev);
-    o.fired = static_cast<const arch::SchedulePower &>(dev.power())
-                  .firedCount();
-    if (capture_digests)
-        o.finalNvmDigest = dev.nvmDigest();
-    return o;
-}
-
-RunScheduleFn
-localRunner(const LocalWorkload &workload, bool capture_digests)
-{
-    return [workload, capture_digests](const Schedule &schedule) {
-        return runSchedule(workload, schedule, capture_digests);
-    };
-}
-
-std::vector<u64>
-recordCommitTrace(const LocalWorkload &workload, u64 *total_draws)
-{
-    InstantRecorder recorder(arch::ProbeInstant::TaskCommit);
-    arch::Device dev(app::makeProfile(workload.profile),
-                     std::make_unique<arch::SchedulePower>(Schedule{}));
-    dev.setProbe(&recorder);
-    dnn::DeviceNetwork net(dev, workload.net);
-    net.loadInput(workload.input);
-    const auto run = kernels::runInference(net, workload.impl);
-    SONIC_ASSERT(run.completed,
-                 "commit-trace reference run must complete");
-    if (total_draws != nullptr)
-        *total_draws = scheduleDraws(dev);
-    return std::move(recorder.draws);
-}
-
-// --- Pipeline path --------------------------------------------------
-
-Observation
-runPipelineSchedule(const PipelineWorkload &workload,
-                    const Schedule &schedule, bool capture_digests)
-{
-    Observation o;
-    arch::RebootDigestProbe digests(o.rebootDigests);
-    arch::Device dev(app::makeProfile(workload.base.profile),
-                     std::make_unique<arch::SchedulePower>(schedule));
-    if (capture_digests)
-        dev.setProbe(&digests);
-    dnn::DeviceNetwork net(dev, workload.base.net);
-    const auto round = pipeline::runRound(
-        net, workload.base.impl, workload.base.input, workload.spec,
-        workload.seed, workload.roundIndex);
-    o.completed = round.completed;
-    o.nonTerminating = round.nonTerminating;
-    o.reboots = round.reboots;
-    o.logits = round.logits;
-    o.delivered = round.delivered ? 1 : 0;
-    o.txAttempts = round.txAttempts;
-    o.txRetries = round.txFailedAttempts;
-    o.cycles = dev.cycles();
-    o.opInstances = sumOpInstances(dev);
-    o.fired = static_cast<const arch::SchedulePower &>(dev.power())
-                  .firedCount();
-    if (capture_digests)
-        o.finalNvmDigest = dev.nvmDigest();
-    return o;
-}
-
-RunScheduleFn
-pipelineRunner(const PipelineWorkload &workload, bool capture_digests)
-{
-    return [workload, capture_digests](const Schedule &schedule) {
-        return runPipelineSchedule(workload, schedule,
-                                   capture_digests);
-    };
-}
-
-std::vector<u64>
-recordTxBoundaryTrace(const PipelineWorkload &workload,
-                      u64 *total_draws)
-{
-    InstantRecorder recorder(arch::ProbeInstant::TxBoundary);
-    arch::Device dev(app::makeProfile(workload.base.profile),
-                     std::make_unique<arch::SchedulePower>(Schedule{}));
-    dev.setProbe(&recorder);
-    dnn::DeviceNetwork net(dev, workload.base.net);
-    const auto round = pipeline::runRound(
-        net, workload.base.impl, workload.base.input, workload.spec,
-        workload.seed, workload.roundIndex);
-    SONIC_ASSERT(round.completed,
-                 "TX-boundary reference round must complete");
-    if (total_draws != nullptr)
-        *total_draws = scheduleDraws(dev);
-    return std::move(recorder.draws);
-}
-
-OracleReport
-verifyPipelineLocal(const PipelineWorkload &workload, u32 schedules,
-                    u64 seed, u32 max_failures)
-{
-    const auto *info =
-        kernels::ImplRegistry::instance().find(workload.base.impl);
+    const auto *info = kernels::ImplRegistry::instance().find(impl);
     SONIC_ASSERT(info != nullptr, "unregistered Impl");
-
-    ScheduleGenConfig gen;
-    gen.seed = seed;
-    gen.maxFailures = max_failures;
-    const auto boundaries =
-        recordTxBoundaryTrace(workload, &gen.opHorizon);
-    const auto battery =
-        mixedSchedules(schedules, boundaries, gen);
-
-    OracleOptions options;
-    options.crashConsistent = info->crashConsistent;
-    options.checkFinalNvmDigest =
-        info->crashConsistent
-        && workload.base.impl != kernels::Impl::Tails;
-    options.checkDelivery = true;
-    Oracle oracle(pipelineRunner(workload), options);
-    OracleReport rep = oracle.verify(battery);
-    rep.impl = info->name;
-    rep.workload = "pipeline:" + workload.spec.name;
-    return rep;
+    return *info;
 }
 
-std::vector<u64>
-recordEnvironmentFailures(const LocalWorkload &workload,
-                          const env::EnvRef &ref, u64 seed)
+/** The judgment rules the implementation registry sets for a kernel. */
+OracleOptions
+registryOptions(const LocalWorkload &workload)
 {
-    const auto &environment = env::EnvRegistry::instance().get(ref);
-    if (environment.meta.alwaysOn)
-        fatal("environment '", ref.env,
-              "' never fails — nothing to record for the oracle");
-
-    auto psu = environment.make(ref, seed);
-    SONIC_ASSERT(dynamic_cast<env::HarvestSupply *>(psu.get()) != nullptr,
-                 "intermittent environments build HarvestSupply");
-
-    BrownOutRecorder recorder;
-    arch::Device dev(app::makeProfile(workload.profile),
-                     std::move(psu));
-    dev.setProbe(&recorder);
-    dnn::DeviceNetwork net(dev, workload.net);
-    net.loadInput(workload.input);
-    (void)kernels::runInference(net, workload.impl);
-    return std::move(recorder.failures);
+    const auto &info = implInfo(workload.impl);
+    OracleOptions options;
+    options.crashConsistent = info.crashConsistent;
+    // The final FRAM image is part of the property for the purely
+    // software kernels; TAILS' calibration registers legitimately
+    // depend on where failures land.
+    options.checkFinalNvmDigest =
+        info.crashConsistent && workload.impl != kernels::Impl::Tails;
+    options.checkDelivery = workload.round.has_value();
+    return options;
 }
 
+/**
+ * Realistic adversarial schedules: windows of at most
+ * config.maxFailures consecutive brown-out coordinates sliced from a
+ * handful of seeded runs under the environment. Each window keeps the
+ * oracle's invariant (well below the non-termination threshold, so
+ * every verdict is a genuine bug) while placing failures exactly
+ * where that deployment's physics puts them — the coordinates the
+ * synthetic uniform/bursty/commit-targeted generators can only guess
+ * at.
+ */
 std::vector<Schedule>
 environmentSchedules(const LocalWorkload &workload,
                      const env::EnvRef &ref, u32 count,
@@ -276,6 +127,10 @@ environmentSchedules(const LocalWorkload &workload,
 {
     if (count == 0)
         return {};
+    const auto &environment = env::EnvRegistry::instance().get(ref);
+    if (environment.meta.alwaysOn)
+        fatal("environment '", ref.env,
+              "' never fails — nothing to record for the oracle");
     // A few seeded deployments (distinct phases in the environment
     // cycle) supply the raw brown-out traces; every schedule is a
     // window of consecutive coordinates from one of them, clamped to
@@ -295,9 +150,14 @@ environmentSchedules(const LocalWorkload &workload,
     recorded.reserve(runs);
     u64 total_recorded = 0;
     for (u32 r = 0; r < runs; ++r) {
-        recorded.push_back(recordEnvironmentFailures(
-            workload, ref, mix64(env_seed ^ (0xe2f + r))));
-        total_recorded += recorded.back().size();
+        // A non-terminating run still yields the coordinates recorded
+        // before the scheduler gave up.
+        BrownOutRecorder recorder;
+        (void)observe(workload,
+                      environment.make(ref, mix64(env_seed ^ (0xe2f + r))),
+                      &recorder);
+        total_recorded += recorder.failures.size();
+        recorded.push_back(std::move(recorder.failures));
     }
     // All phases failure-free would make every schedule empty and the
     // whole fuzz pass vacuously — that is a configuration error, not
@@ -327,6 +187,159 @@ environmentSchedules(const LocalWorkload &workload,
                                trace.begin() + start + len);
     }
     return schedules;
+}
+
+/**
+ * The schedules a battery fuzzes: windows of the environment's
+ * brown-outs when one is given, else the mixed synthetic battery aimed
+ * at the workload's commits. The commit trace (a full instrumented
+ * run) only pays off for the synthetic generators that consume it.
+ */
+std::vector<Schedule>
+scheduleBattery(const LocalWorkload &workload,
+                const env::EnvRef &environment, u32 count,
+                ScheduleGenConfig gen)
+{
+    if (!environment.empty())
+        return environmentSchedules(workload, environment, count, gen);
+    const auto commits = recordCommitTrace(workload, &gen.opHorizon);
+    return mixedSchedules(count, commits, gen);
+}
+
+/** Name a report after its kernel and workload (and environment). */
+void
+labelReport(OracleReport *report, kernels::Impl impl,
+            const std::string &workload, const env::EnvRef &environment)
+{
+    report->impl = implInfo(impl).name;
+    report->workload = environment.empty()
+        ? workload
+        : workload + " under " + environment.label();
+}
+
+std::string
+hex64(u64 v)
+{
+    std::ostringstream os;
+    os << "0x" << std::hex << std::setw(16) << std::setfill('0') << v;
+    return os.str();
+}
+
+} // namespace
+
+LocalWorkload::LocalWorkload(dnn::NetworkSpec net, std::vector<i16> input,
+                             kernels::Impl impl)
+    : input(std::move(input)), impl(impl)
+{
+    auto owned = std::make_shared<const OwnedImage>(std::move(net));
+    image = std::shared_ptr<const dnn::FlashImage>(owned, &owned->image);
+}
+
+LocalWorkload::LocalWorkload(app::Engine &engine, const dnn::NetRef &net,
+                             kernels::Impl impl)
+    // Zoo models live as long as the process: the image is only viewed.
+    : image(&engine.model(net).flashImage(),
+            [](const dnn::FlashImage *) {}),
+      input(dnn::DeviceNetwork::quantizeInput(
+          engine.dataset(net)[0].input)),
+      impl(impl)
+{
+}
+
+Observation
+observe(const LocalWorkload &workload,
+        std::unique_ptr<arch::PowerSupply> supply, arch::TraceProbe *probe)
+{
+    arch::Device dev(app::makeProfile(app::ProfileVariant::Standard),
+                     std::move(supply));
+    dev.setProbe(probe);
+    dnn::DeviceNetwork net(dev, *workload.image);
+    Observation o;
+    if (workload.round) {
+        const auto out =
+            pipeline::runRound(net, workload.impl, workload.input,
+                               *workload.round, kRoundSeed, 0);
+        o.completed = out.completed;
+        o.nonTerminating = out.nonTerminating;
+        o.reboots = out.reboots;
+        o.logits = out.logits;
+        o.delivered = out.delivered ? 1 : 0;
+        o.txAttempts = out.txAttempts;
+        o.txRetries = out.txFailedAttempts;
+    } else {
+        net.loadInput(workload.input);
+        const auto run = kernels::runInference(net, workload.impl);
+        o.completed = run.completed;
+        o.nonTerminating = run.nonTerminating;
+        o.reboots = run.reboots;
+        o.logits = run.logits;
+    }
+    o.cycles = dev.cycles();
+    o.opInstances = sumOpInstances(dev);
+    if (const auto *schedule =
+            dynamic_cast<const arch::SchedulePower *>(&dev.power())) {
+        o.fired = schedule->firedCount();
+        o.draws = schedule->drawsSoFar();
+    }
+    o.finalNvmDigest = dev.nvmDigest();
+    return o;
+}
+
+RunScheduleFn
+localRunner(const LocalWorkload &workload)
+{
+    return [workload](const Schedule &schedule) {
+        std::vector<u64> chain;
+        arch::RebootDigestProbe digests(chain);
+        Observation o = observe(
+            workload, std::make_unique<arch::SchedulePower>(schedule),
+            &digests);
+        o.rebootDigests = std::move(chain);
+        return o;
+    };
+}
+
+std::vector<u64>
+recordCommitTrace(const LocalWorkload &workload, u64 *total_draws)
+{
+    InstantRecorder recorder(workload.round
+                                 ? arch::ProbeInstant::TxBoundary
+                                 : arch::ProbeInstant::TaskCommit);
+    const Observation o = observe(
+        workload, std::make_unique<arch::SchedulePower>(), &recorder);
+    SONIC_ASSERT(o.completed, "commit-trace reference run must complete");
+    if (total_draws != nullptr)
+        *total_draws = o.draws;
+    return std::move(recorder.draws);
+}
+
+void
+BrownOutRecorder::onPowerFailure(const arch::Device &dev)
+{
+    const auto *harvest =
+        dynamic_cast<const env::HarvestSupply *>(&dev.power());
+    SONIC_ASSERT(harvest != nullptr,
+                 "brown-outs are recorded from a HarvestSupply");
+    // The lease was settled before the failing draw, and the supply
+    // counts that draw too.
+    failures.push_back(harvest->drawsSoFar() - 1);
+}
+
+OracleReport
+verifyLocal(const LocalWorkload &workload, u32 schedules, u64 seed,
+            u32 max_failures, const env::EnvRef &environment)
+{
+    ScheduleGenConfig gen;
+    gen.seed = seed;
+    gen.maxFailures = max_failures;
+    Oracle oracle(localRunner(workload), registryOptions(workload));
+    OracleReport rep = oracle.verify(
+        scheduleBattery(workload, environment, schedules, gen));
+    labelReport(&rep, workload.impl,
+                workload.round ? "pipeline:" + workload.round->name
+                               : workload.image->spec().name,
+                environment);
+    return rep;
 }
 
 // --- Oracle ---------------------------------------------------------
@@ -545,10 +558,6 @@ Oracle::judgeBatch(const std::vector<Schedule> &schedules,
 OracleReport
 verifyWithEngine(app::Engine &engine, const EngineOracleConfig &config)
 {
-    const auto *info =
-        kernels::ImplRegistry::instance().find(config.impl);
-    SONIC_ASSERT(info != nullptr, "unregistered Impl");
-
     app::RunSpec base;
     base.net = config.net;
     base.impl = config.impl;
@@ -560,42 +569,17 @@ verifyWithEngine(app::Engine &engine, const EngineOracleConfig &config)
         return toObservation(engine.runOne(spec));
     };
 
-    OracleOptions options;
-    options.crashConsistent = info->crashConsistent;
-    // The final FRAM image is part of the property for the purely
-    // software kernels; TAILS' calibration registers legitimately
-    // depend on where failures land.
-    options.checkFinalNvmDigest =
-        info->crashConsistent && config.impl != kernels::Impl::Tails;
+    // The battery comes from runs of the engine's cached workload on
+    // this thread.
+    const LocalWorkload workload(engine, config.net, config.impl);
+    OracleOptions options = registryOptions(workload);
     options.shrink = config.shrink;
     Oracle oracle(std::move(probe), options);
-
-    // Commit trace and draw horizon from a continuous run over the
-    // engine's cached workload, on this thread.
-    LocalWorkload workload;
-    workload.net = engine.compressed(config.net);
-    const auto &data = engine.dataset(config.net);
-    workload.input =
-        dnn::DeviceNetwork::quantizeInput(data[0].input);
-    workload.impl = config.impl;
-
     ScheduleGenConfig gen;
     gen.seed = config.seed;
     gen.maxFailures = config.maxFailures;
-    // An environment swaps the synthetic battery for schedules sliced
-    // from where that deployment's capacitor actually browns out; the
-    // commit-trace run (a full instrumented inference) only pays off
-    // for the synthetic generators that consume it.
-    std::vector<Schedule> schedules;
-    if (config.environment.empty()) {
-        u64 horizon = 0;
-        const auto commits = recordCommitTrace(workload, &horizon);
-        gen.opHorizon = horizon;
-        schedules = mixedSchedules(config.schedules, commits, gen);
-    } else {
-        schedules = environmentSchedules(workload, config.environment,
-                                         config.schedules, gen);
-    }
+    const auto schedules = scheduleBattery(
+        workload, config.environment, config.schedules, gen);
 
     // Fan the whole batch across the worker pool via the sweep
     // engine's failure-schedule axis; records stream in plan order,
@@ -605,25 +589,22 @@ verifyWithEngine(app::Engine &engine, const EngineOracleConfig &config)
         .impls({config.impl})
         .failureSchedules(schedules)
         .captureNvmDigests(true);
-    const auto observe = [&] {
+    const auto runBatch = [&] {
         std::vector<Observation> observed;
         observed.reserve(schedules.size());
         for (const auto &record : engine.run(plan))
             observed.push_back(toObservation(record.result));
         return observed;
     };
-    const auto observed = observe();
+    const auto observed = runBatch();
     // A kernel held to deterministic replay runs the batch a second
     // time on the pool rather than replaying it on this thread.
-    const auto replayed = info->crashConsistent
+    const auto replayed = options.crashConsistent
         ? std::vector<Observation>{}
-        : observe();
+        : runBatch();
 
     OracleReport rep = oracle.judgeBatch(schedules, observed, replayed);
-    rep.impl = info->name;
-    rep.workload = config.environment.empty()
-        ? config.net
-        : config.net + " under " + config.environment.label();
+    labelReport(&rep, config.impl, config.net, config.environment);
     return rep;
 }
 
@@ -666,13 +647,15 @@ reportJson(const OracleReport &report)
 
 // --- Divergence trace dumps -----------------------------------------
 
-namespace
-{
-
 bool
-writeRecorderTrace(const trace::TraceRecorder &recorder,
-                   const std::string &path, std::string *error)
+dumpScheduleTrace(const LocalWorkload &workload,
+                  const Schedule &schedule, const std::string &path,
+                  std::string *error)
 {
+    trace::TraceRecorder recorder(0);
+    (void)observe(workload,
+                  std::make_unique<arch::SchedulePower>(schedule),
+                  &recorder);
     std::ofstream out(path, std::ios::binary);
     if (!out) {
         if (error != nullptr)
@@ -688,94 +671,40 @@ writeRecorderTrace(const trace::TraceRecorder &recorder,
     return true;
 }
 
-} // namespace
-
-bool
-dumpScheduleTrace(const LocalWorkload &workload,
-                  const Schedule &schedule, const std::string &path,
-                  std::string *error)
-{
-    trace::TraceRecorder recorder(0);
-    {
-        arch::Device dev(
-            app::makeProfile(workload.profile),
-            std::make_unique<arch::SchedulePower>(schedule));
-        dev.setProbe(&recorder);
-        dnn::DeviceNetwork net(dev, workload.net);
-        net.loadInput(workload.input);
-        (void)kernels::runInference(net, workload.impl);
-    }
-    return writeRecorderTrace(recorder, path, error);
-}
-
-bool
-dumpPipelineScheduleTrace(const PipelineWorkload &workload,
-                          const Schedule &schedule,
-                          const std::string &path, std::string *error)
-{
-    trace::TraceRecorder recorder(0);
-    {
-        arch::Device dev(
-            app::makeProfile(workload.base.profile),
-            std::make_unique<arch::SchedulePower>(schedule));
-        dev.setProbe(&recorder);
-        dnn::DeviceNetwork net(dev, workload.base.net);
-        (void)pipeline::runRound(net, workload.base.impl,
-                                 workload.base.input, workload.spec,
-                                 workload.seed, workload.roundIndex);
-    }
-    return writeRecorderTrace(recorder, path, error);
-}
-
 namespace
 {
 
-/** Continuous golden run with per-layer stat digests. */
-struct GoldenContinuous
+/** Digests every layer's op counts and cycles when inference ends. */
+struct LayerDigestRecorder : arch::TraceProbe
 {
-    Observation obs;
-    u64 draws = 0;
-    std::vector<std::pair<std::string, u64>> layerDigests;
-};
-
-GoldenContinuous
-goldenContinuousRun(const LocalWorkload &workload)
-{
-    arch::Device dev(app::makeProfile(workload.profile),
-                     std::make_unique<arch::SchedulePower>(Schedule{}));
-    dnn::DeviceNetwork net(dev, workload.net);
-    net.loadInput(workload.input);
-    const auto run = kernels::runInference(net, workload.impl);
-    SONIC_ASSERT(run.completed, "golden continuous run must complete");
-
-    GoldenContinuous g;
-    g.obs.completed = run.completed;
-    g.obs.reboots = run.reboots;
-    g.obs.logits = run.logits;
-    g.obs.cycles = dev.cycles();
-    g.obs.opInstances = sumOpInstances(dev);
-    g.obs.finalNvmDigest = dev.nvmDigest();
-    g.draws = scheduleDraws(dev);
-
-    const auto &stats = dev.stats();
-    for (u16 l = 0; l < stats.numLayers(); ++l) {
-        arch::NvmDigest d;
-        const std::string &name = stats.layerName(l);
-        d.word(name.size());
-        for (char c : name)
-            d.word(static_cast<u64>(static_cast<unsigned char>(c)));
-        for (u32 p = 0; p < arch::kNumParts; ++p) {
-            const auto &bucket =
-                stats.bucket(l, static_cast<arch::Part>(p));
-            for (u32 o = 0; o < arch::kNumOps; ++o) {
-                d.word(bucket.count[o]);
-                d.word(bucket.cycles[o]);
+    void
+    onSpanEnd(const arch::Device &dev, arch::ProbeSpan span, u32,
+              f64) override
+    {
+        if (span != arch::ProbeSpan::Infer)
+            return;
+        layers.clear();
+        const auto &stats = dev.stats();
+        for (u16 l = 0; l < stats.numLayers(); ++l) {
+            arch::NvmDigest d;
+            const std::string &name = stats.layerName(l);
+            d.word(name.size());
+            for (char c : name)
+                d.word(static_cast<u64>(static_cast<unsigned char>(c)));
+            for (u32 p = 0; p < arch::kNumParts; ++p) {
+                const auto &bucket =
+                    stats.bucket(l, static_cast<arch::Part>(p));
+                for (u32 o = 0; o < arch::kNumOps; ++o) {
+                    d.word(bucket.count[o]);
+                    d.word(bucket.cycles[o]);
+                }
             }
+            layers.emplace_back(name, d.value());
         }
-        g.layerDigests.emplace_back(name, d.value());
     }
-    return g;
-}
+
+    std::vector<std::pair<std::string, u64>> layers;
+};
 
 } // namespace
 
@@ -795,25 +724,26 @@ goldenJson(const GoldenConfig &config)
         .br(2).field("scheduleSeed", config.scheduleSeed)
         .br(2).key("impls").beginArray();
 
-    const auto impls = kernels::ImplRegistry::instance().all();
-    for (const auto impl : impls) {
-        const auto *info = kernels::ImplRegistry::instance().find(impl);
-        LocalWorkload workload;
-        workload.net = goldenNet(config.netSeed);
-        workload.input = goldenInput();
+    LocalWorkload workload(goldenNet(config.netSeed), goldenInput(),
+                           kernels::Impl::Base);
+    for (const auto impl : kernels::ImplRegistry::instance().all()) {
+        const auto &info = implInfo(impl);
         workload.impl = impl;
-
-        const GoldenContinuous cont = goldenContinuousRun(workload);
-        w.br(4).beginObject().field("name", info->name)
-            .field("crashConsistent", info->crashConsistent)
+        LayerDigestRecorder layers;
+        const Observation cont = observe(
+            workload, std::make_unique<arch::SchedulePower>(), &layers);
+        SONIC_ASSERT(cont.completed,
+                     "golden continuous run must complete");
+        w.br(4).beginObject().field("name", info.name)
+            .field("crashConsistent", info.crashConsistent)
             .br(5).key("continuous").beginObject()
-            .field("cycles", cont.obs.cycles)
-            .field("opInstances", cont.obs.opInstances)
+            .field("cycles", cont.cycles)
+            .field("opInstances", cont.opInstances)
             .field("draws", cont.draws)
-            .br(7).key("logits").array(cont.obs.logits)
-            .field("finalNvmDigest", hex64(cont.obs.finalNvmDigest))
+            .br(7).key("logits").array(cont.logits)
+            .field("finalNvmDigest", hex64(cont.finalNvmDigest))
             .br(7).key("layers").beginArray();
-        for (const auto &[name, digest] : cont.layerDigests)
+        for (const auto &[name, digest] : layers.layers)
             w.beginObject().field("name", name)
                 .field("digest", hex64(digest)).end();
         w.end().end().br(5).key("schedules").beginArray();
@@ -823,14 +753,15 @@ goldenJson(const GoldenConfig &config)
             ^ (static_cast<u64>(impl) * 0x9e3779b97f4a7c15ull);
         gen.opHorizon = cont.draws;
         gen.maxFailures = config.maxFailures;
+        const RunScheduleFn run = localRunner(workload);
         for (const auto &schedule :
              uniformSchedules(config.schedulesPerImpl, gen)) {
-            const Observation o = runSchedule(workload, schedule, true);
+            const Observation o = run(schedule);
             w.br(7).beginObject().key("indices").array(schedule)
                 .field("fired", o.fired).field("reboots", o.reboots)
                 .field("completed", o.completed)
                 .field("logitsMatchContinuous",
-                       o.completed && o.logits == cont.obs.logits)
+                       o.completed && o.logits == cont.logits)
                 .br(8).field("finalNvmDigest", hex64(o.finalNvmDigest))
                 .key("rebootDigests").array(o.rebootDigests, hex64)
                 .end();

@@ -11,11 +11,18 @@
  * diverges, shrink it with delta debugging to a minimal failing
  * failure-index set that a human can replay in a unit test.
  *
- * Two execution paths share the same judge:
- *  - a local path (runSchedule / recordCommitTrace over an explicit
- *    workload) used by unit tests, golden-file generation and the CLI's
+ * Every run the oracle makes itself goes through one helper, observe():
+ * it builds a device on the given supply with the given probe
+ * attached, flashes the workload's image, runs the inference (or the
+ * pipeline round around it) and fills the Observation. Runs differ
+ * only in supply and probe: a SchedulePower with a reboot-digest probe
+ * for judged runs, a commit or brown-out recorder for the schedule
+ * generators, a trace recorder for divergence dumps. A workload lowers
+ * its network to a FlashImage once and its copies share it; on the
+ * engine path it views the zoo model's image. The judge is fed by:
+ *  - the local path (verifyLocal), used by unit tests and the CLI's
  *    built-in platform-stable workload (verify/workload.hh);
- *  - an engine path (verifyWithEngine) that fans the schedule batch
+ *  - the engine path (verifyWithEngine), which fans the schedule batch
  *    across app::Engine's worker pool via the SweepPlan failure-
  *    schedule axis — (kernel x network x schedule) coordinates in
  *    parallel.
@@ -31,6 +38,7 @@
 #define SONIC_VERIFY_ORACLE_HH
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -49,6 +57,7 @@ struct Observation
     bool nonTerminating = false;
     u64 reboots = 0;
     u64 fired = 0;       ///< schedule indices that actually failed a draw
+    u64 draws = 0;       ///< schedule draw calls (local path only)
     u64 opInstances = 0; ///< total charged op instances
     u64 cycles = 0;      ///< device cycles (local path only)
     std::vector<i16> logits;
@@ -69,92 +78,57 @@ using RunScheduleFn = std::function<Observation(const Schedule &)>;
 /** A workload the local path can execute without the engine. */
 struct LocalWorkload
 {
-    dnn::NetworkSpec net;
+    /** Lower `net` to its flash image once; copies share the image. */
+    LocalWorkload(dnn::NetworkSpec net, std::vector<i16> input,
+                  kernels::Impl impl);
+
+    /** The engine path's workload: the zoo model's flash image and
+     * its dataset's sample 0. */
+    LocalWorkload(app::Engine &engine, const dnn::NetRef &net,
+                  kernels::Impl impl);
+
+    std::shared_ptr<const dnn::FlashImage> image;
     std::vector<i16> input; ///< raw Q7.8 input activations
-    kernels::Impl impl = kernels::Impl::Sonic;
-    app::ProfileVariant profile = app::ProfileVariant::Standard;
+    kernels::Impl impl;
+    /** When set, each run is one round of this pipeline (sense,
+     * infer, transmit) instead of the bare inference. */
+    std::optional<pipeline::PipelineSpec> round;
 };
 
-/** Execute one schedule run of a local workload. */
-Observation runSchedule(const LocalWorkload &workload,
-                        const Schedule &schedule,
-                        bool capture_digests = true);
+/**
+ * Run the workload once on a fresh device powered by `supply`, with
+ * `probe` attached (null for none; it must outlive the call), and
+ * observe it. The reboot digest chain is left empty: attach an
+ * arch::RebootDigestProbe to capture it.
+ */
+Observation observe(const LocalWorkload &workload,
+                    std::unique_ptr<arch::PowerSupply> supply,
+                    arch::TraceProbe *probe = nullptr);
 
-/** A RunScheduleFn over a local workload. */
-RunScheduleFn localRunner(const LocalWorkload &workload,
-                          bool capture_digests = true);
+/** A RunScheduleFn over a local workload that captures the reboot
+ * digest chain. */
+RunScheduleFn localRunner(const LocalWorkload &workload);
 
 /**
- * Record the draw coordinates of every two-phase task commit in a
- * continuous run (input to the commit-targeted schedule generator).
- * Returns the commit draw indices; total_draws (if non-null) receives
- * the run's draw-call count — the natural schedule horizon.
+ * Record the draw coordinates of every commit in a continuous run:
+ * each two-phase task commit of an inference, or each delivery
+ * boundary (result commit, attempt advance, ACK commit) of a pipeline
+ * round. These are the aim points of commit-targeted schedules;
+ * total_draws (if non-null) receives the run's draw-call count — the
+ * natural schedule horizon.
  */
 std::vector<u64> recordCommitTrace(const LocalWorkload &workload,
                                    u64 *total_draws = nullptr);
 
-/**
- * Run the workload once under a harvesting environment (seeded
- * deployment phase) and record the draw coordinate of every brown-out
- * — where a real capacitor under that power trace actually empties.
- * A non-terminating run still returns the coordinates recorded before
- * the scheduler gave up. Always-on environments are a configuration
- * error (there is nothing to record).
- */
-std::vector<u64> recordEnvironmentFailures(const LocalWorkload &workload,
-                                           const env::EnvRef &ref,
-                                           u64 seed);
-
-/**
- * Realistic adversarial schedules: windows of at most
- * config.maxFailures consecutive brown-out coordinates sliced from a
- * handful of seeded runs under the environment. Each window keeps the
- * oracle's invariant (well below the non-termination threshold, so
- * every verdict is a genuine bug) while placing failures exactly
- * where that deployment's physics puts them — the coordinates the
- * synthetic uniform/bursty/commit-targeted generators can only guess
- * at.
- */
-std::vector<Schedule>
-environmentSchedules(const LocalWorkload &workload,
-                     const env::EnvRef &ref, u32 count,
-                     const ScheduleGenConfig &config);
-
-/** @name Pipeline verification (the sense-infer-transmit surface) */
-/// @{
-
-/** A full pipeline round as an oracle workload. */
-struct PipelineWorkload
+/** Records the draw coordinate of every brown-out of an
+ * env::HarvestSupply (where a real capacitor under that power trace
+ * actually empties). */
+struct BrownOutRecorder : arch::TraceProbe
 {
-    LocalWorkload base;
-    pipeline::PipelineSpec spec;
-    u64 seed = 0x909e57;
-    u64 roundIndex = 0;
+    void onPowerFailure(const arch::Device &dev) override;
+
+    std::vector<u64> failures;
 };
-
-/**
- * Execute one schedule run of a pipeline round: the Observation
- * additionally carries the delivery accounting (delivered /
- * txAttempts / txRetries), which the judge holds exactly equal to the
- * continuous reference — zero lost and zero duplicated deliveries.
- */
-Observation runPipelineSchedule(const PipelineWorkload &workload,
-                                const Schedule &schedule,
-                                bool capture_digests = true);
-
-/** A RunScheduleFn over a pipeline workload. */
-RunScheduleFn pipelineRunner(const PipelineWorkload &workload,
-                             bool capture_digests = true);
-
-/**
- * Record the draw coordinates of every delivery boundary (result
- * commit, attempt advance, ACK commit) in a continuous pipeline round
- * — the aim points for TX-boundary commit-targeted schedules.
- * total_draws (if non-null) receives the run's draw-call count.
- */
-std::vector<u64> recordTxBoundaryTrace(const PipelineWorkload &workload,
-                                       u64 *total_draws = nullptr);
-/// @} (verifyPipelineLocal is declared below, after OracleReport)
 
 /** Oracle judgment configuration. */
 struct OracleOptions
@@ -211,14 +185,16 @@ struct OracleReport
 };
 
 /**
- * Verify one pipeline x kernel coordinate on the local path with the
- * mixed battery (uniform / bursty / TX-boundary-targeted) plus
- * delivery-accounting judgment. crashConsistent and the final-digest
- * rule come from the implementation registry, as for kernels.
+ * Verify a workload on the local path against `schedules` schedules:
+ * windows of the environment's brown-outs when one is given (it must
+ * be intermittent), else the mixed uniform / bursty /
+ * commit-targeted battery. crashConsistent and the final-digest rule
+ * come from the implementation registry; a pipeline round is also held
+ * to exact delivery accounting.
  */
-OracleReport verifyPipelineLocal(const PipelineWorkload &workload,
-                                 u32 schedules, u64 seed,
-                                 u32 max_failures = 8);
+OracleReport verifyLocal(const LocalWorkload &workload, u32 schedules,
+                         u64 seed, u32 max_failures = 8,
+                         const env::EnvRef &environment = {});
 
 /**
  * The oracle proper: judges observations against the continuous
@@ -307,26 +283,17 @@ void writeReportJson(json::Writer &w, const OracleReport &report,
 /** One report as a JSON document. */
 std::string reportJson(const OracleReport &report);
 
-/** @name Divergence trace dumps */
-/// @{
-
 /**
- * Re-execute one schedule of a local workload with a trace recorder
- * attached and write the event trace as a .sonictrace file: every
- * reboot, lease, task commit, and layer switch of the minimal failing
- * run, ready for `sonic_trace --export=chrome`. The traced run is the
- * exact runSchedule execution (the probe adds no charged operations).
+ * Re-execute one schedule of a workload with a trace recorder attached
+ * and write the event trace as a .sonictrace file: every reboot,
+ * lease, task commit, delivery boundary and layer switch of the
+ * minimal failing run, ready for `sonic_trace --export=chrome`. The
+ * probe adds no charged operations, so the traced run is the judged
+ * one.
  */
 bool dumpScheduleTrace(const LocalWorkload &workload,
                        const Schedule &schedule,
                        const std::string &path, std::string *error);
-
-/** Pipeline-round analogue of dumpScheduleTrace. */
-bool dumpPipelineScheduleTrace(const PipelineWorkload &workload,
-                               const Schedule &schedule,
-                               const std::string &path,
-                               std::string *error);
-/// @}
 
 /** @name Golden digest files */
 /// @{

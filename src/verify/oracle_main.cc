@@ -22,7 +22,8 @@
  * surface instead: each named pipeline crossed with every kernel under
  * a mixed battery that includes TX-boundary commit-targeted schedules,
  * with delivery accounting (no lost or duplicated results) held
- * exactly to the continuous reference:
+ * exactly to the continuous reference. It runs on the built-in
+ * workload, so --net and --env are usage errors with it:
  *
  *     sonic_oracle --pipelines=all --schedules=250
  *     sonic_oracle --pipelines=wildlife --impls=SONIC
@@ -49,7 +50,6 @@
 #include <string>
 #include <vector>
 
-#include "dnn/device_net.hh"
 #include "dnn/model_io.hh"
 #include "dnn/zoo.hh"
 #include "env/environment.hh"
@@ -101,10 +101,9 @@ tracePathFor(const std::string &artifact, const std::string &tag,
 /** Re-run every shrunk divergence with the trace probe attached and
  * write one .sonictrace per counterexample. */
 void
-dumpLocalDivergenceTraces(verify::OracleReport *report,
-                          const verify::LocalWorkload &workload,
-                          const std::string &artifact,
-                          const std::string &tag)
+dumpDivergenceTraces(verify::OracleReport *report,
+                     const verify::LocalWorkload &workload,
+                     const std::string &artifact, const std::string &tag)
 {
     if (artifact.empty())
         return;
@@ -114,27 +113,6 @@ dumpLocalDivergenceTraces(verify::OracleReport *report,
         std::string error;
         if (verify::dumpScheduleTrace(workload, d.shrunk, path,
                                       &error))
-            d.tracePath = path;
-        else
-            std::cerr << "divergence trace dump failed: " << error
-                      << "\n";
-    }
-}
-
-void
-dumpPipelineDivergenceTraces(verify::OracleReport *report,
-                             const verify::PipelineWorkload &workload,
-                             const std::string &artifact,
-                             const std::string &tag)
-{
-    if (artifact.empty())
-        return;
-    u64 n = 0;
-    for (auto &d : report->divergences) {
-        const std::string path = tracePathFor(artifact, tag, n++);
-        std::string error;
-        if (verify::dumpPipelineScheduleTrace(workload, d.shrunk,
-                                              path, &error))
             d.tracePath = path;
         else
             std::cerr << "divergence trace dump failed: " << error
@@ -193,112 +171,52 @@ resolveEnvironment(const std::string &label)
     return ref;
 }
 
-verify::OracleReport
-runLocalImpl(const std::string &impl_name, const Args &args)
-{
-    const auto *info =
-        kernels::ImplRegistry::instance().find(impl_name);
-    if (info == nullptr)
-        fatal("unknown implementation '", impl_name, "'");
-
-    verify::LocalWorkload workload;
-    workload.net = verify::goldenNet();
-    workload.input = verify::goldenInput();
-    workload.impl = info->id;
-
-    verify::ScheduleGenConfig gen;
-    gen.seed = args.seed
-        ^ (static_cast<u64>(info->id) * 0x9e3779b97f4a7c15ull);
-    gen.maxFailures = args.maxFailures;
-    const env::EnvRef environment =
-        resolveEnvironment(args.environment);
-    std::vector<verify::Schedule> schedules;
-    if (environment.empty()) {
-        // The commit trace (a full instrumented run) only feeds the
-        // synthetic generators; environment schedules skip it.
-        u64 horizon = 0;
-        const auto commits =
-            verify::recordCommitTrace(workload, &horizon);
-        gen.opHorizon = horizon;
-        schedules =
-            verify::mixedSchedules(args.schedules, commits, gen);
-    } else {
-        schedules = verify::environmentSchedules(
-            workload, environment, args.schedules, gen);
-    }
-
-    verify::OracleOptions options;
-    options.crashConsistent = info->crashConsistent;
-    // Software kernels are additionally held to the continuous final
-    // FRAM image; TAILS' calibration registers are power-dependent.
-    options.checkFinalNvmDigest = info->crashConsistent
-        && info->id != kernels::Impl::Tails;
-    verify::Oracle oracle(verify::localRunner(workload), options);
-    auto report = oracle.verify(schedules);
-    report.impl = info->name;
-    report.workload = environment.empty()
-        ? "golden"
-        : "golden under " + environment.label();
-    dumpLocalDivergenceTraces(&report, workload, args.artifact,
-                              info->name);
-    return report;
-}
-
 /**
- * Fuzz the pipeline delivery surface: one pipeline x kernel coordinate
- * on the golden workload under the mixed uniform / bursty /
- * TX-boundary-targeted battery, with delivery accounting held exactly
- * to the continuous reference.
+ * Verify one kernel: on a zoo model across the engine's worker pool,
+ * else on the built-in golden workload on the local path, as a bare
+ * inference or inside the named pipeline's round (with delivery
+ * accounting held exactly to the continuous reference).
  */
 verify::OracleReport
-runPipelineImpl(const std::string &pipeline_name,
-                const std::string &impl_name, const Args &args)
+runImpl(app::Engine &engine, const std::string &impl_name,
+        const std::string &pipeline_name, const Args &args)
 {
     const auto *info =
         kernels::ImplRegistry::instance().find(impl_name);
     if (info == nullptr)
         fatal("unknown implementation '", impl_name, "'");
-    verify::PipelineWorkload workload;
-    workload.base.net = verify::goldenNet();
-    workload.base.input = verify::goldenInput();
-    workload.base.impl = info->id;
-    workload.spec =
-        pipeline::PipelineRegistry::instance().get(pipeline_name);
-    const u64 seed = args.seed
-        ^ (static_cast<u64>(info->id) * 0x9e3779b97f4a7c15ull)
-        ^ fnv1a(pipeline_name);
-    auto report = verify::verifyPipelineLocal(
-        workload, args.schedules, seed, args.maxFailures);
-    dumpPipelineDivergenceTraces(&report, workload, args.artifact,
-                                 pipeline_name + "." + info->name);
-    return report;
-}
-
-verify::OracleReport
-runEngineImpl(app::Engine &engine, const dnn::NetRef &net,
-              const std::string &impl_name, const Args &args)
-{
-    const auto *info =
-        kernels::ImplRegistry::instance().find(impl_name);
-    if (info == nullptr)
-        fatal("unknown implementation '", impl_name, "'");
-    verify::EngineOracleConfig config;
-    config.net = net;
-    config.impl = info->id;
-    config.schedules = args.schedules;
-    config.seed = args.seed;
-    config.maxFailures = args.maxFailures;
-    config.environment = resolveEnvironment(args.environment);
-    auto report = verify::verifyWithEngine(engine, config);
-    // The local mirror of the engine coordinate (same cached net and
-    // sample-0 input verifyWithEngine records commit traces with).
-    verify::LocalWorkload workload;
-    workload.net = engine.compressed(net);
-    workload.input = dnn::DeviceNetwork::quantizeInput(
-        engine.dataset(net)[0].input);
-    workload.impl = info->id;
-    dumpLocalDivergenceTraces(&report, workload, args.artifact,
-                              std::string(net) + "." + info->name);
+    const env::EnvRef environment =
+        resolveEnvironment(args.environment);
+    if (args.net != "golden") {
+        verify::EngineOracleConfig config;
+        config.net = args.net;
+        config.impl = info->id;
+        config.schedules = args.schedules;
+        config.seed = args.seed;
+        config.maxFailures = args.maxFailures;
+        config.environment = environment;
+        auto report = verify::verifyWithEngine(engine, config);
+        // The same cached net and sample-0 input the engine ran.
+        dumpDivergenceTraces(&report,
+                             verify::LocalWorkload(engine, args.net,
+                                                   info->id),
+                             args.artifact, args.net + "." + info->name);
+        return report;
+    }
+    verify::LocalWorkload workload(verify::goldenNet(),
+                                   verify::goldenInput(), info->id);
+    u64 seed = args.seed
+        ^ (static_cast<u64>(info->id) * 0x9e3779b97f4a7c15ull);
+    std::string tag = info->name;
+    if (!pipeline_name.empty()) {
+        workload.round =
+            pipeline::PipelineRegistry::instance().get(pipeline_name);
+        seed ^= fnv1a(pipeline_name);
+        tag = pipeline_name + "." + tag;
+    }
+    auto report = verify::verifyLocal(workload, args.schedules, seed,
+                                      args.maxFailures, environment);
+    dumpDivergenceTraces(&report, workload, args.artifact, tag);
     return report;
 }
 
@@ -327,6 +245,16 @@ main(int argc, char **argv)
                   << dnn::ModelZoo::instance().availableList()
                   << "\nregistered environments: "
                   << env::EnvRegistry::instance().availableList() << "\n";
+        return 2;
+    }
+    // Pipeline rounds run on the golden workload under synthetic
+    // schedules only.
+    if (!args.pipelines.empty()
+        && (args.net != "golden" || !args.environment.empty())) {
+        std::cerr << "--pipelines cannot be combined with "
+                  << (args.net != "golden" ? "--net=" + args.net
+                                           : "--env=" + args.environment)
+                  << "\n";
         return 2;
     }
     if (args.pipelines == std::vector<std::string>{"all"})
@@ -363,8 +291,7 @@ main(int argc, char **argv)
     // "golden" runs the built-in platform-stable workload on the
     // sequential local path; every other zoo model fans through the
     // engine's worker pool.
-    const bool use_engine = args.net != "golden";
-    if (use_engine && !zoo.contains(args.net)) {
+    if (args.net != "golden" && !zoo.contains(args.net)) {
         std::cerr << "unknown model '" << args.net
                   << "'; registered models: " << zoo.availableList()
                   << "\n";
@@ -375,15 +302,13 @@ main(int argc, char **argv)
     std::vector<verify::OracleReport> reports;
     if (!args.pipelines.empty()) {
         // Pipeline-surface mode: every requested pipeline crossed with
-        // every requested kernel, sequential local path.
+        // every requested kernel.
         for (const auto &name : args.pipelines)
             for (const auto &impl : impls)
-                reports.push_back(runPipelineImpl(name, impl, args));
+                reports.push_back(runImpl(engine, impl, name, args));
     } else {
         for (const auto &impl : impls)
-            reports.push_back(
-                use_engine ? runEngineImpl(engine, args.net, impl, args)
-                           : runLocalImpl(impl, args));
+            reports.push_back(runImpl(engine, impl, "", args));
     }
     u64 divergent = 0;
     for (const auto &report : reports) {

@@ -1,10 +1,12 @@
 # Runs one CLI invocation and checks how it ends, for ctest entries
 # that need more than "exit code zero or not":
 #
-#   cmake -DEXIT=<code> [-DSTDERR=<regex>] -P cli_check.cmake -- CMD ARGS...
+#   cmake -DEXIT=<code> [-DSTDERR=<regex>] [-DSTDOUT_FILE=<path>]
+#         -P cli_check.cmake -- CMD ARGS...
 #
 # Passes when CMD exits with exactly EXIT (a crash or signal never
-# matches) and, when STDERR is given, its stderr matches that regex.
+# matches), when STDERR is given, its stderr matches that regex, and
+# when STDOUT_FILE is given, its stdout equals that file byte for byte.
 
 set(command)
 set(in_command FALSE)
@@ -18,12 +20,13 @@ foreach(i RANGE ${last})
 endforeach()
 if(NOT command OR NOT DEFINED EXIT)
   message(FATAL_ERROR "usage: cmake -DEXIT=<code> [-DSTDERR=<regex>] "
-                      "-P cli_check.cmake -- CMD ARGS...")
+                      "[-DSTDOUT_FILE=<path>] -P cli_check.cmake -- "
+                      "CMD ARGS...")
 endif()
 
 execute_process(COMMAND ${command}
                 RESULT_VARIABLE result
-                OUTPUT_QUIET
+                OUTPUT_VARIABLE stdout
                 ERROR_VARIABLE stderr)
 if(NOT result STREQUAL EXIT)
   message(FATAL_ERROR "exit '${result}', expected ${EXIT}\n"
@@ -31,4 +34,10 @@ if(NOT result STREQUAL EXIT)
 endif()
 if(DEFINED STDERR AND NOT stderr MATCHES "${STDERR}")
   message(FATAL_ERROR "stderr does not match '${STDERR}':\n${stderr}")
+endif()
+if(DEFINED STDOUT_FILE)
+  file(READ "${STDOUT_FILE}" expected)
+  if(NOT stdout STREQUAL expected)
+    message(FATAL_ERROR "stdout differs from ${STDOUT_FILE}:\n${stdout}")
+  endif()
 endif()

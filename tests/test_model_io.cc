@@ -31,11 +31,8 @@ verify::Observation
 observe(const NetworkSpec &net, const std::vector<i16> &input,
         kernels::Impl impl, const verify::Schedule &schedule = {})
 {
-    verify::LocalWorkload workload;
-    workload.net = net;
-    workload.input = input;
-    workload.impl = impl;
-    return verify::runSchedule(workload, schedule, true);
+    return verify::localRunner(verify::LocalWorkload(net, input, impl))(
+        schedule);
 }
 
 NetworkSpec

@@ -315,13 +315,10 @@ TEST(PipelineOracle, MixedBatteryGreenForEveryPipeline)
     for (const auto &name : PipelineRegistry::instance().names()) {
         for (const auto impl :
              {kernels::Impl::Sonic, kernels::Impl::Tile8}) {
-            verify::PipelineWorkload workload;
-            workload.base.net = testutil::tinyNet();
-            workload.base.input = testutil::tinyInput();
-            workload.base.impl = impl;
-            workload.spec = PipelineRegistry::instance().get(name);
-            const auto report =
-                verify::verifyPipelineLocal(workload, 12, 0xf1ee7);
+            verify::LocalWorkload workload(testutil::tinyNet(),
+                                           testutil::tinyInput(), impl);
+            workload.round = PipelineRegistry::instance().get(name);
+            const auto report = verify::verifyLocal(workload, 12, 0xf1ee7);
             EXPECT_TRUE(report.ok())
                 << name << " x " << kernels::implName(impl) << ": "
                 << (report.divergences.empty()
@@ -333,14 +330,12 @@ TEST(PipelineOracle, MixedBatteryGreenForEveryPipeline)
 
 TEST(PipelineOracle, TxBoundaryTraceSeesEveryBoundary)
 {
-    verify::PipelineWorkload workload;
-    workload.base.net = testutil::tinyNet();
-    workload.base.input = testutil::tinyInput();
-    workload.base.impl = kernels::Impl::Sonic;
-    workload.spec = PipelineRegistry::instance().get("wildlife");
+    verify::LocalWorkload workload(testutil::tinyNet(),
+                                   testutil::tinyInput(),
+                                   kernels::Impl::Sonic);
+    workload.round = PipelineRegistry::instance().get("wildlife");
     u64 total = 0;
-    const auto boundaries = verify::recordTxBoundaryTrace(
-        workload, &total);
+    const auto boundaries = verify::recordCommitTrace(workload, &total);
     // Lossless wildlife: one result commit + one ACK commit.
     ASSERT_EQ(boundaries.size(), 2u);
     EXPECT_LT(boundaries[0], boundaries[1]);

@@ -363,35 +363,46 @@ TEST(TraceExport, ChromeWritesNullForStampsBeyondF64Microseconds)
 
 TEST(OracleTrace, DumpScheduleTraceWritesAReadableTrace)
 {
-    verify::LocalWorkload workload;
-    workload.net = verify::goldenNet();
-    workload.input = verify::goldenInput();
-    workload.impl = kernels::Impl::Sonic;
+    // The bare inference, then the same inference inside a wildlife
+    // round (sense, infer, transmit).
+    verify::LocalWorkload inference(verify::goldenNet(),
+                                    verify::goldenInput(),
+                                    kernels::Impl::Sonic);
+    verify::LocalWorkload round = inference;
+    round.round = pipeline::PipelineRegistry::instance().get("wildlife");
 
     const verify::Schedule schedule = {50, 500, 5'000};
     const std::string path =
         testing::TempDir() + "oracle_dump.sonictrace";
-    std::string error;
-    ASSERT_TRUE(
-        verify::dumpScheduleTrace(workload, schedule, path, &error))
-        << error;
+    for (const auto *workload : {&inference, &round}) {
+        SCOPED_TRACE(workload->round ? "wildlife round" : "inference");
+        std::string error;
+        ASSERT_TRUE(
+            verify::dumpScheduleTrace(*workload, schedule, path, &error))
+            << error;
 
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in.is_open());
-    std::vector<telemetry::TraceRow> rows;
-    telemetry::SoniczInfo info;
-    ASSERT_TRUE(readTrace(in, &rows, &info, &error)) << error;
-    EXPECT_EQ(info.kind, telemetry::SchemaKind::Trace);
-    ASSERT_FALSE(rows.empty());
+        std::ifstream in(path, std::ios::binary);
+        ASSERT_TRUE(in.is_open());
+        std::vector<telemetry::TraceRow> rows;
+        telemetry::SoniczInfo info;
+        ASSERT_TRUE(readTrace(in, &rows, &info, &error)) << error;
+        EXPECT_EQ(info.kind, telemetry::SchemaKind::Trace);
+        ASSERT_FALSE(rows.empty());
 
-    // The schedule's failures show up as reboot events, and the
-    // inference spans stay balanced (the Infer guard closes its span
-    // even when a PowerFailure unwinds out of the kernel).
-    EXPECT_GE(countKind(rows, 0, TraceEventKind::Reboot), 1u);
-    EXPECT_EQ(countKind(rows, 0, TraceEventKind::InferBegin),
-              countKind(rows, 0, TraceEventKind::InferEnd));
-    EXPECT_GE(countKind(rows, 0, TraceEventKind::LayerEnter), 1u);
-    std::remove(path.c_str());
+        // The schedule's failures show up as reboot events, and the
+        // inference spans stay balanced (the Infer guard closes its
+        // span even when a PowerFailure unwinds out of the kernel).
+        EXPECT_GE(countKind(rows, 0, TraceEventKind::Reboot), 1u);
+        EXPECT_EQ(countKind(rows, 0, TraceEventKind::InferBegin),
+                  countKind(rows, 0, TraceEventKind::InferEnd));
+        EXPECT_GE(countKind(rows, 0, TraceEventKind::LayerEnter), 1u);
+        // A round also records its delivery boundaries.
+        if (workload->round) {
+            EXPECT_GE(countKind(rows, 0, TraceEventKind::TxBoundary),
+                      1u);
+        }
+        std::remove(path.c_str());
+    }
 }
 
 } // namespace

@@ -29,11 +29,7 @@ namespace
 LocalWorkload
 goldenWorkload(kernels::Impl impl)
 {
-    LocalWorkload w;
-    w.net = goldenNet();
-    w.input = goldenInput();
-    w.impl = impl;
-    return w;
+    return LocalWorkload(goldenNet(), goldenInput(), impl);
 }
 
 /** RAII around the injected SONIC fault so no assertion exit can leak
@@ -129,10 +125,10 @@ TEST(CommitTrace, RecordsMonotoneInHorizonCommits)
 
 TEST(SnapshotChain, OneDigestPerRebootAndDeterministic)
 {
-    const auto workload = goldenWorkload(kernels::Impl::Sonic);
+    const auto run = localRunner(goldenWorkload(kernels::Impl::Sonic));
     const Schedule schedule = {200, 900, 1400};
-    const auto a = runSchedule(workload, schedule, true);
-    const auto b = runSchedule(workload, schedule, true);
+    const auto a = run(schedule);
+    const auto b = run(schedule);
     ASSERT_TRUE(a.completed);
     EXPECT_EQ(a.fired, schedule.size());
     EXPECT_EQ(a.reboots, a.fired);
@@ -143,7 +139,7 @@ TEST(SnapshotChain, OneDigestPerRebootAndDeterministic)
     EXPECT_EQ(a.logits, b.logits);
 
     // A distant failure placement snapshots different FRAM state.
-    const auto c = runSchedule(workload, {1200, 1900, 2400}, true);
+    const auto c = run({1200, 1900, 2400});
     EXPECT_NE(a.rebootDigests, c.rebootDigests);
 }
 
@@ -151,9 +147,9 @@ TEST(SnapshotChain, RecoveryRestoresTheContinuousFinalState)
 {
     // SONIC's recovery re-derives identical values everywhere, so the
     // final FRAM image matches continuous power bit-for-bit.
-    const auto workload = goldenWorkload(kernels::Impl::Sonic);
-    const auto cont = runSchedule(workload, {}, true);
-    const auto inter = runSchedule(workload, {137, 138, 2000}, true);
+    const auto run = localRunner(goldenWorkload(kernels::Impl::Sonic));
+    const auto cont = run({});
+    const auto inter = run({137, 138, 2000});
     ASSERT_TRUE(inter.completed);
     EXPECT_EQ(inter.logits, cont.logits);
     EXPECT_EQ(inter.finalNvmDigest, cont.finalNvmDigest);
@@ -219,6 +215,7 @@ TEST(Oracle, GrandSweepZeroDivergences)
 TEST(Oracle, BrokenSonicCaughtAndShrunk)
 {
     const auto workload = goldenWorkload(kernels::Impl::Sonic);
+    const auto run = localRunner(workload);
     u64 draws = 0;
     const auto commits = recordCommitTrace(workload, &draws);
 
@@ -231,25 +228,25 @@ TEST(Oracle, BrokenSonicCaughtAndShrunk)
         gen.maxFailures = 8;
         const auto schedules = mixedSchedules(300, commits, gen);
 
-        Oracle oracle(localRunner(workload), {});
+        Oracle oracle(run, {});
         report = oracle.verify(schedules);
     }
 
     ASSERT_FALSE(report.ok())
         << "oracle failed to catch disabled undo-logging";
-    const auto good = runSchedule(workload, {}, false);
+    const auto good = run({});
     for (const auto &d : report.divergences) {
         EXPECT_LE(d.shrunk.size(), 3u);
         ASSERT_FALSE(d.shrunk.empty());
         // The shrunk schedule is a genuine standalone counterexample.
         UndoLogFaultGuard fault;
-        const auto replay = runSchedule(workload, d.shrunk, true);
+        const auto replay = run(d.shrunk);
         EXPECT_TRUE(!replay.completed || replay.logits != good.logits);
     }
 
     // And the fixed kernel passes the exact schedules that broke the
     // faulty one.
-    Oracle fixed(localRunner(workload), {});
+    Oracle fixed(run, {});
     std::vector<Schedule> broken_schedules;
     for (const auto &d : report.divergences)
         broken_schedules.push_back(d.schedule);
@@ -262,14 +259,15 @@ TEST(Oracle, ShrinkStripsBenignIndicesFromAMixedSchedule)
     // in padding, and check ddmin digs a tiny counterexample back out.
     const auto workload = goldenWorkload(kernels::Impl::Sonic);
     UndoLogFaultGuard fault;
-    Oracle oracle(localRunner(workload), {});
+    const auto run = localRunner(workload);
+    Oracle oracle(run, {});
 
     std::optional<u64> bad;
     u64 draws = 0;
     recordCommitTrace(workload, &draws);
     for (u64 i = 0; i < draws && !bad; ++i) {
         const Schedule probe = {i};
-        if (oracle.judge(probe, runSchedule(workload, probe, true)))
+        if (oracle.judge(probe, run(probe)))
             bad = i;
     }
     ASSERT_TRUE(bad.has_value());
@@ -278,8 +276,7 @@ TEST(Oracle, ShrinkStripsBenignIndicesFromAMixedSchedule)
     // would shift the op stream and could mask the window.
     const Schedule padded = {*bad, *bad + 997, *bad + 2003,
                              *bad + 3001};
-    ASSERT_TRUE(
-        oracle.judge(padded, runSchedule(workload, padded, true)));
+    ASSERT_TRUE(oracle.judge(padded, run(padded)));
     const auto shrunk = oracle.shrink(padded);
     EXPECT_LT(shrunk.size(), padded.size());
     EXPECT_LE(shrunk.size(), 2u);
@@ -333,14 +330,15 @@ TEST(Oracle, OneDivergentReplayGivesExactlyThatDivergence)
     gen.seed = 0x4e91a7;
     gen.opHorizon = draws;
     const auto schedules = mixedSchedules(12, commits, gen);
+    const auto run = localRunner(workload);
     std::vector<Observation> observed;
     for (const auto &schedule : schedules)
-        observed.push_back(runSchedule(workload, schedule));
+        observed.push_back(run(schedule));
 
     OracleOptions options;
     options.crashConsistent = false;
     options.shrink = false;
-    Oracle oracle(localRunner(workload), options);
+    Oracle oracle(run, options);
     const u64 bad = 5;
     ASSERT_FALSE(schedules[bad].empty());
     auto replayed = observed;
@@ -436,17 +434,19 @@ TEST(EnvironmentFailures, RecordedBrownOutsReplayExactly)
     const u64 seed = 0xb0;
     for (const auto &[impl, ref] : cases) {
         const auto workload = goldenWorkload(impl);
-        arch::Device dev(app::makeProfile(workload.profile),
-                         env::EnvRegistry::instance().make(ref, seed));
-        dnn::DeviceNetwork net(dev, workload.net);
-        net.loadInput(workload.input);
-        const auto env_run = kernels::runInference(net, impl);
+        const auto env_run = observe(
+            workload, env::EnvRegistry::instance().make(ref, seed));
         ASSERT_TRUE(env_run.completed);
 
-        const Schedule recorded =
-            recordEnvironmentFailures(workload, ref, seed);
+        // A separate run records the brown-outs, so a recorder that
+        // perturbs the run it watches fails the comparison below.
+        BrownOutRecorder recorder;
+        observe(workload, env::EnvRegistry::instance().make(ref, seed),
+                &recorder);
+        const Schedule &recorded = recorder.failures;
         ASSERT_FALSE(recorded.empty()) << "capacitor never browned out";
-        const auto replay = runSchedule(workload, recorded, false);
+        const auto replay = observe(
+            workload, std::make_unique<arch::SchedulePower>(recorded));
         EXPECT_TRUE(replay.completed);
         EXPECT_EQ(replay.fired, recorded.size());
         EXPECT_EQ(replay.reboots, env_run.reboots);
