@@ -1,41 +1,34 @@
 /**
  * @file
- * Host-performance microbenchmarks of the simulator's hot paths: the
- * charged-operation dispatch (single-op and span-batched, with and
- * without the energy lease), memory-handle accesses (single and bulk
- * span), fixed-point arithmetic, the redo-log, and a full tiny-network
- * inference per implementation. These measure *host* performance of
- * the simulator (how fast experiments run), complementing the
- * simulated-device measurements of the figure benches.
+ * Host-performance microbenchmarks (google-benchmark) of the
+ * simulator's hot paths: the charged-operation dispatch (single-op and
+ * span-batched, with and without the energy lease), memory-handle
+ * accesses (single and bulk span), fixed-point arithmetic, the redo
+ * log, the kernel registry, and a full tiny-network inference per
+ * implementation. They time how fast experiments run on the host, not
+ * the simulated device, and are a tool for finding where host time
+ * goes in one layer. The numbers the repo records are perfbench's, in
+ * BENCH_ledger.json (`python3 bench/ledger.py`).
  *
- * Two harnesses share this binary:
- *  - `--emit-json[=PATH]` runs a self-contained chrono-timed harness
- *    and writes BENCH_micro_ops.json with simulated ops/sec for the
- *    consume dispatch, NvArray access, and a sparse-FC inner loop
- *    (plus the per-op-draw reference numbers, so the lease speedup is
- *    recorded in the artifact). CI runs this in Release and uploads
- *    the JSON to track the performance trajectory.
- *  - without arguments, the google-benchmark suite runs (when the
- *    library is available at configure time).
+ * Three pairs measure what an observer costs. Each runs the same work
+ * with no probe and with one attached:
+ *  - the consume dispatch, with a no-op probe (the probe pointer is
+ *    never read on that path, so the two must time the same; CI gates
+ *    the ratio of their medians);
+ *  - layer attribution switches, with a no-op probe (one predictable
+ *    null check when off, a virtual call per switch when on);
+ *  - a tiny SONIC inference, with a real trace::TraceRecorder.
  */
 
-#include <chrono>
-#include <cstdio>
-#include <cstring>
-#include <string>
-#include <vector>
+#include <benchmark/benchmark.h>
 
 #include "arch/memory.hh"
 #include "dnn/device_net.hh"
 #include "fixed/fixed.hh"
-#include "kernels/kernel_util.hh"
 #include "kernels/runner.hh"
 #include "task/runtime.hh"
 #include "tests/test_helpers.hh"
-
-#ifdef SONIC_HAVE_GBENCH
-#include <benchmark/benchmark.h>
-#endif
+#include "trace/trace.hh"
 
 using namespace sonic;
 
@@ -52,297 +45,10 @@ continuousDevice(bool per_op_draw = false)
                         config);
 }
 
-/** Total simulated op instances charged so far on a device. */
-u64
-simulatedOps(const arch::Device &dev)
+/** A probe that overrides nothing: pure virtual-dispatch cost. */
+class NullProbe final : public arch::TraceProbe
 {
-    u64 ops = 0;
-    for (u32 o = 0; o < arch::kNumOps; ++o)
-        ops += dev.stats().opCount(static_cast<arch::Op>(o));
-    return ops;
-}
-
-/** Chrono-timed harness: runs body(iters) with growing iteration
- * counts until it takes at least min_seconds, then reports simulated
- * ops per second (the body reports how many simulated ops one
- * iteration charges). */
-template <typename F>
-f64
-measureOpsPerSec(u64 ops_per_iter, F &&body, f64 min_seconds = 0.2)
-{
-    using clock = std::chrono::steady_clock;
-    u64 iters = 1024;
-    for (;;) {
-        const auto t0 = clock::now();
-        body(iters);
-        const f64 s =
-            std::chrono::duration<f64>(clock::now() - t0).count();
-        if (s >= min_seconds) {
-            return static_cast<f64>(iters)
-                * static_cast<f64>(ops_per_iter) / s;
-        }
-        iters *= s > 0.01 ? 4 : 16;
-    }
-}
-
-struct JsonField
-{
-    std::string key;
-    f64 value;
 };
-
-/** The --emit-json harness (see file header). */
-int
-emitJson(const std::string &path)
-{
-    std::vector<JsonField> fields;
-
-    // --- Device::consume dispatch -------------------------------------
-    // Single-op calls, lease fast path vs per-op virtual draw.
-    {
-        auto dev = continuousDevice();
-        fields.push_back(
-            {"consume_single_ops_per_sec",
-             measureOpsPerSec(1, [&](u64 n) {
-                 for (u64 i = 0; i < n; ++i)
-                     dev.consume(arch::Op::FixedMul);
-             })});
-    }
-    {
-        auto dev = continuousDevice(/*per_op_draw=*/true);
-        fields.push_back(
-            {"consume_single_per_op_draw_ops_per_sec",
-             measureOpsPerSec(1, [&](u64 n) {
-                 for (u64 i = 0; i < n; ++i)
-                     dev.consume(arch::Op::FixedMul);
-             })});
-    }
-    // Span-batched charging (count=32), the shape the kernels dispatch
-    // after the bulk-accessor migration.
-    {
-        auto dev = continuousDevice();
-        fields.push_back(
-            {"consume_batch32_ops_per_sec",
-             measureOpsPerSec(32, [&](u64 n) {
-                 for (u64 i = 0; i < n; ++i)
-                     dev.consume(arch::Op::FixedMul, 32);
-             })});
-    }
-    {
-        auto dev = continuousDevice(/*per_op_draw=*/true);
-        fields.push_back(
-            {"consume_batch32_per_op_draw_ops_per_sec",
-             measureOpsPerSec(32, [&](u64 n) {
-                 for (u64 i = 0; i < n; ++i)
-                     dev.consume(arch::Op::FixedMul, 32);
-             })});
-    }
-
-    // --- NvArray access ------------------------------------------------
-    {
-        auto dev = continuousDevice();
-        arch::NvArray<i16> arr(dev, 1024, "bench");
-        u32 i = 0;
-        fields.push_back(
-            {"nvarray_rw_single_ops_per_sec",
-             measureOpsPerSec(2, [&](u64 n) {
-                 for (u64 k = 0; k < n; ++k) {
-                     arr.write(i & 1023, static_cast<i16>(i));
-                     volatile i16 v = arr.read(i & 1023);
-                     (void)v;
-                     ++i;
-                 }
-             })});
-    }
-    {
-        auto dev = continuousDevice(/*per_op_draw=*/true);
-        arch::NvArray<i16> arr(dev, 1024, "bench");
-        u32 i = 0;
-        fields.push_back(
-            {"nvarray_rw_per_op_draw_ops_per_sec",
-             measureOpsPerSec(2, [&](u64 n) {
-                 for (u64 k = 0; k < n; ++k) {
-                     arr.write(i & 1023, static_cast<i16>(i));
-                     volatile i16 v = arr.read(i & 1023);
-                     (void)v;
-                     ++i;
-                 }
-             })});
-    }
-    // Span accessors: one 64-word bulk write + read round trip (the
-    // kernels' post-migration access shape), reported per word moved.
-    {
-        auto dev = continuousDevice();
-        arch::NvArray<i16> arr(dev, 1024, "bench");
-        i16 buf[64] = {};
-        u32 i = 0;
-        fields.push_back(
-            {"nvarray_span64_words_per_sec",
-             measureOpsPerSec(128, [&](u64 n) {
-                 for (u64 k = 0; k < n; ++k) {
-                     const u64 base = (i & 15) * 64;
-                     arr.writeRange(base, 64, buf);
-                     arr.readRange(base, 64, buf);
-                     ++i;
-                 }
-             })});
-    }
-
-    // --- Sparse-FC inner loop (base.cc's CSC traversal shape) ----------
-    // Synthetic CSC: 64 columns x 8 taps into a 256-row output, charged
-    // exactly as kernels/base.cc sparseFc charges its accumulation.
-    {
-        auto dev = continuousDevice();
-        constexpr u32 kCols = 64;
-        constexpr u32 kTaps = 8;
-        constexpr u32 kRows = 256;
-        arch::NvArray<i16> colPtr(dev, kCols + 1, "bench.colPtr");
-        arch::NvArray<i16> rowIdx(dev, kCols * kTaps, "bench.rowIdx");
-        arch::NvArray<i16> vals(dev, kCols * kTaps, "bench.vals");
-        arch::NvArray<i16> src(dev, kCols, "bench.src");
-        arch::NvArray<i16> dst(dev, kRows, "bench.dst");
-        for (u32 c = 0; c <= kCols; ++c)
-            colPtr.poke(c, static_cast<i16>(c * kTaps));
-        for (u32 t = 0; t < kCols * kTaps; ++t) {
-            rowIdx.poke(t, static_cast<i16>((t * 37) % kRows));
-            vals.poke(t, static_cast<i16>(t % 251));
-        }
-        const u64 mark = simulatedOps(dev);
-        i16 rows[kTaps];
-        i16 ws[kTaps];
-        auto inner = [&](u64 n) {
-            for (u64 rep = 0; rep < n; ++rep) {
-                for (u32 c = 0; c < kCols; ++c) {
-                    const auto first =
-                        static_cast<u32>(colPtr.read(c));
-                    const auto last =
-                        static_cast<u32>(colPtr.read(c + 1));
-                    const i16 x = src.read(c);
-                    const u32 k = last - first;
-                    rowIdx.readRange(first, k, rows);
-                    vals.readRange(first, k, ws);
-                    kernels::addr1(dev, k);
-                    kernels::chargeMacQ(dev, k);
-                    kernels::loopStep(dev, k);
-                    for (u32 t = 0; t < k; ++t) {
-                        const auto r = static_cast<u32>(rows[t]);
-                        dev.consume(arch::Op::FramLoad);
-                        dev.consume(arch::Op::FramStore);
-                        dst.poke(r,
-                                 kernels::addQRaw(
-                                     dst.peek(r),
-                                     kernels::mulQRaw(ws[t], x)));
-                    }
-                }
-            }
-        };
-        // Calibrate simulated ops per outer iteration once.
-        inner(1);
-        const u64 ops_per_iter = simulatedOps(dev) - mark;
-        fields.push_back({"sparse_fc_inner_ops_per_sec",
-                          measureOpsPerSec(ops_per_iter, inner)});
-    }
-
-    // --- End-to-end: tiny-network SONIC inference ----------------------
-    {
-        const auto spec = testutil::tinyNet();
-        const auto input = testutil::tinyInput();
-        u64 ops_per_iter = 0;
-        {
-            auto dev = continuousDevice();
-            dnn::DeviceNetwork net(dev, spec);
-            net.loadInput(input);
-            (void)kernels::runInference(net, kernels::Impl::Sonic);
-            ops_per_iter = simulatedOps(dev);
-        }
-        fields.push_back(
-            {"tiny_inference_sonic_sim_ops_per_sec",
-             measureOpsPerSec(ops_per_iter, [&](u64 n) {
-                 for (u64 k = 0; k < n; ++k) {
-                     auto dev = continuousDevice();
-                     dnn::DeviceNetwork net(dev, spec);
-                     net.loadInput(input);
-                     (void)kernels::runInference(
-                         net, kernels::Impl::Sonic);
-                 }
-             })});
-    }
-
-    // Derived speedups (lease + batching vs per-op virtual draw).
-    auto find = [&](const char *key) -> f64 {
-        for (const auto &f : fields)
-            if (f.key == key)
-                return f.value;
-        return 0.0;
-    };
-    fields.push_back(
-        {"speedup_consume_batch32_vs_per_op_draw",
-         find("consume_batch32_ops_per_sec")
-             / find("consume_batch32_per_op_draw_ops_per_sec")});
-    fields.push_back(
-        {"speedup_consume_single_vs_per_op_draw",
-         find("consume_single_ops_per_sec")
-             / find("consume_single_per_op_draw_ops_per_sec")});
-    fields.push_back(
-        {"speedup_nvarray_span64_vs_single_per_op_draw",
-         find("nvarray_span64_words_per_sec")
-             / find("nvarray_rw_per_op_draw_ops_per_sec")});
-
-    // Pre-lease seed baselines, measured with this same chrono harness
-    // against the pre-PR tree (per-op virtual draw, per-element kernel
-    // charging, always-on asserts) on the PR-2 reference host. They
-    // anchor the speedup trajectory; re-measure when porting to a new
-    // reference machine.
-    constexpr f64 kSeedConsume = 2.511e8;
-    constexpr f64 kSeedNvArrayRw = 2.424e8;
-    constexpr f64 kSeedSparseFcInner = 2.628e8;
-    constexpr f64 kSeedTinySonic = 1.618e8;
-    fields.push_back({"seed_consume_ops_per_sec", kSeedConsume});
-    fields.push_back({"seed_nvarray_rw_ops_per_sec", kSeedNvArrayRw});
-    fields.push_back(
-        {"seed_sparse_fc_inner_ops_per_sec", kSeedSparseFcInner});
-    fields.push_back(
-        {"seed_tiny_inference_sonic_sim_ops_per_sec", kSeedTinySonic});
-    fields.push_back({"speedup_consume_batch32_vs_seed",
-                      find("consume_batch32_ops_per_sec")
-                          / kSeedConsume});
-    fields.push_back({"speedup_nvarray_span64_vs_seed",
-                      find("nvarray_span64_words_per_sec")
-                          / kSeedNvArrayRw});
-    fields.push_back({"speedup_sparse_fc_inner_vs_seed",
-                      find("sparse_fc_inner_ops_per_sec")
-                          / kSeedSparseFcInner});
-    fields.push_back({"speedup_tiny_inference_sonic_vs_seed",
-                      find("tiny_inference_sonic_sim_ops_per_sec")
-                          / kSeedTinySonic});
-
-    std::FILE *out = std::fopen(path.c_str(), "w");
-    if (out == nullptr) {
-        std::fprintf(stderr, "cannot open %s\n", path.c_str());
-        return 1;
-    }
-    std::fprintf(out, "{\n  \"bench\": \"micro_ops\",\n");
-    std::fprintf(out, "  \"unit\": \"simulated ops per second\",\n");
-    for (u64 i = 0; i < fields.size(); ++i) {
-        std::fprintf(out, "  \"%s\": %.6g%s\n", fields[i].key.c_str(),
-                     fields[i].value,
-                     i + 1 < fields.size() ? "," : "");
-    }
-    std::fprintf(out, "}\n");
-    std::fclose(out);
-
-    for (const auto &f : fields)
-        std::printf("%-48s %.4g\n", f.key.c_str(), f.value);
-    std::printf("wrote %s\n", path.c_str());
-    return 0;
-}
-
-} // namespace
-
-#ifdef SONIC_HAVE_GBENCH
-
-namespace
-{
 
 void
 BM_DeviceConsume(benchmark::State &state)
@@ -353,6 +59,18 @@ BM_DeviceConsume(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DeviceConsume);
+
+void
+BM_DeviceConsumeProbeAttached(benchmark::State &state)
+{
+    NullProbe probe; // outlives the device, which settles through it
+    auto dev = continuousDevice();
+    dev.setProbe(&probe);
+    for (auto _ : state)
+        dev.consume(arch::Op::FixedMul);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DeviceConsumeProbeAttached);
 
 void
 BM_DeviceConsumePerOpDraw(benchmark::State &state)
@@ -406,6 +124,36 @@ BM_NvArraySpan64(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 128);
 }
 BENCHMARK(BM_NvArraySpan64);
+
+/** Alternating layers, the worst case: kernels switch per region. */
+void
+layerSwitches(benchmark::State &state, arch::TraceProbe *probe)
+{
+    auto dev = continuousDevice();
+    const u16 a = dev.registerLayer("a");
+    const u16 b = dev.registerLayer("b");
+    dev.setProbe(probe);
+    for (auto _ : state) {
+        dev.setLayer(a);
+        dev.setLayer(b);
+    }
+    state.SetItemsProcessed(state.iterations() * 2);
+}
+
+void
+BM_LayerSwitch(benchmark::State &state)
+{
+    layerSwitches(state, nullptr);
+}
+BENCHMARK(BM_LayerSwitch);
+
+void
+BM_LayerSwitchProbeAttached(benchmark::State &state)
+{
+    NullProbe probe;
+    layerSwitches(state, &probe);
+}
+BENCHMARK(BM_LayerSwitchProbeAttached);
 
 void
 BM_FixedMulAdd(benchmark::State &state)
@@ -501,6 +249,25 @@ BENCHMARK(BM_TinyInference)
     ->Arg(static_cast<int>(kernels::Impl::Sonic))
     ->Arg(static_cast<int>(kernels::Impl::Tails));
 
+/** BM_TinyInference's SONIC case with a recorder attached, fresh per
+ * inference as the fleet attaches one per sampled device. */
+void
+BM_TinyInferenceRecorder(benchmark::State &state)
+{
+    const auto spec = testutil::tinyNet();
+    const auto input = testutil::tinyInput();
+    for (auto _ : state) {
+        trace::TraceRecorder recorder(0);
+        auto dev = continuousDevice();
+        dev.setProbe(&recorder);
+        dnn::DeviceNetwork net(dev, spec);
+        net.loadInput(input);
+        benchmark::DoNotOptimize(
+            kernels::runInference(net, kernels::Impl::Sonic).completed);
+    }
+}
+BENCHMARK(BM_TinyInferenceRecorder);
+
 void
 BM_TinyIntermittentSonic(benchmark::State &state)
 {
@@ -521,28 +288,4 @@ BENCHMARK(BM_TinyIntermittentSonic)->Arg(127)->Arg(1031);
 
 } // namespace
 
-#endif // SONIC_HAVE_GBENCH
-
-int
-main(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--emit-json") == 0)
-            return emitJson("BENCH_micro_ops.json");
-        if (std::strncmp(argv[i], "--emit-json=", 12) == 0)
-            return emitJson(argv[i] + 12);
-    }
-#ifdef SONIC_HAVE_GBENCH
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-#else
-    std::fprintf(stderr,
-                 "google-benchmark not built in; run with "
-                 "--emit-json[=PATH] for the chrono harness\n");
-    return 1;
-#endif
-}
+BENCHMARK_MAIN();

@@ -8,21 +8,21 @@
  * and the CSV-to-.sonicz ratio must clear the 5x acceptance floor —
  * either failure exits nonzero.
  *
- * `--emit-json[=PATH]` writes BENCH_telemetry_sonicz.json with the
- * sizes and ratios; `--devices=N` rescales the fleet.
+ * `--emit-json=PATH` writes the sizes and ratios to PATH as one JSON
+ * object; `--devices=N` rescales the fleet.
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <fstream>
 #include <sstream>
 
-#include "bench/bench_json.hh"
 #include "fleet/fleet.hh"
 #include "telemetry/cat.hh"
+#include "util/cli.hh"
+#include "util/json.hh"
 
 using namespace sonic;
-using namespace sonic::bench;
 
 namespace
 {
@@ -102,16 +102,21 @@ run(u32 devices, const std::string &json_path)
         return 1;
     }
 
-    if (!json_path.empty()
-        && !writeFlatJson(
-               json_path, "telemetry_sonicz",
-               {{"csv_bytes", static_cast<f64>(csv.size())},
-                {"json_bytes", static_cast<f64>(json.size())},
-                {"sonicz_bytes", static_cast<f64>(sonicz.size())},
-                {"csv_ratio", csv_ratio},
-                {"json_ratio", json_ratio}}))
-        return 1;
-    return 0;
+    if (json_path.empty())
+        return 0;
+    std::ofstream file;
+    if (!cli::openOutput(file, json_path))
+        return 2;
+    json::Writer(file)
+        .beginObject()
+        .br(2).field("bench", "telemetry_sonicz")
+        .br(2).field("csv_bytes", csv.size())
+        .br(2).field("json_bytes", json.size())
+        .br(2).field("sonicz_bytes", sonicz.size())
+        .br(2).field("csv_ratio", csv_ratio)
+        .br(2).field("json_ratio", json_ratio)
+        .br(0).end();
+    return cli::finishOutput(file, json_path) ? 0 : 1;
 }
 
 } // namespace
@@ -121,21 +126,11 @@ main(int argc, char **argv)
 {
     u32 devices = 1000;
     std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--emit-json") == 0)
-            json_path = "BENCH_telemetry_sonicz.json";
-        else if (std::strncmp(argv[i], "--emit-json=", 12) == 0)
-            json_path = argv[i] + 12;
-        else if (std::strncmp(argv[i], "--devices=", 10) == 0)
-            devices = static_cast<u32>(std::atoi(argv[i] + 10));
-        else {
-            std::fprintf(stderr,
-                         "unknown flag %s (try --emit-json[=PATH] "
-                         "--devices=N)\n",
-                         argv[i]);
-            return 2;
-        }
-    }
+    cli::Flags flags("bench_telemetry_sonicz");
+    flags.add("--devices", &devices, "N")
+        .add("--emit-json", &json_path, "PATH");
+    if (!flags.parse(argc, argv))
+        return 2;
     if (devices == 0) {
         std::fprintf(stderr, "--devices must be positive\n");
         return 2;

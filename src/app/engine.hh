@@ -85,8 +85,7 @@ using CsvSink = telemetry::CsvSinkOf<ResultSink, SweepRecord, csvFields>;
 
 /**
  * Streams a JSON array of record objects, including the per-layer
- * breakdown, per-op energies and logits (the BENCH_*.json trajectory
- * format).
+ * breakdown, per-op energies and logits.
  */
 class JsonSink : public ResultSink
 {

@@ -1,9 +1,13 @@
 #include "env/traces.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+
+#include "util/json_parse.hh"
 
 namespace sonic::env
 {
@@ -30,7 +34,7 @@ samplesToModel(const std::vector<HarvestModel::Point> &samples,
     }
     for (u64 i = 0; i < samples.size(); ++i) {
         // Finiteness first, and with !(x >= 0) instead of (x < 0):
-        // std::stod happily parses "nan" and "inf", and NaN compares
+        // from_chars takes "nan" and "inf", and NaN compares
         // false against everything — `watts < 0.0` waved NaN straight
         // through, and +inf passed outright.
         if (!std::isfinite(samples[i].seconds)) {
@@ -84,6 +88,30 @@ samplesToModel(const std::vector<HarvestModel::Point> &samples,
     return true;
 }
 
+/** `text` without its surrounding whitespace. */
+std::string_view
+trimmed(std::string_view text)
+{
+    while (!text.empty()
+           && std::isspace(static_cast<unsigned char>(text.front())))
+        text.remove_prefix(1);
+    while (!text.empty()
+           && std::isspace(static_cast<unsigned char>(text.back())))
+        text.remove_suffix(1);
+    return text;
+}
+
+/** All of `text` as a double, read as jsonp reads numbers: from_chars
+ * takes a subnormal (std::stod throws on one) and refuses a value out
+ * of range, such as 1e999. */
+bool
+parseNumber(std::string_view text, f64 *out)
+{
+    const char *end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, *out);
+    return !text.empty() && ec == std::errc() && stop == end;
+}
+
 } // namespace
 
 bool
@@ -94,255 +122,37 @@ parseTraceCsv(const std::string &text, HarvestModel *out,
     std::string &err = error != nullptr ? *error : scratch;
     std::vector<HarvestModel::Point> samples;
     std::istringstream lines(text);
-    std::string line;
     u64 line_no = 0;
-    while (std::getline(lines, line)) {
+    for (std::string line; std::getline(lines, line);) {
         ++line_no;
-        // Trim whitespace; skip blanks and comments.
-        u64 begin = 0, end = line.size();
-        while (begin < end
-               && std::isspace(static_cast<unsigned char>(line[begin])))
-            ++begin;
-        while (end > begin
-               && std::isspace(static_cast<unsigned char>(line[end - 1])))
-            --end;
-        if (begin == end || line[begin] == '#')
+        // Blank lines and comments are skipped; fields tolerate
+        // surrounding whitespace ("10 , 0.5").
+        const std::string_view row = trimmed(line);
+        if (row.empty() || row.front() == '#')
             continue;
-        const std::string row = line.substr(begin, end - begin);
-        const auto comma = row.find(',');
-        if (comma == std::string::npos) {
-            err = "trace line " + std::to_string(line_no)
-                + ": expected 'seconds,watts' (no comma found)";
+        auto reject = [&](const char *why) {
+            err = "trace line " + std::to_string(line_no) + ": " + why;
             return false;
-        }
-        // Fields tolerate surrounding whitespace ("10 , 0.5").
-        auto trimmed = [](std::string field) {
-            u64 b = 0, e = field.size();
-            while (b < e && std::isspace(
-                       static_cast<unsigned char>(field[b])))
-                ++b;
-            while (e > b && std::isspace(
-                       static_cast<unsigned char>(field[e - 1])))
-                --e;
-            return field.substr(b, e - b);
         };
-        const std::string secs = trimmed(row.substr(0, comma));
-        const std::string watts = trimmed(row.substr(comma + 1));
+        const auto comma = row.find(',');
+        if (comma == std::string_view::npos)
+            return reject("expected 'seconds,watts' (no comma found)");
         HarvestModel::Point p;
-        try {
-            std::size_t used = 0;
-            p.seconds = std::stod(secs, &used);
-            if (used != secs.size()) {
-                err = "trace line " + std::to_string(line_no)
-                    + ": unparsable timestamp";
-                return false;
-            }
-            p.watts = std::stod(watts, &used);
-            if (used != watts.size()) {
-                err = "trace line " + std::to_string(line_no)
-                    + ": unparsable power value";
-                return false;
-            }
-        } catch (const std::exception &) {
-            err = "trace line " + std::to_string(line_no)
-                + ": unparsable number";
-            return false;
-        }
+        if (!parseNumber(trimmed(row.substr(0, comma)), &p.seconds))
+            return reject("unparsable timestamp");
+        if (!parseNumber(trimmed(row.substr(comma + 1)), &p.watts))
+            return reject("unparsable power value");
         // Catch nan/inf here, where the line number is still known —
         // samplesToModel re-checks (for the JSON path) but can only
         // name the sample index.
-        if (!std::isfinite(p.seconds)) {
-            err = "trace line " + std::to_string(line_no)
-                + ": non-finite timestamp";
-            return false;
-        }
-        if (!std::isfinite(p.watts)) {
-            err = "trace line " + std::to_string(line_no)
-                + ": non-finite power value";
-            return false;
-        }
+        if (!std::isfinite(p.seconds))
+            return reject("non-finite timestamp");
+        if (!std::isfinite(p.watts))
+            return reject("non-finite power value");
         samples.push_back(p);
     }
     return samplesToModel(samples, out, &err);
 }
-
-namespace
-{
-
-/**
- * A pocket parser for the sonic-trace JSON document. The grammar is
- * tiny (one flat object, string keys, numbers, a nested array of
- * 2-element arrays), so the full model-format parser is not pulled in.
- */
-class TraceJsonParser
-{
-  public:
-    TraceJsonParser(const std::string &text, std::string *error)
-        : text_(text), error_(error)
-    {
-    }
-
-    bool
-    parse(std::string *format, u32 *version,
-          std::vector<HarvestModel::Point> *points)
-    {
-        bool have_points = false;
-        skipWs();
-        if (!expect('{'))
-            return false;
-        for (;;) {
-            skipWs();
-            std::string key;
-            if (!string(&key))
-                return false;
-            skipWs();
-            if (!expect(':'))
-                return false;
-            skipWs();
-            if (key == "format") {
-                if (!string(format))
-                    return false;
-            } else if (key == "version") {
-                f64 v = 0.0;
-                if (!number(&v))
-                    return false;
-                if (v < 0 || v != static_cast<f64>(static_cast<u32>(v)))
-                    return fail("\"version\" is not an unsigned "
-                                "integer");
-                *version = static_cast<u32>(v);
-            } else if (key == "points") {
-                if (!pointArray(points))
-                    return false;
-                have_points = true;
-            } else {
-                return fail("unknown field \"" + key + "\"");
-            }
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (!expect('}'))
-                return false;
-            break;
-        }
-        skipWs();
-        if (pos_ != text_.size())
-            return fail("trailing garbage after the document");
-        if (!have_points)
-            return fail("missing \"points\" array");
-        return true;
-    }
-
-  private:
-    bool
-    fail(const std::string &message)
-    {
-        if (error_->empty())
-            *error_ = "trace JSON error at byte " + std::to_string(pos_)
-                    + ": " + message;
-        return false;
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size()
-               && std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool
-    expect(char c)
-    {
-        if (pos_ >= text_.size() || text_[pos_] != c)
-            return fail(std::string("expected '") + c + "'");
-        ++pos_;
-        return true;
-    }
-
-    bool
-    string(std::string *out)
-    {
-        if (pos_ >= text_.size() || text_[pos_] != '"')
-            return fail("expected a string");
-        ++pos_;
-        out->clear();
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            if (text_[pos_] == '\\')
-                return fail("escapes are not used in trace documents");
-            out->push_back(text_[pos_++]);
-        }
-        return expect('"');
-    }
-
-    bool
-    number(f64 *out)
-    {
-        const u64 start = pos_;
-        while (pos_ < text_.size()
-               && (std::isdigit(static_cast<unsigned char>(text_[pos_]))
-                   || text_[pos_] == '-' || text_[pos_] == '+'
-                   || text_[pos_] == '.' || text_[pos_] == 'e'
-                   || text_[pos_] == 'E'))
-            ++pos_;
-        const std::string token = text_.substr(start, pos_ - start);
-        try {
-            std::size_t used = 0;
-            *out = std::stod(token, &used);
-            if (used != token.size())
-                return fail("invalid number");
-        } catch (const std::exception &) {
-            return fail("invalid number");
-        }
-        return true;
-    }
-
-    bool
-    pointArray(std::vector<HarvestModel::Point> *out)
-    {
-        if (!expect('['))
-            return false;
-        skipWs();
-        if (pos_ < text_.size() && text_[pos_] == ']') {
-            ++pos_;
-            return true;
-        }
-        for (;;) {
-            skipWs();
-            if (!expect('['))
-                return false;
-            HarvestModel::Point p;
-            skipWs();
-            if (!number(&p.seconds))
-                return false;
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == ']')
-                return fail("each point must be [seconds, watts]");
-            if (!expect(','))
-                return false;
-            skipWs();
-            if (!number(&p.watts))
-                return false;
-            skipWs();
-            if (!expect(']'))
-                return fail("each point must be [seconds, watts]");
-            out->push_back(p);
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            return expect(']');
-        }
-    }
-
-    const std::string &text_;
-    std::string *error_;
-    u64 pos_ = 0;
-};
-
-} // namespace
 
 bool
 parseTraceJson(const std::string &text, HarvestModel *out,
@@ -352,11 +162,25 @@ parseTraceJson(const std::string &text, HarvestModel *out,
     std::string &err = error != nullptr ? *error : scratch;
     err.clear();
 
+    const std::string ctx = "trace JSON";
+    jsonp::JsonValue doc;
+    if (!jsonp::parseJson(text, &doc, &err))
+        return false;
+    const jsonp::JsonObject *obj = doc.object();
+    if (obj == nullptr) {
+        err = ctx + ": the document is not an object";
+        return false;
+    }
+    for (const auto &[key, value] : *obj) {
+        if (key != "format" && key != "version" && key != "points") {
+            err = ctx + ": unknown field \"" + key + "\"";
+            return false;
+        }
+    }
     std::string format;
     u32 version = 0;
-    std::vector<HarvestModel::Point> samples;
-    TraceJsonParser parser(text, &err);
-    if (!parser.parse(&format, &version, &samples))
+    if (!jsonp::getString(*obj, "format", &format, &err, ctx)
+        || !jsonp::getU32(*obj, "version", &version, &err, ctx))
         return false;
     if (format != "sonic-trace") {
         err = "not a sonic-trace document (format \"" + format + "\")";
@@ -367,6 +191,23 @@ parseTraceJson(const std::string &text, HarvestModel *out,
             + std::to_string(version) + " (this build reads version "
             + std::to_string(kTraceFormatVersion) + ")";
         return false;
+    }
+    const auto points = obj->find("points");
+    if (points == obj->end() || points->second.array() == nullptr) {
+        err = ctx + ": missing \"points\" array";
+        return false;
+    }
+    std::vector<HarvestModel::Point> samples;
+    for (const auto &point : *points->second.array()) {
+        const jsonp::JsonArray *pair = point.array();
+        if (pair == nullptr || pair->size() != 2
+            || (*pair)[0].number() == nullptr
+            || (*pair)[1].number() == nullptr) {
+            err = ctx + ": point " + std::to_string(samples.size())
+                + ": each point must be [seconds, watts]";
+            return false;
+        }
+        samples.push_back({*(*pair)[0].number(), *(*pair)[1].number()});
     }
     return samplesToModel(samples, out, &err);
 }

@@ -484,8 +484,8 @@ struct FleetScenario
 /**
  * The built-in scenarios — smoke-200 (CI smoke), mixed-1k (the
  * acceptance fleet; scale it with --devices), wildlife-day (the
- * paper's motivating deployment) — shared by the sonic_fleet CLI and
- * the bench_fleet_scale harness.
+ * paper's motivating deployment) — shared by the sonic_fleet and
+ * sonic_plan CLIs, bench_telemetry_sonicz and perfbench.
  */
 const std::vector<FleetScenario> &namedScenarios();
 

@@ -197,6 +197,13 @@ TEST(Traces, CsvParsesAndNormalizes)
         << error;
     EXPECT_EQ(model.periodSeconds(), 20.0); // normalized to t0 = 0
     EXPECT_NEAR(model.watts(5.0), 0.0015, 1e-12);
+
+    // A subnormal sample is a number like any other; std::stod throws
+    // on one, so the readers use from_chars.
+    ASSERT_TRUE(parseTraceCsv("0,0.001\n1,1e-310\n2,0.001\n", &model,
+                              &error))
+        << error;
+    EXPECT_EQ(model.periodSeconds(), 2.0);
 }
 
 TEST(Traces, CsvCorruptionDiagnostics)
@@ -228,7 +235,7 @@ TEST(Traces, NonFiniteSamplesAreRejectedWithLineNumbers)
     HarvestModel model;
     std::string error;
 
-    // std::stod happily parses "nan" and "inf", and `watts < 0.0` is
+    // from_chars parses "nan" and "inf", and `watts < 0.0` is
     // false for NaN — both used to slip through validation and poison
     // every downstream energy integral.
     EXPECT_FALSE(
@@ -251,7 +258,7 @@ TEST(Traces, NonFiniteSamplesAreRejectedWithLineNumbers)
     EXPECT_NE(error.find("non-finite timestamp"), std::string::npos);
 
     // A power that overflows f64 ("1e999" -> inf) cannot sneak
-    // through either parser: std::stod signals out-of-range.
+    // through either parser: from_chars signals out-of-range.
     EXPECT_FALSE(
         parseTraceCsv("0,0.001\n1,1e999\n", &model, &error));
     EXPECT_FALSE(parseTraceJson(
@@ -276,6 +283,13 @@ TEST(Traces, JsonParsesAndRejectsCorruption)
         &model, &error))
         << error;
     EXPECT_EQ(model.periodSeconds(), 20.0);
+
+    ASSERT_TRUE(parseTraceJson(
+        "{\"format\": \"sonic-trace\", \"version\": 1, "
+        "\"points\": [[0, 0.001], [1, 1e-310], [2, 0.001]]}",
+        &model, &error))
+        << error;
+    EXPECT_EQ(model.periodSeconds(), 2.0);
 
     EXPECT_FALSE(parseTraceJson(
         "{\"format\": \"other\", \"version\": 1, "
@@ -306,6 +320,12 @@ TEST(Traces, JsonParsesAndRejectsCorruption)
                                 "\"version\": 1}",
                                 &model, &error));
     EXPECT_NE(error.find("missing \"points\""), std::string::npos);
+
+    EXPECT_FALSE(parseTraceJson(
+        "{\"format\": \"sonic-trace\", \"version\": 1, \"step\": 1, "
+        "\"points\": [[0, 1], [1, 1]]}",
+        &model, &error));
+    EXPECT_NE(error.find("unknown field \"step\""), std::string::npos);
 }
 
 TEST(Traces, FileRegistrationAndDiagnostics)
@@ -318,10 +338,11 @@ TEST(Traces, FileRegistrationAndDiagnostics)
     }
     auto &registry = EnvRegistry::instance();
     std::string error;
-    if (!registry.contains("test-trace-file"))
+    if (!registry.contains("test-trace-file")) {
         ASSERT_TRUE(registry.addTraceFile("test-trace-file", path,
                                           &error))
             << error;
+    }
     EXPECT_EQ(registry.meta("test-trace-file")->family, "trace");
     auto psu = registry.make({"test-trace-file", 1e-3}, 3);
     EXPECT_TRUE(psu->intermittent());

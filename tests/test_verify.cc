@@ -65,8 +65,9 @@ TEST(ScheduleGen, DeterministicBoundedAndSorted)
         EXPECT_LE(schedule.size(), 8u);
         for (u64 i = 0; i < schedule.size(); ++i) {
             EXPECT_LT(schedule[i], config.opHorizon);
-            if (i > 0)
+            if (i > 0) {
                 EXPECT_LT(schedule[i - 1], schedule[i]);
+            }
         }
     }
 
@@ -116,8 +117,9 @@ TEST(CommitTrace, RecordsMonotoneInHorizonCommits)
     ASSERT_GT(commits.size(), 5u); // one per task transition
     for (u64 i = 0; i < commits.size(); ++i) {
         EXPECT_LT(commits[i], draws);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_LE(commits[i - 1], commits[i]);
+        }
     }
 }
 
