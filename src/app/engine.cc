@@ -225,7 +225,7 @@ Engine::runOne(const RunSpec &spec)
     const auto &stats = dev.stats();
     for (u32 o = 0; o < arch::kNumOps; ++o)
         result.opInstances += stats.opCount(static_cast<arch::Op>(o));
-    const f64 hz = dev.config().clockHz;
+    const f64 hz = arch::kClockHz;
     for (u16 l = 0; l < stats.numLayers(); ++l) {
         LayerBreakdown row;
         row.name = stats.layerName(l);

@@ -111,15 +111,6 @@ class SweepPlan
     {
         return environments_;
     }
-    const std::vector<ProfileVariant> &profileAxis() const
-    {
-        return profiles_;
-    }
-    const std::vector<u32> &sampleAxis() const { return samples_; }
-    const std::vector<std::vector<u64>> &scheduleAxis() const
-    {
-        return schedules_;
-    }
     /// @}
 
     /**

@@ -20,7 +20,7 @@ constexpr u64 kLeaseAskOps = ~u64{0};
 
 Device::Device(EnergyProfile profile, std::unique_ptr<PowerSupply> power,
                DeviceConfig config)
-    : profile_(profile), power_(std::move(power)), config_(config),
+    : profile_(profile), power_(std::move(power)),
       leaseEnabled_(!config.perOpPowerDraw)
 {
     SONIC_ASSERT(power_ != nullptr);
@@ -77,13 +77,6 @@ Device::settleLease() const
     leaseUsedNj_ = 0.0;
 }
 
-void
-Device::setLeasing(bool enabled)
-{
-    settleLease();
-    leaseEnabled_ = enabled;
-}
-
 u16
 Device::registerLayer(const std::string &name)
 {
@@ -98,9 +91,9 @@ void
 Device::allocFram(u64 bytes, const std::string &what)
 {
     framUsed_ += bytes;
-    if (config_.enforceCapacity && framUsed_ > config_.framCapacityBytes) {
+    if (framUsed_ > kFramCapacityBytes) {
         fatal("FRAM exhausted allocating ", bytes, "B for '", what, "': ",
-              framUsed_, "B used of ", config_.framCapacityBytes, "B");
+              framUsed_, "B used of ", kFramCapacityBytes, "B");
     }
 }
 
@@ -108,9 +101,9 @@ void
 Device::allocSram(u64 bytes, const std::string &what)
 {
     sramUsed_ += bytes;
-    if (config_.enforceCapacity && sramUsed_ > config_.sramCapacityBytes) {
+    if (sramUsed_ > kSramCapacityBytes) {
         fatal("SRAM exhausted allocating ", bytes, "B for '", what, "': ",
-              sramUsed_, "B used of ", config_.sramCapacityBytes, "B");
+              sramUsed_, "B used of ", kSramCapacityBytes, "B");
     }
 }
 
@@ -126,20 +119,6 @@ Device::freeSram(u64 bytes)
 {
     SONIC_ASSERT(bytes <= sramUsed_);
     sramUsed_ -= bytes;
-}
-
-void
-Device::registerVolatile(VolatileResettable *v)
-{
-    volatiles_.push_back(v);
-}
-
-void
-Device::unregisterVolatile(VolatileResettable *v)
-{
-    auto it = std::find(volatiles_.begin(), volatiles_.end(), v);
-    if (it != volatiles_.end())
-        volatiles_.erase(it);
 }
 
 void
@@ -188,12 +167,10 @@ Device::reboot()
     liveSecondsNotified_ = live;
     const f64 dead = power_->recharge();
     deadSeconds_ += dead;
-    if (probe_ != nullptr)
+    if (probe_ != nullptr) {
         probe_->onRecharge(*this, dead);
-    for (auto *v : volatiles_)
-        v->onReboot(rebootCount_);
-    if (probe_ != nullptr)
         probe_->onReboot(*this, rebootCount_);
+    }
 }
 
 } // namespace sonic::arch

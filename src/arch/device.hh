@@ -2,7 +2,7 @@
  * @file
  * The intermittently-powered device model. A Device owns an energy
  * profile, a power supply, execution statistics and the registry of
- * volatile memory that must be cleared at reboot. Every charged
+ * non-volatile (FRAM) regions its NVM digest walks. Every charged
  * operation a kernel performs goes through Device::consume, which may
  * throw PowerFailure when the energy buffer empties — the simulated
  * equivalent of the MCU browning out mid-instruction.
@@ -26,27 +26,15 @@
 namespace sonic::arch
 {
 
-/** Interface for volatile state that is lost at a power failure. */
-class VolatileResettable
-{
-  public:
-    virtual ~VolatileResettable() = default;
+/** The modelled MCU (MSP430FR5994): maximum clock and memory sizes.
+ * An allocation past either capacity is fatal. */
+inline constexpr f64 kClockHz = 16e6;
+inline constexpr u64 kFramCapacityBytes = 256 * 1024;
+inline constexpr u64 kSramCapacityBytes = 4 * 1024;
 
-    /**
-     * Clear/scramble contents. reboot_index allows deterministic but
-     * varying garbage so code relying on SRAM persistence fails loudly.
-     */
-    virtual void onReboot(u64 reboot_index) = 0;
-};
-
-/** Static configuration of the modelled MCU. */
+/** How a Device is built. */
 struct DeviceConfig
 {
-    f64 clockHz = 16e6;             ///< MSP430FR5994 maximum clock
-    u64 framCapacityBytes = 256 * 1024;
-    u64 sramCapacityBytes = 4 * 1024;
-    bool enforceCapacity = true;    ///< panic if allocations exceed caps
-
     /**
      * Debug/reference mode: disable energy leasing so every consume
      * crosses the virtual PowerSupply::draw boundary individually.
@@ -134,16 +122,6 @@ class Device
     Part currentPart() const { return part_; }
     /// @}
 
-    /** @name Energy lease control (see PowerSupply::grant) */
-    /// @{
-
-    /**
-     * Enable/disable the lease fast path at runtime. Disabling settles
-     * any open lease and reverts to one virtual draw per consume.
-     */
-    void setLeasing(bool enabled);
-    bool leasingEnabled() const { return leaseEnabled_; }
-
     /**
      * Failures charged but not yet modelled as a reboot. consume()
      * increments this exactly once per PowerFailure it throws — a
@@ -152,9 +130,8 @@ class Device
      * double-counted.
      */
     u64 rebootsPending() const { return rebootPending_; }
-    /// @}
 
-    /** @name Memory accounting and volatile registry */
+    /** @name Memory accounting and the FRAM region registry */
     /// @{
     void allocFram(u64 bytes, const std::string &what);
     void allocSram(u64 bytes, const std::string &what);
@@ -162,8 +139,6 @@ class Device
     void freeSram(u64 bytes);
     u64 framBytesUsed() const { return framUsed_; }
     u64 sramBytesUsed() const { return sramUsed_; }
-    void registerVolatile(VolatileResettable *v);
-    void unregisterVolatile(VolatileResettable *v);
     void registerNonVolatile(const NvmDigestible *nv);
     void unregisterNonVolatile(const NvmDigestible *nv);
     /// @}
@@ -197,8 +172,8 @@ class Device
     /// @}
 
     /**
-     * Model the reboot after a power failure: clear volatile memory,
-     * recharge the buffer, account dead time. Called by the scheduler.
+     * Model the reboot after a power failure: recharge the buffer and
+     * account dead time. Called by the scheduler.
      */
     void reboot();
 
@@ -209,7 +184,7 @@ class Device
     u64 cycles() const { return totalCycles_; }
     f64 liveSeconds() const
     {
-        return static_cast<f64>(totalCycles_) / config_.clockHz;
+        return static_cast<f64>(totalCycles_) / kClockHz;
     }
     f64 deadSeconds() const { return deadSeconds_; }
     f64 totalSeconds() const { return liveSeconds() + deadSeconds_; }
@@ -220,8 +195,8 @@ class Device
     /**
      * Direct supply access. Settles (and drops) any open lease first so
      * external inspection — harvestedNj for IMpJ, levelNj diagnostics —
-     * and external mutation (reset) always see/act on fully booked
-     * supply state; the next consume opens a fresh lease.
+     * always sees fully booked supply state; the next consume opens a
+     * fresh lease.
      */
     PowerSupply &
     power()
@@ -238,7 +213,6 @@ class Device
     }
 
     const EnergyProfile &profile() const { return profile_; }
-    const DeviceConfig &config() const { return config_; }
 
   private:
     /**
@@ -262,7 +236,6 @@ class Device
 
     EnergyProfile profile_;
     std::unique_ptr<PowerSupply> power_;
-    DeviceConfig config_;
     Stats stats_;
 
     /** Cost table base pointer (profile_ is immutable after build). */
@@ -284,7 +257,7 @@ class Device
      * (the exact += sequence a per-op supply would have summed), and
      * the op usage is derived as grantedOps_ - leaseOps_.
      */
-    bool leaseEnabled_ = true;
+    const bool leaseEnabled_;
     mutable bool leaseOutstanding_ = false;
     mutable u64 leaseOps_ = 0;
     mutable u64 grantedOps_ = 0;
@@ -300,7 +273,6 @@ class Device
 
     u64 framUsed_ = 0;
     u64 sramUsed_ = 0;
-    std::vector<VolatileResettable *> volatiles_;
     std::vector<const NvmDigestible *> nonVolatiles_;
     TraceProbe *probe_ = nullptr;
 };

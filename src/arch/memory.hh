@@ -3,10 +3,10 @@
  * Typed memory handles bound to a Device.
  *
  * NvArray/NvVar model FRAM: contents persist across power failures and
- * every runtime access is charged (FramLoad/FramStore). VolArray/VolVar
- * model SRAM: cheaper accesses, but contents are scrambled with
- * deterministic garbage at every reboot so code that wrongly relies on
- * volatile persistence fails loudly rather than silently.
+ * every runtime access is charged (FramLoad/FramStore). Volatile state
+ * has no handle: it lives in C++ locals that a PowerFailure unwinds, so
+ * nothing in SRAM survives a reboot. Code that works on SRAM buffers
+ * (TAILS, the LEA) charges SramLoad/SramStore itself.
  *
  * NvConstArray is read-only FRAM: a device's view of a FlashRegion
  * (a flashed model's weights) that every device running the model
@@ -343,187 +343,6 @@ class NvVar : public NvmDigestible
     digestInto(NvmDigest &d) const override
     {
         d.element(value_);
-    }
-
-  private:
-    static constexpr u64
-    words()
-    {
-        return (sizeof(T) + 1) / 2;
-    }
-
-    Device &dev_;
-    std::string name_;
-    T value_;
-};
-
-/**
- * Volatile (SRAM) array. Contents are replaced by deterministic garbage
- * at every reboot.
- */
-template <typename T>
-class VolArray : public VolatileResettable
-{
-  public:
-    VolArray(Device &dev, u64 n, std::string name)
-        : dev_(dev), name_(std::move(name)), data_(n, T{})
-    {
-        dev_.allocSram(n * sizeof(T), name_);
-        dev_.registerVolatile(this);
-    }
-
-    ~VolArray() override
-    {
-        dev_.unregisterVolatile(this);
-        dev_.freeSram(data_.size() * sizeof(T));
-    }
-
-    VolArray(const VolArray &) = delete;
-    VolArray &operator=(const VolArray &) = delete;
-
-    T
-    read(u64 i) const
-    {
-        SONIC_DASSERT(i < data_.size(), "VolArray '", name_, "' read OOB");
-        dev_.consume(Op::SramLoad, words());
-        return data_[i];
-    }
-
-    void
-    write(u64 i, T v)
-    {
-        SONIC_DASSERT(i < data_.size(), "VolArray '", name_, "' write OOB");
-        dev_.consume(Op::SramStore, words());
-        data_[i] = v;
-    }
-
-    /** @name Bulk span accessors (see NvArray) */
-    /// @{
-    void
-    readRange(u64 base, u64 n, T *out) const
-    {
-        SONIC_DASSERT(base + n <= data_.size(), "VolArray '", name_,
-                      "' readRange OOB");
-        dev_.consume(Op::SramLoad, words() * n);
-        std::copy_n(data_.begin() + static_cast<i64>(base), n, out);
-    }
-
-    void
-    writeRange(u64 base, u64 n, const T *src)
-    {
-        SONIC_DASSERT(base + n <= data_.size(), "VolArray '", name_,
-                      "' writeRange OOB");
-        dev_.consume(Op::SramStore, words() * n);
-        std::copy_n(src, n, data_.begin() + static_cast<i64>(base));
-    }
-
-    void
-    fillRange(u64 base, u64 n, T v)
-    {
-        SONIC_DASSERT(base + n <= data_.size(), "VolArray '", name_,
-                      "' fillRange OOB");
-        dev_.consume(Op::SramStore, words() * n);
-        std::fill_n(data_.begin() + static_cast<i64>(base), n, v);
-    }
-
-    template <typename F>
-    void
-    accumRange(u64 base, u64 n, F &&f)
-    {
-        SONIC_DASSERT(base + n <= data_.size(), "VolArray '", name_,
-                      "' accumRange OOB");
-        dev_.consume(Op::SramLoad, words() * n);
-        dev_.consume(Op::SramStore, words() * n);
-        for (u64 k = 0; k < n; ++k)
-            data_[base + k] = f(data_[base + k], k);
-    }
-    /// @}
-
-    T
-    peek(u64 i) const
-    {
-        SONIC_DASSERT(i < data_.size());
-        return data_[i];
-    }
-
-    void
-    poke(u64 i, T v)
-    {
-        SONIC_DASSERT(i < data_.size());
-        data_[i] = v;
-    }
-
-    void
-    onReboot(u64 reboot_index) override
-    {
-        // Deterministic garbage: distinct per reboot and per element.
-        u64 x = reboot_index * 0x9e3779b97f4a7c15ull + 1;
-        for (auto &v : data_) {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            v = static_cast<T>(x);
-        }
-    }
-
-    u64 size() const { return data_.size(); }
-
-  private:
-    static constexpr u64
-    words()
-    {
-        return (sizeof(T) + 1) / 2;
-    }
-
-    Device &dev_;
-    std::string name_;
-    std::vector<T> data_;
-};
-
-/** Volatile (SRAM) scalar; garbage after reboot. */
-template <typename T>
-class VolVar : public VolatileResettable
-{
-  public:
-    VolVar(Device &dev, std::string name, T initial = T{})
-        : dev_(dev), name_(std::move(name)), value_(initial)
-    {
-        dev_.allocSram(sizeof(T), name_);
-        dev_.registerVolatile(this);
-    }
-
-    ~VolVar() override
-    {
-        dev_.unregisterVolatile(this);
-        dev_.freeSram(sizeof(T));
-    }
-
-    VolVar(const VolVar &) = delete;
-    VolVar &operator=(const VolVar &) = delete;
-
-    T
-    read() const
-    {
-        dev_.consume(Op::SramLoad, words());
-        return value_;
-    }
-
-    void
-    write(T v)
-    {
-        dev_.consume(Op::SramStore, words());
-        value_ = v;
-    }
-
-    T peek() const { return value_; }
-    void poke(T v) { value_ = v; }
-
-    void
-    onReboot(u64 reboot_index) override
-    {
-        u64 x = reboot_index * 0xd1342543de82ef95ull + 7;
-        x ^= x >> 33;
-        value_ = static_cast<T>(x);
     }
 
   private:

@@ -1,7 +1,5 @@
 #include "arch/power.hh"
 
-#include <sstream>
-
 #include "util/logging.hh"
 
 namespace sonic::arch
@@ -9,8 +7,7 @@ namespace sonic::arch
 
 CapacitorPower::CapacitorPower(f64 capacitance_farads, f64 harvest_watts,
                                f64 v_max, f64 v_min)
-    : capacitanceFarads_(capacitance_farads),
-      harvestWatts_(harvest_watts),
+    : harvestWatts_(harvest_watts),
       capacityNj_(0.5 * capacitance_farads * (v_max * v_max - v_min * v_min)
                   * 1e9),
       levelNj_(capacityNj_),
@@ -43,25 +40,6 @@ CapacitorPower::recharge()
     levelNj_ = capacityNj_;
     // Income power in nJ/s is harvestWatts * 1e9.
     return deficit / (harvestWatts_ * 1e9);
-}
-
-void
-CapacitorPower::reset()
-{
-    levelNj_ = capacityNj_;
-    harvestedNj_ = capacityNj_;
-}
-
-std::string
-CapacitorPower::describe() const
-{
-    std::ostringstream oss;
-    if (capacitanceFarads_ >= 1e-3)
-        oss << capacitanceFarads_ * 1e3 << "mF";
-    else
-        oss << capacitanceFarads_ * 1e6 << "uF";
-    oss << " capacitor @ " << harvestWatts_ * 1e3 << "mW harvest";
-    return oss.str();
 }
 
 } // namespace sonic::arch

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "util/types.hh"
@@ -48,9 +47,9 @@ struct EnergyLease
 /**
  * Abstract energy source. draw() is called for every charged operation
  * on the slow path; returning false means the device browns out
- * mid-operation. Supplies that can predict when they will next fail
- * additionally implement grant()/settle() so the Device can run the
- * common case without any virtual dispatch.
+ * mid-operation. grant()/settle() lease the Device the draws the
+ * supply can predict will succeed, so it runs the common case without
+ * any virtual dispatch.
  *
  * Lease protocol contract (what keeps the fast path bit-identical to
  * per-op draws):
@@ -64,7 +63,7 @@ struct EnergyLease
  *  - settle(unused_nj, used_nj, used_ops) returns an open lease: the
  *    unconsumed energy goes back, the consumed energy and op count are
  *    booked. The Device always settles before any other supply entry
- *    point (draw, recharge, reset, external inspection).
+ *    point (draw, recharge, external inspection).
  */
 class PowerSupply
 {
@@ -76,28 +75,15 @@ class PowerSupply
 
     /**
      * Open an energy lease of at most max_nj nanojoules covering at
-     * most max_ops draw-calls. Default: no lease (per-op draws), so
-     * custom supplies keep exact legacy behavior.
+     * most max_ops draw-calls.
      */
-    virtual EnergyLease
-    grant(f64 max_nj, u64 max_ops)
-    {
-        (void)max_nj;
-        (void)max_ops;
-        return {};
-    }
+    virtual EnergyLease grant(f64 max_nj, u64 max_ops) = 0;
 
     /**
      * Close the current lease: return the unused remainder and book
      * what was consumed. Called exactly once per grant().
      */
-    virtual void
-    settle(f64 unused_nj, f64 used_nj, u64 used_ops)
-    {
-        (void)unused_nj;
-        (void)used_nj;
-        (void)used_ops;
-    }
+    virtual void settle(f64 unused_nj, f64 used_nj, u64 used_ops) = 0;
 
     /**
      * Refill the buffer after a failure.
@@ -115,20 +101,11 @@ class PowerSupply
      */
     virtual void elapse(f64 live_seconds) { (void)live_seconds; }
 
-    /** Restore the initial fully-charged state. */
-    virtual void reset() = 0;
-
-    /** True if this supply can ever fail. */
-    virtual bool intermittent() const = 0;
-
     /** Usable buffer capacity in nanojoules (0 if unlimited). */
     virtual f64 capacityNj() const = 0;
 
     /** Total energy income so far in nanojoules (for IMpJ accounting). */
     virtual f64 harvestedNj() const = 0;
-
-    /** Human-readable description for reports. */
-    virtual std::string describe() const = 0;
 };
 
 /** Wall power: never fails. Harvested energy equals drawn energy. */
@@ -156,11 +133,8 @@ class ContinuousPower : public PowerSupply
     }
 
     f64 recharge() override { return 0.0; }
-    void reset() override { drawn_ = 0.0; }
-    bool intermittent() const override { return false; }
     f64 capacityNj() const override { return 0.0; }
     f64 harvestedNj() const override { return drawn_; }
-    std::string describe() const override { return "continuous"; }
 
   private:
     f64 drawn_ = 0.0;
@@ -222,19 +196,13 @@ class CapacitorPower : public PowerSupply
     }
 
     f64 recharge() override;
-    void reset() override;
-    bool intermittent() const override { return true; }
     f64 capacityNj() const override { return capacityNj_; }
     f64 harvestedNj() const override { return harvestedNj_; }
-    std::string describe() const override;
 
     /** Remaining charge in nanojoules (diagnostics). */
     f64 levelNj() const { return levelNj_; }
-    f64 harvestWatts() const { return harvestWatts_; }
-    f64 capacitanceFarads() const { return capacitanceFarads_; }
 
   private:
-    f64 capacitanceFarads_;
     f64 harvestWatts_;
     f64 capacityNj_;
     f64 levelNj_;
@@ -281,24 +249,8 @@ class FailOnceAfterOps : public PowerSupply
     }
 
     f64 recharge() override { return 0.0; }
-
-    void
-    reset() override
-    {
-        ops_ = 0;
-        failed_ = false;
-        drawn_ = 0.0;
-    }
-
-    bool intermittent() const override { return true; }
     f64 capacityNj() const override { return 0.0; }
     f64 harvestedNj() const override { return drawn_; }
-
-    std::string
-    describe() const override
-    {
-        return "fail-once-after-" + std::to_string(failAfter_) + "-ops";
-    }
 
     bool triggered() const { return failed_; }
 
@@ -311,9 +263,9 @@ class FailOnceAfterOps : public PowerSupply
 
 /**
  * Oracle injector: a supply driven by an explicit failure-index trace.
- * Draw i (0-based, counting every draw-call since construction or
- * reset) fails iff i is in the schedule; outside the schedule the
- * supply is continuous. Unlike the periodic injectors this can place
+ * Draw i (0-based, counting every draw-call since construction) fails
+ * iff i is in the schedule; outside the schedule the supply is
+ * continuous. Unlike the periodic injectors this can place
  * failures at arbitrary adversarial coordinates — bursts, commit-point
  * neighborhoods, shrunk counterexamples — which is what the
  * verification oracle (src/verify) sweeps.
@@ -367,33 +319,14 @@ class SchedulePower : public PowerSupply
     }
 
     f64 recharge() override { return deadSeconds_; }
-
-    void
-    reset() override
-    {
-        ops_ = 0;
-        next_ = 0;
-        drawn_ = 0.0;
-    }
-
-    bool intermittent() const override { return !schedule_.empty(); }
     f64 capacityNj() const override { return 0.0; }
     f64 harvestedNj() const override { return drawn_; }
-
-    std::string
-    describe() const override
-    {
-        return "schedule[" + std::to_string(schedule_.size())
-            + " failures]";
-    }
 
     /** Scheduled failures that actually fired so far. */
     u64 firedCount() const { return next_; }
 
     /** Draw-call (== Device::consume call) cursor. */
     u64 drawsSoFar() const { return ops_; }
-
-    const std::vector<u64> &schedule() const { return schedule_; }
 
   private:
     std::vector<u64> schedule_; ///< sorted, unique failure indices
@@ -446,16 +379,8 @@ class FailEveryOps : public PowerSupply
     }
 
     f64 recharge() override { return deadSeconds_; }
-    void reset() override { ops_ = 0; drawn_ = 0.0; }
-    bool intermittent() const override { return true; }
     f64 capacityNj() const override { return 0.0; }
     f64 harvestedNj() const override { return drawn_; }
-
-    std::string
-    describe() const override
-    {
-        return "fail-every-" + std::to_string(period_) + "-ops";
-    }
 
   private:
     u64 period_;

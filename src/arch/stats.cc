@@ -84,24 +84,6 @@ Stats::layerNanojoules(u16 layer) const
 }
 
 u64
-Stats::partCycles(Part part) const
-{
-    u64 sum = 0;
-    for (u16 l = 0; l < layers_.size(); ++l)
-        sum += bucket(l, part).totalCycles();
-    return sum;
-}
-
-f64
-Stats::partNanojoules(Part part) const
-{
-    f64 sum = 0.0;
-    for (u16 l = 0; l < layers_.size(); ++l)
-        sum += bucket(l, part).totalNanojoules();
-    return sum;
-}
-
-u64
 Stats::layerOpCount(u16 layer, Op op) const
 {
     u64 sum = 0;

@@ -83,10 +83,6 @@ class Stats
     u64 layerCycles(u16 layer) const;
     f64 layerNanojoules(u16 layer) const;
 
-    /** Sum over layers for one part. */
-    u64 partCycles(Part part) const;
-    f64 partNanojoules(Part part) const;
-
     /** Per-op totals for one layer (both parts). */
     u64 layerOpCount(u16 layer, Op op) const;
     f64 layerOpNanojoules(u16 layer, Op op) const;

@@ -262,12 +262,9 @@ HarvestModel::secondsToHarvest(f64 t0, f64 joules) const
 
 // --- HarvestSupply --------------------------------------------------
 
-HarvestSupply::HarvestSupply(std::string label, HarvestModel model,
-                             f64 capacitance_farads, f64 phase_seconds,
-                             f64 v_max, f64 v_min)
-    : label_(std::move(label)), model_(std::move(model)),
-      capacitanceFarads_(capacitance_farads),
-      phaseSeconds_(phase_seconds),
+HarvestSupply::HarvestSupply(HarvestModel model, f64 capacitance_farads,
+                             f64 phase_seconds, f64 v_max, f64 v_min)
+    : model_(std::move(model)),
       capacityNj_(0.5 * capacitance_farads
                   * (v_max * v_max - v_min * v_min) * 1e9),
       levelNj_(capacityNj_), harvestedNj_(capacityNj_),
@@ -307,22 +304,6 @@ HarvestSupply::recharge()
     return dead;
 }
 
-void
-HarvestSupply::reset()
-{
-    levelNj_ = capacityNj_;
-    harvestedNj_ = capacityNj_;
-    simSeconds_ = phaseSeconds_;
-    draws_ = 0;
-}
-
-std::string
-HarvestSupply::describe() const
-{
-    return label_ + " (" + formatCapacitance(capacitanceFarads_)
-         + " capacitor)";
-}
-
 // --- EnvRegistry ----------------------------------------------------
 
 EnvRegistry &
@@ -343,14 +324,13 @@ seededPhase(const HarvestModel &model, u64 seed)
     return Rng(seed).uniform(0.0, model.periodSeconds());
 }
 
-/** The builder of a harvest-model environment named `label`. */
+/** The builder of a harvest-model environment. */
 EnvBuilder
-harvestBuild(std::string label, HarvestModel model)
+harvestBuild(HarvestModel model)
 {
-    return [label = std::move(label),
-            model = std::move(model)](const EnvInstance &inst) {
+    return [model = std::move(model)](const EnvInstance &inst) {
         return std::make_unique<HarvestSupply>(
-            label, model, inst.capacitanceFarads,
+            model, inst.capacitanceFarads,
             seededPhase(model, inst.seed));
     };
 }
@@ -452,7 +432,7 @@ void
 EnvRegistry::addHarvest(std::string name, EnvMeta meta,
                         HarvestModel model)
 {
-    add(name, std::move(meta), harvestBuild(name, std::move(model)));
+    add(std::move(name), std::move(meta), harvestBuild(std::move(model)));
 }
 
 bool
@@ -468,7 +448,7 @@ EnvRegistry::addTraceFile(const std::string &name,
     meta.family = "trace";
     meta.description = "power trace playback from " + path;
     if (rows_.tryAdd(name, std::move(meta),
-                     harvestBuild(name, std::move(model))))
+                     harvestBuild(std::move(model))))
         return true;
     err = "environment '" + name + "' is already registered";
     return false;

@@ -138,7 +138,6 @@ class HarvestModel
 
     f64 periodSeconds() const { return period_; }
     f64 energyJoulesPerPeriod() const { return periodJoules_; }
-    const std::vector<Point> &points() const { return points_; }
 
   private:
     /** Segment rate/integral helpers (index i spans point i → i+1,
@@ -164,8 +163,8 @@ class HarvestModel
 class HarvestSupply : public arch::PowerSupply
 {
   public:
-    HarvestSupply(std::string label, HarvestModel model,
-                  f64 capacitance_farads, f64 phase_seconds = 0.0,
+    HarvestSupply(HarvestModel model, f64 capacitance_farads,
+                  f64 phase_seconds = 0.0,
                   f64 v_max = arch::kRegulatorVMax,
                   f64 v_min = arch::kRegulatorVMin);
 
@@ -207,11 +206,8 @@ class HarvestSupply : public arch::PowerSupply
         wrapClock();
     }
 
-    void reset() override;
-    bool intermittent() const override { return true; }
     f64 capacityNj() const override { return capacityNj_; }
     f64 harvestedNj() const override { return harvestedNj_; }
-    std::string describe() const override;
 
     /** @name Diagnostics and oracle instrumentation */
     /// @{
@@ -250,10 +246,7 @@ class HarvestSupply : public arch::PowerSupply
             simSeconds_ = std::fmod(simSeconds_, period);
     }
 
-    std::string label_;
     HarvestModel model_;
-    f64 capacitanceFarads_;
-    f64 phaseSeconds_;
     f64 capacityNj_;
     f64 levelNj_;
     f64 harvestedNj_;
@@ -290,11 +283,8 @@ class BorrowedSupply : public arch::PowerSupply
 
     f64 recharge() override { return inner_->recharge(); }
     void elapse(f64 live_seconds) override { inner_->elapse(live_seconds); }
-    void reset() override { inner_->reset(); }
-    bool intermittent() const override { return inner_->intermittent(); }
     f64 capacityNj() const override { return inner_->capacityNj(); }
     f64 harvestedNj() const override { return inner_->harvestedNj(); }
-    std::string describe() const override { return inner_->describe(); }
 
   private:
     arch::PowerSupply *inner_;

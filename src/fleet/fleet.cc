@@ -314,7 +314,6 @@ simulateDeviceImpl(const FleetPlan &plan, const PlanRows &rows,
     bool lifetime_hit = false;
     if (lifetime_cacheable
         && ctx.lifetimeCache->find(life_key, &memoized_lifetime)) {
-        ctx.lifetimeCache->countHit();
         lifetime_hit = true;
         if (!ctx.verify) {
             memoized_lifetime.assignment = t.assignment;
@@ -449,7 +448,6 @@ simulateDeviceImpl(const FleetPlan &plan, const PlanRows &rows,
             key.capacityNjBits =
                 std::bit_cast<u64>(harvest->capacityNj());
             if (const RoundTrace *hit = ctx.roundCache->find(key)) {
-                ctx.roundCache->countHit();
                 if (ctx.verify) {
                     // Paranoid mode: re-run the round for real and
                     // cross-check the whole trace (including the NVM
@@ -470,13 +468,11 @@ simulateDeviceImpl(const FleetPlan &plan, const PlanRows &rows,
         }
         if (!round_done) {
             RoundRun fresh = run_real_round(k, round_cacheable);
-            if (round_cacheable) {
-                ctx.roundCache->countMiss();
-            } else if (!lifetime_cacheable
-                       && ctx.recorder == nullptr
-                       && ctx.uncachedRounds != nullptr
-                       && (ctx.roundCache != nullptr
-                           || ctx.lifetimeCache != nullptr)) {
+            if (!round_cacheable && !lifetime_cacheable
+                && ctx.recorder == nullptr
+                && ctx.uncachedRounds != nullptr
+                && (ctx.roundCache != nullptr
+                    || ctx.lifetimeCache != nullptr)) {
                 ctx.uncachedRounds->fetch_add(
                     1, std::memory_order_relaxed);
             }
@@ -491,12 +487,10 @@ simulateDeviceImpl(const FleetPlan &plan, const PlanRows &rows,
     t.harvestedJ = supply->harvestedNj() * 1e-9;
 
     if (lifetime_cacheable) {
-        if (lifetime_hit) {
+        if (lifetime_hit)
             verifyLifetimesMatch(memoized_lifetime, t);
-        } else {
-            ctx.lifetimeCache->countMiss();
+        else
             ctx.lifetimeCache->insert(life_key, t);
-        }
     }
     return t;
 }

@@ -405,9 +405,12 @@ struct FleetSummary
      * Memoization counters. Diagnostics only, and deliberately NOT
      * part of toJson(): the summary artifact must stay byte-identical
      * between memoized and --no-cache runs (the CI soundness gate).
+     * They are the same at any thread count (see round_cache.hh).
      */
     struct CacheStats
     {
+        bool operator==(const CacheStats &) const = default;
+
         u64 roundHits = 0;
         u64 roundMisses = 0;
         u64 lifetimeHits = 0;

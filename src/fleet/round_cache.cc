@@ -52,6 +52,7 @@ RoundCache::~RoundCache() = default;
 const RoundTrace *
 RoundCache::find(const RoundKey &key) const
 {
+    lookups_.fetch_add(1, std::memory_order_relaxed);
     const u64 h = key.hash();
     const Shard &shard = shards_[h % kShards];
     const u64 base = h / kShards;
@@ -92,10 +93,12 @@ RoundCache::insert(const RoundKey &key, RoundTrace trace)
         Node *raw = node.get();
         shard.nodes.push_back(std::move(node));
         shard.slots[slot].store(raw, std::memory_order_release);
+        misses_.fetch_add(1, std::memory_order_relaxed);
         return &raw->trace;
     }
     // Shard full: skip the insert. Purely a performance loss — the
     // caller already holds the freshly computed trace.
+    misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
 }
 
@@ -104,6 +107,7 @@ RoundCache::insert(const RoundKey &key, RoundTrace trace)
 bool
 LifetimeCache::find(const Key &key, DeviceTelemetry *out) const
 {
+    lookups_.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = entries_.find(key);
     if (it == entries_.end())
@@ -117,7 +121,8 @@ LifetimeCache::insert(const Key &key, const DeviceTelemetry &telemetry)
 {
     auto copy = std::make_unique<DeviceTelemetry>(telemetry);
     std::lock_guard<std::mutex> lock(mutex_);
-    entries_.emplace(key, std::move(copy)); // first writer wins
+    if (entries_.emplace(key, std::move(copy)).second) // first writer wins
+        misses_.fetch_add(1, std::memory_order_relaxed);
 }
 
 // --- Replay ---------------------------------------------------------

@@ -32,6 +32,11 @@
  * published entries); inserts take a per-shard mutex. In debug builds
  * (or with FleetOptions::verifyCache) every hit re-runs the round and
  * cross-checks the full trace including the PR 3 NVM digest.
+ *
+ * Both caches count a miss once per key they publish (the first writer
+ * wins) and every other lookup as a hit. Two workers that miss the same
+ * key count one miss and one hit, as a serial run would, so the counts
+ * do not depend on how the workers interleave.
  */
 
 #ifndef SONIC_FLEET_ROUND_CACHE_HH
@@ -127,26 +132,26 @@ class RoundCache
     RoundCache(const RoundCache &) = delete;
     RoundCache &operator=(const RoundCache &) = delete;
 
-    /** Lock-free lookup; nullptr on miss. The returned trace is
-     * immutable and lives as long as the cache. */
+    /** Lock-free lookup, counted; nullptr on miss. The returned trace
+     * is immutable and lives as long as the cache. */
     const RoundTrace *find(const RoundKey &key) const;
 
     /**
      * Publish a trace (first writer wins under a per-shard mutex; a
      * racing duplicate is discarded). Returns the resident entry, or
-     * nullptr when the shard is full and the insert was skipped.
+     * nullptr when the shard is full and the insert was skipped. A
+     * publication, or an insert a full shard skips, counts one miss.
      */
     const RoundTrace *insert(const RoundKey &key, RoundTrace trace);
 
     /** @name Hit accounting (relaxed atomics, read after the run) */
     /// @{
-    void countHit() const { hits_.fetch_add(1, std::memory_order_relaxed); }
-    void countMiss() const
-    {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-    }
-    u64 hits() const { return hits_.load(std::memory_order_relaxed); }
     u64 misses() const { return misses_.load(std::memory_order_relaxed); }
+    u64
+    hits() const
+    {
+        return lookups_.load(std::memory_order_relaxed) - misses();
+    }
     /// @}
 
     static constexpr u32 kShards = 64;
@@ -157,8 +162,8 @@ class RoundCache
     struct Shard;
 
     std::unique_ptr<Shard[]> shards_;
-    mutable std::atomic<u64> hits_{0};
-    mutable std::atomic<u64> misses_{0};
+    mutable std::atomic<u64> lookups_{0};
+    std::atomic<u64> misses_{0};
 };
 
 /**
@@ -188,24 +193,25 @@ class LifetimeCache
         }
     };
 
-    /** Copy of the memoized lifetime; false on miss. */
+    /** Counted lookup: a copy of the memoized lifetime; false on
+     * miss. */
     bool find(const Key &key, DeviceTelemetry *out) const;
 
+    /** Publish (first writer wins); a publication counts one miss. */
     void insert(const Key &key, const DeviceTelemetry &telemetry);
 
-    void countHit() const { hits_.fetch_add(1, std::memory_order_relaxed); }
-    void countMiss() const
-    {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-    }
-    u64 hits() const { return hits_.load(std::memory_order_relaxed); }
     u64 misses() const { return misses_.load(std::memory_order_relaxed); }
+    u64
+    hits() const
+    {
+        return lookups_.load(std::memory_order_relaxed) - misses();
+    }
 
   private:
     mutable std::mutex mutex_;
     std::map<Key, std::unique_ptr<DeviceTelemetry>> entries_;
-    mutable std::atomic<u64> hits_{0};
-    mutable std::atomic<u64> misses_{0};
+    mutable std::atomic<u64> lookups_{0};
+    std::atomic<u64> misses_{0};
 };
 
 /**

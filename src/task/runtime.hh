@@ -56,12 +56,6 @@ class Program
 
     u32 numTasks() const { return static_cast<u32>(tasks_.size()); }
 
-    const std::string &
-    taskName(TaskId id) const
-    {
-        return tasks_[static_cast<u32>(id)].name;
-    }
-
     const TaskFn &
     taskFn(TaskId id) const
     {

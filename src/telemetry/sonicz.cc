@@ -245,8 +245,7 @@ SoniczWriter::SoniczWriter(std::ostream &os, SchemaKind kind,
     for (u64 c = 0; c < specs.size(); ++c)
         columns_[c].type = specs[c].type;
 
-    Bytes header;
-    header.insert(header.end(), kMagic, kMagic + 4);
+    Bytes header(kMagic, kMagic + 4);
     header.push_back(static_cast<u8>(kSoniczVersion));
     header.push_back(static_cast<u8>(kind));
     putVarint(header, specs.size());

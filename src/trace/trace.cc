@@ -17,14 +17,6 @@ namespace
 
 constexpr u32 kNumKinds = static_cast<u32>(TraceEventKind::NumKinds);
 
-constexpr const char *kKindNames[kNumKinds] = {
-    "round-begin",   "round-end",    "sense-begin",   "sense-end",
-    "infer-begin",   "infer-end",    "transmit-begin", "transmit-end",
-    "task-commit",   "tx-boundary",  "ack-delivered", "lease-grant",
-    "lease-settle",  "power-failure", "recharge",      "reboot",
-    "layer-enter",   "part-switch",
-};
-
 constexpr const char *kBoundaryNames[] = {
     "result-commit", "attempt-advance", "ack-commit"};
 
@@ -69,13 +61,6 @@ instantKind(arch::ProbeInstant instant)
 }
 
 } // namespace
-
-const char *
-kindName(TraceEventKind kind)
-{
-    const u32 k = static_cast<u32>(kind);
-    return k < kNumKinds ? kKindNames[k] : "unknown";
-}
 
 // --- TraceRecorder ---------------------------------------------------
 

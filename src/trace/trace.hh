@@ -65,9 +65,6 @@ enum class TraceEventKind : u32
     NumKinds
 };
 
-/** Stable lowercase name for one event kind ("round-begin", ...). */
-const char *kindName(TraceEventKind kind);
-
 /**
  * Probe implementation recording one device's events as TraceRows.
  * The fleet constructs a fresh Device per round, so timestamps and

@@ -375,7 +375,7 @@ TEST(DeviceNet, FramFootprintWithinBudget)
     auto dev = continuousDevice();
     const auto &spec = zooModel("HAR").compressed();
     DeviceNetwork net(dev, spec);
-    EXPECT_LE(dev.framBytesUsed(), u64{256} * 1024);
+    EXPECT_LE(dev.framBytesUsed(), arch::kFramCapacityBytes);
     EXPECT_GT(dev.framBytesUsed(), 0u);
 }
 

@@ -345,7 +345,7 @@ TEST(Traces, FileRegistrationAndDiagnostics)
     }
     EXPECT_EQ(registry.meta("test-trace-file")->family, "trace");
     auto psu = registry.make({"test-trace-file", 1e-3}, 3);
-    EXPECT_TRUE(psu->intermittent());
+    EXPECT_NE(dynamic_cast<HarvestSupply *>(psu.get()), nullptr);
 
     // Duplicate registration is rejected, not overwritten.
     EXPECT_FALSE(
@@ -659,7 +659,7 @@ TEST(EnvClock, TimeInvariantSuppliesIgnoreElapse)
     arch::ContinuousPower continuous;
     continuous.elapse(0.0);
     continuous.elapse(1e18);
-    EXPECT_FALSE(continuous.intermittent());
+    EXPECT_EQ(continuous.harvestedNj(), 0.0);
 
     arch::CapacitorPower cap(100e-6, 0.5e-3);
     const f64 level = cap.levelNj();

@@ -70,8 +70,9 @@ TEST(Experiment, RfPaperEnvironmentMatchesCapacitorPower)
                 EXPECT_EQ(r.energyJ, dev.consumedJoules()) << what;
                 EXPECT_EQ(r.harvestedJ, dev.power().harvestedNj() * 1e-9)
                     << what;
-                if (ref.completed)
+                if (ref.completed) {
                     EXPECT_EQ(r.logits, ref.logits) << what;
+                }
                 EXPECT_EQ(r.opInstances, ops) << what;
                 EXPECT_NEAR(r.deadSeconds, dev.deadSeconds(),
                             1e-15 * dev.deadSeconds())
@@ -87,10 +88,11 @@ TEST(Experiment, RfPaperEnvironmentMatchesCapacitorPower)
 TEST(Experiment, EmptyEnvironmentIsContinuous)
 {
     RunSpec spec;
-    EXPECT_FALSE(makeSupply(spec)->intermittent());
+    const auto wall = makeSupply(spec);
+    EXPECT_NE(dynamic_cast<arch::ContinuousPower *>(wall.get()), nullptr);
     spec.environment = {"rf-paper", 1e-3};
     const auto cap = makeSupply(spec);
-    EXPECT_TRUE(cap->intermittent());
+    EXPECT_NE(dynamic_cast<env::HarvestSupply *>(cap.get()), nullptr);
     EXPECT_EQ(cap->capacityNj(),
               arch::CapacitorPower(1e-3, env::kRfPaperWatts).capacityNj());
 }

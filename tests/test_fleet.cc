@@ -132,9 +132,10 @@ TEST(Fleet, DeviceLifetimeProducesConsistentTelemetry)
                 << " stopped early without a DNF verdict";
         }
         // Rates are self-consistent.
-        if (t.inferencesCompleted > 0)
+        if (t.inferencesCompleted > 0) {
             EXPECT_NEAR(t.energyPerInferenceJ() * t.inferencesCompleted,
                         t.energyJ, 1e-12);
+        }
     }
 }
 
@@ -161,6 +162,7 @@ TEST(Fleet, SummaryIsBitIdenticalAcrossThreadCounts)
     const auto plan = goldenFleet(48);
     std::string reference_json;
     std::string reference_csv;
+    FleetSummary::CacheStats reference_cache;
     for (const u32 threads : {1u, 2u, 8u}) {
         std::ostringstream csv;
         FleetCsvSink sink(csv);
@@ -172,10 +174,16 @@ TEST(Fleet, SummaryIsBitIdenticalAcrossThreadCounts)
         if (reference_json.empty()) {
             reference_json = json;
             reference_csv = csv.str();
+            reference_cache = summary.cache;
         } else {
-            // Bit-identical aggregate summary and per-device stream.
+            // Bit-identical aggregate summary and per-device stream,
+            // and the same cache counts however the workers raced.
             EXPECT_EQ(json, reference_json) << threads;
             EXPECT_EQ(csv.str(), reference_csv) << threads;
+            EXPECT_TRUE(summary.cache == reference_cache)
+                << threads << " threads: " << summary.cache.roundHits
+                << " round hits, " << reference_cache.roundHits
+                << " at 1 thread";
         }
     }
     // The JSON carries every breakdown group.

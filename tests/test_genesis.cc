@@ -129,8 +129,9 @@ TEST_F(GenesisSweep, ChosenIsFeasible)
 TEST_F(GenesisSweep, ChosenMaximizesImpjAmongFeasible)
 {
     for (const auto &c : result().configs) {
-        if (c.feasible)
+        if (c.feasible) {
             EXPECT_LE(c.impj, result().chosen().impj + 1e-12);
+        }
     }
 }
 

@@ -136,30 +136,6 @@ TEST(LeaseScript, CapacitorBrownOutLandsOnSameOp)
     }
 }
 
-TEST(LeaseScript, RuntimeToggleSettlesCleanly)
-{
-    // Flipping leasing on/off mid-run books everything consumed so far
-    // and keeps totals exact.
-    auto dev = makeDevice(std::make_unique<ContinuousPower>(), false);
-    auto reference =
-        makeDevice(std::make_unique<ContinuousPower>(), true);
-    for (u32 i = 0; i < 512; ++i) {
-        if (i % 64 == 0)
-            dev.setLeasing(i % 128 == 0);
-        dev.consume(Op::FixedMul);
-        reference.consume(Op::FixedMul);
-    }
-    EXPECT_EQ(dev.cycles(), reference.cycles());
-    EXPECT_EQ(dev.stats().totalNanojoules(),
-              reference.stats().totalNanojoules());
-    // Settling books lease sums in coarser f64 additions than per-op
-    // draws: pure reassociation, bounded by the documented tolerance.
-    EXPECT_NEAR(dev.power().harvestedNj(),
-                reference.power().harvestedNj(),
-                reference.power().harvestedNj()
-                    * testutil::kBatchedEnergyRelTol);
-}
-
 } // namespace
 } // namespace sonic::arch
 

@@ -616,11 +616,7 @@ TEST(Scheduler, CommitAtomicityAtEveryOperation)
         });
         Scheduler sched(dev, prog);
         ASSERT_TRUE(sched.run(t1).completed);
-        // Each consume() is one draw; ask the supply.
-        total_draws = static_cast<u64>(
-            dev.power().harvestedNj() > 0 ? 0 : 0);
-        // The injector counts ops internally; recover via describe().
-        // Simpler: re-run and count consume calls through stats counts.
+        // Op instances bound the consume calls, so they bound the draws.
         u64 count = 0;
         const auto &stats = dev.stats();
         for (u32 o = 0; o < arch::kNumOps; ++o)

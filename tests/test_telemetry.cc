@@ -457,8 +457,9 @@ TEST(TelemetryCodec, LzRejectsMalformedStreams)
     for (u64 cut = 0; cut < packed.size(); ++cut) {
         const Bytes prefix(packed.begin(),
                            packed.begin() + static_cast<i64>(cut));
-        if (telemetry::lzDecompress(prefix, input.size(), &out))
+        if (telemetry::lzDecompress(prefix, input.size(), &out)) {
             EXPECT_EQ(out, input) << "prefix " << cut;
+        }
     }
 
     // A zero offset is never legal.
