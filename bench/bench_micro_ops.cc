@@ -4,7 +4,8 @@
  * simulator's hot paths: the charged-operation dispatch (single-op and
  * span-batched, with and without the energy lease), memory-handle
  * accesses (single and bulk span), fixed-point arithmetic, the redo
- * log, the kernel registry, and a full tiny-network inference per
+ * log, the kernel registry, the harvest recharge walk a fleet replays
+ * at each reboot, and a full tiny-network inference per
  * implementation. They time how fast experiments run on the host, not
  * the simulated device, and are a tool for finding where host time
  * goes in one layer. The numbers the repo records are perfbench's, in
@@ -24,6 +25,7 @@
 
 #include "arch/memory.hh"
 #include "dnn/device_net.hh"
+#include "env/environment.hh"
 #include "fixed/fixed.hh"
 #include "kernels/runner.hh"
 #include "task/runtime.hh"
@@ -228,6 +230,36 @@ BM_RedoLogRead(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * entries);
 }
 BENCHMARK(BM_RedoLogRead)->Arg(8)->Arg(128)->Arg(1024);
+
+/**
+ * One reboot of fleet-replay's hit replay (fleet::replayRound): the
+ * uptime since the last reboot, the empty level a brown-out leaves,
+ * and the recharge walk through the harvest model. The uptime is what
+ * one full buffer buys, about 0.5 ms per 100 uF (mixed-1k's live
+ * seconds per reboot).
+ */
+void
+BM_HarvestRecharge(benchmark::State &state)
+{
+    static const env::EnvRef refs[] = {{"solar", 100e-6},
+                                       {"rf-paper", 100e-6},
+                                       {"rf-bursty", 1e-3},
+                                       {"trace-rf-office", 1e-3}};
+    const env::EnvRef &ref = refs[state.range(0)];
+    const auto psu = env::EnvRegistry::instance().make(ref, 1);
+    auto &supply = dynamic_cast<env::HarvestSupply &>(*psu);
+    const f64 live = 5.0 * ref.capacitanceFarads;
+    f64 dead = 0.0;
+    for (auto _ : state) {
+        supply.elapse(live);
+        supply.setLevelNjForReplay(0.0);
+        dead += supply.recharge();
+    }
+    benchmark::DoNotOptimize(dead);
+    state.SetItemsProcessed(state.iterations());
+    state.SetLabel(ref.label());
+}
+BENCHMARK(BM_HarvestRecharge)->DenseRange(0, 3);
 
 void
 BM_TinyInference(benchmark::State &state)

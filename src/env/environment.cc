@@ -142,36 +142,10 @@ HarvestModel::constant(f64 watts)
 }
 
 f64
-HarvestModel::segmentEnd(u64 i) const
-{
-    return i + 1 < points_.size() ? points_[i + 1].seconds : period_;
-}
-
-f64
-HarvestModel::segmentEndWatts(u64 i) const
-{
-    // The final segment wraps to the first point's rate at t = period.
-    return i + 1 < points_.size() ? points_[i + 1].watts
-                                  : points_.front().watts;
-}
-
-f64
 HarvestModel::watts(f64 t) const
 {
-    f64 local = std::fmod(t, period_);
-    if (local < 0.0)
-        local += period_;
-    // Last control point at or before `local`.
-    u64 i = points_.size() - 1;
-    while (i > 0 && points_[i].seconds > local)
-        --i;
-    const f64 t0 = points_[i].seconds;
-    const f64 t1 = segmentEnd(i);
-    const f64 w0 = points_[i].watts;
-    const f64 w1 = segmentEndWatts(i);
-    if (t1 <= t0)
-        return w0;
-    return w0 + (w1 - w0) * ((local - t0) / (t1 - t0));
+    const f64 local = wrap(t);
+    return rateIn(segmentAt(local), local);
 }
 
 f64
@@ -184,14 +158,9 @@ HarvestModel::energyJoules(f64 t0, f64 dt) const
     f64 t = t0;
     f64 left = std::fmod(dt, period_);
     while (left > 0.0) {
-        f64 local = std::fmod(t, period_);
-        if (local < 0.0)
-            local += period_;
-        u64 i = points_.size() - 1;
-        while (i > 0 && points_[i].seconds > local)
-            --i;
-        const f64 seg_end = segmentEnd(i);
-        const f64 step = std::min(left, seg_end - local);
+        const f64 local = wrap(t);
+        const f64 step =
+            std::min(left, segmentEnd(segmentAt(local)) - local);
         if (step <= 0.0)
             break; // numeric guard at a segment boundary
         joules += 0.5 * (watts(t) + watts(t + step)) * step;
@@ -215,23 +184,25 @@ HarvestModel::secondsToHarvest(f64 t0, f64 joules) const
         if (joules <= 0.0)
             return seconds;
     }
+    // Each step integrates from t to the end of t's segment. Where one
+    // step ends the next begins, so its wrapped time, segment and rate
+    // carry over; only the nudge past a zero-width step re-derives
+    // them.
     f64 t = t0 + seconds;
+    f64 local = wrap(t);
+    u64 i = segmentAt(local);
+    f64 w0 = rateIn(i, local);
     // At most two extra periods of segments cover the remainder (the
     // guard protects against pathological rounding at boundaries).
     const u64 max_steps = 2 * (points_.size() + 1) + 4;
     for (u64 step = 0; step < max_steps; ++step) {
-        f64 local = std::fmod(t, period_);
-        if (local < 0.0)
-            local += period_;
-        u64 i = points_.size() - 1;
-        while (i > 0 && points_[i].seconds > local)
-            --i;
-        const f64 seg_end = segmentEnd(i);
-        f64 span = seg_end - local;
+        f64 span = segmentEnd(i) - local;
         if (span <= 0.0)
             span = 0.0;
-        const f64 w0 = watts(t);
-        const f64 w1 = watts(t + span);
+        const f64 t_end = t + span;
+        const f64 end_local = wrap(t_end);
+        const u64 end_i = segmentAt(end_local);
+        const f64 w1 = rateIn(end_i, end_local);
         const f64 seg_joules = 0.5 * (w0 + w1) * span;
         if (seg_joules >= joules && seg_joules > 0.0) {
             // Solve p0*τ + m*τ²/2 = joules inside this segment.
@@ -248,12 +219,18 @@ HarvestModel::secondsToHarvest(f64 t0, f64 joules) const
         }
         joules -= seg_joules;
         seconds += span;
-        t += span;
+        t = t_end;
+        local = end_local;
+        i = end_i;
+        w0 = w1;
         // Step over zero-width remainders at period boundaries.
         if (span == 0.0) {
             const f64 nudge = period_ * 1e-12;
             seconds += nudge;
             t += nudge;
+            local = wrap(t);
+            i = segmentAt(local);
+            w0 = rateIn(i, local);
         }
     }
     // Rounding starved the walk: fall back to the mean rate.

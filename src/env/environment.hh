@@ -33,6 +33,7 @@
 #ifndef SONIC_ENV_ENVIRONMENT_HH
 #define SONIC_ENV_ENVIRONMENT_HH
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -136,14 +137,74 @@ class HarvestModel
      */
     f64 secondsToHarvest(f64 t0, f64 joules) const;
 
+    const std::vector<Point> &points() const { return points_; }
     f64 periodSeconds() const { return period_; }
     f64 energyJoulesPerPeriod() const { return periodJoules_; }
 
+    /**
+     * Simulated time t folded into the period: bit for bit
+     * std::fmod(t, period), plus one period when that is negative.
+     * On [0, period) that is t itself and on [period, 2 period) it is
+     * t - period, exact by the Sterbenz lemma, so only times beyond
+     * two periods (or negative ones) pay for the fmod.
+     */
+    f64
+    wrap(f64 t) const
+    {
+        if (t >= 0.0 && t < period_)
+            return t;
+        if (t >= period_ && t < 2.0 * period_)
+            return t - period_;
+        const f64 local = std::fmod(t, period_);
+        return local < 0.0 ? local + period_ : local;
+    }
+
   private:
     /** Segment rate/integral helpers (index i spans point i → i+1,
-     * the last segment wrapping to points_[0] at period_). */
-    f64 segmentEnd(u64 i) const;
-    f64 segmentEndWatts(u64 i) const;
+     * the last segment wrapping to points_[0] at period_). They are
+     * defined here so the walk inlines them. */
+    f64
+    segmentEnd(u64 i) const
+    {
+        return i + 1 < points_.size() ? points_[i + 1].seconds : period_;
+    }
+
+    f64
+    segmentEndWatts(u64 i) const
+    {
+        // The final segment wraps to the first point's rate at t = period.
+        return i + 1 < points_.size() ? points_[i + 1].watts
+                                      : points_.front().watts;
+    }
+
+    /** The segment holding wrapped time `local`: the last control
+     * point at or before it (the first point when none is). */
+    u64
+    segmentAt(f64 local) const
+    {
+        const auto after = std::upper_bound(
+            points_.begin() + 1, points_.end(), local,
+            [](f64 x, const Point &p) { return x < p.seconds; });
+        return static_cast<u64>(after - points_.begin()) - 1;
+    }
+
+    /** The rate at wrapped time `local` inside segment i. */
+    f64
+    rateIn(u64 i, f64 local) const
+    {
+        const f64 w0 = points_[i].watts;
+        const f64 dw = segmentEndWatts(i) - w0;
+        const f64 dt = local - points_[i].seconds;
+        // On a flat segment, or exactly on its control point, the
+        // product is a zero whatever scales it, so the rate is w0
+        // itself: w0 + ±0 is w0 for every w0 but -0.0, whose sum takes
+        // the product's sign. dt and dt / (t1 - t0) carry the same sign
+        // (t1 > t0), so skipping the division keeps even that zero's
+        // sign.
+        if (dw == 0.0 || dt == 0.0)
+            return std::signbit(w0) ? w0 + dw * dt : w0;
+        return w0 + dw * (dt / (segmentEnd(i) - points_[i].seconds));
+    }
 
     std::vector<Point> points_{{0.0, 0.0}};
     f64 period_ = 1.0;
@@ -160,7 +221,7 @@ class HarvestModel
  * time, and Device::reboot's elapse() notifications keep that clock
  * aligned with device uptime.
  */
-class HarvestSupply : public arch::PowerSupply
+class HarvestSupply final : public arch::PowerSupply
 {
   public:
     HarvestSupply(HarvestModel model, f64 capacitance_farads,
@@ -191,11 +252,12 @@ class HarvestSupply : public arch::PowerSupply
     /**
      * Advance the environment clock by device uptime. The clock wraps
      * into [0, period): the harvest model is periodic (watts() and
-     * secondsToHarvest() fmod internally, so wrapping is exactly
-     * behavior-preserving), and an unwrapped accumulator loses f64
-     * precision once uptime dwarfs the period — at extreme uptimes
-     * small increments would be absorbed entirely and the phase would
-     * drift. Zero and negative increments are no-ops.
+     * secondsToHarvest() fold every time through HarvestModel::wrap
+     * first, so wrapping is exactly behavior-preserving), and an
+     * unwrapped accumulator loses f64 precision once uptime dwarfs the
+     * period — at extreme uptimes small increments would be absorbed
+     * entirely and the phase would drift. Zero and negative increments
+     * are no-ops.
      */
     void
     elapse(f64 live_seconds) override
@@ -241,9 +303,8 @@ class HarvestSupply : public arch::PowerSupply
     void
     wrapClock()
     {
-        const f64 period = model_.periodSeconds();
-        if (period > 0.0 && simSeconds_ >= period)
-            simSeconds_ = std::fmod(simSeconds_, period);
+        if (simSeconds_ >= model_.periodSeconds())
+            simSeconds_ = model_.wrap(simSeconds_);
     }
 
     HarvestModel model_;

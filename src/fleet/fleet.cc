@@ -286,9 +286,10 @@ simulateDeviceImpl(const FleetPlan &plan, const PlanRows &rows,
 
     // Memoization eligibility. Sharing across devices is sound only
     // when the round outcome cannot see the seed (ackInvariant) and
-    // the supply's semantics are the exact ones the replay reproduces
-    // — hence the typeid checks, which exclude user-registered
-    // subclasses with unknown behavior.
+    // the supply's semantics are the exact ones the replay reproduces.
+    // HarvestSupply is final, so the cast admits it alone; the typeid
+    // check on ContinuousPower excludes user-registered subclasses
+    // with unknown behavior.
     const bool ack_invariant = pipeline::ackInvariant(spec);
     auto *harvest = dynamic_cast<env::HarvestSupply *>(supply.get());
     // Traced devices run every round for real: replaying a memoized
@@ -298,7 +299,6 @@ simulateDeviceImpl(const FleetPlan &plan, const PlanRows &rows,
     const bool round_cacheable = ctx.recorder == nullptr
         && ctx.roundCache != nullptr
         && harvest != nullptr
-        && typeid(*supply) == typeid(env::HarvestSupply)
         && ack_invariant;
 
     // Always-on supplies never reboot and never consult a clock: the

@@ -22,7 +22,9 @@
  * contains; every other device replays the memoized trace, driving its
  * own real HarvestSupply through the recorded elapse()/recharge()
  * walk so level, clock, dead-time and harvest accounting stay
- * bit-identical to the un-memoized run.
+ * bit-identical to the un-memoized run. HarvestSupply is final: a
+ * supply that casts to it is one, so no subclass can change what the
+ * replay's (direct) elapse()/recharge() calls do.
  *
  * Devices on always-on supplies never reboot and never touch a clock,
  * so their whole lifetime is memoizable at once (LifetimeCache); the

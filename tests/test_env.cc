@@ -3,15 +3,20 @@
  * Tests for the harvested-energy environment subsystem: the
  * piecewise-linear harvest model's integrals, environment references
  * and registry semantics, trace parsing with corruption diagnostics,
- * seeded determinism (same seed, same supply behavior), and the
+ * seeded determinism (same seed, same supply behavior), the
  * lease-protocol equivalence of every registered environment (leased
- * and per-op-draw devices must brown out on the identical operation).
+ * and per-op-draw devices must brown out on the identical operation),
+ * and the bit identity of the recharge walk with its fmod-folding
+ * reference.
  */
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +27,7 @@
 #include "arch/device.hh"
 #include "env/environment.hh"
 #include "env/traces.hh"
+#include "util/rng.hh"
 
 namespace sonic::env
 {
@@ -671,6 +677,307 @@ TEST(EnvClock, TimeInvariantSuppliesIgnoreElapse)
     sched.elapse(1e18);
     EXPECT_EQ(sched.drawsSoFar(), 0u);
     EXPECT_TRUE(sched.draw(1.0));
+}
+
+// --- Bit identity of the harvest walk -------------------------------
+
+/**
+ * The harvest walk before HarvestModel::wrap, kept verbatim as the
+ * reference: each step folds t with std::fmod, searches t's segment,
+ * and evaluates both end rates through watts(), which fold and search
+ * again.
+ */
+class FmodHarvestModel
+{
+  public:
+    explicit FmodHarvestModel(const HarvestModel &model)
+        : points_(model.points()), period_(model.periodSeconds()),
+          periodJoules_(model.energyJoulesPerPeriod())
+    {
+    }
+
+    f64 periodSeconds() const { return period_; }
+
+    f64
+    fold(f64 t) const
+    {
+        f64 local = std::fmod(t, period_);
+        if (local < 0.0)
+            local += period_;
+        return local;
+    }
+
+    f64
+    watts(f64 t) const
+    {
+        f64 local = std::fmod(t, period_);
+        if (local < 0.0)
+            local += period_;
+        // Last control point at or before `local`.
+        u64 i = points_.size() - 1;
+        while (i > 0 && points_[i].seconds > local)
+            --i;
+        const f64 t0 = points_[i].seconds;
+        const f64 t1 = segmentEnd(i);
+        const f64 w0 = points_[i].watts;
+        const f64 w1 = segmentEndWatts(i);
+        if (t1 <= t0)
+            return w0;
+        return w0 + (w1 - w0) * ((local - t0) / (t1 - t0));
+    }
+
+    f64
+    secondsToHarvest(f64 t0, f64 joules) const
+    {
+        if (joules <= 0.0)
+            return 0.0;
+        f64 seconds = 0.0;
+        if (joules > periodJoules_) {
+            const f64 periods = std::floor(joules / periodJoules_);
+            seconds += periods * period_;
+            joules -= periods * periodJoules_;
+            if (joules <= 0.0)
+                return seconds;
+        }
+        f64 t = t0 + seconds;
+        const u64 max_steps = 2 * (points_.size() + 1) + 4;
+        for (u64 step = 0; step < max_steps; ++step) {
+            f64 local = std::fmod(t, period_);
+            if (local < 0.0)
+                local += period_;
+            u64 i = points_.size() - 1;
+            while (i > 0 && points_[i].seconds > local)
+                --i;
+            const f64 seg_end = segmentEnd(i);
+            f64 span = seg_end - local;
+            if (span <= 0.0)
+                span = 0.0;
+            const f64 w0 = watts(t);
+            const f64 w1 = watts(t + span);
+            const f64 seg_joules = 0.5 * (w0 + w1) * span;
+            if (seg_joules >= joules && seg_joules > 0.0) {
+                const f64 m = span > 0.0 ? (w1 - w0) / span : 0.0;
+                f64 tau;
+                if (std::fabs(m) < 1e-18) {
+                    tau = joules / w0;
+                } else {
+                    const f64 disc = w0 * w0 + 2.0 * m * joules;
+                    tau = (std::sqrt(std::max(disc, 0.0)) - w0) / m;
+                }
+                tau = std::clamp(tau, 0.0, span);
+                return seconds + tau;
+            }
+            joules -= seg_joules;
+            seconds += span;
+            t += span;
+            if (span == 0.0) {
+                const f64 nudge = period_ * 1e-12;
+                seconds += nudge;
+                t += nudge;
+            }
+        }
+        return seconds + joules / (periodJoules_ / period_);
+    }
+
+  private:
+    f64
+    segmentEnd(u64 i) const
+    {
+        return i + 1 < points_.size() ? points_[i + 1].seconds : period_;
+    }
+
+    f64
+    segmentEndWatts(u64 i) const
+    {
+        return i + 1 < points_.size() ? points_[i + 1].watts
+                                      : points_.front().watts;
+    }
+
+    std::vector<HarvestModel::Point> points_;
+    f64 period_;
+    f64 periodJoules_;
+};
+
+/** HarvestSupply's clock and recharge arithmetic over the reference
+ * model, its clock folded by std::fmod. */
+struct FmodHarvestSupply
+{
+    FmodHarvestModel model;
+    f64 capacityNj;
+    f64 levelNj;
+    f64 harvestedNj;
+    f64 simSeconds;
+
+    explicit FmodHarvestSupply(const HarvestSupply &s)
+        : model(s.model()), capacityNj(s.capacityNj()),
+          levelNj(s.levelNj()), harvestedNj(s.harvestedNj()),
+          simSeconds(s.simSeconds())
+    {
+    }
+
+    void
+    wrapClock()
+    {
+        const f64 period = model.periodSeconds();
+        if (period > 0.0 && simSeconds >= period)
+            simSeconds = std::fmod(simSeconds, period);
+    }
+
+    void
+    elapse(f64 live_seconds)
+    {
+        if (live_seconds <= 0.0)
+            return;
+        simSeconds += live_seconds;
+        wrapClock();
+    }
+
+    f64
+    recharge()
+    {
+        const f64 deficit_nj = capacityNj - levelNj;
+        const f64 dead =
+            model.secondsToHarvest(simSeconds, deficit_nj * 1e-9);
+        simSeconds += dead;
+        wrapClock();
+        harvestedNj += deficit_nj;
+        levelNj = capacityNj;
+        return dead;
+    }
+};
+
+u64
+bits(f64 x)
+{
+    return std::bit_cast<u64>(x);
+}
+
+/** Every registered environment's harvest model, by name. */
+std::vector<std::pair<std::string, HarvestModel>>
+registeredModels()
+{
+    std::vector<std::pair<std::string, HarvestModel>> out;
+    for (const auto &name : EnvRegistry::instance().names()) {
+        const auto psu = EnvRegistry::instance().make({name, 1e-3}, 1);
+        if (const auto *h = dynamic_cast<const HarvestSupply *>(psu.get()))
+            out.emplace_back(name, h->model());
+    }
+    return out;
+}
+
+TEST(HarvestWalk, MatchesTheFmodWalkBitForBit)
+{
+    auto models = registeredModels();
+    ASSERT_GE(models.size(), 6u);
+    models.emplace_back("constant", HarvestModel::constant(0.5e-3));
+    models.emplace_back("dark-both-ends",
+                        HarvestModel({{0.0, 0.0},
+                                      {10.0, 0.0},
+                                      {20.0, 4e-3},
+                                      {30.0, 0.0}},
+                                     40.0));
+    models.emplace_back("negative-zero-watts",
+                        HarvestModel({{0.0, -0.0},
+                                      {3.0, -0.0},
+                                      {5.0, 2e-3},
+                                      {8.0, 0.0},
+                                      {9.0, -0.0}},
+                                     10.0));
+    models.emplace_back(
+        "point-an-ulp-below-the-period",
+        HarvestModel({{0.0, 1e-3}, {std::nextafter(60.0, 0.0), 5e-3}},
+                     60.0));
+    // Past the -0.0 W point the slope is below the solver's 1e-18 W/s
+    // threshold, where the dead time is joules / w0 clamped to the
+    // segment: a start rate of -0.0 instead of +0.0 there turns the
+    // whole segment into no time at all.
+    const HarvestModel shallow({{0.0, 1e-3}, {1.0, -0.0}, {1e6, 1e-13}},
+                               2e6);
+    const f64 past_the_ramp = 1.25e-4 + 1e-9; // from t = 0.5
+    EXPECT_GT(FmodHarvestModel(shallow).secondsToHarvest(0.5, past_the_ramp),
+              1.0);
+    EXPECT_EQ(bits(shallow.secondsToHarvest(0.5, past_the_ramp)),
+              bits(FmodHarvestModel(shallow).secondsToHarvest(
+                  0.5, past_the_ramp)));
+    models.emplace_back("shallow-slope-after-negative-zero", shallow);
+
+    Rng rng(0x5eed);
+    for (const auto &[name, model] : models) {
+        SCOPED_TRACE(name);
+        const FmodHarvestModel ref(model);
+        const f64 p = model.periodSeconds();
+        const f64 e = model.energyJoulesPerPeriod();
+        // -denorm_min folds to p itself: a zero-width first step and
+        // the nudge past it.
+        std::vector<f64> starts = {-0.0,
+                                   0.0,
+                                   -std::numeric_limits<f64>::denorm_min(),
+                                   std::nextafter(p, 0.0),
+                                   p,
+                                   1.37 * p,
+                                   2.0 * p,
+                                   1e6 * p};
+        for (const auto &point : model.points())
+            starts.push_back(point.seconds);
+        for (int k = 0; k < 16; ++k)
+            starts.push_back(rng.uniform(0.0, 3.0 * p));
+        std::vector<f64> joules = {0.0, -0.0,
+                                   std::numeric_limits<f64>::denorm_min(),
+                                   1e-310, e, 2.0 * e, 3.0 * e, 1e-9 * e};
+        for (int k = 0; k < 16; ++k)
+            joules.push_back(rng.uniform(0.0, 2.5 * e));
+        for (int k = 0; k < 8; ++k)
+            joules.push_back(e * std::ldexp(1.0, -2 * k - 2));
+
+        for (const f64 t0 : starts) {
+            EXPECT_EQ(bits(model.wrap(t0)), bits(ref.fold(t0))) << t0;
+            EXPECT_EQ(bits(model.watts(t0)), bits(ref.watts(t0))) << t0;
+            for (const f64 j : joules)
+                ASSERT_EQ(bits(model.secondsToHarvest(t0, j)),
+                          bits(ref.secondsToHarvest(t0, j)))
+                    << "t0 " << t0 << " joules " << j;
+        }
+    }
+}
+
+TEST(HarvestWalk, ReplayWalkMatchesAnFmodClock)
+{
+    // The fleet's hit replay: elapse, empty, recharge, 10^5 times per
+    // environment. Dead time, clock and harvested energy must match the
+    // fmod-folded supply bit for bit after every step.
+    for (const auto &name : EnvRegistry::instance().names()) {
+        for (const f64 farads : {5e-6, 1e-3}) {
+            auto psu = EnvRegistry::instance().make({name, farads}, 7);
+            auto *supply = dynamic_cast<HarvestSupply *>(psu.get());
+            if (supply == nullptr)
+                continue;
+            SCOPED_TRACE(name + "@" + formatCapacitance(farads));
+            FmodHarvestSupply ref(*supply);
+            const f64 p = supply->model().periodSeconds();
+            Rng rng(0xfee1 + bits(farads));
+            for (u32 step = 0; step < 100000; ++step) {
+                // Mostly short uptimes; some cross one period (the
+                // subtraction) and some several (the fmod).
+                const u64 kind = rng.below(20);
+                const f64 live = kind == 0 ? rng.uniform(2.0 * p, 40.0 * p)
+                    : kind == 1           ? rng.uniform(p, 2.0 * p)
+                    : kind == 2           ? -rng.uniform(0.0, 1.0)
+                                          : rng.uniform(0.0, 0.05 * p);
+                supply->elapse(live);
+                ref.elapse(live);
+                supply->setLevelNjForReplay(0.0);
+                ref.levelNj = 0.0;
+                const f64 dead = supply->recharge();
+                const f64 ref_dead = ref.recharge();
+                ASSERT_EQ(bits(dead), bits(ref_dead)) << "step " << step;
+                ASSERT_EQ(bits(supply->simSeconds()), bits(ref.simSeconds))
+                    << "step " << step;
+                ASSERT_EQ(bits(supply->harvestedNj()),
+                          bits(ref.harvestedNj))
+                    << "step " << step;
+            }
+        }
+    }
 }
 
 // --- Sweep integration ----------------------------------------------

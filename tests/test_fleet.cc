@@ -348,6 +348,38 @@ TEST(Fleet, GroupBreakdownsSumToFleetTotals)
     }
 }
 
+TEST(Fleet, GroupsHoldOnlyTheEntriesDevicesDrew)
+{
+    // Three devices cannot draw four distinct environments, so some
+    // listed one goes undrawn and must leave no empty group; the
+    // repeated rf-paper entry folds into the one group its label names.
+    auto plan = goldenFleet(3);
+    plan.environments = {{"rf-paper", 100e-6},
+                         {"trace-rf-office", 50e-6},
+                         {"rf-paper", 100e-6},
+                         {"duty-cycle", 100e-6},
+                         {"continuous", 0.0}};
+    std::map<std::string, u64> drawn;
+    for (u32 i = 0; i < plan.devices; ++i)
+        ++drawn[plan.assignmentFor(i).environment.label()];
+    const auto summary = runFleet(plan, FleetOptions{1});
+    ASSERT_EQ(summary.byEnvironment.size(), drawn.size());
+    for (const auto &[label, devices] : drawn)
+        EXPECT_EQ(summary.byEnvironment.at(label).devices, devices)
+            << label;
+    for (const auto *by : {&summary.byImpl, &summary.byNet,
+                           &summary.byPipeline})
+        for (const auto &[name, g] : *by)
+            EXPECT_GT(g.devices, 0u) << name;
+
+    // A list of one entry twice is one group holding every device.
+    plan.devices = 8;
+    plan.environments = {{"rf-paper", 100e-6}, {"rf-paper", 100e-6}};
+    const auto twice = runFleet(plan, FleetOptions{1});
+    ASSERT_EQ(twice.byEnvironment.size(), 1u);
+    EXPECT_EQ(twice.byEnvironment.at("rf-paper@100uF").devices, 8u);
+}
+
 TEST(Fleet, PipelineSummaryIsBitIdenticalAcrossThreadCounts)
 {
     const auto plan = pipelineFleet(48);
