@@ -179,7 +179,7 @@ BM_RedoLogWriteCommit(benchmark::State &state)
     arch::NvArray<i16> arr(dev, 64, "a");
     const auto entries = static_cast<u32>(state.range(0));
     const task::TaskId t =
-        prog.addTask("t", [&](task::Runtime &rt) {
+        prog.addTask([&](task::Runtime &rt) {
             for (u32 k = 0; k < entries; ++k)
                 rt.logWrite(arr, k % 64, static_cast<i16>(k));
             return task::kDone;
@@ -215,7 +215,7 @@ BM_RedoLogRead(benchmark::State &state)
     const auto entries = static_cast<u32>(state.range(0));
     u64 sink = 0;
     const task::TaskId t =
-        prog.addTask("t", [&](task::Runtime &rt) {
+        prog.addTask([&](task::Runtime &rt) {
             for (u32 k = 0; k < entries; ++k)
                 rt.logWrite(arr, k % 1024, static_cast<i16>(k));
             for (u32 k = 0; k < entries; ++k)
@@ -307,7 +307,7 @@ BM_TinyIntermittentSonic(benchmark::State &state)
     const auto input = testutil::tinyInput();
     for (auto _ : state) {
         arch::Device dev(arch::EnergyProfile::msp430fr5994(),
-                         std::make_unique<arch::FailEveryOps>(
+                         testutil::failEvery(
                              static_cast<u64>(state.range(0))));
         dnn::DeviceNetwork net(dev, spec);
         net.loadInput(input);

@@ -44,7 +44,6 @@ Device::consumeSlow(f64 nj)
 {
     settleLease();
     if (!power_->draw(nj)) {
-        ++rebootPending_;
         if (probe_ != nullptr)
             probe_->onPowerFailure(*this);
         throw PowerFailure();
@@ -154,11 +153,10 @@ Device::reboot()
     // A reboot can be requested directly (tests, host tooling) with a
     // lease still open; book it before the supply recharges.
     settleLease();
+    // However many PowerFailures were charged since the last reboot
+    // (normally exactly one — a failing bulk charge counts once), this
+    // models one power cycle.
     ++rebootCount_;
-    // Consume the whole failure backlog: however many PowerFailures
-    // were charged since the last reboot (normally exactly one — a
-    // failing bulk charge counts once), this models one power cycle.
-    rebootPending_ = 0;
     // Advance the supply's environment clock by the uptime accrued
     // since the previous reboot, so a time-varying harvester recharges
     // at the harvest rate of the correct simulated moment.

@@ -71,8 +71,8 @@ class Device
      * the bit-identical operation either way.
      *
      * One consume call counts as one draw regardless of count, exactly
-     * as one PowerSupply::draw call did — the unit the fault injectors
-     * count.
+     * as one PowerSupply::draw call did — the unit SchedulePower
+     * counts.
      *
      * @throws PowerFailure if the supply cannot deliver the energy.
      */
@@ -121,15 +121,6 @@ class Device
     u16 currentLayer() const { return layer_; }
     Part currentPart() const { return part_; }
     /// @}
-
-    /**
-     * Failures charged but not yet modelled as a reboot. consume()
-     * increments this exactly once per PowerFailure it throws — a
-     * failing bulk (count > 1) charge is still one failure — and
-     * reboot() consumes the whole backlog, so a failure can never be
-     * double-counted.
-     */
-    u64 rebootsPending() const { return rebootPending_; }
 
     /** @name Memory accounting and the FRAM region registry */
     /// @{
@@ -269,7 +260,6 @@ class Device
     /** Uptime already reported through PowerSupply::elapse. */
     f64 liveSecondsNotified_ = 0.0;
     u64 rebootCount_ = 0;
-    u64 rebootPending_ = 0;
 
     u64 framUsed_ = 0;
     u64 sramUsed_ = 0;

@@ -210,13 +210,6 @@ class NvArray : public NvRegion<T>
         store_[i] = v;
     }
 
-    void
-    fillHost(T v)
-    {
-        for (auto &x : store_)
-            x = v;
-    }
-
     void digestInto(NvmDigest &d) const override { this->walkInto(d); }
 
   private:

@@ -1,19 +1,19 @@
 /**
  * @file
- * Power supply models for the device: continuous bench power, a
- * capacitor-buffered energy harvester (the paper's deployment scenario),
- * and deterministic fault injectors used by the test suite to place a
- * power failure at any chosen operation.
+ * Power supply models for the device: continuous bench power and the
+ * deterministic fault injector that places a power failure at any
+ * chosen operation. The capacitor-buffered energy harvester of the
+ * paper's deployments is env::HarvestSupply (src/env).
  */
 
 #ifndef SONIC_ARCH_POWER_HH
 #define SONIC_ARCH_POWER_HH
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
+#include "util/logging.hh"
 #include "util/types.hh"
 
 namespace sonic::arch
@@ -146,99 +146,68 @@ class ContinuousPower : public PowerSupply
  * 100 uF capacitor sustains on the order of a few thousand
  * instructions per charge cycle — the regime in which the paper's
  * Fig. 9b completion/DNF pattern (Tile-8 completes, Tile-128 never
- * does, Tile-32 fails only on MNIST) is observed. One definition:
- * every capacitor-buffered supply (CapacitorPower here, the
- * environment subsystem's HarvestSupply) defaults to it, so a
- * recalibration lands everywhere at once.
+ * does, Tile-32 fails only on MNIST) is observed. One definition: the
+ * environment subsystem's HarvestSupply and the tests' closed-form
+ * capacitor reference both default to it, so a recalibration lands
+ * everywhere at once.
  */
 inline constexpr f64 kRegulatorVMax = 2.28;
 inline constexpr f64 kRegulatorVMin = 2.213;
 
 /**
- * A capacitor charged by a constant-power harvester (e.g., the paper's
- * Powercast RF setup). The usable buffer is E = 1/2 C (Vmax^2 - Vmin^2).
- * While operating, harvest income continues to trickle in; when the
- * buffer empties the device dies and recharges at the harvest power.
+ * The fault injector: a supply driven by an explicit failure-index
+ * schedule. Draw i (0-based, counting every draw-call since
+ * construction) fails iff i is in the schedule; outside it the supply
+ * is continuous. With a period p > 0 the schedule repeats forever:
+ * draw i fails iff i % p is in it, so {p - 1} with period p fails every
+ * p-th draw. The verification oracle (src/verify) places finite
+ * schedules at adversarial coordinates — bursts, commit-point
+ * neighborhoods, shrunk counterexamples; the tests also sweep a single
+ * failure over every operation index of a kernel, and use periodic
+ * failures that never stop to reach the scheduler's non-termination
+ * verdict.
+ *
+ * The schedule is sorted and deduplicated at construction; indices the
+ * run never reaches simply do not fire (firedCount() reports how many
+ * did). drawsSoFar() exposes the draw cursor, which in both power
+ * accounting modes equals the number of Device::consume calls so far —
+ * the coordinate system schedules are expressed in.
  */
-class CapacitorPower : public PowerSupply
+class SchedulePower : public PowerSupply
 {
   public:
-    /**
-     * @param capacitance_farads storage capacitance
-     * @param harvest_watts harvester income power
-     * @param v_max regulator-on voltage
-     * @param v_min brown-out voltage
-     */
-    CapacitorPower(f64 capacitance_farads, f64 harvest_watts,
-                   f64 v_max = kRegulatorVMax,
-                   f64 v_min = kRegulatorVMin);
-
-    bool draw(f64 nj) override;
-
-    /**
-     * Hand the whole remaining charge out as the lease. The Device's
-     * countdown then performs the very same subtraction sequence
-     * CapacitorPower::draw would have, so the brown-out lands on the
-     * bit-identical operation; settle() puts the remainder back.
-     */
-    EnergyLease
-    grant(f64 /*max_nj*/, u64 max_ops) override
+    explicit SchedulePower(std::vector<u64> failure_indices = {},
+                           u64 period = 0)
+        : schedule_(std::move(failure_indices)), period_(period)
     {
-        const f64 nj = levelNj_;
-        levelNj_ = 0.0;
-        return {nj, max_ops};
+        std::sort(schedule_.begin(), schedule_.end());
+        schedule_.erase(std::unique(schedule_.begin(), schedule_.end()),
+                        schedule_.end());
+        SONIC_ASSERT(period_ == 0 || schedule_.empty()
+                         || schedule_.back() < period_,
+                     "failure index ", schedule_.back(),
+                     " is not below the period ", period_);
+        if (!schedule_.empty())
+            nextFailure_ = schedule_.front();
     }
-
-    void
-    settle(f64 unused_nj, f64 /*used_nj*/, u64 /*used_ops*/) override
-    {
-        levelNj_ += unused_nj;
-    }
-
-    f64 recharge() override;
-    f64 capacityNj() const override { return capacityNj_; }
-    f64 harvestedNj() const override { return harvestedNj_; }
-
-    /** Remaining charge in nanojoules (diagnostics). */
-    f64 levelNj() const { return levelNj_; }
-
-  private:
-    f64 harvestWatts_;
-    f64 capacityNj_;
-    f64 levelNj_;
-    f64 harvestedNj_;
-};
-
-/**
- * Test injector: succeeds for exactly failAfter draws, fails once, then
- * behaves as continuous power. Sweeping failAfter over every operation
- * index of a kernel exhaustively tests crash consistency at every
- * possible failure point.
- */
-class FailOnceAfterOps : public PowerSupply
-{
-  public:
-    explicit FailOnceAfterOps(u64 fail_after) : failAfter_(fail_after) {}
 
     bool
     draw(f64 nj) override
     {
         drawn_ += nj;
-        if (!failed_ && ops_++ == failAfter_) {
-            failed_ = true;
-            return false;
-        }
-        return true;
+        if (ops_++ != nextFailure_)
+            return true;
+        advance();
+        return false;
     }
 
-    /** Lease exactly the draws that remain before the injected fault
-     * (unbounded energy — this injector fails by op count). */
+    /** Lease every draw up to (excluding) the next scheduled failure. */
     EnergyLease
     grant(f64 max_nj, u64 max_ops) override
     {
-        const u64 ops =
-            failed_ ? max_ops : std::min(max_ops, failAfter_ - ops_);
-        return {max_nj, ops};
+        const u64 left =
+            nextFailure_ == kNever ? max_ops : nextFailure_ - ops_;
+        return {max_nj, std::min(max_ops, left)};
     }
 
     void
@@ -252,140 +221,40 @@ class FailOnceAfterOps : public PowerSupply
     f64 capacityNj() const override { return 0.0; }
     f64 harvestedNj() const override { return drawn_; }
 
-    bool triggered() const { return failed_; }
-
-  private:
-    u64 failAfter_;
-    u64 ops_ = 0;
-    bool failed_ = false;
-    f64 drawn_ = 0.0;
-};
-
-/**
- * Oracle injector: a supply driven by an explicit failure-index trace.
- * Draw i (0-based, counting every draw-call since construction) fails
- * iff i is in the schedule; outside the schedule the supply is
- * continuous. Unlike the periodic injectors this can place
- * failures at arbitrary adversarial coordinates — bursts, commit-point
- * neighborhoods, shrunk counterexamples — which is what the
- * verification oracle (src/verify) sweeps.
- *
- * The schedule is sorted and deduplicated at construction; indices the
- * run never reaches simply do not fire (firedCount() reports how many
- * did). drawsSoFar() exposes the draw cursor, which in both power
- * accounting modes equals the number of Device::consume calls so far —
- * the coordinate system schedules are expressed in.
- */
-class SchedulePower : public PowerSupply
-{
-  public:
-    explicit SchedulePower(std::vector<u64> failure_indices = {},
-                           f64 dead_seconds_per_recharge = 0.0)
-        : schedule_(std::move(failure_indices)),
-          deadSeconds_(dead_seconds_per_recharge)
-    {
-        std::sort(schedule_.begin(), schedule_.end());
-        schedule_.erase(std::unique(schedule_.begin(), schedule_.end()),
-                        schedule_.end());
-    }
-
-    bool
-    draw(f64 nj) override
-    {
-        drawn_ += nj;
-        const bool fail =
-            next_ < schedule_.size() && ops_ == schedule_[next_];
-        if (fail)
-            ++next_;
-        ++ops_;
-        return !fail;
-    }
-
-    /** Lease every draw up to (excluding) the next scheduled failure. */
-    EnergyLease
-    grant(f64 max_nj, u64 max_ops) override
-    {
-        const u64 left = next_ < schedule_.size()
-            ? schedule_[next_] - ops_
-            : max_ops;
-        return {max_nj, std::min(max_ops, left)};
-    }
-
-    void
-    settle(f64 /*unused_nj*/, f64 used_nj, u64 used_ops) override
-    {
-        drawn_ += used_nj;
-        ops_ += used_ops;
-    }
-
-    f64 recharge() override { return deadSeconds_; }
-    f64 capacityNj() const override { return 0.0; }
-    f64 harvestedNj() const override { return drawn_; }
-
     /** Scheduled failures that actually fired so far. */
-    u64 firedCount() const { return next_; }
+    u64 firedCount() const { return fired_; }
 
     /** Draw-call (== Device::consume call) cursor. */
     u64 drawsSoFar() const { return ops_; }
 
   private:
-    std::vector<u64> schedule_; ///< sorted, unique failure indices
-    f64 deadSeconds_;
-    u64 ops_ = 0;
-    u64 next_ = 0; ///< first schedule entry not yet fired
-    f64 drawn_ = 0.0;
-};
+    /** nextFailure_ once a schedule without a period has run out. */
+    static constexpr u64 kNever = ~u64{0};
 
-/**
- * Test injector: fails every period draws, forever. Models an extremely
- * small buffer with deterministic timing; recharge takes a fixed
- * simulated time.
- */
-class FailEveryOps : public PowerSupply
-{
-  public:
-    explicit FailEveryOps(u64 period, f64 dead_seconds_per_recharge = 0.0)
-        : period_(period), deadSeconds_(dead_seconds_per_recharge)
-    {
-    }
-
-    bool
-    draw(f64 nj) override
-    {
-        drawn_ += nj;
-        if (++ops_ >= period_) {
-            ops_ = 0;
-            return false;
-        }
-        return true;
-    }
-
-    /** Lease the draws left in the current period (the next one after
-     * those fails; with period <= 1 every draw takes the slow path —
-     * period 0 degenerates to failing on every single draw). */
-    EnergyLease
-    grant(f64 max_nj, u64 max_ops) override
-    {
-        const u64 left =
-            ops_ + 1 >= period_ ? 0 : period_ - 1 - ops_;
-        return {max_nj, std::min(max_ops, left)};
-    }
-
+    /** Move nextFailure_ to the failure after the one that just fired,
+     * wrapping to the next repetition when a period is set. */
     void
-    settle(f64 /*unused_nj*/, f64 used_nj, u64 used_ops) override
+    advance()
     {
-        drawn_ += used_nj;
-        ops_ += used_ops;
+        ++fired_;
+        u64 repetition = nextFailure_ - schedule_[cursor_];
+        if (++cursor_ == schedule_.size()) {
+            if (period_ == 0) {
+                nextFailure_ = kNever;
+                return;
+            }
+            cursor_ = 0;
+            repetition += period_;
+        }
+        nextFailure_ = repetition + schedule_[cursor_];
     }
 
-    f64 recharge() override { return deadSeconds_; }
-    f64 capacityNj() const override { return 0.0; }
-    f64 harvestedNj() const override { return drawn_; }
-
-  private:
-    u64 period_;
-    f64 deadSeconds_;
+    std::vector<u64> schedule_; ///< sorted, unique failure indices
+    u64 period_;                ///< 0: the schedule runs once
+    u64 nextFailure_ = kNever;  ///< draw index of the next failure
+    u64 cursor_ = 0;            ///< schedule_ entry of nextFailure_
     u64 ops_ = 0;
+    u64 fired_ = 0;
     f64 drawn_ = 0.0;
 };
 

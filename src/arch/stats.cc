@@ -36,14 +36,6 @@ Stats::registerLayer(const std::string &name)
     return static_cast<u16>(layers_.size() - 1);
 }
 
-void
-Stats::reset()
-{
-    for (auto &layer : buckets_)
-        for (auto &bucket : layer)
-            bucket = OpCounters{};
-}
-
 const std::string &
 Stats::layerName(u16 layer) const
 {

@@ -58,9 +58,6 @@ class Stats
     /** Register an attribution layer (e.g., "conv1"); returns its id. */
     u16 registerLayer(const std::string &name);
 
-    /** Zero all counters (layer registrations are kept). */
-    void reset();
-
     u32 numLayers() const { return static_cast<u32>(layers_.size()); }
     const std::string &layerName(u16 layer) const;
 

@@ -262,7 +262,7 @@ HarvestSupply::draw(f64 nj)
         return true;
     }
     // Brown-out: the residual charge is below the regulator window
-    // and is lost (same physics as CapacitorPower).
+    // and is lost.
     levelNj_ = 0.0;
     ++draws_;
     return false;

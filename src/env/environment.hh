@@ -15,14 +15,13 @@
  *
  * The harvesting environments share one physical core: a
  * piecewise-linear, periodic harvest-rate model (HarvestModel) feeding
- * the capacitor charge equation of arch::CapacitorPower
- * (E = 1/2 C (Vmax^2 - Vmin^2) usable buffer, brown-out on empty,
- * recharge by integrating the harvest rate forward in simulated time).
- * The resulting HarvestSupply honors the energy-lease protocol
- * (grant hands out the whole remaining charge, settle returns the
- * remainder) exactly like CapacitorPower, so the Device fast path
- * stays devirtualized and a leased run brown-outs on the
- * bit-identical operation a per-op-draw run would.
+ * the capacitor charge equation (E = 1/2 C (Vmax^2 - Vmin^2) usable
+ * buffer, brown-out on empty, recharge by integrating the harvest rate
+ * forward in simulated time). The resulting HarvestSupply honors the
+ * energy-lease protocol (grant hands out the whole remaining charge,
+ * settle returns the remainder), so the Device fast path stays
+ * devirtualized and a leased run brown-outs on the bit-identical
+ * operation a per-op-draw run would.
  *
  * Seeds perturb only deployment phase (where in the environment cycle
  * the device boots), so two devices with the same seed replay the
@@ -212,14 +211,14 @@ class HarvestModel
 };
 
 /**
- * A capacitor-buffered harvester in a time-varying environment: the
- * generalization of arch::CapacitorPower from constant income to a
- * HarvestModel. Identical lease protocol (the whole remaining charge
- * is granted; the remainder settles back), identical brown-out
- * semantics (residual charge below the regulator window is lost), but
- * recharge integrates the model forward from the current simulated
- * time, and Device::reboot's elapse() notifications keep that clock
- * aligned with device uptime.
+ * A capacitor-buffered harvester in a time-varying environment. The
+ * lease grants the whole remaining charge and the remainder settles
+ * back; a brown-out loses the residual charge below the regulator
+ * window; recharge integrates the HarvestModel forward from the
+ * current simulated time, and Device::reboot's elapse() notifications
+ * keep that clock aligned with device uptime. Under a constant model
+ * this is the closed-form capacitor the tests keep as its reference
+ * (testutil::CapacitorPower).
  */
 class HarvestSupply final : public arch::PowerSupply
 {
@@ -231,7 +230,7 @@ class HarvestSupply final : public arch::PowerSupply
 
     bool draw(f64 nj) override;
 
-    /** Hand the whole remaining charge out (see CapacitorPower). */
+    /** Hand the whole remaining charge out; settle() returns the rest. */
     arch::EnergyLease
     grant(f64 /*max_nj*/, u64 max_ops) override
     {

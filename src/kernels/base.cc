@@ -359,8 +359,7 @@ runBase(DeviceNetwork &net)
     Device &dev = net.dev();
     task::Program program;
 
-    const task::TaskId entry = program.addTask("base.inference", [&](
-                                             task::Runtime &rt) {
+    const task::TaskId entry = program.addTask([&](task::Runtime &rt) {
         Device &d = rt.dev();
         for (u32 li = 0; li < net.layers().size(); ++li) {
             DevLayer &layer = net.layers()[li];

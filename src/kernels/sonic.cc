@@ -213,7 +213,6 @@ SonicBuilder::buildConv1d(const DevLayer &layer, const DevSparseVec &taps,
     // span-at-a-time (write-once copy; spans re-execute idempotently).
     const u32 result_slice = (nnz - 1) % 2;
     const TaskId t_fin = prog_.addTask(
-        layer.name + ".conv1d.fin",
         [this, stat, result_slice, out_h, out_w, next](Runtime &rt) {
             Device &d = rt.dev();
             arch::ScopedLayer al(d, stat);
@@ -236,7 +235,6 @@ SonicBuilder::buildConv1d(const DevLayer &layer, const DevSparseVec &taps,
         });
 
     const TaskId t_conv = prog_.addTask(
-        layer.name + ".conv1d",
         [this, stat, tp, src, src_base, in_w, out_h, out_w, vertical,
          nnz, t_fin, slot_next](Runtime &rt) -> TaskId {
             Device &d = rt.dev();
@@ -299,28 +297,25 @@ SonicBuilder::buildConv1d(const DevLayer &layer, const DevSparseVec &taps,
         });
 
     // Next-tap: Listing 1's Task_Next_Filter — atomic swap + advance.
-    const TaskId t_next = prog_.addTask(
-        layer.name + ".conv1d.next",
-        [this, nnz, t_conv](Runtime &rt) {
-            const i32 t = st_.tap.read();
-            const i32 b = st_.buf.read();
-            const bool last = t + 1 >= static_cast<i32>(nnz);
-            rt.logWrite(st_.tap, last ? static_cast<i32>(nnz) : t + 1);
-            rt.logWrite(st_.buf, last ? 0 : 1 - b);
-            rt.logWrite(st_.y, 0);
-            return t_conv;
-        });
+    const TaskId t_next = prog_.addTask([this, nnz, t_conv](Runtime &rt) {
+        const i32 t = st_.tap.read();
+        const i32 b = st_.buf.read();
+        const bool last = t + 1 >= static_cast<i32>(nnz);
+        rt.logWrite(st_.tap, last ? static_cast<i32>(nnz) : t + 1);
+        rt.logWrite(st_.buf, last ? 0 : 1 - b);
+        rt.logWrite(st_.y, 0);
+        return t_conv;
+    });
     *slot_next = t_next;
 
     // Entry resets the loop registers for this stage.
-    const TaskId t_entry = prog_.addTask(
-        layer.name + ".conv1d.entry", [this, t_conv](Runtime &rt) {
-            rt.logWrite(st_.tap, 0);
-            rt.logWrite(st_.buf, 0);
-            rt.logWrite(st_.y, 0);
-            rt.logWrite(st_.x, 0);
-            return t_conv;
-        });
+    const TaskId t_entry = prog_.addTask([this, t_conv](Runtime &rt) {
+        rt.logWrite(st_.tap, 0);
+        rt.logWrite(st_.buf, 0);
+        rt.logWrite(st_.y, 0);
+        rt.logWrite(st_.x, 0);
+        return t_conv;
+    });
     return t_entry;
 }
 
@@ -341,7 +336,6 @@ SonicBuilder::buildScale(const DevLayer &layer, const DevSparseVec &scale,
     const u16 stat = layer.statLayer;
     const DevSparseVec *sp = &scale;
     const TaskId t_scale = prog_.addTask(
-        layer.name + ".scale",
         [this, stat, sp, src, src_base, plane, dst, relu,
          next](Runtime &rt) {
             Device &d = rt.dev();
@@ -388,12 +382,11 @@ SonicBuilder::buildScale(const DevLayer &layer, const DevSparseVec &scale,
             return next;
         });
 
-    const TaskId t_entry = prog_.addTask(
-        layer.name + ".scale.entry", [this, t_scale](Runtime &rt) {
-            rt.logWrite(st_.tap, 0);
-            rt.logWrite(st_.x, 0);
-            return t_scale;
-        });
+    const TaskId t_entry = prog_.addTask([this, t_scale](Runtime &rt) {
+        rt.logWrite(st_.tap, 0);
+        rt.logWrite(st_.x, 0);
+        return t_scale;
+    });
     return t_entry;
 }
 
@@ -416,7 +409,6 @@ SonicBuilder::buildSparseConv(const DevLayer &layer,
     // Finalize one output channel: copy the settled slice (or zeros
     // for an all-pruned channel) into the activation map, fused relu.
     const TaskId t_fin = prog_.addTask(
-        layer.name + ".spconv.fin",
         [this, stat, cp, dst, relu, out_plane, slot_conv](Runtime &rt) {
             Device &d = rt.dev();
             arch::ScopedLayer al(d, stat);
@@ -460,7 +452,6 @@ SonicBuilder::buildSparseConv(const DevLayer &layer,
         });
 
     const TaskId t_conv = prog_.addTask(
-        layer.name + ".spconv",
         [this, stat, cp, src, in_plane, in_w, out_h, out_w, oc_count,
          next, t_fin, slot_next](Runtime &rt) -> TaskId {
             Device &d = rt.dev();
@@ -534,27 +525,25 @@ SonicBuilder::buildSparseConv(const DevLayer &layer,
             return *slot_next;
         });
 
-    const TaskId t_next = prog_.addTask(
-        layer.name + ".spconv.next", [this, t_conv](Runtime &rt) {
-            const i32 t = st_.tap.read();
-            const i32 b = st_.buf.read();
-            rt.logWrite(st_.tap, t + 1);
-            rt.logWrite(st_.buf, 1 - b);
-            rt.logWrite(st_.y, 0);
-            return t_conv;
-        });
+    const TaskId t_next = prog_.addTask([this, t_conv](Runtime &rt) {
+        const i32 t = st_.tap.read();
+        const i32 b = st_.buf.read();
+        rt.logWrite(st_.tap, t + 1);
+        rt.logWrite(st_.buf, 1 - b);
+        rt.logWrite(st_.y, 0);
+        return t_conv;
+    });
     *slot_next = t_next;
     *slot_conv = t_conv;
 
-    const TaskId t_entry = prog_.addTask(
-        layer.name + ".spconv.entry", [this, t_conv](Runtime &rt) {
-            rt.logWrite(st_.oc, 0);
-            rt.logWrite(st_.tap, 0);
-            rt.logWrite(st_.buf, 0);
-            rt.logWrite(st_.y, 0);
-            rt.logWrite(st_.x, 0);
-            return t_conv;
-        });
+    const TaskId t_entry = prog_.addTask([this, t_conv](Runtime &rt) {
+        rt.logWrite(st_.oc, 0);
+        rt.logWrite(st_.tap, 0);
+        rt.logWrite(st_.buf, 0);
+        rt.logWrite(st_.y, 0);
+        rt.logWrite(st_.x, 0);
+        return t_conv;
+    });
     return t_entry;
 }
 
@@ -571,7 +560,6 @@ SonicBuilder::buildDenseFc(const DevLayer &layer, const DevDenseFc &op,
     auto slot_next = std::make_shared<TaskId>(task::kDone);
     const u32 result_slice = (n - 1) % 2;
     const TaskId t_fin = prog_.addTask(
-        layer.name + ".fcd.fin",
         [this, stat, dst, relu, m, result_slice, next](Runtime &rt) {
             Device &d = rt.dev();
             arch::ScopedLayer al(d, stat);
@@ -598,7 +586,6 @@ SonicBuilder::buildDenseFc(const DevLayer &layer, const DevDenseFc &op,
         });
 
     const TaskId t_tap = prog_.addTask(
-        layer.name + ".fcd",
         [this, stat, fp, src, m, n, t_fin, slot_next](Runtime &rt)
             -> TaskId {
             Device &d = rt.dev();
@@ -644,25 +631,23 @@ SonicBuilder::buildDenseFc(const DevLayer &layer, const DevDenseFc &op,
             return *slot_next;
         });
 
-    const TaskId t_next = prog_.addTask(
-        layer.name + ".fcd.next", [this, n, t_tap](Runtime &rt) {
-            const i32 c = st_.tap.read();
-            const i32 b = st_.buf.read();
-            const bool last = c + 1 >= static_cast<i32>(n);
-            rt.logWrite(st_.tap, last ? static_cast<i32>(n) : c + 1);
-            rt.logWrite(st_.buf, last ? 0 : 1 - b);
-            rt.logWrite(st_.x, 0);
-            return t_tap;
-        });
+    const TaskId t_next = prog_.addTask([this, n, t_tap](Runtime &rt) {
+        const i32 c = st_.tap.read();
+        const i32 b = st_.buf.read();
+        const bool last = c + 1 >= static_cast<i32>(n);
+        rt.logWrite(st_.tap, last ? static_cast<i32>(n) : c + 1);
+        rt.logWrite(st_.buf, last ? 0 : 1 - b);
+        rt.logWrite(st_.x, 0);
+        return t_tap;
+    });
     *slot_next = t_next;
 
-    const TaskId t_entry = prog_.addTask(
-        layer.name + ".fcd.entry", [this, t_tap](Runtime &rt) {
-            rt.logWrite(st_.tap, 0);
-            rt.logWrite(st_.buf, 0);
-            rt.logWrite(st_.x, 0);
-            return t_tap;
-        });
+    const TaskId t_entry = prog_.addTask([this, t_tap](Runtime &rt) {
+        rt.logWrite(st_.tap, 0);
+        rt.logWrite(st_.buf, 0);
+        rt.logWrite(st_.x, 0);
+        return t_tap;
+    });
     return t_entry;
 }
 
@@ -679,46 +664,42 @@ SonicBuilder::buildSparseFc(const DevLayer &layer, const DevSparseFc &op,
     // Optional fused relu pass (in-place, idempotent).
     TaskId after = next;
     if (relu) {
-        after = prog_.addTask(
-            layer.name + ".sfc.relu",
-            [this, stat, dst, m, next](Runtime &rt) {
-                Device &d = rt.dev();
-                arch::ScopedLayer al(d, stat);
-                u32 r = static_cast<u32>(st_.x.read());
-                d.setPart(Part::Kernel);
-                while (r < m) {
-                    // In-place span: relu is idempotent, so a re-run
-                    // after a mid-span failure converges.
-                    const u32 nn = std::min(spanWords_, m - r);
-                    chargeBranch(d, nn);
-                    dst->accumRange(r, nn, [](i16 v, u64) {
-                        return reluQRaw(v);
-                    });
-                    writeIndexSpan(d, st_.x, static_cast<i32>(r + nn),
-                                   nn);
-                    rt.progress(r);
-                    loopStep(d, nn);
-                    r += nn;
-                }
-                d.setPart(Part::Control);
-                rt.logWrite(st_.x, 0);
-                return next;
-            });
+        after = prog_.addTask([this, stat, dst, m, next](Runtime &rt) {
+            Device &d = rt.dev();
+            arch::ScopedLayer al(d, stat);
+            u32 r = static_cast<u32>(st_.x.read());
+            d.setPart(Part::Kernel);
+            while (r < m) {
+                // In-place span: relu is idempotent, so a re-run
+                // after a mid-span failure converges.
+                const u32 nn = std::min(spanWords_, m - r);
+                chargeBranch(d, nn);
+                dst->accumRange(r, nn, [](i16 v, u64) {
+                    return reluQRaw(v);
+                });
+                writeIndexSpan(d, st_.x, static_cast<i32>(r + nn),
+                               nn);
+                rt.progress(r);
+                loopStep(d, nn);
+                r += nn;
+            }
+            d.setPart(Part::Control);
+            rt.logWrite(st_.x, 0);
+            return next;
+        });
     }
 
     // Atomic reset of the undo-log indices between layers.
-    const TaskId t_reset = prog_.addTask(
-        layer.name + ".sfc.reset", [this, after](Runtime &rt) {
-            rt.logWrite(st_.rd, 0);
-            rt.logWrite(st_.wr, 0);
-            rt.logWrite(st_.col, 0);
-            rt.logWrite(st_.x, 0);
-            return after;
-        });
+    const TaskId t_reset = prog_.addTask([this, after](Runtime &rt) {
+        rt.logWrite(st_.rd, 0);
+        rt.logWrite(st_.wr, 0);
+        rt.logWrite(st_.col, 0);
+        rt.logWrite(st_.x, 0);
+        return after;
+    });
 
     // The in-place sparse accumulation under sparse undo-logging.
     const TaskId t_acc = prog_.addTask(
-        layer.name + ".sfc",
         [this, stat, fp, src, dst, nnz, t_reset](Runtime &rt) {
             Device &d = rt.dev();
             arch::ScopedLayer al(d, stat);
@@ -769,7 +750,6 @@ SonicBuilder::buildSparseFc(const DevLayer &layer, const DevSparseFc &op,
 
     // Zero the output map (idempotent write-once loop, span-filled).
     const TaskId t_zero = prog_.addTask(
-        layer.name + ".sfc.zero",
         [this, stat, dst, m, t_acc](Runtime &rt) {
             Device &d = rt.dev();
             arch::ScopedLayer al(d, stat);
@@ -791,11 +771,10 @@ SonicBuilder::buildSparseFc(const DevLayer &layer, const DevSparseFc &op,
             return t_acc;
         });
 
-    const TaskId t_entry = prog_.addTask(
-        layer.name + ".sfc.entry", [this, t_zero](Runtime &rt) {
-            rt.logWrite(st_.x, 0);
-            return t_zero;
-        });
+    const TaskId t_entry = prog_.addTask([this, t_zero](Runtime &rt) {
+        rt.logWrite(st_.x, 0);
+        return t_zero;
+    });
     return t_entry;
 }
 
@@ -810,7 +789,6 @@ SonicBuilder::buildPool(const DevLayer &layer, NvArray<i16> *src,
     const u32 out_plane = oh * ow;
 
     const TaskId t_pool = prog_.addTask(
-        layer.name + ".pool",
         [this, stat, src, dst, pre, ow, out_plane, next](Runtime &rt) {
             Device &d = rt.dev();
             arch::ScopedLayer al(d, stat);
@@ -848,12 +826,11 @@ SonicBuilder::buildPool(const DevLayer &layer, NvArray<i16> *src,
             return next;
         });
 
-    const TaskId t_entry = prog_.addTask(
-        layer.name + ".pool.entry", [this, t_pool](Runtime &rt) {
-            rt.logWrite(st_.oc, 0);
-            rt.logWrite(st_.x, 0);
-            return t_pool;
-        });
+    const TaskId t_entry = prog_.addTask([this, t_pool](Runtime &rt) {
+        rt.logWrite(st_.oc, 0);
+        rt.logWrite(st_.x, 0);
+        return t_pool;
+    });
     return t_entry;
 }
 

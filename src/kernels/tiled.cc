@@ -52,7 +52,6 @@ using task::TaskId;
 /** One flattened, tiled loop nest. */
 struct TiledStage
 {
-    std::string name;
     u16 statLayer = 0;
     u64 total = 0;
     std::function<void(Runtime &, u64)> body;
@@ -94,8 +93,7 @@ class TiledBuilder
         const u32 tile = tile_;
         auto self = std::make_shared<TaskId>(task::kDone);
         const TaskId id = prog.addTask(
-            stage.name, [this, &stage, tile, next, self](Runtime &rt)
-                -> TaskId {
+            [this, &stage, tile, next, self](Runtime &rt) -> TaskId {
                 Device &d = rt.dev();
                 arch::ScopedLayer al(d, stage.statLayer);
                 u64 i = static_cast<u64>(rt.logRead(flat_));
@@ -138,7 +136,6 @@ TiledBuilder::conv1dStage(const DevLayer &layer, const DevSparseVec &taps,
 {
     const u64 plane = u64{out_h} * out_w;
     TiledStage stage;
-    stage.name = layer.name + ".conv1d";
     stage.statLayer = layer.statLayer;
     stage.total = u64{taps.nnz} * plane;
     stage.body = [this, &taps, src, src_base, in_w, out_w, vertical, dst,
@@ -178,7 +175,6 @@ TiledBuilder::scaleStage(const DevLayer &layer, const DevSparseVec &scale,
                          bool relu)
 {
     TiledStage stage;
-    stage.name = layer.name + ".scale";
     stage.statLayer = layer.statLayer;
     stage.total = u64{scale.nnz} * plane;
     stage.body = [&scale, src, plane, dst, relu](Runtime &rt, u64 i) {
@@ -203,7 +199,6 @@ void
 TiledBuilder::reluStage(const DevLayer &layer, NvArray<i16> *buf, u32 m)
 {
     TiledStage stage;
-    stage.name = layer.name + ".relu";
     stage.statLayer = layer.statLayer;
     stage.total = m;
     stage.body = [buf](Runtime &rt, u64 i) {
@@ -257,7 +252,6 @@ TiledBuilder::buildLayer(u32 li)
         const u64 out_plane = u64{out_h} * out_w;
         const bool relu = layer.reluAfter;
         TiledStage stage;
-        stage.name = layer.name + ".spconv";
         stage.statLayer = layer.statLayer;
         stage.total = u64{layer.out.c} * out_plane;
         stage.body = [sc, src, conv_dst, out_plane, out_w, in_w,
@@ -308,7 +302,6 @@ TiledBuilder::buildLayer(u32 li)
         const u32 m = fc->m;
         const u32 n = fc->n;
         TiledStage stage;
-        stage.name = layer.name + ".fcd";
         stage.statLayer = layer.statLayer;
         stage.total = u64{m} * n;
         stage.body = [fc, src, conv_dst, m, n](Runtime &rt, u64 i) {
@@ -333,7 +326,6 @@ TiledBuilder::buildLayer(u32 li)
         // Zero init, then one iteration per stored weight.
         const u32 m = sfc->m;
         TiledStage zero;
-        zero.name = layer.name + ".sfc.zero";
         zero.statLayer = layer.statLayer;
         zero.total = m;
         zero.body = [conv_dst](Runtime &rt, u64 i) {
@@ -343,7 +335,6 @@ TiledBuilder::buildLayer(u32 li)
         stages_.push_back(std::move(zero));
 
         TiledStage acc;
-        acc.name = layer.name + ".sfc";
         acc.statLayer = layer.statLayer;
         acc.total = sfc->nnz;
         // The CSC column cursor is task-shared state, logged like
@@ -371,7 +362,6 @@ TiledBuilder::buildLayer(u32 li)
         stages_.push_back(std::move(acc));
         // Reset the column cursor for the next inference.
         TiledStage reset;
-        reset.name = layer.name + ".sfc.rst";
         reset.statLayer = layer.statLayer;
         reset.total = 1;
         reset.body = [col](Runtime &rt, u64) {
@@ -388,7 +378,6 @@ TiledBuilder::buildLayer(u32 li)
         const u32 ow = pre.w / 2;
         const u64 out_plane = u64{oh} * ow;
         TiledStage stage;
-        stage.name = layer.name + ".pool";
         stage.statLayer = layer.statLayer;
         stage.total = u64{pre.c} * out_plane;
         NvArray<i16> *pool_src = conv_dst;

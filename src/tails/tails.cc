@@ -82,37 +82,36 @@ class TailsBuilder : public kernels::SonicBuilder
     buildWithCalibration()
     {
         const TaskId net_entry = build();
-        const TaskId t_cal = prog_.addTask(
-            "tails.calibrate", [this, net_entry](Runtime &rt) {
-                Device &d = rt.dev();
-                d.consume(Op::Branch);
-                if (calDone_.read() != 0)
-                    return net_entry;
-                if (calAttempted_.read() != 0) {
-                    const i32 t = tileWords_.read();
-                    tileWords_.write(
-                        std::max<i32>(kMinTileWords, t / 2));
-                }
-                calAttempted_.write(1);
-                const u32 tile =
-                    static_cast<u32>(tileWords_.read());
-                rt.progress(tile);
-                // Probe: a representative DMA-in / 8-tap FIR /
-                // DMA-out round trip over `tile` elements.
-                d.consume(Op::DmaWord, tile);
-                d.consume(Op::SramLoad, tile);
-                d.consume(Op::AluShift,
-                          u64{tile} * kPreShiftBits);
-                d.consume(Op::SramStore, tile);
-                d.consume(Op::LeaInvoke);
-                d.consume(Op::LeaMac, u64{tile} * 8);
-                d.consume(Op::AluShift,
-                          u64{tile} * kPostShiftBits);
-                d.consume(Op::DmaWord, tile);
-                rt.logWrite(calDone_, 1);
-                rt.logWrite(calAttempted_, 0);
+        const TaskId t_cal = prog_.addTask([this, net_entry](Runtime &rt) {
+            Device &d = rt.dev();
+            d.consume(Op::Branch);
+            if (calDone_.read() != 0)
                 return net_entry;
-            });
+            if (calAttempted_.read() != 0) {
+                const i32 t = tileWords_.read();
+                tileWords_.write(
+                    std::max<i32>(kMinTileWords, t / 2));
+            }
+            calAttempted_.write(1);
+            const u32 tile =
+                static_cast<u32>(tileWords_.read());
+            rt.progress(tile);
+            // Probe: a representative DMA-in / 8-tap FIR /
+            // DMA-out round trip over `tile` elements.
+            d.consume(Op::DmaWord, tile);
+            d.consume(Op::SramLoad, tile);
+            d.consume(Op::AluShift,
+                      u64{tile} * kPreShiftBits);
+            d.consume(Op::SramStore, tile);
+            d.consume(Op::LeaInvoke);
+            d.consume(Op::LeaMac, u64{tile} * 8);
+            d.consume(Op::AluShift,
+                      u64{tile} * kPostShiftBits);
+            d.consume(Op::DmaWord, tile);
+            rt.logWrite(calDone_, 1);
+            rt.logWrite(calAttempted_, 0);
+            return net_entry;
+        });
         return t_cal;
     }
 
@@ -142,7 +141,6 @@ class TailsBuilder : public kernels::SonicBuilder
         const u32 klen = in_w - out_w + 1;
         const TaskId fin = copyStage(layer, out_h * out_w, next);
         const TaskId t_fir = prog_.addTask(
-            layer.name + ".lea.fir",
             [this, stat, tp, src, src_base, in_w, out_h, out_w, klen,
              fin](Runtime &rt) -> TaskId {
                 Device &d = rt.dev();
@@ -163,11 +161,10 @@ class TailsBuilder : public kernels::SonicBuilder
                 rt.logWrite(st_.y, 0);
                 return fin;
             });
-        const TaskId t_entry = prog_.addTask(
-            layer.name + ".lea.fir.entry", [this, t_fir](Runtime &rt) {
-                rt.logWrite(st_.y, 0);
-                return t_fir;
-            });
+        const TaskId t_entry = prog_.addTask([this, t_fir](Runtime &rt) {
+            rt.logWrite(st_.y, 0);
+            return t_fir;
+        });
         return t_entry;
     }
 
@@ -186,7 +183,6 @@ class TailsBuilder : public kernels::SonicBuilder
     {
         const u16 stat = layer.statLayer;
         const TaskId t_copy = prog_.addTask(
-            layer.name + ".lea.copy",
             [this, stat, count, next](Runtime &rt) {
                 Device &d = rt.dev();
                 arch::ScopedLayer al(d, stat);
@@ -224,7 +220,6 @@ class TailsBuilder : public kernels::SonicBuilder
         const DevSparseVec *tp = &taps;
         const TaskId fin = copyStage(layer, out_h * out_w, next);
         const TaskId t_dot = prog_.addTask(
-            layer.name + ".lea.dot",
             [this, stat, tp, src, src_base, in_w, stride, klen, out_h,
              out_w, fin](Runtime &rt) -> TaskId {
                 Device &d = rt.dev();
@@ -257,12 +252,11 @@ class TailsBuilder : public kernels::SonicBuilder
                 rt.logWrite(st_.y, 0);
                 return fin;
             });
-        const TaskId t_entry = prog_.addTask(
-            layer.name + ".lea.dot.entry", [this, t_dot](Runtime &rt) {
-                rt.logWrite(st_.y, 0);
-                rt.logWrite(st_.x, 0);
-                return t_dot;
-            });
+        const TaskId t_entry = prog_.addTask([this, t_dot](Runtime &rt) {
+            rt.logWrite(st_.y, 0);
+            rt.logWrite(st_.x, 0);
+            return t_dot;
+        });
         return t_entry;
     }
 
@@ -292,7 +286,6 @@ class TailsBuilder : public kernels::SonicBuilder
 
         // Per-channel finalize: identical role to SONIC's.
         const TaskId t_fin = prog_.addTask(
-            layer.name + ".lea.spconv.fin",
             [this, stat, cp, dst, relu, out_plane,
              slot_conv](Runtime &rt) {
                 Device &d = rt.dev();
@@ -335,7 +328,6 @@ class TailsBuilder : public kernels::SonicBuilder
         // One task execution = one densified filter row applied by FIR
         // across the input band, accumulated loop-ordered.
         const TaskId t_row = prog_.addTask(
-            layer.name + ".lea.spconv",
             [this, stat, cp, src, in_plane, in_w, out_h, out_w,
              out_plane, oc_count, kw, next, t_fin,
              slot_next](Runtime &rt) -> TaskId {
@@ -403,7 +395,6 @@ class TailsBuilder : public kernels::SonicBuilder
             });
 
         const TaskId t_next = prog_.addTask(
-            layer.name + ".lea.spconv.next",
             [this, cp, slot_conv](Runtime &rt) {
                 Device &d = rt.dev();
                 const i32 t = st_.tap.read();
@@ -430,16 +421,14 @@ class TailsBuilder : public kernels::SonicBuilder
         *slot_next = t_next;
         *slot_conv = t_row;
 
-        const TaskId t_entry = prog_.addTask(
-            layer.name + ".lea.spconv.entry",
-            [this, t_row](Runtime &rt) {
-                rt.logWrite(st_.oc, 0);
-                rt.logWrite(st_.tap, 0);
-                rt.logWrite(st_.buf, 0);
-                rt.logWrite(st_.y, 0);
-                rt.logWrite(st_.x, 0);
-                return t_row;
-            });
+        const TaskId t_entry = prog_.addTask([this, t_row](Runtime &rt) {
+            rt.logWrite(st_.oc, 0);
+            rt.logWrite(st_.tap, 0);
+            rt.logWrite(st_.buf, 0);
+            rt.logWrite(st_.y, 0);
+            rt.logWrite(st_.x, 0);
+            return t_row;
+        });
         return t_entry;
     }
 
@@ -457,7 +446,6 @@ class TailsBuilder : public kernels::SonicBuilder
         const u32 n = op.n;
 
         const TaskId t_fc = prog_.addTask(
-            layer.name + ".lea.fc",
             [this, stat, fp, src, dst, relu, m, n, next](Runtime &rt)
                 -> TaskId {
                 Device &d = rt.dev();
@@ -491,11 +479,10 @@ class TailsBuilder : public kernels::SonicBuilder
                 rt.logWrite(st_.x, 0);
                 return next;
             });
-        const TaskId t_entry = prog_.addTask(
-            layer.name + ".lea.fc.entry", [this, t_fc](Runtime &rt) {
-                rt.logWrite(st_.x, 0);
-                return t_fc;
-            });
+        const TaskId t_entry = prog_.addTask([this, t_fc](Runtime &rt) {
+            rt.logWrite(st_.x, 0);
+            return t_fc;
+        });
         return t_entry;
     }
 

@@ -2,7 +2,7 @@
  * @file
  * The task-based intermittent runtime substrate.
  *
- * A Program is a set of named tasks; a Scheduler executes them on a
+ * A Program is an ordered set of tasks; a Scheduler executes them on a
  * Device, restarting the current task from its top after every power
  * failure (volatile locals reinitialize naturally because the task
  * function is re-entered). The Runtime object handed to each task
@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "arch/device.hh"
@@ -48,9 +47,9 @@ class Program
   public:
     /** Register a task; returns its id. */
     TaskId
-    addTask(std::string name, TaskFn fn)
+    addTask(TaskFn fn)
     {
-        tasks_.push_back({std::move(name), std::move(fn)});
+        tasks_.push_back(std::move(fn));
         return static_cast<TaskId>(tasks_.size() - 1);
     }
 
@@ -59,17 +58,11 @@ class Program
     const TaskFn &
     taskFn(TaskId id) const
     {
-        return tasks_[static_cast<u32>(id)].fn;
+        return tasks_[static_cast<u32>(id)];
     }
 
   private:
-    struct TaskDef
-    {
-        std::string name;
-        TaskFn fn;
-    };
-
-    std::vector<TaskDef> tasks_;
+    std::vector<TaskFn> tasks_;
 };
 
 /**

@@ -15,6 +15,7 @@
 
 #include "arch/device.hh"
 #include "arch/memory.hh"
+#include "tests/test_helpers.hh"
 #include "util/rng.hh"
 
 namespace sonic::arch
@@ -69,14 +70,14 @@ TEST(EnergyProfile, AblationsInflateTheRightOps)
 
 TEST(CapacitorPower, CapacityFollowsCapacitance)
 {
-    CapacitorPower small(100e-6, 0.5e-3);
-    CapacitorPower big(1e-3, 0.5e-3);
+    testutil::CapacitorPower small(100e-6, 0.5e-3);
+    testutil::CapacitorPower big(1e-3, 0.5e-3);
     EXPECT_NEAR(big.capacityNj() / small.capacityNj(), 10.0, 1e-6);
 }
 
 TEST(CapacitorPower, DrainsAndFails)
 {
-    CapacitorPower cap(100e-6, 0.5e-3);
+    testutil::CapacitorPower cap(100e-6, 0.5e-3);
     const f64 budget = cap.capacityNj();
     EXPECT_TRUE(cap.draw(budget * 0.6));
     EXPECT_FALSE(cap.draw(budget * 0.6)); // exceeds remaining charge
@@ -85,7 +86,7 @@ TEST(CapacitorPower, DrainsAndFails)
 
 TEST(CapacitorPower, RechargeTimeMatchesHarvestPower)
 {
-    CapacitorPower cap(100e-6, 0.5e-3);
+    testutil::CapacitorPower cap(100e-6, 0.5e-3);
     const f64 budget = cap.capacityNj();
     EXPECT_FALSE(cap.draw(budget * 2)); // kill it
     const f64 dead = cap.recharge();
@@ -95,32 +96,45 @@ TEST(CapacitorPower, RechargeTimeMatchesHarvestPower)
 
 TEST(CapacitorPower, HarvestAccounting)
 {
-    CapacitorPower cap(100e-6, 0.5e-3);
+    testutil::CapacitorPower cap(100e-6, 0.5e-3);
     const f64 initial = cap.harvestedNj();
     EXPECT_FALSE(cap.draw(cap.capacityNj() * 2));
     cap.recharge();
     EXPECT_GT(cap.harvestedNj(), initial);
 }
 
-TEST(FailOnceAfterOps, FailsExactlyOnce)
+TEST(SchedulePower, SingleIndexFailsExactlyOnce)
 {
-    FailOnceAfterOps psu(3);
+    SchedulePower psu({3});
     EXPECT_TRUE(psu.draw(1));
     EXPECT_TRUE(psu.draw(1));
     EXPECT_TRUE(psu.draw(1));
     EXPECT_FALSE(psu.draw(1)); // the 4th draw (index 3) fails
     for (int i = 0; i < 100; ++i)
         EXPECT_TRUE(psu.draw(1));
-    EXPECT_TRUE(psu.triggered());
+    EXPECT_GT(psu.firedCount(), 0u);
 }
 
-TEST(FailEveryOps, PeriodicFailure)
+TEST(SchedulePower, PeriodicFailure)
 {
-    FailEveryOps psu(4);
+    SchedulePower psu({3}, 4);
     int ok = 0;
     for (int i = 0; i < 12; ++i)
         ok += psu.draw(1);
     EXPECT_EQ(ok, 9); // 3 failures in 12 draws
+}
+
+TEST(SchedulePower, PeriodRepeatsEveryEntry)
+{
+    // Draw i fails iff i % 5 is in {1, 3}; the cursor wraps each
+    // period, and firedCount() keeps counting across the wraps.
+    SchedulePower psu({3, 1}, 5);
+    std::vector<u64> failed;
+    for (u64 i = 0; i < 12; ++i)
+        if (!psu.draw(1.0))
+            failed.push_back(i);
+    EXPECT_EQ(failed, (std::vector<u64>{1, 3, 6, 8, 11}));
+    EXPECT_EQ(psu.firedCount(), 5u);
 }
 
 TEST(Device, ConsumeAccumulatesCyclesAndEnergy)
@@ -142,8 +156,7 @@ TEST(Device, LiveSecondsUsesClock)
 
 TEST(Device, ThrowsOnExhaustedBuffer)
 {
-    Device dev(EnergyProfile::msp430fr5994(),
-               std::make_unique<FailOnceAfterOps>(2));
+    Device dev(EnergyProfile::msp430fr5994(), testutil::failOnceAt(2));
     dev.consume(Op::Nop);
     dev.consume(Op::Nop);
     EXPECT_THROW(dev.consume(Op::Nop), PowerFailure);
@@ -174,8 +187,7 @@ TEST(Device, StatsAttributionByLayerAndPart)
 
 TEST(Device, ScopedAttributionRestoresOnUnwind)
 {
-    Device dev(EnergyProfile::msp430fr5994(),
-               std::make_unique<FailOnceAfterOps>(0));
+    Device dev(EnergyProfile::msp430fr5994(), testutil::failOnceAt(0));
     const u16 conv = dev.registerLayer("conv");
     try {
         ScopedLayer al(dev, conv);
@@ -186,16 +198,6 @@ TEST(Device, ScopedAttributionRestoresOnUnwind)
     }
     EXPECT_EQ(dev.currentLayer(), 0);
     EXPECT_EQ(dev.currentPart(), Part::Control);
-}
-
-TEST(Device, StatsResetKeepsLayers)
-{
-    auto dev = makeContinuousDevice();
-    const u16 conv = dev.registerLayer("conv");
-    dev.consume(Op::Nop);
-    dev.stats().reset();
-    EXPECT_EQ(dev.stats().totalCycles(), 0u);
-    EXPECT_EQ(dev.stats().layerName(conv), "conv");
 }
 
 TEST(Memory, NvArrayPersistsAcrossReboot)
@@ -265,8 +267,7 @@ TEST(Memory, FramCapacityTracked)
 
 TEST(Memory, PowerFailureBeforeWriteLands)
 {
-    Device dev(EnergyProfile::msp430fr5994(),
-               std::make_unique<FailOnceAfterOps>(0));
+    Device dev(EnergyProfile::msp430fr5994(), testutil::failOnceAt(0));
     NvArray<i16> arr(dev, 4, "a");
     arr.poke(0, 42);
     EXPECT_THROW(arr.write(0, 99), PowerFailure);
@@ -336,10 +337,10 @@ TEST(Memory, ReadStrideGathersAndCharges)
 
 TEST(Memory, BulkSpanIsAtomicUnderPowerFailure)
 {
-    Device dev(EnergyProfile::msp430fr5994(),
-               std::make_unique<FailOnceAfterOps>(0));
+    Device dev(EnergyProfile::msp430fr5994(), testutil::failOnceAt(0));
     NvArray<i16> arr(dev, 16, "a");
-    arr.fillHost(42);
+    for (u32 i = 0; i < 16; ++i)
+        arr.poke(i, 42);
     i16 buf[16] = {};
     EXPECT_THROW(arr.writeRange(0, 16, buf), PowerFailure);
     // All-or-nothing: no element of the span landed.
@@ -354,10 +355,10 @@ TEST(Memory, AccumRangeAtomicUnderPowerFailure)
 {
     // accumRange charges loads then stores; fail the store charge and
     // the span must be untouched.
-    Device dev(EnergyProfile::msp430fr5994(),
-               std::make_unique<FailOnceAfterOps>(1));
+    Device dev(EnergyProfile::msp430fr5994(), testutil::failOnceAt(1));
     NvArray<i16> arr(dev, 8, "a");
-    arr.fillHost(-5);
+    for (u32 i = 0; i < 8; ++i)
+        arr.poke(i, -5);
     EXPECT_THROW(
         arr.accumRange(0, 8, [](i16 v, u64) -> i16 {
             return v > 0 ? v : 0;
@@ -377,8 +378,7 @@ TEST(Memory, WriteCoalescedChargesNStoresLandsLastValue)
               5 * dev.profile().cycles(Op::FramStore));
     EXPECT_EQ(v.peek(), 9);
 
-    Device failing(EnergyProfile::msp430fr5994(),
-                   std::make_unique<FailOnceAfterOps>(0));
+    Device failing(EnergyProfile::msp430fr5994(), testutil::failOnceAt(0));
     NvVar<i16> w(failing, "w", 3);
     EXPECT_THROW(w.writeCoalesced(9, 5), PowerFailure);
     EXPECT_EQ(w.peek(), 3); // atomic as a unit
@@ -387,31 +387,31 @@ TEST(Memory, WriteCoalescedChargesNStoresLandsLastValue)
 TEST(Device, FailingBulkChargeCountsOnePendingReboot)
 {
     // A PowerFailure thrown from a bulk (count > 1) charge is one
-    // failure, not one per word: the pending counter records exactly
-    // one un-modelled reboot, and reboot() consumes the backlog.
-    Device dev(EnergyProfile::msp430fr5994(),
-               std::make_unique<FailOnceAfterOps>(0));
+    // failure, not one per word, and reboot() models one power cycle.
+    struct FailureCounter : TraceProbe
+    {
+        void onPowerFailure(const Device &) override { ++failures; }
+        u64 failures = 0;
+    };
+    FailureCounter probe;
+    Device dev(EnergyProfile::msp430fr5994(), testutil::failOnceAt(0));
+    dev.setProbe(&probe);
     NvArray<i16> arr(dev, 64, "a");
     i16 buf[64] = {};
-    EXPECT_EQ(dev.rebootsPending(), 0u);
     EXPECT_THROW(arr.writeRange(0, 64, buf), PowerFailure);
-    EXPECT_EQ(dev.rebootsPending(), 1u);
+    EXPECT_EQ(probe.failures, 1u);
     dev.reboot();
-    EXPECT_EQ(dev.rebootsPending(), 0u);
     EXPECT_EQ(dev.rebootCount(), 1u);
 }
 
 TEST(Device, RebootConsumesWholeFailureBacklog)
 {
     // Two failures charged before the scheduler models the power cycle
-    // still count as a single reboot; the backlog never double-counts.
-    Device dev(EnergyProfile::msp430fr5994(),
-               std::make_unique<FailEveryOps>(1));
+    // still count as a single reboot.
+    Device dev(EnergyProfile::msp430fr5994(), testutil::failEvery(1));
     EXPECT_THROW(dev.consume(Op::Nop), PowerFailure);
     EXPECT_THROW(dev.consume(Op::Nop), PowerFailure);
-    EXPECT_EQ(dev.rebootsPending(), 2u);
     dev.reboot();
-    EXPECT_EQ(dev.rebootsPending(), 0u);
     EXPECT_EQ(dev.rebootCount(), 1u);
 }
 
@@ -467,7 +467,8 @@ TEST(Memory, EmptySpansChargeOneDrawUnitAndMoveNothing)
     // (the accounting boundary crossing), exactly like consume(op, 0).
     auto dev = makeContinuousDevice();
     NvArray<i16> arr(dev, 8, "a");
-    arr.fillHost(5);
+    for (u32 i = 0; i < 8; ++i)
+        arr.poke(i, 5);
     i16 buf[4] = {99, 99, 99, 99};
     arr.readRange(3, 0, buf);
     arr.writeRange(3, 0, buf);
@@ -523,11 +524,9 @@ TEST(Memory, SpanStraddlingLeaseExhaustionMatchesPerOpMode)
         DeviceConfig leased, per_op;
         per_op.perOpPowerDraw = true;
         Device a(EnergyProfile::msp430fr5994(),
-                 std::make_unique<FailOnceAfterOps>(fail_after),
-                 leased);
+                 testutil::failOnceAt(fail_after), leased);
         Device b(EnergyProfile::msp430fr5994(),
-                 std::make_unique<FailOnceAfterOps>(fail_after),
-                 per_op);
+                 testutil::failOnceAt(fail_after), per_op);
         EXPECT_EQ(script(a), script(b)) << fail_after;
         EXPECT_EQ(a.cycles(), b.cycles()) << fail_after;
         EXPECT_EQ(a.stats().totalNanojoules(),
@@ -575,8 +574,7 @@ TEST(NvmDigest, RebootDigestProbeSnapshotsEveryReboot)
     };
     std::vector<u64> chain;
     IndexedDigests probe(chain);
-    Device dev(EnergyProfile::msp430fr5994(),
-               std::make_unique<FailEveryOps>(3));
+    Device dev(EnergyProfile::msp430fr5994(), testutil::failEvery(3));
     NvArray<i16> fram(dev, 4, "nv");
     dev.setProbe(&probe);
     for (u32 i = 0; i < 9; ++i) {
@@ -740,7 +738,8 @@ TEST(FixedFold, DevicesOnEightThreadsShareOneRegion)
             NvArray<i16> prefix(dev, t + 1, "prefix");
             const NvConstArray<i16> view(dev, shared);
             for (u32 k = 0; k < kRounds; ++k) {
-                prefix.fillHost(prefixValue(t, k));
+                for (u32 i = 0; i <= t; ++i)
+                    prefix.poke(i, prefixValue(t, k));
                 got[t].push_back(dev.nvmDigest());
             }
         });

@@ -27,6 +27,7 @@
 #include "arch/device.hh"
 #include "env/environment.hh"
 #include "env/traces.hh"
+#include "tests/test_helpers.hh"
 #include "util/rng.hh"
 
 namespace sonic::env
@@ -667,7 +668,7 @@ TEST(EnvClock, TimeInvariantSuppliesIgnoreElapse)
     continuous.elapse(1e18);
     EXPECT_EQ(continuous.harvestedNj(), 0.0);
 
-    arch::CapacitorPower cap(100e-6, 0.5e-3);
+    testutil::CapacitorPower cap(100e-6, 0.5e-3);
     const f64 level = cap.levelNj();
     cap.elapse(0.0);
     cap.elapse(1e18);

@@ -34,7 +34,7 @@ TEST(Experiment, RfPaperEnvironmentMatchesCapacitorPower)
 {
     // The paper's capacitor runs are rf-paper@C environments: a
     // HarvestSupply over a constant 0.5 mW model. The reference is a
-    // device on arch::CapacitorPower(C, 0.5 mW), the same physics in
+    // device on testutil::CapacitorPower(C, 0.5 mW), the same physics in
     // closed form. Everything is bit-identical except the recharge
     // dead time, which the two supplies integrate along different
     // roundings (a few ULPs at most).
@@ -53,7 +53,7 @@ TEST(Experiment, RfPaperEnvironmentMatchesCapacitorPower)
                 const auto r = engine().runOne(spec);
 
                 arch::Device dev(makeProfile(spec.profile),
-                                 std::make_unique<arch::CapacitorPower>(
+                                 std::make_unique<testutil::CapacitorPower>(
                                      farads, env::kRfPaperWatts));
                 dnn::DeviceNetwork device_net(dev,
                                               engine().compressed(net));
@@ -94,7 +94,7 @@ TEST(Experiment, EmptyEnvironmentIsContinuous)
     const auto cap = makeSupply(spec);
     EXPECT_NE(dynamic_cast<env::HarvestSupply *>(cap.get()), nullptr);
     EXPECT_EQ(cap->capacityNj(),
-              arch::CapacitorPower(1e-3, env::kRfPaperWatts).capacityNj());
+              testutil::CapacitorPower(1e-3, env::kRfPaperWatts).capacityNj());
 }
 
 TEST(Experiment, EngineCachesAreStable)

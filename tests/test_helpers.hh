@@ -3,19 +3,130 @@
  * Shared fixtures for kernel/integration tests: a tiny network that
  * exercises every device layer kind (factored conv with all stages,
  * pooling, pruned 2-D conv, sparse FC, dense FC) quickly enough for
- * exhaustive failure-injection sweeps.
+ * exhaustive failure-injection sweeps, the two fault-injection shapes
+ * those sweeps use, and the closed-form capacitor supply the harvest
+ * environments are checked against.
  */
 
 #ifndef SONIC_TESTS_TEST_HELPERS_HH
 #define SONIC_TESTS_TEST_HELPERS_HH
 
+#include <memory>
+
+#include "arch/power.hh"
 #include "dnn/spec.hh"
 #include "fixed/fixed.hh"
 #include "tensor/sparse.hh"
+#include "util/logging.hh"
 #include "util/rng.hh"
 
 namespace sonic::testutil
 {
+
+/** Succeeds for exactly n draws, fails draw n, then is continuous.
+ * Sweeping n over every operation index of a kernel tests crash
+ * consistency at every possible failure point. */
+inline std::unique_ptr<arch::SchedulePower>
+failOnceAt(u64 n)
+{
+    return std::make_unique<arch::SchedulePower>(std::vector<u64>{n});
+}
+
+/** Fails every period-th draw (draws period - 1, 2 * period - 1, ...),
+ * forever: an extremely small buffer with deterministic timing. */
+inline std::unique_ptr<arch::SchedulePower>
+failEvery(u64 period)
+{
+    SONIC_ASSERT(period > 0);
+    return std::make_unique<arch::SchedulePower>(
+        std::vector<u64>{period - 1}, period);
+}
+
+/**
+ * A capacitor charged by a constant-power harvester (e.g., the paper's
+ * Powercast RF setup): the closed-form reference for the harvest
+ * environments. The usable buffer is E = 1/2 C (Vmax^2 - Vmin^2);
+ * when the buffer empties the device dies and recharges at the harvest
+ * power.
+ */
+class CapacitorPower : public arch::PowerSupply
+{
+  public:
+    /**
+     * @param capacitance_farads storage capacitance
+     * @param harvest_watts harvester income power
+     * @param v_max regulator-on voltage
+     * @param v_min brown-out voltage
+     */
+    CapacitorPower(f64 capacitance_farads, f64 harvest_watts,
+                   f64 v_max = arch::kRegulatorVMax,
+                   f64 v_min = arch::kRegulatorVMin)
+        : harvestWatts_(harvest_watts),
+          capacityNj_(0.5 * capacitance_farads
+                      * (v_max * v_max - v_min * v_min) * 1e9),
+          levelNj_(capacityNj_), harvestedNj_(capacityNj_)
+    {
+        SONIC_ASSERT(capacitance_farads > 0.0);
+        SONIC_ASSERT(harvest_watts > 0.0);
+        SONIC_ASSERT(v_max > v_min && v_min > 0.0);
+    }
+
+    bool
+    draw(f64 nj) override
+    {
+        SONIC_ASSERT(nj >= 0.0);
+        if (levelNj_ >= nj) {
+            levelNj_ -= nj;
+            return true;
+        }
+        // Brown-out: whatever charge remains is below the regulator's
+        // operating point and is lost.
+        levelNj_ = 0.0;
+        return false;
+    }
+
+    /**
+     * Hand the whole remaining charge out as the lease. The Device's
+     * countdown then performs the very same subtraction sequence
+     * draw() would have, so the brown-out lands on the bit-identical
+     * operation; settle() puts the remainder back.
+     */
+    arch::EnergyLease
+    grant(f64 /*max_nj*/, u64 max_ops) override
+    {
+        const f64 nj = levelNj_;
+        levelNj_ = 0.0;
+        return {nj, max_ops};
+    }
+
+    void
+    settle(f64 unused_nj, f64 /*used_nj*/, u64 /*used_ops*/) override
+    {
+        levelNj_ += unused_nj;
+    }
+
+    f64
+    recharge() override
+    {
+        const f64 deficit = capacityNj_ - levelNj_;
+        harvestedNj_ += deficit;
+        levelNj_ = capacityNj_;
+        // Income power in nJ/s is harvestWatts * 1e9.
+        return deficit / (harvestWatts_ * 1e9);
+    }
+
+    f64 capacityNj() const override { return capacityNj_; }
+    f64 harvestedNj() const override { return harvestedNj_; }
+
+    /** Remaining charge in nanojoules (diagnostics). */
+    f64 levelNj() const { return levelNj_; }
+
+  private:
+    f64 harvestWatts_;
+    f64 capacityNj_;
+    f64 levelNj_;
+    f64 harvestedNj_;
+};
 
 /**
  * Relative tolerance for comparing simulated energy/time totals that

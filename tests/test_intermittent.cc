@@ -78,9 +78,8 @@ TEST(Intermittent, SonicSurvivesFailureAtEveryOperation)
 
     for (u64 n = 0; n < total + 3; ++n) {
         bool completed = false;
-        const auto logits = runTinyWith(
-            Impl::Sonic, std::make_unique<arch::FailOnceAfterOps>(n),
-            &completed);
+        const auto logits =
+            runTinyWith(Impl::Sonic, testutil::failOnceAt(n), &completed);
         ASSERT_TRUE(completed) << "failure at op " << n;
         ASSERT_EQ(logits, golden) << "divergence, failure at op " << n;
     }
@@ -94,9 +93,8 @@ TEST(Intermittent, TailsSurvivesSampledSingleFailures)
     // Sample densely (every 7th op) — TAILS ops are coarser batches.
     for (u64 n = 0; n < total + 3; n += 7) {
         bool completed = false;
-        const auto logits = runTinyWith(
-            Impl::Tails, std::make_unique<arch::FailOnceAfterOps>(n),
-            &completed);
+        const auto logits =
+            runTinyWith(Impl::Tails, testutil::failOnceAt(n), &completed);
         ASSERT_TRUE(completed) << "failure at op " << n;
         ASSERT_EQ(logits, golden) << "divergence, failure at op " << n;
     }
@@ -109,9 +107,8 @@ TEST(Intermittent, Tile8SurvivesSampledSingleFailures)
     const u64 total = countTinyOps(Impl::Tile8);
     for (u64 n = 0; n < total + 3; n += 11) {
         bool completed = false;
-        const auto logits = runTinyWith(
-            Impl::Tile8, std::make_unique<arch::FailOnceAfterOps>(n),
-            &completed);
+        const auto logits =
+            runTinyWith(Impl::Tile8, testutil::failOnceAt(n), &completed);
         ASSERT_TRUE(completed) << "failure at op " << n;
         ASSERT_EQ(logits, golden) << "divergence, failure at op " << n;
     }
@@ -141,8 +138,7 @@ TEST_P(PeriodicSweep, BitIdenticalUnderRepeatedFailures)
     bool completed = false;
     u64 reboots = 0;
     const auto logits =
-        runTinyWith(impl, std::make_unique<arch::FailEveryOps>(period),
-                    &completed, &reboots);
+        runTinyWith(impl, testutil::failEvery(period), &completed, &reboots);
     ASSERT_TRUE(completed);
     EXPECT_GT(reboots, 0u);
     EXPECT_EQ(logits, golden);
@@ -264,7 +260,7 @@ TEST(Intermittent, TailsCalibrationShrinksTileOnSmallBuffer)
     // tile, large enough for every per-iteration unit of the network.
     arch::Device small_dev(
         arch::EnergyProfile::msp430fr5994(),
-        std::make_unique<arch::CapacitorPower>(15e-6, 0.5e-3));
+        std::make_unique<testutil::CapacitorPower>(15e-6, 0.5e-3));
     dnn::DeviceNetwork small_net(small_dev, spec);
     small_net.loadInput(testutil::tinyInput());
     tails::CalibrationInfo small_cal;

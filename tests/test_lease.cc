@@ -91,7 +91,7 @@ TEST(LeaseScript, FailOnceEveryInjectionPointMatches)
     // must be the identical one in both modes.
     for (u64 fail_after = 0; fail_after < 300; ++fail_after) {
         auto make = [fail_after] {
-            return std::make_unique<FailOnceAfterOps>(fail_after);
+            return testutil::failOnceAt(fail_after);
         };
         expectScriptEquivalence(make, 512);
     }
@@ -99,14 +99,18 @@ TEST(LeaseScript, FailOnceEveryInjectionPointMatches)
 
 TEST(LeaseScript, FailEveryPeriodMatches)
 {
-    // Period 0 degenerates to failing every draw; it must too.
-    for (u64 period : {u64{0}, u64{1}, u64{2}, u64{3}, u64{7}, u64{61},
-                       u64{127}}) {
+    // Period 1 fails every draw; it must too.
+    for (u64 period : {u64{1}, u64{2}, u64{3}, u64{7}, u64{61}, u64{127}}) {
         auto make = [period] {
-            return std::make_unique<FailEveryOps>(period);
+            return testutil::failEvery(period);
         };
         expectScriptEquivalence(make, 2048);
     }
+    // A repeating multi-entry schedule: draws 0, 3, 4, 7, 10, 11, ...
+    const auto repeating = [] {
+        return std::make_unique<SchedulePower>(std::vector<u64>{0, 3, 4}, 7);
+    };
+    expectScriptEquivalence(repeating, 2048);
 }
 
 TEST(LeaseScript, CapacitorBrownOutLandsOnSameOp)
@@ -115,7 +119,7 @@ TEST(LeaseScript, CapacitorBrownOutLandsOnSameOp)
     // countdown must follow the identical floating-point sequence.
     for (const f64 farads : {2e-6, 5e-6, 20e-6}) {
         auto make = [farads] {
-            return std::make_unique<CapacitorPower>(farads, 0.5e-3);
+            return std::make_unique<testutil::CapacitorPower>(farads, 0.5e-3);
         };
         auto leased = makeDevice(make(), false);
         auto reference = makeDevice(make(), true);
@@ -128,9 +132,9 @@ TEST(LeaseScript, CapacitorBrownOutLandsOnSameOp)
         // Supply-side state is exact too: the remaining charge and the
         // harvest account settle to the per-op-draw values.
         const auto &cap_a =
-            static_cast<const CapacitorPower &>(leased.power());
+            static_cast<const testutil::CapacitorPower &>(leased.power());
         const auto &cap_b =
-            static_cast<const CapacitorPower &>(reference.power());
+            static_cast<const testutil::CapacitorPower &>(reference.power());
         EXPECT_EQ(cap_a.levelNj(), cap_b.levelNj()) << farads;
         EXPECT_EQ(cap_a.harvestedNj(), cap_b.harvestedNj()) << farads;
     }
@@ -219,12 +223,8 @@ TEST(LeaseKernels, SonicExhaustiveFailOnceSweepIdentical)
     // Op instances bound the draw-call count, so sweeping them covers
     // every possible failing draw.
     for (u64 n = 0; n < golden.opInstances + 3; ++n) {
-        const auto a = runTiny(
-            Impl::Sonic, std::make_unique<arch::FailOnceAfterOps>(n),
-            false);
-        const auto b = runTiny(
-            Impl::Sonic, std::make_unique<arch::FailOnceAfterOps>(n),
-            true);
+        const auto a = runTiny(Impl::Sonic, testutil::failOnceAt(n), false);
+        const auto b = runTiny(Impl::Sonic, testutil::failOnceAt(n), true);
         expectProbesEqual(a, b, n);
         ASSERT_TRUE(a.completed) << n;
         ASSERT_EQ(a.logits, golden.logits) << n;
@@ -237,12 +237,8 @@ TEST(LeaseKernels, SampledFailOnceSweepsIdenticalAcrossImpls)
         const auto golden = runTiny(
             impl, std::make_unique<arch::ContinuousPower>(), true);
         for (u64 n = 0; n < golden.opInstances + 3; n += 13) {
-            const auto a = runTiny(
-                impl, std::make_unique<arch::FailOnceAfterOps>(n),
-                false);
-            const auto b = runTiny(
-                impl, std::make_unique<arch::FailOnceAfterOps>(n),
-                true);
+            const auto a = runTiny(impl, testutil::failOnceAt(n), false);
+            const auto b = runTiny(impl, testutil::failOnceAt(n), true);
             expectProbesEqual(a, b, n);
         }
     }
@@ -251,12 +247,10 @@ TEST(LeaseKernels, SampledFailOnceSweepsIdenticalAcrossImpls)
 TEST(LeaseKernels, PeriodicFailuresIdentical)
 {
     for (const u64 period : {u64{61}, u64{127}, u64{521}, u64{2053}}) {
-        const auto a = runTiny(
-            Impl::Sonic, std::make_unique<arch::FailEveryOps>(period),
-            false);
-        const auto b = runTiny(
-            Impl::Sonic, std::make_unique<arch::FailEveryOps>(period),
-            true);
+        const auto a =
+            runTiny(Impl::Sonic, testutil::failEvery(period), false);
+        const auto b =
+            runTiny(Impl::Sonic, testutil::failEvery(period), true);
         expectProbesEqual(a, b, period);
         ASSERT_TRUE(a.completed) << period;
         EXPECT_GT(a.reboots, 0u) << period;
@@ -275,10 +269,10 @@ TEST(LeaseKernels, TinyBufferClampsSpansAndStillCompletes)
         Impl::Sonic, std::make_unique<arch::ContinuousPower>(), true);
     const auto a = runTiny(
         Impl::Sonic,
-        std::make_unique<arch::CapacitorPower>(3e-6, 0.5e-3), false);
+        std::make_unique<testutil::CapacitorPower>(3e-6, 0.5e-3), false);
     const auto b = runTiny(
         Impl::Sonic,
-        std::make_unique<arch::CapacitorPower>(3e-6, 0.5e-3), true);
+        std::make_unique<testutil::CapacitorPower>(3e-6, 0.5e-3), true);
     expectProbesEqual(a, b, 3);
     ASSERT_TRUE(a.completed);
     EXPECT_GT(a.reboots, 100u);
@@ -288,10 +282,10 @@ TEST(LeaseKernels, TinyBufferClampsSpansAndStillCompletes)
     // per-element build as well) the two modes must still agree.
     const auto dnf_a = runTiny(
         Impl::Sonic,
-        std::make_unique<arch::CapacitorPower>(2e-6, 0.5e-3), false);
+        std::make_unique<testutil::CapacitorPower>(2e-6, 0.5e-3), false);
     const auto dnf_b = runTiny(
         Impl::Sonic,
-        std::make_unique<arch::CapacitorPower>(2e-6, 0.5e-3), true);
+        std::make_unique<testutil::CapacitorPower>(2e-6, 0.5e-3), true);
     expectProbesEqual(dnf_a, dnf_b, 2);
     EXPECT_FALSE(dnf_a.completed);
 }
@@ -301,11 +295,11 @@ TEST(LeaseKernels, CapacitorRunsIdenticalIncludingDeadTime)
     for (const f64 farads : {30e-6, 100e-6}) {
         const auto a = runTiny(
             Impl::Sonic,
-            std::make_unique<arch::CapacitorPower>(farads, 0.5e-3),
+            std::make_unique<testutil::CapacitorPower>(farads, 0.5e-3),
             false);
         const auto b = runTiny(
             Impl::Sonic,
-            std::make_unique<arch::CapacitorPower>(farads, 0.5e-3),
+            std::make_unique<testutil::CapacitorPower>(farads, 0.5e-3),
             true);
         expectProbesEqual(a, b, static_cast<u64>(farads * 1e6));
         ASSERT_TRUE(a.completed);

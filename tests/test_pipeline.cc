@@ -244,8 +244,7 @@ TEST(PipelineDelivery, SurvivesFailureAtEveryOperation)
     ASSERT_GT(total, 1000u);
     for (u64 n = 0; n < total + 3; ++n) {
         const auto out = runTinyRound(
-            spec, kernels::Impl::Sonic,
-            std::make_unique<arch::FailOnceAfterOps>(n));
+            spec, kernels::Impl::Sonic, testutil::failOnceAt(n));
         ASSERT_TRUE(out.completed) << "failure at op " << n;
         ASSERT_TRUE(out.delivered) << "delivery lost, failure at op "
                                    << n;
@@ -273,8 +272,7 @@ TEST(PipelineDelivery, LossyLinkAccountingMatchesContinuous)
         ASSERT_TRUE(golden.completed);
         for (u64 n = total / 3; n < total + 2; n += total / 3) {
             const auto out = runTinyRound(
-                spec, kernels::Impl::Tile8,
-                std::make_unique<arch::FailOnceAfterOps>(n), round);
+                spec, kernels::Impl::Tile8, testutil::failOnceAt(n), round);
             ASSERT_TRUE(out.completed) << "round " << round;
             ASSERT_EQ(out.delivered, golden.delivered)
                 << "round " << round << " failure at op " << n;

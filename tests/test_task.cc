@@ -17,6 +17,7 @@
 
 #include "arch/memory.hh"
 #include "task/runtime.hh"
+#include "tests/test_helpers.hh"
 #include "util/rng.hh"
 
 namespace sonic::task
@@ -27,8 +28,6 @@ namespace
 using arch::ContinuousPower;
 using arch::Device;
 using arch::EnergyProfile;
-using arch::FailEveryOps;
-using arch::FailOnceAfterOps;
 using arch::NvArray;
 using arch::NvVar;
 using arch::Op;
@@ -45,11 +44,11 @@ TEST(Scheduler, RunsAChainOfTasks)
     auto dev = continuousDevice();
     Program prog;
     NvVar<i16> counter(dev, "c", 0);
-    const TaskId t2 = prog.addTask("t2", [&](Runtime &rt) {
+    const TaskId t2 = prog.addTask([&](Runtime &rt) {
         rt.logWrite(counter, static_cast<i16>(counter.peek() + 10));
         return kDone;
     });
-    const TaskId t1 = prog.addTask("t1", [&](Runtime &rt) {
+    const TaskId t1 = prog.addTask([&](Runtime &rt) {
         rt.logWrite(counter, static_cast<i16>(counter.peek() + 1));
         return t2;
     });
@@ -62,11 +61,10 @@ TEST(Scheduler, RunsAChainOfTasks)
 
 TEST(Scheduler, TaskRestartsAfterFailure)
 {
-    Device dev(EnergyProfile::msp430fr5994(),
-               std::make_unique<FailOnceAfterOps>(20));
+    Device dev(EnergyProfile::msp430fr5994(), testutil::failOnceAt(20));
     Program prog;
     NvVar<i16> attempts(dev, "attempts", 0);
-    const TaskId t = prog.addTask("t", [&](Runtime &rt) {
+    const TaskId t = prog.addTask([&](Runtime &rt) {
         attempts.poke(static_cast<i16>(attempts.peek() + 1));
         for (int k = 0; k < 50; ++k)
             rt.dev().consume(Op::Nop); // 50 draws: hits the injector
@@ -86,7 +84,7 @@ TEST(Runtime, LogReadSeesOwnWrites)
     NvArray<i16> arr(dev, 4, "a");
     arr.poke(2, 5);
     bool saw_own = false, saw_home = false;
-    const TaskId t = prog.addTask("t", [&](Runtime &rt) {
+    const TaskId t = prog.addTask([&](Runtime &rt) {
         saw_home = rt.logRead(arr, 2) == 5;
         rt.logWrite(arr, 2, 9);
         saw_own = rt.logRead(arr, 2) == 9;
@@ -103,14 +101,13 @@ TEST(Runtime, UncommittedWritesDiscardedOnFailure)
 {
     // Fail after the log write but before the transition commit: the
     // home location must keep its old value on restart.
-    Device dev(EnergyProfile::msp430fr5994(),
-               std::make_unique<FailOnceAfterOps>(8));
+    Device dev(EnergyProfile::msp430fr5994(), testutil::failOnceAt(8));
     Program prog;
     NvArray<i16> arr(dev, 1, "a");
     arr.poke(0, 1);
     int attempt = 0;
     std::vector<i16> seen;
-    const TaskId t = prog.addTask("t", [&](Runtime &rt) {
+    const TaskId t = prog.addTask([&](Runtime &rt) {
         seen.push_back(arr.peek(0));
         ++attempt;
         rt.logWrite(arr, 0, static_cast<i16>(100 + attempt));
@@ -140,7 +137,7 @@ TEST(Runtime, LogIndexResolvesLargeLogsLatestWins)
         arr.poke(k, static_cast<i16>(k));
     bool ok = true;
     u64 entries = 0;
-    const TaskId t = prog.addTask("t", [&](Runtime &rt) {
+    const TaskId t = prog.addTask([&](Runtime &rt) {
         // Three overwrite rounds across half the array.
         for (int round = 0; round < 3; ++round)
             for (u32 k = 0; k < 256; k += 2)
@@ -171,7 +168,7 @@ TEST(Runtime, LastLoggedWriteWins)
     auto dev = continuousDevice();
     Program prog;
     NvArray<i16> arr(dev, 1, "a");
-    const TaskId t = prog.addTask("t", [&](Runtime &rt) {
+    const TaskId t = prog.addTask([&](Runtime &rt) {
         rt.logWrite(arr, 0, 1);
         rt.logWrite(arr, 0, 2);
         rt.logWrite(arr, 0, 3);
@@ -188,7 +185,7 @@ TEST(Runtime, ScalarVarsLogged)
     Program prog;
     NvVar<i32> big(dev, "big", 7);
     NvVar<i16> small(dev, "small", -2);
-    const TaskId t = prog.addTask("t", [&](Runtime &rt) {
+    const TaskId t = prog.addTask([&](Runtime &rt) {
         EXPECT_EQ(rt.logRead(big), 7);
         EXPECT_EQ(rt.logRead(small), -2);
         rt.logWrite(big, 100000);
@@ -292,10 +289,10 @@ TEST(Runtime, DiscardedWritesAreNeverReadBack)
             return next;
         };
         Program prog;
-        const TaskId t2 = prog.addTask("t2", [&](Runtime &rt) {
+        const TaskId t2 = prog.addTask([&](Runtime &rt) {
             return body(rt, 1, kDone);
         });
-        const TaskId t1 = prog.addTask("t1", [&](Runtime &rt) {
+        const TaskId t1 = prog.addTask([&](Runtime &rt) {
             return body(rt, 0, t2);
         });
         Scheduler sched(dev, prog);
@@ -318,8 +315,7 @@ TEST(Runtime, DiscardedWritesAreNeverReadBack)
     ASSERT_GT(draws, 50u);
 
     for (u64 n = 0; n < draws + 5; ++n) {
-        const Outcome out =
-            run(std::make_unique<FailOnceAfterOps>(n));
+        const Outcome out = run(testutil::failOnceAt(n));
         ASSERT_TRUE(out.completed) << "failed at draw " << n;
         EXPECT_EQ(out.reboots, n < draws ? 1u : 0u) << n;
         EXPECT_TRUE(out.mismatch.empty())
@@ -359,7 +355,7 @@ TEST_P(LogIndexModel, ReadsMatchAReferenceModel)
     if (period == 0)
         psu = std::make_unique<ContinuousPower>();
     else
-        psu = std::make_unique<FailEveryOps>(period);
+        psu = testutil::failEvery(period);
     Device dev(EnergyProfile::msp430fr5994(), std::move(psu));
     NvArray<i16> a1(dev, 1, "a1");
     NvArray<i16> a64(dev, 64, "a64");
@@ -409,7 +405,7 @@ TEST_P(LogIndexModel, ReadsMatchAReferenceModel)
 
     Program prog;
     TaskId self = kDone;
-    self = prog.addTask("random", [&](Runtime &rt) -> TaskId {
+    self = prog.addTask([&](Runtime &rt) -> TaskId {
         const i32 k = taskNo.peek();
         if (k != entered) {
             // Task k - 1 committed: fold its writes into the model.
@@ -505,10 +501,9 @@ TEST(Scheduler, DetectsNonTermination)
     // tolerates N consecutive failures; the verdict comes on failure
     // N + 1.
     for (const u64 n : {0u, 1u, 4u, 16u, 48u}) {
-        Device dev(EnergyProfile::msp430fr5994(),
-                   std::make_unique<FailEveryOps>(10));
+        Device dev(EnergyProfile::msp430fr5994(), testutil::failEvery(10));
         Program prog;
-        const TaskId t = prog.addTask("hog", [&](Runtime &rt) {
+        const TaskId t = prog.addTask([&](Runtime &rt) {
             for (int k = 0; k < 1000; ++k)
                 rt.dev().consume(Op::Nop);
             return kDone;
@@ -527,11 +522,10 @@ TEST(Scheduler, ProgressBeaconPreventsDnfVerdict)
 {
     // Same energy starvation, but the task advances a loop-continuation
     // index each attempt — it must finish eventually.
-    Device dev(EnergyProfile::msp430fr5994(),
-               std::make_unique<FailEveryOps>(40));
+    Device dev(EnergyProfile::msp430fr5994(), testutil::failEvery(40));
     Program prog;
     NvVar<i16> i(dev, "i", 0);
-    const TaskId t = prog.addTask("loop", [&](Runtime &rt) {
+    const TaskId t = prog.addTask([&](Runtime &rt) {
         i16 cur = i.read();
         while (cur < 200) {
             rt.dev().consume(Op::FixedMul);
@@ -568,14 +562,14 @@ TEST(Scheduler, CommitAtomicityAtEveryOperation)
         Program prog;
         NvArray<i16> arr(dev, 8, "a");
         NvVar<i16> sum(dev, "sum", 0);
-        const TaskId t2 = prog.addTask("t2", [&](Runtime &rt) {
+        const TaskId t2 = prog.addTask([&](Runtime &rt) {
             i16 s = rt.logRead(sum);
             for (u32 k = 0; k < 8; ++k)
                 s = static_cast<i16>(s + rt.logRead(arr, k));
             rt.logWrite(sum, s);
             return kDone;
         });
-        const TaskId t1 = prog.addTask("t1", [&](Runtime &rt) {
+        const TaskId t1 = prog.addTask([&](Runtime &rt) {
             for (u32 k = 0; k < 8; ++k)
                 rt.logWrite(arr, k, static_cast<i16>(k * k + 1));
             return t2;
@@ -598,18 +592,18 @@ TEST(Scheduler, CommitAtomicityAtEveryOperation)
     u64 total_draws = 0;
     {
         Device dev(EnergyProfile::msp430fr5994(),
-                   std::make_unique<FailOnceAfterOps>(1u << 30));
+                   testutil::failOnceAt(1u << 30));
         Program prog;
         NvArray<i16> arr(dev, 8, "a");
         NvVar<i16> sum(dev, "sum", 0);
-        const TaskId t2 = prog.addTask("t2", [&](Runtime &rt) {
+        const TaskId t2 = prog.addTask([&](Runtime &rt) {
             i16 s = rt.logRead(sum);
             for (u32 k = 0; k < 8; ++k)
                 s = static_cast<i16>(s + rt.logRead(arr, k));
             rt.logWrite(sum, s);
             return kDone;
         });
-        const TaskId t1 = prog.addTask("t1", [&](Runtime &rt) {
+        const TaskId t1 = prog.addTask([&](Runtime &rt) {
             for (u32 k = 0; k < 8; ++k)
                 rt.logWrite(arr, k, static_cast<i16>(k * k + 1));
             return t2;
@@ -626,19 +620,18 @@ TEST(Scheduler, CommitAtomicityAtEveryOperation)
     ASSERT_GT(total_draws, 50u);
 
     for (u64 n = 0; n < total_draws + 5; ++n) {
-        Device dev(EnergyProfile::msp430fr5994(),
-                   std::make_unique<FailOnceAfterOps>(n));
+        Device dev(EnergyProfile::msp430fr5994(), testutil::failOnceAt(n));
         Program prog;
         NvArray<i16> arr(dev, 8, "a");
         NvVar<i16> sum(dev, "sum", 0);
-        const TaskId t2 = prog.addTask("t2", [&](Runtime &rt) {
+        const TaskId t2 = prog.addTask([&](Runtime &rt) {
             i16 s = rt.logRead(sum);
             for (u32 k = 0; k < 8; ++k)
                 s = static_cast<i16>(s + rt.logRead(arr, k));
             rt.logWrite(sum, s);
             return kDone;
         });
-        const TaskId t1 = prog.addTask("t1", [&](Runtime &rt) {
+        const TaskId t1 = prog.addTask([&](Runtime &rt) {
             for (u32 k = 0; k < 8; ++k)
                 rt.logWrite(arr, k, static_cast<i16>(k * k + 1));
             return t2;
@@ -668,7 +661,7 @@ TEST_P(PeriodicFailureSweep, StateMatchesGolden)
         Device dev(EnergyProfile::msp430fr5994(), std::move(psu));
         Program prog;
         NvArray<i16> arr(dev, 6, "a");
-        const TaskId t = prog.addTask("t", [&](Runtime &rt) {
+        const TaskId t = prog.addTask([&](Runtime &rt) {
             for (u32 k = 0; k < 6; ++k)
                 rt.logWrite(arr, k,
                             static_cast<i16>(3 * k + 7));
@@ -685,7 +678,7 @@ TEST_P(PeriodicFailureSweep, StateMatchesGolden)
     bool ok = false;
     build_and_run(std::make_unique<ContinuousPower>(), golden, ok);
     ASSERT_TRUE(ok);
-    build_and_run(std::make_unique<FailEveryOps>(period), state, ok);
+    build_and_run(testutil::failEvery(period), state, ok);
     ASSERT_TRUE(ok);
     EXPECT_EQ(state, golden);
 }
