@@ -58,12 +58,8 @@ SweepPlan::implNames(const std::vector<std::string> &names)
 {
     std::vector<kernels::Impl> ids;
     ids.reserve(names.size());
-    for (const auto &name : names) {
-        const auto *info = kernels::ImplRegistry::instance().find(name);
-        if (info == nullptr)
-            fatal("unknown implementation '", name, "'");
-        ids.push_back(info->id);
-    }
+    for (const auto &name : names)
+        ids.push_back(kernels::implByName(name));
     return impls(std::move(ids));
 }
 

@@ -28,7 +28,6 @@
 #include "dnn/model_io.hh"
 #include "dnn/zoo.hh"
 #include "util/cli.hh"
-#include "util/logging.hh"
 #include "verify/oracle.hh"
 
 namespace
@@ -37,7 +36,9 @@ namespace
 using namespace sonic;
 
 /** The acceptance kernels for the round-trip property. */
-const char *kDefaultImpls[] = {"Base", "Tile-8", "SONIC", "TAILS"};
+const kernels::Impl kDefaultImpls[] = {
+    kernels::Impl::Base, kernels::Impl::Tile8, kernels::Impl::Sonic,
+    kernels::Impl::Tails};
 
 /**
  * File name for a model (names may hold path-hostile characters).
@@ -130,7 +131,7 @@ exportAll(const std::string &dir)
 }
 
 int
-smoke(const std::string &dir, const std::vector<std::string> &impl_names)
+smoke(const std::string &dir, const std::vector<kernels::Impl> &impls)
 {
     if (const int rc = exportAll(dir); rc != 0)
         return rc;
@@ -158,14 +159,10 @@ smoke(const std::string &dir, const std::vector<std::string> &impl_names)
 
         const auto input = dnn::DeviceNetwork::quantizeInput(
             entry.dataset()[0].input);
-        for (const auto &impl_name : impl_names) {
-            const auto *info =
-                kernels::ImplRegistry::instance().find(impl_name);
-            if (info == nullptr)
-                fatal("unknown implementation '", impl_name, "'");
-            const auto original =
-                observe(entry.compressed(), input, info->id);
-            const auto reloaded = observe(*loaded, input, info->id);
+        for (const auto impl : impls) {
+            const auto impl_name = kernels::implName(impl);
+            const auto original = observe(entry.compressed(), input, impl);
+            const auto reloaded = observe(*loaded, input, impl);
             std::string why;
             if (!sameObservation(original, reloaded, &why)) {
                 std::cerr << "DIVERGENT: '" << name << "' on "
@@ -181,10 +178,10 @@ smoke(const std::string &dir, const std::vector<std::string> &impl_names)
             ++checks;
         }
         std::cout << name << ": reload bit-identical across "
-                  << impl_names.size() << " kernels\n";
+                  << impls.size() << " kernels\n";
     }
     std::cout << "zoo smoke ok: " << zoo.names().size() << " models x "
-              << impl_names.size() << " kernels, " << checks
+              << impls.size() << " kernels, " << checks
               << " round-trip checks\n";
     return 0;
 }
@@ -197,12 +194,12 @@ main(int argc, char **argv)
     bool list = false;
     std::string export_dir, smoke_dir;
     std::vector<std::string> load_models;
-    std::vector<std::string> impls; ///< empty = acceptance four
+    std::vector<std::string> impl_names; ///< empty = acceptance four
     cli::Flags flags("sonic_zoo");
     flags.add("--list", &list)
         .add("--export", &export_dir, "DIR")
         .add("--smoke", &smoke_dir, "DIR")
-        .add("--impls", &impls, "A,B,...")
+        .add("--impls", &impl_names, "A,B,...")
         .add("--load", &load_models, "model.json[,...]");
     if (!flags.parse(argc, argv))
         return 2;
@@ -229,6 +226,10 @@ main(int argc, char **argv)
     }
 
     if (!smoke_dir.empty()) {
+        // Every name resolves before the first model is written.
+        std::vector<kernels::Impl> impls;
+        for (const auto &name : impl_names)
+            impls.push_back(kernels::implByName(name));
         if (impls.empty())
             impls.assign(std::begin(kDefaultImpls),
                          std::end(kDefaultImpls));

@@ -1,9 +1,10 @@
 /**
  * @file
- * The model zoo: a string-keyed registry of workloads, mirroring the
- * kernel ImplRegistry. A model is addressed everywhere — SweepPlan
- * axes, Engine caches, GENESIS, the verification oracle, the CLIs —
- * by its registered name (a NetRef); the registry lazily builds and
+ * The model zoo: a string-keyed registry of workloads (a
+ * util::Registry, like the environments; `--load` adds model files at
+ * run time). A model is addressed everywhere — SweepPlan axes, Engine
+ * caches, GENESIS, the verification oracle, the CLIs — by its
+ * registered name (a NetRef); the registry lazily builds and
  * caches each model's ModelEntry (teacher network, compressed device
  * network, labelled synthetic dataset, metadata) on first use.
  *

@@ -205,11 +205,15 @@ HarvestModel::secondsToHarvest(f64 t0, f64 joules) const
         const f64 w1 = rateIn(end_i, end_local);
         const f64 seg_joules = 0.5 * (w0 + w1) * span;
         if (seg_joules >= joules && seg_joules > 0.0) {
-            // Solve p0*τ + m*τ²/2 = joules inside this segment.
+            // Solve p0*τ + m*τ²/2 = joules inside this segment. A
+            // near-flat segment takes the rate as constant, unless it
+            // starts dark: then the ramp alone (m > 0, since the
+            // segment holds energy) pays for it.
             const f64 m = span > 0.0 ? (w1 - w0) / span : 0.0;
             f64 tau;
             if (std::fabs(m) < 1e-18) {
-                tau = joules / w0;
+                tau = w0 == 0.0 ? std::sqrt(2.0 * joules / m)
+                                : joules / w0;
             } else {
                 const f64 disc = w0 * w0 + 2.0 * m * joules;
                 tau = (std::sqrt(std::max(disc, 0.0)) - w0) / m;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Harvested-energy environments: the deployment conditions a device
- * runs under, as data behind a string-keyed registry (mirroring
- * kernels::ImplRegistry and dnn::ModelZoo).
+ * runs under, as data behind a string-keyed registry (a
+ * util::Registry, like dnn::ModelZoo; `--trace` adds rows at run time).
  *
  * An environment names a power world — the paper's bench RF harvester,
  * a solar diurnal cycle, bursty ambient RF, a periodic duty-cycled

@@ -60,19 +60,18 @@ FleetPlan::validate() const
                   registry.availableList());
     }
     for (const auto impl : impls) {
-        if (kernels::ImplRegistry::instance().find(impl) == nullptr)
+        if (static_cast<u32>(impl) >= std::size(kernels::kAllImpls))
             fatal("unregistered implementation id in the fleet impl "
                   "distribution");
     }
     if (pipelines.empty())
         fatal("empty fleet pipeline distribution");
-    auto &pipes = pipeline::PipelineRegistry::instance();
     for (const auto &name : pipelines) {
-        if (!pipes.contains(name))
+        if (!pipeline::contains(name))
             fatal("unknown pipeline '", name,
                   "' in the fleet pipeline distribution; registered "
                   "pipelines:\n",
-                  pipes.availableList());
+                  pipeline::availableList());
     }
 
     if (implByCoordinate.empty())
@@ -201,8 +200,7 @@ resolveRows(const FleetPlan &plan)
         rows.envLabels.push_back(ref.label());
     }
     for (const auto &name : plan.pipelines)
-        rows.pipelines.push_back(
-            &pipeline::PipelineRegistry::instance().get(name));
+        rows.pipelines.push_back(&pipeline::get(name));
     return rows;
 }
 

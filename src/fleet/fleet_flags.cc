@@ -42,12 +42,8 @@ FleetFlags::applyAxes(FleetPlan *plan) const
         plan->nets = *nets;
     if (impls) {
         plan->impls.clear();
-        for (const auto &name : *impls) {
-            const auto *info = kernels::ImplRegistry::instance().find(name);
-            if (info == nullptr)
-                fatal("unknown implementation '", name, "'");
-            plan->impls.push_back(info->id);
-        }
+        for (const auto &name : *impls)
+            plan->impls.push_back(kernels::implByName(name));
     }
     if (envs) {
         plan->environments.clear();

@@ -139,7 +139,7 @@ main(int argc, char **argv)
     if (fleet_flags.listScenarios)
         fleet::FleetFlags::printScenarios(std::cout);
     if (list_pipelines)
-        std::cout << pipeline::PipelineRegistry::instance().availableList();
+        std::cout << pipeline::availableList();
     if (list_envs || fleet_flags.listScenarios || list_pipelines)
         return 0;
 

@@ -1,5 +1,8 @@
 #include "kernels/runner.hh"
 
+#include <iterator>
+#include <string>
+
 #include "tails/tails.hh"
 #include "util/logging.hh"
 
@@ -33,73 +36,86 @@ entryTails(dnn::DeviceNetwork &net, u32)
     return tails::runTails(net);
 }
 
+/*
+ * One row per Impl, in enum order. Base keeps loop state in volatile
+ * memory by design (Sec. 8), so it is the one implementation that does
+ * not claim crash consistency.
+ */
+constexpr ImplInfo kTable[] = {
+    {Impl::Base, "Base", 0, entryBase, false},
+    {Impl::Tile8, "Tile-8", 8, entryTiled, true},
+    {Impl::Tile32, "Tile-32", 32, entryTiled, true},
+    {Impl::Tile128, "Tile-128", 128, entryTiled, true},
+    {Impl::Sonic, "SONIC", 0, entrySonic, true},
+    {Impl::Tails, "TAILS", 0, entryTails, true},
+};
+
+constexpr bool
+rowsFollowTheEnum()
+{
+    for (u32 i = 0; i < std::size(kTable); ++i)
+        if (kTable[i].id != static_cast<Impl>(i))
+            return false;
+    return std::size(kTable) == std::size(kAllImpls);
+}
+static_assert(rowsFollowTheEnum(), "kernel table row i must be Impl i");
+
+const ImplInfo *
+rowOf(Impl impl)
+{
+    const auto index = static_cast<u32>(impl);
+    return index < std::size(kTable) ? &kTable[index] : nullptr;
+}
+
 } // namespace
 
-ImplRegistry::ImplRegistry()
-    : rows_("implementation", [](ImplInfo &row, u32 index) {
-          row.id = static_cast<Impl>(index);
-      })
+const ImplInfo &
+implInfo(Impl impl)
 {
-    // The paper's six implementations occupy the named enum ids, in
-    // enum order, so dynamic ids start right after Impl::Tails. Base
-    // keeps loop state in volatile memory by design (Sec. 8), so it is
-    // the one implementation that does not claim crash consistency.
-    add("Base", 0, entryBase, /*crashConsistent=*/false);
-    add("Tile-8", 8, entryTiled);
-    add("Tile-32", 32, entryTiled);
-    add("Tile-128", 128, entryTiled);
-    add("SONIC", 0, entrySonic);
-    add("TAILS", 0, entryTails);
-}
-
-ImplRegistry &
-ImplRegistry::instance()
-{
-    static ImplRegistry registry;
-    return registry;
-}
-
-Impl
-ImplRegistry::add(std::string name, u32 tileSize, ImplEntry entry,
-                  bool crashConsistent)
-{
-    SONIC_ASSERT(entry != nullptr, "impl entry must be non-null");
-    return rows_
-        .add(ImplInfo{Impl::Base, std::move(name), tileSize, entry,
-                      crashConsistent})
-        .id;
-}
-
-std::vector<Impl>
-ImplRegistry::all() const
-{
-    std::vector<Impl> ids(rows_.size());
-    for (u32 i = 0; i < ids.size(); ++i)
-        ids[i] = static_cast<Impl>(i);
-    return ids;
+    const ImplInfo *row = rowOf(impl);
+    SONIC_ASSERT(row != nullptr, "Impl ", static_cast<u32>(impl),
+                 " is not in the kernel table");
+    return *row;
 }
 
 std::string_view
 implName(Impl impl)
 {
-    const auto *info = ImplRegistry::instance().find(impl);
-    return info ? std::string_view(info->name) : std::string_view("?");
+    const ImplInfo *row = rowOf(impl);
+    return row != nullptr ? row->name : std::string_view("?");
 }
 
 bool
 implFromName(std::string_view name, Impl *out)
 {
-    const auto *info = ImplRegistry::instance().find(name);
-    if (info != nullptr)
-        *out = info->id;
-    return info != nullptr;
+    for (const ImplInfo &row : kTable) {
+        if (row.name == name) {
+            *out = row.id;
+            return true;
+        }
+    }
+    return false;
+}
+
+Impl
+implByName(std::string_view name)
+{
+    Impl impl = Impl::Base;
+    if (!implFromName(name, &impl)) {
+        std::string list;
+        for (const ImplInfo &row : kTable)
+            list += (list.empty() ? "" : ", ") + std::string(row.name);
+        fatal("unknown implementation '", name,
+              "'; registered implementations: ", list);
+    }
+    return impl;
 }
 
 u32
 implTileSize(Impl impl)
 {
-    const auto *info = ImplRegistry::instance().find(impl);
-    return info ? info->tileSize : 0;
+    const ImplInfo *row = rowOf(impl);
+    return row != nullptr ? row->tileSize : 0;
 }
 
 namespace
@@ -125,15 +141,14 @@ struct InferSpanGuard
 RunResult
 runInference(dnn::DeviceNetwork &net, Impl impl)
 {
-    const auto *info = ImplRegistry::instance().find(impl);
-    SONIC_ASSERT(info != nullptr, "unregistered Impl");
+    const ImplInfo &info = implInfo(impl);
     arch::Device &dev = net.dev();
     if (dev.probe() == nullptr) [[likely]]
-        return info->entry(net, info->tileSize);
+        return info.entry(net, info.tileSize);
     dev.probe()->onSpanBegin(dev, arch::ProbeSpan::Infer,
                              static_cast<u32>(impl));
     InferSpanGuard guard{dev, static_cast<u32>(impl)};
-    return info->entry(net, info->tileSize);
+    return info.entry(net, info.tileSize);
 }
 
 } // namespace sonic::kernels

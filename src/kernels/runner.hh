@@ -19,33 +19,24 @@
  *  - Tails:    SONIC plus LEA/DMA hardware acceleration with one-time
  *              tile calibration (Sec. 7); implemented in src/tails.
  *
- * Dispatch goes through ImplRegistry, a name -> tile size -> entry
- * point table. The six paper implementations are pre-registered;
- * additional variants (a Tile-64, an accelerated kernel, ...) register
- * at startup via ImplRegistry::add() and become sweepable without any
- * change to this file.
+ * Dispatch goes through one constant table with a row per Impl (name,
+ * tile size, entry point). A new kernel is one Impl value plus one
+ * table row in runner.cc.
  */
 
 #ifndef SONIC_KERNELS_RUNNER_HH
 #define SONIC_KERNELS_RUNNER_HH
 
-#include <string>
 #include <string_view>
 #include <vector>
 
 #include "dnn/device_net.hh"
-#include "util/registry.hh"
 #include "util/types.hh"
 
 namespace sonic::kernels
 {
 
-/**
- * Identifier of a registered inference implementation: its
- * ImplRegistry row index, so the underlying type is the registry's
- * index type. The named values are the paper's six; ids beyond Tails
- * are assigned dynamically by ImplRegistry::add().
- */
+/** An inference implementation: its row in the kernel table. */
 enum class Impl : u32
 {
     Base,
@@ -73,18 +64,18 @@ struct RunResult
 };
 
 /**
- * An implementation entry point. The tile argument is the registered
- * tile size (0 for untiled implementations); entries that do not tile
+ * An implementation entry point. The tile argument is the row's tile
+ * size (0 for untiled implementations); entries that do not tile
  * ignore it.
  */
 using ImplEntry = RunResult (*)(dnn::DeviceNetwork &net, u32 tile);
 
-/** One registry row. */
+/** One kernel table row. */
 struct ImplInfo
 {
     Impl id = Impl::Base;
-    std::string name;  ///< stable display/lookup name ("SONIC")
-    u32 tileSize = 0;  ///< task tile in elements (0 = untiled)
+    std::string_view name; ///< stable display/lookup name ("SONIC")
+    u32 tileSize = 0;      ///< task tile in elements (0 = untiled)
     ImplEntry entry = nullptr;
 
     /**
@@ -99,67 +90,30 @@ struct ImplInfo
     bool crashConsistent = true;
 };
 
-/**
- * The process-wide implementation registry: a util::Registry of
- * ImplInfo rows (unique names, thread-safe, stable row pointers).
- */
-class ImplRegistry
-{
-  public:
-    /** The singleton, with the paper's six implementations loaded. */
-    static ImplRegistry &instance();
+/** The kernel table's row for impl (an id outside it panics). */
+const ImplInfo &implInfo(Impl impl);
 
-    /**
-     * Register a new implementation; its id is its row index.
-     * Re-registering an existing name is a fatal configuration error.
-     */
-    Impl add(std::string name, u32 tileSize, ImplEntry entry,
-             bool crashConsistent = true);
-
-    /** Lookup by id; nullptr if unknown. */
-    const ImplInfo *
-    find(Impl id) const
-    {
-        return rows_.at(static_cast<u32>(id));
-    }
-
-    /** Lookup by exact name; nullptr if unknown. */
-    const ImplInfo *
-    find(std::string_view name) const
-    {
-        return rows_.find(name);
-    }
-
-    /** All registered ids, in registration order. */
-    std::vector<Impl> all() const;
-
-    /** Number of registered implementations. */
-    u32 size() const { return rows_.size(); }
-
-  private:
-    ImplRegistry();
-
-    util::Registry<ImplInfo> rows_;
-};
-
-/** Stable implementation name ("?" if unregistered). */
+/** Stable implementation name ("?" for an id outside the table). */
 std::string_view implName(Impl impl);
 
-/** Inverse of implName; false if no registered kernel has the name. */
+/** Inverse of implName; false if no kernel has the name. */
 bool implFromName(std::string_view name, Impl *out);
+
+/** As implFromName, but an unknown name is fatal, listing the six. */
+Impl implByName(std::string_view name);
 
 /** Tile size of a tiled implementation (0 otherwise). */
 u32 implTileSize(Impl impl);
 
 /**
  * Run one inference of the flashed network with the given
- * implementation (registry dispatch). The input must already be
+ * implementation (table dispatch). The input must already be
  * loaded (DeviceNetwork::loadInput). Statistics accumulate on the
  * device.
  */
 RunResult runInference(dnn::DeviceNetwork &net, Impl impl);
 
-/** Individual entry points (used by tests and by the registry). */
+/** Individual entry points (used by tests and by the table). */
 RunResult runBase(dnn::DeviceNetwork &net);
 RunResult runTiled(dnn::DeviceNetwork &net, u32 tile);
 RunResult runSonic(dnn::DeviceNetwork &net);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "arch/memory.hh"
 #include "util/logging.hh"
@@ -311,73 +312,93 @@ runRound(dnn::DeviceNetwork &net, kernels::Impl impl,
     }
 }
 
-PipelineRegistry &
-PipelineRegistry::instance()
+namespace
 {
-    static PipelineRegistry registry;
-    return registry;
+
+/** The pipelines, in list order. */
+std::span<const PipelineSpec>
+specs()
+{
+    static const PipelineSpec list[] = {
+        {.name = "infer-only",
+         .description = "bare inference, no sense or radio stages",
+         .sense = {},
+         .radio = {}},
+        {.name = "wildlife",
+         .description = "sense a full sample, infer, radio the class on "
+                        "a lossless link",
+         .sense = {.enabled = true},
+         .radio = {.enabled = true,
+                   .payloadBytes = 8,
+                   .chunkBytes = 4,
+                   .maxAttempts = 4}},
+        {.name = "sense-infer",
+         .description = "sense a full sample and infer; result stays local",
+         .sense = {.enabled = true},
+         .radio = {}},
+        {.name = "result-tx",
+         .description = "infer a flashed sample and radio the class",
+         .sense = {},
+         .radio = {.enabled = true,
+                   .payloadBytes = 8,
+                   .chunkBytes = 4,
+                   .maxAttempts = 4}},
+        {.name = "lossy-uplink",
+         .description = "sense + infer + radio on a lossy link (25% ACK "
+                        "loss, 6 attempts, exponential backoff)",
+         .sense = {.enabled = true},
+         .radio = {.enabled = true,
+                   .payloadBytes = 8,
+                   .chunkBytes = 4,
+                   .maxAttempts = 6,
+                   .ackLossProbability = 0.25}},
+    };
+    return list;
 }
 
-PipelineRegistry::PipelineRegistry()
+const PipelineSpec *
+find(std::string_view name)
 {
-    {
-        PipelineSpec s;
-        s.name = "infer-only";
-        s.description = "bare inference, no sense or radio stages";
-        add(std::move(s));
-    }
-    {
-        PipelineSpec s;
-        s.name = "wildlife";
-        s.description =
-            "sense a full sample, infer, radio the class on a "
-            "lossless link";
-        s.sense.enabled = true;
-        s.radio.enabled = true;
-        s.radio.payloadBytes = 8;
-        s.radio.chunkBytes = 4;
-        s.radio.maxAttempts = 4;
-        add(std::move(s));
-    }
-    {
-        PipelineSpec s;
-        s.name = "sense-infer";
-        s.description = "sense a full sample and infer; result stays local";
-        s.sense.enabled = true;
-        add(std::move(s));
-    }
-    {
-        PipelineSpec s;
-        s.name = "result-tx";
-        s.description = "infer a flashed sample and radio the class";
-        s.radio.enabled = true;
-        s.radio.payloadBytes = 8;
-        s.radio.chunkBytes = 4;
-        s.radio.maxAttempts = 4;
-        add(std::move(s));
-    }
-    {
-        PipelineSpec s;
-        s.name = "lossy-uplink";
-        s.description =
-            "sense + infer + radio on a lossy link (25% ACK loss, "
-            "6 attempts, exponential backoff)";
-        s.sense.enabled = true;
-        s.radio.enabled = true;
-        s.radio.payloadBytes = 8;
-        s.radio.chunkBytes = 4;
-        s.radio.maxAttempts = 6;
-        s.radio.ackLossProbability = 0.25;
-        add(std::move(s));
-    }
+    for (const PipelineSpec &spec : specs())
+        if (spec.name == name)
+            return &spec;
+    return nullptr;
+}
+
+} // namespace
+
+bool
+contains(std::string_view name)
+{
+    return find(name) != nullptr;
+}
+
+const PipelineSpec &
+get(std::string_view name)
+{
+    if (const PipelineSpec *spec = find(name))
+        return *spec;
+    std::string list;
+    for (const PipelineSpec &spec : specs())
+        list += (list.empty() ? "" : ", ") + spec.name;
+    fatal("unknown pipeline '", name, "'; registered pipelines: ", list);
+}
+
+std::vector<std::string>
+names()
+{
+    std::vector<std::string> out;
+    for (const PipelineSpec &spec : specs())
+        out.push_back(spec.name);
+    return out;
 }
 
 std::string
-PipelineRegistry::availableList() const
+availableList()
 {
     std::string out;
-    for (u32 i = 0; const PipelineSpec *s = rows_.at(i); ++i)
-        out += "  " + s->name + " - " + s->description + "\n";
+    for (const PipelineSpec &spec : specs())
+        out += "  " + spec.name + " - " + spec.description + "\n";
     return out;
 }
 

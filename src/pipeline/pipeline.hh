@@ -5,7 +5,7 @@
  * The paper's motivating deployments (Sec. 2's wildlife camera) never
  * run inference alone: a device samples a sensor, infers, and radios
  * the answer off-device. This subsystem makes that whole loop a
- * first-class, string-registerable workload — a PipelineSpec names
+ * first-class workload, addressed by name — a PipelineSpec names
  * which stages surround the inference kernel and how they are costed:
  *
  *  - sense:    acquires the input sample chunk by chunk, charging
@@ -35,12 +35,12 @@
 #define SONIC_PIPELINE_PIPELINE_HH
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "arch/device.hh"
 #include "dnn/device_net.hh"
 #include "kernels/runner.hh"
-#include "util/registry.hh"
 
 namespace sonic::pipeline
 {
@@ -97,9 +97,8 @@ f64 attemptEnergyJ(const RadioConfig &radio,
                    const arch::EnergyProfile &profile);
 
 /**
- * The pipeline registry: a util::Registry of specs (unique names,
- * thread-safe, references stay valid), mirroring ImplRegistry /
- * EnvRegistry / ModelZoo. Built-ins registered at static-init time:
+ * Whether a pipeline has this name. The pipelines are one constant
+ * list, in this order:
  *
  *  - "infer-only":   no sense, no radio (the FleetPlan default);
  *  - "wildlife":     sense + result TX on a lossless link;
@@ -107,38 +106,16 @@ f64 attemptEnergyJ(const RadioConfig &radio,
  *  - "result-tx":    result TX only;
  *  - "lossy-uplink": sense + result TX with 25% ACK loss and retries.
  */
-class PipelineRegistry
-{
-  public:
-    static PipelineRegistry &instance();
+bool contains(std::string_view name);
 
-    /** Register a spec; duplicate names are fatal. */
-    void add(PipelineSpec spec) { rows_.add(std::move(spec)); }
+/** Lookup by name; an unknown name is fatal, listing the five. */
+const PipelineSpec &get(std::string_view name);
 
-    bool
-    contains(const std::string &name) const
-    {
-        return rows_.contains(name);
-    }
+/** The pipeline names, in list order. */
+std::vector<std::string> names();
 
-    /** Lookup by name; unknown names are fatal. */
-    const PipelineSpec &
-    get(const std::string &name) const
-    {
-        return rows_.get(name);
-    }
-
-    /** Registered names, registration order. */
-    std::vector<std::string> names() const { return rows_.names(); }
-
-    /** One-per-line "name - description" list (CLI help). */
-    std::string availableList() const;
-
-  private:
-    PipelineRegistry();
-
-    util::Registry<PipelineSpec> rows_{"pipeline"};
-};
+/** One-per-line "name - description" list (CLI help). */
+std::string availableList();
 
 /**
  * What one pipeline round observed (the fleet/oracle surface).

@@ -211,7 +211,8 @@ Plan::fromJson(const std::string &text, Plan *out, std::string *error)
         }
     }
     for (const auto &impl : plan.impls) {
-        if (kernels::ImplRegistry::instance().find(impl) == nullptr) {
+        kernels::Impl id = kernels::Impl::Base;
+        if (!kernels::implFromName(impl, &id)) {
             *error = "plan: unknown kernel '" + impl + "'";
             return false;
         }
@@ -231,9 +232,8 @@ Plan::fromJson(const std::string &text, Plan *out, std::string *error)
             return false;
         }
     }
-    auto &pipes = pipeline::PipelineRegistry::instance();
     for (const auto &pipe : plan.pipelines) {
-        if (!pipes.contains(pipe)) {
+        if (!pipeline::contains(pipe)) {
             *error = "plan: unknown pipeline '" + pipe + "'";
             return false;
         }
@@ -338,13 +338,8 @@ Plan::toFleetPlan() const
                  "plan profile was validated at parse time");
     out.nets.assign(nets.begin(), nets.end());
     out.impls.clear();
-    for (const auto &impl : impls) {
-        const auto *info =
-            kernels::ImplRegistry::instance().find(impl);
-        SONIC_ASSERT(info != nullptr,
-                     "plan kernels were validated at parse time");
-        out.impls.push_back(info->id);
-    }
+    for (const auto &impl : impls)
+        out.impls.push_back(kernels::implByName(impl));
     out.environments.clear();
     for (const auto &label : envLabels) {
         env::EnvRef ref;
@@ -354,13 +349,10 @@ Plan::toFleetPlan() const
         out.environments.push_back(std::move(ref));
     }
     out.pipelines.assign(pipelines.begin(), pipelines.end());
-    for (const auto &choice : choices) {
-        const auto *info =
-            kernels::ImplRegistry::instance().find(choice.impl);
+    for (const auto &choice : choices)
         out.implByCoordinate[fleet::FleetPlan::coordinateKey(
             choice.envLabel, choice.net, choice.pipeline)] =
-            info->id;
-    }
+            kernels::implByName(choice.impl);
     return out;
 }
 
@@ -373,10 +365,7 @@ Plan::toBaselineFleetPlan(const std::string &impl) const
     // the planned fleet — device-for-device comparable.
     fleet::FleetPlan out = toFleetPlan();
     out.implByCoordinate.clear();
-    const auto *info = kernels::ImplRegistry::instance().find(impl);
-    SONIC_ASSERT(info != nullptr,
-                 "baseline kernel must be a registered name");
-    out.impls = {info->id};
+    out.impls = {kernels::implByName(impl)};
     return out;
 }
 

@@ -1,29 +1,30 @@
 /**
  * @file
- * The one name table behind the kernel, model, environment and
- * pipeline registries (kernels::ImplRegistry, dnn::ModelZoo,
- * env::EnvRegistry, pipeline::PipelineRegistry). Each keeps only its
- * domain code and stores its rows in a Registry, so all four share
- * one set of rules:
+ * The name table behind the two registries that accept rows at run
+ * time: the model zoo (dnn::ModelZoo; `--load` adds model files) and
+ * the environments (env::EnvRegistry; `--trace` adds power traces).
+ * Each keeps only its domain code and stores its rows in a Registry,
+ * so both share one set of rules:
  *
  *  - names are unique: tryAdd() of a taken name returns nullptr and
  *    changes nothing; add() of one is fatal
  *    ("duplicate <kind> registration: <name>", exit 1);
- *  - rows are append-only; a row's index is its registration order;
+ *  - rows are append-only; names() lists them in registration order;
  *  - rows live in a std::deque, so pointers to them never move;
  *  - one mutex guards the table, and tryAdd() checks and inserts in
  *    one critical section. A row never changes once added, so callers
  *    read it through the returned pointer without the lock.
  *
  * Lookups scan the rows: the tables hold a handful of rows, and hot
- * paths (a fleet's devices) resolve their names once per run.
+ * paths (a fleet's devices) resolve their names once per run. The
+ * kernels and pipelines are fixed lists and need no registry
+ * (kernels/runner.hh, pipeline/pipeline.hh).
  */
 
 #ifndef SONIC_UTIL_REGISTRY_HH
 #define SONIC_UTIL_REGISTRY_HH
 
 #include <deque>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -31,7 +32,6 @@
 #include <vector>
 
 #include "util/logging.hh"
-#include "util/types.hh"
 
 namespace sonic::util
 {
@@ -45,15 +45,8 @@ template <typename Row>
 class Registry
 {
   public:
-    /** Runs on each accepted row, under the lock, with its index. */
-    using Stamp = std::function<void(Row &row, u32 index)>;
-
-    /** `kind` names the rows in diagnostics ("unknown model 'x'");
-     * `stamp` lets a row record its own index before it is visible. */
-    explicit Registry(std::string kind, Stamp stamp = {})
-        : kind_(std::move(kind)), stamp_(std::move(stamp))
-    {
-    }
+    /** `kind` names the rows in diagnostics ("unknown model 'x'"). */
+    explicit Registry(std::string kind) : kind_(std::move(kind)) {}
 
     /** Append Row(args...) unless its name is taken (then nullptr). */
     template <typename... Args>
@@ -92,14 +85,6 @@ class Registry
               "s: ", availableList());
     }
 
-    /** The row registered index-th (0-based); nullptr past the end. */
-    const Row *
-    at(u32 index) const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return index < rows_.size() ? &rows_[index] : nullptr;
-    }
-
     bool contains(std::string_view name) const { return find(name); }
 
     /** Registered names, in registration order. */
@@ -123,13 +108,6 @@ class Registry
         return out;
     }
 
-    u32
-    size() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return static_cast<u32>(rows_.size());
-    }
-
   private:
     const Row *
     findLocked(std::string_view name) const
@@ -147,7 +125,7 @@ class Registry
     insert(std::string *taken, Args &&...args)
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        Row &row = rows_.emplace_back(std::forward<Args>(args)...);
+        const Row &row = rows_.emplace_back(std::forward<Args>(args)...);
         SONIC_ASSERT(!row.name.empty(), kind_, " name must be non-empty");
         if (findLocked(row.name) != &row) {
             if (taken != nullptr)
@@ -155,13 +133,10 @@ class Registry
             rows_.pop_back();
             return nullptr;
         }
-        if (stamp_)
-            stamp_(row, static_cast<u32>(rows_.size() - 1));
         return &row;
     }
 
     const std::string kind_;
-    const Stamp stamp_;
 
     mutable std::mutex mutex_;
     std::deque<Row> rows_; ///< guarded by mutex_

@@ -86,19 +86,11 @@ struct OwnedImage
     dnn::FlashImage image;
 };
 
-const kernels::ImplInfo &
-implInfo(kernels::Impl impl)
-{
-    const auto *info = kernels::ImplRegistry::instance().find(impl);
-    SONIC_ASSERT(info != nullptr, "unregistered Impl");
-    return *info;
-}
-
-/** The judgment rules the implementation registry sets for a kernel. */
+/** The judgment rules the kernel table sets for a kernel. */
 OracleOptions
-registryOptions(const LocalWorkload &workload)
+kernelOptions(const LocalWorkload &workload)
 {
-    const auto &info = implInfo(workload.impl);
+    const auto &info = kernels::implInfo(workload.impl);
     OracleOptions options;
     options.crashConsistent = info.crashConsistent;
     // The final FRAM image is part of the property for the purely
@@ -211,7 +203,7 @@ void
 labelReport(OracleReport *report, kernels::Impl impl,
             const std::string &workload, const env::EnvRef &environment)
 {
-    report->impl = implInfo(impl).name;
+    report->impl = kernels::implName(impl);
     report->workload = environment.empty()
         ? workload
         : workload + " under " + environment.label();
@@ -332,7 +324,7 @@ verifyLocal(const LocalWorkload &workload, u32 schedules, u64 seed,
     ScheduleGenConfig gen;
     gen.seed = seed;
     gen.maxFailures = max_failures;
-    Oracle oracle(localRunner(workload), registryOptions(workload));
+    Oracle oracle(localRunner(workload), kernelOptions(workload));
     OracleReport rep = oracle.verify(
         scheduleBattery(workload, environment, schedules, gen));
     labelReport(&rep, workload.impl,
@@ -572,7 +564,7 @@ verifyWithEngine(app::Engine &engine, const EngineOracleConfig &config)
     // The battery comes from runs of the engine's cached workload on
     // this thread.
     const LocalWorkload workload(engine, config.net, config.impl);
-    OracleOptions options = registryOptions(workload);
+    OracleOptions options = kernelOptions(workload);
     options.shrink = config.shrink;
     Oracle oracle(std::move(probe), options);
     ScheduleGenConfig gen;
@@ -726,8 +718,8 @@ goldenJson(const GoldenConfig &config)
 
     LocalWorkload workload(goldenNet(config.netSeed), goldenInput(),
                            kernels::Impl::Base);
-    for (const auto impl : kernels::ImplRegistry::instance().all()) {
-        const auto &info = implInfo(impl);
+    for (const auto impl : kernels::kAllImpls) {
+        const auto &info = kernels::implInfo(impl);
         workload.impl = impl;
         LayerDigestRecorder layers;
         const Observation cont = observe(

@@ -27,8 +27,8 @@
  *    schedule axis — (kernel x network x schedule) coordinates in
  *    parallel.
  *
- * Implementations registered without the crashConsistent claim (Base)
- * cannot promise logit equality under failures; for them the oracle
+ * Implementations without the crashConsistent claim (Base) in the
+ * kernel table cannot promise logit equality under failures; for them the oracle
  * checks deterministic replay instead: the same schedule twice must
  * produce bit-identical observables including the per-reboot NVM
  * digest chain.
@@ -189,7 +189,7 @@ struct OracleReport
  * windows of the environment's brown-outs when one is given (it must
  * be intermittent), else the mixed uniform / bursty /
  * commit-targeted battery. crashConsistent and the final-digest rule
- * come from the implementation registry; a pipeline round is also held
+ * come from the kernel table; a pipeline round is also held
  * to exact delivery accounting.
  */
 OracleReport verifyLocal(const LocalWorkload &workload, u32 schedules,
@@ -270,7 +270,7 @@ struct EngineOracleConfig
  * Verify one (kernel, network) coordinate against `schedules` mixed
  * adversarial schedules, fanned across the engine's worker pool via
  * the SweepPlan failure-schedule axis. crashConsistent is taken from
- * the implementation registry.
+ * the kernel table.
  */
 OracleReport verifyWithEngine(app::Engine &engine,
                               const EngineOracleConfig &config);
@@ -307,8 +307,8 @@ struct GoldenConfig
 };
 
 /**
- * Render the golden digest report for every registered implementation
- * on the platform-stable golden workload: continuous logits, cycle and
+ * Render the golden digest report for every implementation in the
+ * kernel table on the platform-stable golden workload: continuous logits, cycle and
  * op-instance totals, the final FRAM digest, per-layer op digests, and
  * for crash-consistent kernels the full per-reboot digest chain of a
  * fixed set of seeded schedules. Byte-stable across hosts, so

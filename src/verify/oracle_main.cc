@@ -82,8 +82,9 @@ struct Args
 };
 
 /** The acceptance battery: the paper's kernels plus a second tiling. */
-const char *kDefaultImpls[] = {"Base", "Tile-8", "Tile-32", "SONIC",
-                               "TAILS"};
+const kernels::Impl kDefaultImpls[] = {
+    kernels::Impl::Base, kernels::Impl::Tile8, kernels::Impl::Tile32,
+    kernels::Impl::Sonic, kernels::Impl::Tails};
 
 /** Where divergence traces land: next to the --artifact JSON, named
  * <artifact-stem>.<tag>.<n>.sonictrace. */
@@ -174,23 +175,19 @@ resolveEnvironment(const std::string &label)
 /**
  * Verify one kernel: on a zoo model across the engine's worker pool,
  * else on the built-in golden workload on the local path, as a bare
- * inference or inside the named pipeline's round (with delivery
- * accounting held exactly to the continuous reference).
+ * inference or inside a pipeline's round (with delivery accounting
+ * held exactly to the continuous reference).
  */
 verify::OracleReport
-runImpl(app::Engine &engine, const std::string &impl_name,
-        const std::string &pipeline_name, const Args &args)
+runImpl(app::Engine &engine, kernels::Impl impl,
+        const pipeline::PipelineSpec *round,
+        const env::EnvRef &environment, const Args &args)
 {
-    const auto *info =
-        kernels::ImplRegistry::instance().find(impl_name);
-    if (info == nullptr)
-        fatal("unknown implementation '", impl_name, "'");
-    const env::EnvRef environment =
-        resolveEnvironment(args.environment);
+    const std::string impl_name(kernels::implName(impl));
     if (args.net != "golden") {
         verify::EngineOracleConfig config;
         config.net = args.net;
-        config.impl = info->id;
+        config.impl = impl;
         config.schedules = args.schedules;
         config.seed = args.seed;
         config.maxFailures = args.maxFailures;
@@ -198,21 +195,19 @@ runImpl(app::Engine &engine, const std::string &impl_name,
         auto report = verify::verifyWithEngine(engine, config);
         // The same cached net and sample-0 input the engine ran.
         dumpDivergenceTraces(&report,
-                             verify::LocalWorkload(engine, args.net,
-                                                   info->id),
-                             args.artifact, args.net + "." + info->name);
+                             verify::LocalWorkload(engine, args.net, impl),
+                             args.artifact, args.net + "." + impl_name);
         return report;
     }
     verify::LocalWorkload workload(verify::goldenNet(),
-                                   verify::goldenInput(), info->id);
-    u64 seed = args.seed
-        ^ (static_cast<u64>(info->id) * 0x9e3779b97f4a7c15ull);
-    std::string tag = info->name;
-    if (!pipeline_name.empty()) {
-        workload.round =
-            pipeline::PipelineRegistry::instance().get(pipeline_name);
-        seed ^= fnv1a(pipeline_name);
-        tag = pipeline_name + "." + tag;
+                                   verify::goldenInput(), impl);
+    u64 seed =
+        args.seed ^ (static_cast<u64>(impl) * 0x9e3779b97f4a7c15ull);
+    std::string tag = impl_name;
+    if (round != nullptr) {
+        workload.round = *round;
+        seed ^= fnv1a(round->name);
+        tag = round->name + "." + tag;
     }
     auto report = verify::verifyLocal(workload, args.schedules, seed,
                                       args.maxFailures, environment);
@@ -258,7 +253,7 @@ main(int argc, char **argv)
         return 2;
     }
     if (args.pipelines == std::vector<std::string>{"all"})
-        args.pipelines = pipeline::PipelineRegistry::instance().names();
+        args.pipelines = pipeline::names();
 
     auto &zoo = dnn::ModelZoo::instance();
     for (const auto &path : args.loadModels) {
@@ -283,11 +278,6 @@ main(int argc, char **argv)
     if (!args.emitGolden.empty() || !args.verifyGolden.empty())
         return runGoldenFileMode(args);
 
-    std::vector<std::string> impls = args.impls;
-    if (impls.empty())
-        impls.assign(std::begin(kDefaultImpls),
-                     std::end(kDefaultImpls));
-
     // "golden" runs the built-in platform-stable workload on the
     // sequential local path; every other zoo model fans through the
     // engine's worker pool.
@@ -298,17 +288,30 @@ main(int argc, char **argv)
         return 2;
     }
 
+    // Every name resolves before the first battery runs.
+    std::vector<kernels::Impl> impls;
+    for (const auto &name : args.impls)
+        impls.push_back(kernels::implByName(name));
+    if (impls.empty())
+        impls.assign(std::begin(kDefaultImpls), std::end(kDefaultImpls));
+    std::vector<const pipeline::PipelineSpec *> rounds;
+    for (const auto &name : args.pipelines)
+        rounds.push_back(&pipeline::get(name));
+    const env::EnvRef environment = resolveEnvironment(args.environment);
+
     app::Engine engine(app::EngineOptions{args.threads});
     std::vector<verify::OracleReport> reports;
-    if (!args.pipelines.empty()) {
+    if (!rounds.empty()) {
         // Pipeline-surface mode: every requested pipeline crossed with
         // every requested kernel.
-        for (const auto &name : args.pipelines)
-            for (const auto &impl : impls)
-                reports.push_back(runImpl(engine, impl, name, args));
+        for (const auto *round : rounds)
+            for (const auto impl : impls)
+                reports.push_back(
+                    runImpl(engine, impl, round, environment, args));
     } else {
-        for (const auto &impl : impls)
-            reports.push_back(runImpl(engine, impl, "", args));
+        for (const auto impl : impls)
+            reports.push_back(
+                runImpl(engine, impl, nullptr, environment, args));
     }
     u64 divergent = 0;
     for (const auto &report : reports) {

@@ -213,6 +213,21 @@ TEST(Traces, CsvParsesAndNormalizes)
     EXPECT_EQ(model.periodSeconds(), 2.0);
 }
 
+TEST(Traces, NearFlatRampFromZeroWattsRechargesOnTheRamp)
+{
+    // 0 -> 1e-13 W over 1e6 s: a slope below the solver's 1e-18 W/s
+    // flat threshold from a dark start. 1 nJ takes m*tau^2/2 = 1e-9 J,
+    // tau = sqrt(2e10) s, not 1e-9 / 0 clamped to the whole segment.
+    HarvestModel model;
+    std::string error;
+    ASSERT_TRUE(parseTraceCsv("0,0\n1000000,1e-13\n2000000,1e-13\n",
+                              &model, &error))
+        << error;
+    const f64 tau = model.secondsToHarvest(0.0, 1e-9);
+    EXPECT_NEAR(tau, 141421.356, 1e-3);
+    EXPECT_NEAR(model.energyJoules(0.0, tau), 1e-9, 1e-9 * 1e-9);
+}
+
 TEST(Traces, CsvCorruptionDiagnostics)
 {
     HarvestModel model;
@@ -686,7 +701,9 @@ TEST(EnvClock, TimeInvariantSuppliesIgnoreElapse)
  * The harvest walk before HarvestModel::wrap, kept verbatim as the
  * reference: each step folds t with std::fmod, searches t's segment,
  * and evaluates both end rates through watts(), which fold and search
- * again.
+ * again. One edit: a near-flat segment that starts at 0 W is solved on
+ * its ramp, as the model does, since this reference pins the clock
+ * fold and not that formula.
  */
 class FmodHarvestModel
 {
@@ -760,7 +777,8 @@ class FmodHarvestModel
                 const f64 m = span > 0.0 ? (w1 - w0) / span : 0.0;
                 f64 tau;
                 if (std::fabs(m) < 1e-18) {
-                    tau = joules / w0;
+                    tau = w0 == 0.0 ? std::sqrt(2.0 * joules / m)
+                                    : joules / w0;
                 } else {
                     const f64 disc = w0 * w0 + 2.0 * m * joules;
                     tau = (std::sqrt(std::max(disc, 0.0)) - w0) / m;
@@ -889,9 +907,8 @@ TEST(HarvestWalk, MatchesTheFmodWalkBitForBit)
         HarvestModel({{0.0, 1e-3}, {std::nextafter(60.0, 0.0), 5e-3}},
                      60.0));
     // Past the -0.0 W point the slope is below the solver's 1e-18 W/s
-    // threshold, where the dead time is joules / w0 clamped to the
-    // segment: a start rate of -0.0 instead of +0.0 there turns the
-    // whole segment into no time at all.
+    // threshold and the segment starts dark, so the dead time comes
+    // from its ramp whichever sign the zero start rate carries.
     const HarvestModel shallow({{0.0, 1e-3}, {1.0, -0.0}, {1e6, 1e-13}},
                                2e6);
     const f64 past_the_ramp = 1.25e-4 + 1e-9; // from t = 0.5

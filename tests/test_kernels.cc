@@ -9,8 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <string>
+#include <iterator>
 
 #include <gtest/gtest.h>
 
@@ -75,6 +74,15 @@ TEST(Kernels, SoftwareImplsBitIdentical)
     EXPECT_EQ(runTiny(Impl::Tile32), base);
     EXPECT_EQ(runTiny(Impl::Tile128), base);
     EXPECT_EQ(runTiny(Impl::Sonic), base);
+
+    // So is a software tiling the table has no row for.
+    auto dev = continuousDevice();
+    const auto spec = testutil::tinyNet();
+    dnn::DeviceNetwork net(dev, spec);
+    net.loadInput(testutil::tinyInput());
+    const auto tile64 = runTiled(net, 64);
+    EXPECT_TRUE(tile64.completed);
+    EXPECT_EQ(tile64.logits, base);
 }
 
 TEST(Kernels, TailsCloseToReference)
@@ -113,94 +121,35 @@ TEST(Kernels, ImplNamesAndTiles)
 
 TEST(Registry, RoundTripsEveryBuiltinByName)
 {
-    auto &registry = ImplRegistry::instance();
-    EXPECT_GE(registry.size(), 6u);
+    EXPECT_EQ(std::size(kAllImpls), 6u);
     for (auto impl : kAllImpls) {
-        const auto *by_id = registry.find(impl);
-        ASSERT_NE(by_id, nullptr);
-        EXPECT_EQ(by_id->id, impl);
-        EXPECT_EQ(by_id->name, implName(impl));
-        EXPECT_EQ(by_id->tileSize, implTileSize(impl));
+        const ImplInfo &row = implInfo(impl);
+        EXPECT_EQ(row.id, impl);
+        EXPECT_EQ(row.name, implName(impl));
+        EXPECT_EQ(row.tileSize, implTileSize(impl));
         // name -> row -> id round trip
-        const auto *by_name = registry.find(by_id->name);
-        ASSERT_NE(by_name, nullptr);
-        EXPECT_EQ(by_name->id, impl);
+        Impl by_name = Impl::Base;
+        ASSERT_TRUE(implFromName(row.name, &by_name));
+        EXPECT_EQ(by_name, impl);
+        EXPECT_EQ(implByName(row.name), impl);
     }
 }
 
 TEST(Registry, UnknownLookupsReturnNull)
 {
-    auto &registry = ImplRegistry::instance();
-    EXPECT_EQ(registry.find("no-such-impl"), nullptr);
-    EXPECT_EQ(registry.find(static_cast<Impl>(250)), nullptr);
+    Impl impl = Impl::Sonic;
+    EXPECT_FALSE(implFromName("no-such-impl", &impl));
+    EXPECT_EQ(impl, Impl::Sonic);
     EXPECT_EQ(implName(static_cast<Impl>(250)), "?");
     EXPECT_EQ(implTileSize(static_cast<Impl>(250)), 0u);
 }
 
-TEST(Registry, DynamicImplPlugsInWithoutRunnerChanges)
+TEST(Registry, UnknownNameIsFatalListingTheSix)
 {
-    // Register the paper's missing middle tiling: a Tile-64 variant
-    // using the stock tiled entry point. No switch statement to edit —
-    // the registry row is the whole integration. The registry is
-    // process-global, so stay idempotent under --gtest_repeat.
-    auto &registry = ImplRegistry::instance();
-    const auto *existing = registry.find("Tile-64");
-    const Impl tile64 = existing != nullptr
-        ? existing->id
-        : registry.add("Tile-64", 64,
-                       [](dnn::DeviceNetwork &net, u32 tile) {
-                           return runTiled(net, tile);
-                       });
-
-    EXPECT_EQ(implName(tile64), "Tile-64");
-    EXPECT_EQ(implTileSize(tile64), 64u);
-    const auto *info = registry.find("Tile-64");
-    ASSERT_NE(info, nullptr);
-    EXPECT_EQ(info->id, tile64);
-
-    // Dispatch through the generic runner; software tilings are
-    // bit-identical to Base.
-    EXPECT_EQ(runTiny(tile64), runTiny(Impl::Base));
-
-    // Registration order is stable and includes the newcomer.
-    const auto all = registry.all();
-    EXPECT_EQ(all.front(), Impl::Base);
-    EXPECT_NE(std::find(all.begin(), all.end(), tile64), all.end());
-}
-
-TEST(Registry, DuplicateNameIsFatal)
-{
-    EXPECT_EXIT(ImplRegistry::instance().add(
-                    "SONIC", 0,
-                    [](dnn::DeviceNetwork &net, u32) {
-                        return runSonic(net);
-                    }),
-                ::testing::ExitedWithCode(1),
-                "fatal: duplicate implementation registration: SONIC");
-}
-
-TEST(Registry, KernelIdsDoNotAlias)
-{
-    // Ids are row indices: the 257th registration must not wrap onto
-    // an earlier id (an 8-bit Impl turned it into Base). Runs in a
-    // child process so the extra kernels stay out of other tests.
-    EXPECT_EXIT(
-        {
-            auto &registry = ImplRegistry::instance();
-            Impl last = Impl::Base;
-            for (u32 i = 0; i < 251; ++i)
-                last = registry.add("alias-" + std::to_string(i), 0,
-                                    [](dnn::DeviceNetwork &net, u32) {
-                                        return runBase(net);
-                                    });
-            const auto *by_name = registry.find("alias-250");
-            const auto *by_id = registry.find(last);
-            const bool round_trips = static_cast<u32>(last) >= 256
-                && by_name != nullptr && by_name->id == last
-                && implName(last) == "alias-250" && by_id == by_name;
-            std::exit(round_trips ? 0 : 1);
-        },
-        ::testing::ExitedWithCode(0), "");
+    EXPECT_EXIT(implByName("Tile-64"), ::testing::ExitedWithCode(1),
+                "fatal: unknown implementation 'Tile-64'; registered "
+                "implementations: Base, Tile-8, Tile-32, Tile-128, SONIC, "
+                "TAILS");
 }
 
 TEST(Kernels, SonicCheaperThanTiledOnDevice)

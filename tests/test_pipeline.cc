@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the sense-infer-transmit pipeline subsystem: registry
- * semantics, radio attempt-energy arithmetic against the OpenChirp
+ * Tests for the sense-infer-transmit pipeline subsystem: the pipeline
+ * list's lookups, radio attempt-energy arithmetic against the OpenChirp
  * profile, continuous-round behavior (logit equality with the bare
  * kernel, delivery accounting, give-up on a dead link), exhaustive
  * single-failure delivery idempotence (never lose, never duplicate),
@@ -54,62 +54,32 @@ countRoundOps(const PipelineSpec &spec, kernels::Impl impl)
     return ops;
 }
 
-// --- Registry -------------------------------------------------------
+// --- Pipeline list --------------------------------------------------
 
 TEST(PipelineRegistry, BuiltinsAreRegistered)
 {
-    auto &registry = PipelineRegistry::instance();
     for (const char *name : {"infer-only", "wildlife", "sense-infer",
                              "result-tx", "lossy-uplink"})
-        EXPECT_TRUE(registry.contains(name)) << name;
-    EXPECT_FALSE(registry.contains("no-such-pipeline"));
+        EXPECT_TRUE(contains(name)) << name;
+    EXPECT_FALSE(contains("no-such-pipeline"));
 
-    const auto &wildlife = registry.get("wildlife");
+    const auto &wildlife = get("wildlife");
     EXPECT_TRUE(wildlife.sense.enabled);
     EXPECT_TRUE(wildlife.radio.enabled);
     EXPECT_EQ(wildlife.radio.ackLossProbability, 0.0);
     EXPECT_FALSE(wildlife.inferOnly());
-    EXPECT_TRUE(registry.get("infer-only").inferOnly());
+    EXPECT_TRUE(get("infer-only").inferOnly());
 
-    // Every registered name appears in the CLI help list.
-    const auto list = registry.availableList();
-    for (const auto &name : registry.names())
+    // Every pipeline name appears in the CLI help list.
+    const auto list = availableList();
+    for (const auto &name : names())
         EXPECT_NE(list.find(name), std::string::npos) << name;
 }
 
-TEST(PipelineRegistry, DuplicateAndUnknownNamesDie)
+TEST(PipelineRegistry, UnknownNameDies)
 {
-    PipelineSpec dup;
-    dup.name = "wildlife";
-    EXPECT_EXIT(PipelineRegistry::instance().add(dup),
-                ::testing::ExitedWithCode(1),
-                "duplicate pipeline registration: wildlife");
-    EXPECT_EXIT(PipelineRegistry::instance().get("no-such-pipeline"),
-                ::testing::ExitedWithCode(1),
+    EXPECT_EXIT(get("no-such-pipeline"), ::testing::ExitedWithCode(1),
                 "registered pipelines: infer-only, wildlife");
-}
-
-TEST(PipelineRegistry, ReferencesSurviveLaterRegistrations)
-{
-    // get() hands out references; registering more specs must neither
-    // move nor clobber them. Runs in a child process so the extra
-    // specs do not leak into tests that iterate every pipeline.
-    EXPECT_EXIT(
-        {
-            auto &registry = PipelineRegistry::instance();
-            const PipelineSpec &wildlife = registry.get("wildlife");
-            for (u32 i = 0; i < 64; ++i) {
-                PipelineSpec s;
-                s.name = "growth-" + std::to_string(i);
-                registry.add(std::move(s));
-            }
-            const bool intact = wildlife.name == "wildlife"
-                && wildlife.sense.enabled
-                && wildlife.radio.payloadBytes == 8
-                && &registry.get("wildlife") == &wildlife;
-            std::exit(intact ? 0 : 1);
-        },
-        ::testing::ExitedWithCode(0), "");
 }
 
 // --- Radio energy ---------------------------------------------------
@@ -151,7 +121,7 @@ TEST(RadioEnergy, AttemptEnergyScalesWithPayload)
 
 TEST(PipelineRound, ContinuousWildlifeDeliversWithKernelLogits)
 {
-    const auto &spec = PipelineRegistry::instance().get("wildlife");
+    const auto &spec = get("wildlife");
     const auto out = runTinyRound(
         spec, kernels::Impl::Sonic,
         std::make_unique<arch::ContinuousPower>());
@@ -167,7 +137,7 @@ TEST(PipelineRound, ContinuousWildlifeDeliversWithKernelLogits)
     // The sense stage lands the sample exactly where loadInput would:
     // the pipeline's logits are the bare kernel's, bit for bit.
     const auto bare = runTinyRound(
-        PipelineRegistry::instance().get("infer-only"),
+        get("infer-only"),
         kernels::Impl::Sonic, std::make_unique<arch::ContinuousPower>());
     ASSERT_TRUE(bare.completed);
     EXPECT_EQ(out.logits, bare.logits);
@@ -183,7 +153,7 @@ TEST(PipelineRound, SenseStageChargesSenseOps)
                      std::make_unique<arch::ContinuousPower>());
     const auto net_spec = testutil::tinyNet();
     dnn::DeviceNetwork net(dev, net_spec);
-    const auto &spec = PipelineRegistry::instance().get("wildlife");
+    const auto &spec = get("wildlife");
     const auto out =
         runRound(net, kernels::Impl::Sonic, testutil::tinyInput(), spec,
                  kSeed, 0);
@@ -233,7 +203,7 @@ TEST(PipelineRound, DeadLinkGivesUpAfterMaxAttempts)
  */
 TEST(PipelineDelivery, SurvivesFailureAtEveryOperation)
 {
-    const auto &spec = PipelineRegistry::instance().get("wildlife");
+    const auto &spec = get("wildlife");
     const auto golden = runTinyRound(
         spec, kernels::Impl::Sonic,
         std::make_unique<arch::ContinuousPower>());
@@ -263,7 +233,7 @@ TEST(PipelineDelivery, LossyLinkAccountingMatchesContinuous)
     // interrupted attempt re-executes with the identical outcome:
     // intermittent delivery accounting equals the continuous run's,
     // round by round, including rounds that give up.
-    const auto &spec = PipelineRegistry::instance().get("lossy-uplink");
+    const auto &spec = get("lossy-uplink");
     const u64 total = countRoundOps(spec, kernels::Impl::Tile8);
     for (u64 round = 0; round < 6; ++round) {
         const auto golden = runTinyRound(
@@ -288,7 +258,7 @@ TEST(PipelineDelivery, LossyLinkEventuallyDropsAndRetries)
 {
     // Sanity that the lossy built-in actually exercises both regimes
     // across rounds: some rounds retry, and accounting is consistent.
-    const auto &spec = PipelineRegistry::instance().get("lossy-uplink");
+    const auto &spec = get("lossy-uplink");
     u32 retried = 0, delivered = 0;
     for (u64 round = 0; round < 24; ++round) {
         const auto out = runTinyRound(
@@ -310,12 +280,12 @@ TEST(PipelineDelivery, LossyLinkEventuallyDropsAndRetries)
 
 TEST(PipelineOracle, MixedBatteryGreenForEveryPipeline)
 {
-    for (const auto &name : PipelineRegistry::instance().names()) {
+    for (const auto &name : names()) {
         for (const auto impl :
              {kernels::Impl::Sonic, kernels::Impl::Tile8}) {
             verify::LocalWorkload workload(testutil::tinyNet(),
                                            testutil::tinyInput(), impl);
-            workload.round = PipelineRegistry::instance().get(name);
+            workload.round = get(name);
             const auto report = verify::verifyLocal(workload, 12, 0xf1ee7);
             EXPECT_TRUE(report.ok())
                 << name << " x " << kernels::implName(impl) << ": "
@@ -331,7 +301,7 @@ TEST(PipelineOracle, TxBoundaryTraceSeesEveryBoundary)
     verify::LocalWorkload workload(testutil::tinyNet(),
                                    testutil::tinyInput(),
                                    kernels::Impl::Sonic);
-    workload.round = PipelineRegistry::instance().get("wildlife");
+    workload.round = get("wildlife");
     u64 total = 0;
     const auto boundaries = verify::recordCommitTrace(workload, &total);
     // Lossless wildlife: one result commit + one ACK commit.

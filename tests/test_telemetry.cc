@@ -77,12 +77,12 @@ randomF64(std::mt19937_64 &rng)
 app::SweepRecord
 randomSweepRecord(std::mt19937_64 &rng, u32 index)
 {
-    const auto impls = kernels::ImplRegistry::instance().all();
     app::SweepRecord record;
     record.planIndex = index;
     auto &spec = record.spec;
     spec.net = kAwkwardNames[rng() % std::size(kAwkwardNames)];
-    spec.impl = impls[rng() % impls.size()];
+    spec.impl =
+        kernels::kAllImpls[rng() % std::size(kernels::kAllImpls)];
     spec.profile =
         app::kAllProfiles[rng() % std::size(app::kAllProfiles)];
     spec.sampleIndex = static_cast<u32>(rng() % 16);
@@ -148,12 +148,11 @@ randomSweepRecord(std::mt19937_64 &rng, u32 index)
 fleet::DeviceTelemetry
 randomFleetTelemetry(std::mt19937_64 &rng, u32 index)
 {
-    const auto impls = kernels::ImplRegistry::instance().all();
     fleet::DeviceTelemetry t;
     auto &a = t.assignment;
     a.deviceIndex = index;
     a.net = kAwkwardNames[rng() % std::size(kAwkwardNames)];
-    a.impl = impls[rng() % impls.size()];
+    a.impl = kernels::kAllImpls[rng() % std::size(kernels::kAllImpls)];
     a.environment.env =
         kAwkwardNames[rng() % std::size(kAwkwardNames)];
     a.environment.capacitanceFarads =

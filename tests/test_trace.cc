@@ -369,7 +369,7 @@ TEST(OracleTrace, DumpScheduleTraceWritesAReadableTrace)
                                     verify::goldenInput(),
                                     kernels::Impl::Sonic);
     verify::LocalWorkload round = inference;
-    round.round = pipeline::PipelineRegistry::instance().get("wildlife");
+    round.round = pipeline::get("wildlife");
 
     const verify::Schedule schedule = {50, 500, 5'000};
     const std::string path =

@@ -568,40 +568,21 @@ struct Widget
     int value = 0;
 };
 
-TEST(UtilRegistry, IndexIsRegistrationOrder)
+TEST(UtilRegistry, NamesFollowRegistrationOrder)
 {
     util::Registry<Widget> reg("widget");
-    EXPECT_EQ(reg.size(), 0u);
-    EXPECT_EQ(reg.at(0), nullptr);
+    EXPECT_TRUE(reg.names().empty());
     const Widget &a = reg.add("a", 1);
     const Widget *b = reg.tryAdd(Widget{"b", 2});
     ASSERT_NE(b, nullptr);
-    EXPECT_EQ(reg.size(), 2u);
-    EXPECT_EQ(reg.at(0), &a);
-    EXPECT_EQ(reg.at(1), b);
-    EXPECT_EQ(reg.at(2), nullptr);
+    EXPECT_EQ(reg.names(), (std::vector<std::string>{"a", "b"}));
+    EXPECT_EQ(reg.find("a"), &a);
     EXPECT_EQ(reg.find("b"), b);
     EXPECT_EQ(&reg.get("a"), &a);
     EXPECT_EQ(reg.find("c"), nullptr);
     EXPECT_TRUE(reg.contains("a"));
     EXPECT_FALSE(reg.contains("c"));
-    EXPECT_EQ(reg.names(), (std::vector<std::string>{"a", "b"}));
     EXPECT_EQ(reg.availableList(), "a, b");
-}
-
-TEST(UtilRegistry, StampSeesTheRowIndex)
-{
-    util::Registry<Widget> reg(
-        "widget", [](Widget &row, u32 index) {
-            row.value = static_cast<int>(index) * 10;
-        });
-    reg.add("a");
-    reg.add("b");
-    EXPECT_EQ(reg.tryAdd("a"), nullptr);
-    reg.add("c");
-    EXPECT_EQ(reg.get("a").value, 0);
-    EXPECT_EQ(reg.get("b").value, 10);
-    EXPECT_EQ(reg.get("c").value, 20);
 }
 
 TEST(UtilRegistry, PointersSurviveLaterRegistrations)
@@ -610,11 +591,12 @@ TEST(UtilRegistry, PointersSurviveLaterRegistrations)
     const Widget *first = &reg.add("first", 7);
     for (int i = 0; i < 1000; ++i)
         reg.add("w" + std::to_string(i), i);
-    EXPECT_EQ(reg.size(), 1001u);
+    const auto names = reg.names();
+    ASSERT_EQ(names.size(), 1001u);
+    EXPECT_EQ(names.back(), "w999");
     EXPECT_EQ(reg.find("first"), first);
     EXPECT_EQ(first->name, "first");
     EXPECT_EQ(first->value, 7);
-    EXPECT_EQ(reg.at(1000)->name, "w999");
 }
 
 TEST(UtilRegistry, TryAddOfATakenNameChangesNothing)
@@ -622,14 +604,14 @@ TEST(UtilRegistry, TryAddOfATakenNameChangesNothing)
     util::Registry<Widget> reg("widget");
     const Widget *original = &reg.add("a", 1);
     EXPECT_EQ(reg.tryAdd("a", 2), nullptr);
-    EXPECT_EQ(reg.size(), 1u);
+    EXPECT_EQ(reg.names(), std::vector<std::string>{"a"});
     EXPECT_EQ(reg.find("a"), original);
     EXPECT_EQ(original->value, 1);
-    // The rejected candidate left no slot behind: the next row takes
-    // index 1.
-    EXPECT_EQ(reg.at(1), nullptr);
+    // The rejected candidate left no row behind: the next one follows
+    // "a" directly.
     const Widget &b = reg.add("b", 3);
-    EXPECT_EQ(reg.at(1), &b);
+    EXPECT_EQ(reg.names(), (std::vector<std::string>{"a", "b"}));
+    EXPECT_EQ(reg.find("b"), &b);
 }
 
 TEST(UtilRegistry, DuplicateAddIsFatal)
@@ -676,7 +658,7 @@ TEST(UtilRegistry, ConcurrentTryAddAndFindAgree)
     for (auto &thread : pool)
         thread.join();
 
-    EXPECT_EQ(reg.size(), static_cast<u32>(kThreads + kNames));
+    EXPECT_EQ(reg.names().size(), std::size_t{kThreads + kNames});
     int wins = 0;
     for (int t = 0; t < kThreads; ++t) {
         EXPECT_EQ(lookups_missed[t], 0) << t;

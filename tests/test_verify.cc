@@ -173,7 +173,7 @@ TEST(Oracle, GrandSweepZeroDivergences)
         kernels::Impl::Tails};
     u64 total_schedules = 0;
     for (const auto impl : impls) {
-        const auto *info = kernels::ImplRegistry::instance().find(impl);
+        const auto &info = kernels::implInfo(impl);
         const auto workload = goldenWorkload(impl);
         u64 draws = 0;
         const auto commits = recordCommitTrace(workload, &draws);
@@ -186,7 +186,7 @@ TEST(Oracle, GrandSweepZeroDivergences)
         total_schedules += schedules.size();
 
         OracleOptions options;
-        options.crashConsistent = info->crashConsistent;
+        options.crashConsistent = info.crashConsistent;
         // The final FRAM image is part of the property for the purely
         // software kernels; TAILS' calibration registers (tile words,
         // attempt flags) legitimately depend on where failures land,
@@ -195,14 +195,14 @@ TEST(Oracle, GrandSweepZeroDivergences)
         Oracle oracle(localRunner(workload), options);
         const auto report = oracle.verify(schedules);
         EXPECT_TRUE(report.ok())
-            << info->name << ": " << report.divergences.size()
+            << info.name << ": " << report.divergences.size()
             << " divergences, first: "
             << (report.ok()
                     ? std::string()
                     : report.divergences.front().reason);
-        EXPECT_GT(report.totalFired, 0u) << info->name;
+        EXPECT_GT(report.totalFired, 0u) << info.name;
         EXPECT_EQ(report.totalReboots, report.totalFired)
-            << info->name;
+            << info.name;
     }
     EXPECT_GE(total_schedules, 1000u);
 }
@@ -306,17 +306,16 @@ TEST(Oracle, EngineFanOutMatchesLocalJudgment)
         config.schedules = 24;
         config.seed = 0xfa11;
         const auto report = verifyWithEngine(engine, config);
-        const auto *info = kernels::ImplRegistry::instance().find(impl);
-        ASSERT_NE(info, nullptr);
+        const auto name = kernels::implName(impl);
         EXPECT_TRUE(report.ok())
-            << info->name << ": " << report.divergences.size()
+            << name << ": " << report.divergences.size()
             << " divergences, first: "
             << (report.ok() ? std::string()
                             : report.divergences.front().reason);
         EXPECT_EQ(report.schedulesRun, 24u);
-        EXPECT_EQ(report.impl, info->name);
+        EXPECT_EQ(report.impl, name);
         EXPECT_EQ(report.workload, net);
-        EXPECT_GT(report.totalFired, 0u) << info->name;
+        EXPECT_GT(report.totalFired, 0u) << name;
     }
 }
 
