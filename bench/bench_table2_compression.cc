@@ -16,9 +16,8 @@ main()
 {
     std::printf("%s", banner("Table 2 — network compression").c_str());
 
-    app::Engine engine;
     for (const auto &name : dnn::kPaperNets) {
-        const auto &model = engine.model(name);
+        const auto &model = dnn::ModelZoo::instance().get(name);
         const auto &teacher = model.teacher();
         const auto &net = model.compressed();
         const auto &data = model.dataset();

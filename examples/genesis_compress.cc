@@ -57,8 +57,7 @@ main()
                      env::EnvRegistry::instance().make(
                          {"rf-paper", 100e-6}, /*seed=*/0));
     dnn::DeviceNetwork net(dev, chosen_spec);
-    app::Engine engine;
-    const auto &data = engine.dataset("HAR");
+    const auto &data = dnn::ModelZoo::instance().get("HAR").dataset();
     net.loadInput(dnn::DeviceNetwork::quantizeInput(data[0].input));
     const auto run = kernels::runInference(net, kernels::Impl::Sonic);
 

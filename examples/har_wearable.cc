@@ -32,8 +32,9 @@ main()
         .samples(kWindows);
     const auto records = engine.run(plan);
 
-    const auto &spec = engine.compressed("HAR");
-    const auto &data = engine.dataset("HAR");
+    const auto &model = dnn::ModelZoo::instance().get("HAR");
+    const auto &spec = model.compressed();
+    const auto &data = model.dataset();
 
     u32 agree = 0;
     u64 reboots = 0;

@@ -1,14 +1,12 @@
 #include "app/engine.hh"
 
 #include <atomic>
-#include <condition_variable>
 #include <ostream>
-#include <thread>
 
 #include "arch/memory.hh"
 #include "dnn/device_net.hh"
+#include "util/parallel.hh"
 #include "util/progress.hh"
-#include "util/logging.hh"
 
 namespace sonic::app
 {
@@ -152,34 +150,7 @@ Engine::~Engine() = default;
 u32
 Engine::threadCount() const
 {
-    if (options_.threads > 0)
-        return options_.threads;
-    const u32 hw = std::thread::hardware_concurrency();
-    return hw > 0 ? hw : 1;
-}
-
-const dnn::ModelEntry &
-Engine::model(const dnn::NetRef &net)
-{
-    return dnn::ModelZoo::instance().get(net);
-}
-
-const dnn::NetworkSpec &
-Engine::teacher(const dnn::NetRef &net)
-{
-    return model(net).teacher();
-}
-
-const dnn::NetworkSpec &
-Engine::compressed(const dnn::NetRef &net)
-{
-    return model(net).compressed();
-}
-
-const dnn::Dataset &
-Engine::dataset(const dnn::NetRef &net)
-{
-    return model(net).dataset();
+    return util::resolveThreads(options_.threads);
 }
 
 ExperimentResult
@@ -199,9 +170,10 @@ Engine::runOne(const RunSpec &spec)
     arch::Device dev(makeProfile(spec.profile), std::move(psu));
     if (spec.captureNvmDigests)
         dev.setProbe(&digests);
-    dnn::DeviceNetwork net(dev, model(spec.net).flashImage());
+    const dnn::ModelEntry &model = dnn::ModelZoo::instance().get(spec.net);
+    dnn::DeviceNetwork net(dev, model.flashImage());
 
-    const dnn::Dataset &data = dataset(spec.net);
+    const dnn::Dataset &data = model.dataset();
     const auto &sample = data[spec.sampleIndex % data.size()];
     net.loadInput(dnn::DeviceNetwork::quantizeInput(sample.input));
 
@@ -262,85 +234,49 @@ std::vector<SweepRecord>
 Engine::run(const SweepPlan &plan,
             const std::vector<ResultSink *> &sinks)
 {
-    const auto specs = plan.expand();
+    auto specs = plan.expand();
     const u64 total = specs.size();
 
     // Warm the zoo cache up front, single-threaded, so workers only
     // ever read immutable artifacts (and so cache construction order —
     // hence content — is independent of the thread count).
     for (const auto &net : plan.netAxis()) {
-        model(net).flashImage();
-        dataset(net);
+        const auto &model = dnn::ModelZoo::instance().get(net);
+        model.flashImage();
+        model.dataset();
     }
 
-    MemorySink memory;
-    std::vector<ResultSink *> allSinks;
-    allSinks.push_back(&memory);
+    std::vector<ResultSink *> live_sinks;
     for (auto *sink : sinks)
         if (sink != nullptr)
-            allSinks.push_back(sink);
-
-    for (auto *sink : allSinks)
+            live_sinks.push_back(sink);
+    for (auto *sink : live_sinks)
         sink->begin(total);
-
-    const u32 workers = static_cast<u32>(
-        std::min<u64>(threadCount(), total ? total : 1));
 
     std::atomic<u64> specs_done{0};
     util::ProgressMeter progress("sweep", "coordinates", total,
                                  &specs_done, options_.progress);
 
-    if (workers <= 1) {
-        for (u64 i = 0; i < total; ++i) {
-            SweepRecord record;
+    // Each spec fills its own slot; sinks see the finished prefix in
+    // plan order while later specs still run.
+    std::vector<SweepRecord> records(total);
+    util::parallelFor(
+        total, options_.threads,
+        [&](u64 i, u32) {
+            SweepRecord &record = records[i];
             record.planIndex = static_cast<u32>(i);
-            record.spec = specs[i];
-            record.result = runOne(specs[i]);
+            record.spec = std::move(specs[i]);
+            record.result = runOne(record.spec);
             specs_done.fetch_add(1, std::memory_order_relaxed);
-            for (auto *sink : allSinks)
-                sink->add(record);
-        }
-    } else {
-        std::vector<std::unique_ptr<SweepRecord>> done(total);
-        std::atomic<u64> next{0};
-        std::mutex emitMutex;
-        u64 emitted = 0;
+        },
+        [&](u64 i) {
+            for (auto *sink : live_sinks)
+                sink->add(records[i]);
+        });
 
-        auto workerLoop = [&]() {
-            for (;;) {
-                const u64 i = next.fetch_add(1);
-                if (i >= total)
-                    return;
-                auto record = std::make_unique<SweepRecord>();
-                record->planIndex = static_cast<u32>(i);
-                record->spec = specs[i];
-                record->result = runOne(specs[i]);
-                specs_done.fetch_add(1, std::memory_order_relaxed);
-
-                // Publish, then flush the contiguous finished prefix
-                // in plan order so sinks see a deterministic stream.
-                std::lock_guard<std::mutex> lock(emitMutex);
-                done[i] = std::move(record);
-                while (emitted < total && done[emitted]) {
-                    for (auto *sink : allSinks)
-                        sink->add(*done[emitted]);
-                    ++emitted;
-                }
-            }
-        };
-
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (u32 w = 0; w < workers; ++w)
-            pool.emplace_back(workerLoop);
-        for (auto &t : pool)
-            t.join();
-        SONIC_ASSERT(emitted == total, "sweep lost records");
-    }
-
-    for (auto *sink : allSinks)
+    for (auto *sink : live_sinks)
         sink->end();
-    return memory.take();
+    return records;
 }
 
 } // namespace sonic::app

@@ -1,16 +1,16 @@
 /**
  * @file
  * The experiment engine: executes RunSpecs — single-shot or whole
- * SweepPlan grids — over a worker-thread pool, resolving workloads by
- * name through the ModelZoo's deterministic cache (teacher/compressed
- * networks, datasets), and streams finished results into pluggable
- * sinks.
+ * SweepPlan grids on util::parallelFor's worker pool — resolving
+ * workloads by name through the ModelZoo's deterministic cache
+ * (teacher/compressed networks, datasets), and streams finished
+ * results into pluggable sinks.
  *
  * Determinism contract: every spec runs on its own freshly-built
- * Device against immutable cached workloads, so a sweep's results are
- * bit-identical regardless of the thread count, and sinks always
- * receive records in plan-expansion order (the engine holds back
- * out-of-order completions until the gap fills).
+ * Device against immutable cached workloads and fills its own record
+ * slot, so a sweep's results are bit-identical regardless of the
+ * thread count, and sinks always receive records in plan-expansion
+ * order (the pool emits a record once every earlier one has finished).
  */
 
 #ifndef SONIC_APP_ENGINE_HH
@@ -63,7 +63,7 @@ class ResultSink
     virtual void end() {}
 };
 
-/** Collects records into memory (what Engine::run returns). */
+/** Collects records into memory. */
 class MemorySink : public ResultSink
 {
   public:
@@ -103,7 +103,7 @@ class JsonSink : public ResultSink
 /** Engine configuration. */
 struct EngineOptions
 {
-    /** Worker threads for sweeps; 0 = hardware concurrency. */
+    /** Workers for sweeps and oracle batteries; 0 = hardware concurrency. */
     u32 threads = 0;
 
     /** Heartbeat coordinates/s + ETA line on stderr while the sweep
@@ -125,21 +125,13 @@ class Engine
     Engine(const Engine &) = delete;
     Engine &operator=(const Engine &) = delete;
 
-    /** @name Zoo-backed workload artifacts (deterministic, cached;
-     * unknown names are fatal with the registered list). */
-    /// @{
-    const dnn::ModelEntry &model(const dnn::NetRef &net);
-    const dnn::NetworkSpec &teacher(const dnn::NetRef &net);
-    const dnn::NetworkSpec &compressed(const dnn::NetRef &net);
-    const dnn::Dataset &dataset(const dnn::NetRef &net);
-    /// @}
-
     /** Run one inference experiment on the calling thread. */
     ExperimentResult runOne(const RunSpec &spec);
 
     /**
-     * Expand and execute a plan over the worker pool. Records are
-     * streamed to the sinks in plan order and also returned.
+     * Expand and execute a plan over the worker pool, one record slot
+     * per spec. Records are streamed to the sinks in plan order as
+     * they finish, and the slots are returned.
      */
     std::vector<SweepRecord> run(const SweepPlan &plan,
                                  const std::vector<ResultSink *> &sinks

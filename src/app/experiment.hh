@@ -69,9 +69,9 @@ struct RunSpec
     env::EnvRef environment;
 
     /**
-     * Explicit failure-index trace (the oracle's coordinate). When
-     * non-empty the run is powered by arch::SchedulePower over these
-     * draw indices and `environment` is ignored.
+     * Explicit failure-index trace. When non-empty the run is powered
+     * by arch::SchedulePower over these draw indices and `environment`
+     * is ignored.
      */
     std::vector<u64> failureSchedule;
 
@@ -115,7 +115,7 @@ struct ExperimentResult
     u32 predictedClass = 0;
     u32 tailsTileWords = 0; ///< TAILS' calibrated LEA tile (0 if n/a)
 
-    /** @name Oracle observables (RunSpec::failureSchedule runs) */
+    /** @name Observables of RunSpec::failureSchedule runs */
     /// @{
     u64 scheduleFired = 0; ///< scheduled failure indices that fired
     u64 opInstances = 0;   ///< total charged op instances (all kinds)

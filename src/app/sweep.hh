@@ -78,8 +78,7 @@ class SweepPlan
      * Failure-schedule axis (innermost). Each value is an explicit
      * draw-index trace executed under arch::SchedulePower; the empty
      * schedule (the default single point) means "use the environment
-     * axis". The verification oracle fans a batch of adversarial
-     * schedules across the worker pool through this axis.
+     * axis".
      */
     SweepPlan &failureSchedules(std::vector<std::vector<u64>> values);
     /// @}

@@ -89,7 +89,7 @@ makeDataset(const NetworkSpec &teacher, u32 n, u64 seed)
     // The inputs above take the rng's draws in sample order; labelling
     // (one teacher forward pass per sample) is independent per sample
     // and dominates, so it runs concurrently.
-    util::parallelFor(n, [&](u64 i) {
+    util::parallelFor(n, 0, [&](u64 i, u32) {
         data[i].label = teacher.classify(data[i].input);
     });
     return data;

@@ -341,7 +341,7 @@ NetworkSpec
 compressLayers(const NetworkSpec &teacher, CompressLayer compressLayer)
 {
     std::vector<std::vector<LayerSpec>> slots(teacher.layers.size());
-    util::parallelFor(slots.size(), [&](u64 li) {
+    util::parallelFor(slots.size(), 0, [&](u64 li, u32) {
         compressLayer(static_cast<u32>(li), slots[li]);
     });
 

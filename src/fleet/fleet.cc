@@ -4,10 +4,8 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <mutex>
 #include <ostream>
 #include <sstream>
-#include <thread>
 #include <typeinfo>
 
 #include "dnn/device_net.hh"
@@ -15,6 +13,7 @@
 #include "trace/trace.hh"
 #include "util/progress.hh"
 #include "util/logging.hh"
+#include "util/parallel.hh"
 #include "util/rng.hh"
 
 namespace sonic::fleet
@@ -691,10 +690,7 @@ runFleet(const FleetPlan &plan, FleetOptions options,
     const PlanRows rows = resolveRows(plan);
 
     const u64 total = plan.devices;
-    u32 workers = options.threads > 0
-        ? options.threads
-        : std::max(1u, std::thread::hardware_concurrency());
-    workers = static_cast<u32>(std::min<u64>(workers, total));
+    const u32 workers = util::poolSize(total, options.threads);
 
     std::vector<FleetSink *> live_sinks;
     for (auto *sink : sinks)
@@ -768,42 +764,11 @@ runFleet(const FleetPlan &plan, FleetOptions options,
             sink->add(view);
     };
 
-    if (workers <= 1) {
-        for (u64 i = 0; i < total; ++i) {
-            simulate(i, 0);
-            emit(i);
-        }
-    } else {
-        // Work stealing over device lifetimes: the shared cursor hands
-        // the next device to whichever worker frees up first, so a
-        // fleet of wildly uneven lifetimes (a solar device waiting out
-        // the night next to a bench device) still load-balances.
-        std::atomic<u64> next{0};
-        std::mutex emitMutex;
-        std::vector<u8> ready(total, 0);
-        u64 emitted = 0;
-
-        auto workerLoop = [&](u32 w) {
-            for (;;) {
-                const u64 i = next.fetch_add(1);
-                if (i >= total)
-                    return;
-                simulate(i, w);
-                std::lock_guard<std::mutex> lock(emitMutex);
-                ready[i] = 1;
-                while (emitted < total && ready[emitted])
-                    emit(emitted++);
-            }
-        };
-
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (u32 w = 0; w < workers; ++w)
-            pool.emplace_back(workerLoop, w);
-        for (auto &t : pool)
-            t.join();
-        SONIC_ASSERT(emitted == total, "fleet lost devices");
-    }
+    // The pool's shared cursor hands the next device to whichever
+    // worker frees up first, so a fleet of wildly uneven lifetimes (a
+    // solar device waiting out the night next to a bench device) still
+    // load-balances.
+    util::parallelFor(total, options.threads, simulate, emit);
 
     for (auto *sink : live_sinks)
         sink->end();

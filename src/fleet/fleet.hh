@@ -11,10 +11,10 @@
  * and every
  * device's assignment and seed derive deterministically from the base
  * seed and the device index alone. Execution fans device lifetimes
- * across a worker pool with work stealing (a shared atomic cursor:
- * whichever worker frees up first takes the next device), and the
- * aggregate FleetSummary is bit-identical regardless of thread count
- * because per-device telemetry is placed by device index and reduced
+ * across util::parallelFor's worker pool (a shared cursor: whichever
+ * worker frees up first takes the next device), and the aggregate
+ * FleetSummary is bit-identical regardless of thread count because
+ * per-device telemetry is placed by device index and reduced
  * sequentially.
  *
  * A device lifetime: boot fully charged, run an inference, sleep until

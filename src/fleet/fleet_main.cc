@@ -31,7 +31,6 @@
 #include <iostream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "fleet/fleet_flags.hh"
@@ -39,27 +38,14 @@
 #include "telemetry/sonicz.hh"
 #include "trace/trace.hh"
 #include "util/cli.hh"
+#include "util/parallel.hh"
 #include "util/table.hh"
-
-namespace
-{
-
-using namespace sonic;
-
-/** The worker count runFleet resolves 0 to. */
-u32
-effectiveThreads(u32 requested)
-{
-    return requested > 0
-        ? requested
-        : std::max(1u, std::thread::hardware_concurrency());
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
+    using namespace sonic;
+
     fleet::FleetFlags fleet_flags;
     fleet::FleetOptions options;
     std::vector<std::string> trace_args;
@@ -166,7 +152,7 @@ main(int argc, char **argv)
         // Block encoding fans out across the worker count the fleet
         // itself uses; the bytes are identical either way.
         sonicz_sink = std::make_unique<telemetry::SoniczFleetSink>(
-            sonicz_file, effectiveThreads(options.threads));
+            sonicz_file, util::resolveThreads(options.threads));
         sinks.push_back(sonicz_sink.get());
     }
 
@@ -191,7 +177,7 @@ main(int argc, char **argv)
         if (!cli::openOutput(trace_file, trace_out_path, std::ios::binary))
             return 2;
         collector.write(trace_file,
-                        effectiveThreads(options.threads));
+                        util::resolveThreads(options.threads));
         if (!cli::finishOutput(trace_file, trace_out_path))
             return 1;
         std::cout << "trace: " << collector.devices() << " devices, "

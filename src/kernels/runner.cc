@@ -111,13 +111,6 @@ implByName(std::string_view name)
     return impl;
 }
 
-u32
-implTileSize(Impl impl)
-{
-    const ImplInfo *row = rowOf(impl);
-    return row != nullptr ? row->tileSize : 0;
-}
-
 namespace
 {
 

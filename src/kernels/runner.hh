@@ -102,9 +102,6 @@ bool implFromName(std::string_view name, Impl *out);
 /** As implFromName, but an unknown name is fatal, listing the six. */
 Impl implByName(std::string_view name);
 
-/** Tile size of a tiled implementation (0 otherwise). */
-u32 implTileSize(Impl impl);
-
 /**
  * Run one inference of the flashed network with the given
  * implementation (table dispatch). The input must already be

@@ -11,6 +11,7 @@
 #include "trace/trace.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
+#include "util/parallel.hh"
 #include "util/rng.hh"
 #include "verify/workload.hh"
 
@@ -30,21 +31,6 @@ sumOpInstances(const arch::Device &dev)
     for (u32 o = 0; o < arch::kNumOps; ++o)
         total += dev.stats().opCount(static_cast<arch::Op>(o));
     return total;
-}
-
-Observation
-toObservation(const app::ExperimentResult &result)
-{
-    Observation o;
-    o.completed = result.completed;
-    o.nonTerminating = result.nonTerminating;
-    o.reboots = result.reboots;
-    o.fired = result.scheduleFired;
-    o.opInstances = result.opInstances;
-    o.logits = result.logits;
-    o.finalNvmDigest = result.finalNvmDigest;
-    o.rebootDigests = result.rebootDigests;
-    return o;
 }
 
 /**
@@ -227,15 +213,14 @@ LocalWorkload::LocalWorkload(dnn::NetworkSpec net, std::vector<i16> input,
     image = std::shared_ptr<const dnn::FlashImage>(owned, &owned->image);
 }
 
-LocalWorkload::LocalWorkload(app::Engine &engine, const dnn::NetRef &net,
-                             kernels::Impl impl)
-    // Zoo models live as long as the process: the image is only viewed.
-    : image(&engine.model(net).flashImage(),
-            [](const dnn::FlashImage *) {}),
-      input(dnn::DeviceNetwork::quantizeInput(
-          engine.dataset(net)[0].input)),
-      impl(impl)
+LocalWorkload::LocalWorkload(const dnn::NetRef &net, kernels::Impl impl)
+    : impl(impl)
 {
+    const auto &model = dnn::ModelZoo::instance().get(net);
+    // Zoo models live as long as the process: the image is only viewed.
+    image = std::shared_ptr<const dnn::FlashImage>(
+        &model.flashImage(), [](const dnn::FlashImage *) {});
+    input = dnn::DeviceNetwork::quantizeInput(model.dataset()[0].input);
 }
 
 Observation
@@ -319,14 +304,15 @@ BrownOutRecorder::onPowerFailure(const arch::Device &dev)
 
 OracleReport
 verifyLocal(const LocalWorkload &workload, u32 schedules, u64 seed,
-            u32 max_failures, const env::EnvRef &environment)
+            u32 max_failures, const env::EnvRef &environment,
+            u32 threads)
 {
     ScheduleGenConfig gen;
     gen.seed = seed;
     gen.maxFailures = max_failures;
     Oracle oracle(localRunner(workload), kernelOptions(workload));
     OracleReport rep = oracle.verify(
-        scheduleBattery(workload, environment, schedules, gen));
+        scheduleBattery(workload, environment, schedules, gen), threads);
     labelReport(&rep, workload.impl,
                 workload.round ? "pipeline:" + workload.round->name
                                : workload.image->spec().name,
@@ -481,19 +467,18 @@ Oracle::shrink(const Schedule &schedule)
 }
 
 OracleReport
-Oracle::verify(const std::vector<Schedule> &schedules)
+Oracle::verify(const std::vector<Schedule> &schedules, u32 threads)
 {
-    std::vector<Observation> observed;
-    observed.reserve(schedules.size());
-    for (const auto &schedule : schedules)
-        observed.push_back(run_(schedule));
-    std::vector<Observation> replayed;
-    if (!options_.crashConsistent) {
-        replayed.reserve(schedules.size());
-        for (const auto &schedule : schedules)
-            replayed.push_back(schedule.empty() ? Observation{}
-                                                : run_(schedule));
-    }
+    // A kernel held to deterministic replay runs each non-empty
+    // schedule a second time into its replay slot.
+    const bool replay = !options_.crashConsistent;
+    std::vector<Observation> observed(schedules.size());
+    std::vector<Observation> replayed(replay ? schedules.size() : 0);
+    util::parallelFor(schedules.size(), threads, [&](u64 i, u32) {
+        observed[i] = run_(schedules[i]);
+        if (replay && !schedules[i].empty())
+            replayed[i] = run_(schedules[i]);
+    });
     return judgeBatch(schedules, observed, replayed);
 }
 
@@ -545,57 +530,15 @@ Oracle::judgeBatch(const std::vector<Schedule> &schedules,
     return rep;
 }
 
-// --- Engine path ----------------------------------------------------
+// --- Zoo models -----------------------------------------------------
 
 OracleReport
 verifyWithEngine(app::Engine &engine, const EngineOracleConfig &config)
 {
-    app::RunSpec base;
-    base.net = config.net;
-    base.impl = config.impl;
-    base.captureNvmDigests = true;
-
-    RunScheduleFn probe = [&engine, base](const Schedule &schedule) {
-        app::RunSpec spec = base;
-        spec.failureSchedule = schedule;
-        return toObservation(engine.runOne(spec));
-    };
-
-    // The battery comes from runs of the engine's cached workload on
-    // this thread.
-    const LocalWorkload workload(engine, config.net, config.impl);
-    OracleOptions options = kernelOptions(workload);
-    options.shrink = config.shrink;
-    Oracle oracle(std::move(probe), options);
-    ScheduleGenConfig gen;
-    gen.seed = config.seed;
-    gen.maxFailures = config.maxFailures;
-    const auto schedules = scheduleBattery(
-        workload, config.environment, config.schedules, gen);
-
-    // Fan the whole batch across the worker pool via the sweep
-    // engine's failure-schedule axis; records stream in plan order,
-    // which is exactly the schedule order.
-    app::SweepPlan plan;
-    plan.nets({config.net})
-        .impls({config.impl})
-        .failureSchedules(schedules)
-        .captureNvmDigests(true);
-    const auto runBatch = [&] {
-        std::vector<Observation> observed;
-        observed.reserve(schedules.size());
-        for (const auto &record : engine.run(plan))
-            observed.push_back(toObservation(record.result));
-        return observed;
-    };
-    const auto observed = runBatch();
-    // A kernel held to deterministic replay runs the batch a second
-    // time on the pool rather than replaying it on this thread.
-    const auto replayed = options.crashConsistent
-        ? std::vector<Observation>{}
-        : runBatch();
-
-    OracleReport rep = oracle.judgeBatch(schedules, observed, replayed);
+    OracleReport rep = verifyLocal(
+        LocalWorkload(config.net, config.impl), config.schedules,
+        config.seed, config.maxFailures, config.environment,
+        engine.threadCount());
     labelReport(&rep, config.impl, config.net, config.environment);
     return rep;
 }

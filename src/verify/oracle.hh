@@ -18,14 +18,13 @@
  * only in supply and probe: a SchedulePower with a reboot-digest probe
  * for judged runs, a commit or brown-out recorder for the schedule
  * generators, a trace recorder for divergence dumps. A workload lowers
- * its network to a FlashImage once and its copies share it; on the
- * engine path it views the zoo model's image. The judge is fed by:
- *  - the local path (verifyLocal), used by unit tests and the CLI's
- *    built-in platform-stable workload (verify/workload.hh);
- *  - the engine path (verifyWithEngine), which fans the schedule batch
- *    across app::Engine's worker pool via the SweepPlan failure-
- *    schedule axis — (kernel x network x schedule) coordinates in
- *    parallel.
+ * its network to a FlashImage once and its copies share it; a zoo
+ * model's workload views the zoo's image. A battery's schedules run on
+ * util::parallelFor's worker pool into fixed slots and are judged in
+ * schedule order, so a report does not depend on the thread count.
+ * verifyLocal takes any workload (unit tests, the CLI's built-in
+ * platform-stable workload in verify/workload.hh); verifyWithEngine
+ * takes a zoo model by name at the engine's thread count.
  *
  * Implementations without the crashConsistent claim (Base) in the
  * kernel table cannot promise logit equality under failures; for them the oracle
@@ -57,9 +56,9 @@ struct Observation
     bool nonTerminating = false;
     u64 reboots = 0;
     u64 fired = 0;       ///< schedule indices that actually failed a draw
-    u64 draws = 0;       ///< schedule draw calls (local path only)
+    u64 draws = 0;       ///< schedule draw calls
     u64 opInstances = 0; ///< total charged op instances
-    u64 cycles = 0;      ///< device cycles (local path only)
+    u64 cycles = 0;      ///< device cycles
     std::vector<i16> logits;
     u64 finalNvmDigest = 0;
     std::vector<u64> rebootDigests; ///< FRAM digest at each reboot
@@ -72,20 +71,20 @@ struct Observation
     /// @}
 };
 
-/** Runs one schedule and observes it (the oracle's probe). */
+/** Runs one schedule and observes it (the oracle's probe). A batch
+ * on more than one thread calls it concurrently. */
 using RunScheduleFn = std::function<Observation(const Schedule &)>;
 
-/** A workload the local path can execute without the engine. */
+/** A workload every oracle run executes on a fresh device. */
 struct LocalWorkload
 {
     /** Lower `net` to its flash image once; copies share the image. */
     LocalWorkload(dnn::NetworkSpec net, std::vector<i16> input,
                   kernels::Impl impl);
 
-    /** The engine path's workload: the zoo model's flash image and
-     * its dataset's sample 0. */
-    LocalWorkload(app::Engine &engine, const dnn::NetRef &net,
-                  kernels::Impl impl);
+    /** A zoo model's workload: its flash image and its dataset's
+     * sample 0. */
+    LocalWorkload(const dnn::NetRef &net, kernels::Impl impl);
 
     std::shared_ptr<const dnn::FlashImage> image;
     std::vector<i16> input; ///< raw Q7.8 input activations
@@ -185,16 +184,17 @@ struct OracleReport
 };
 
 /**
- * Verify a workload on the local path against `schedules` schedules:
- * windows of the environment's brown-outs when one is given (it must
- * be intermittent), else the mixed uniform / bursty /
- * commit-targeted battery. crashConsistent and the final-digest rule
- * come from the kernel table; a pipeline round is also held
- * to exact delivery accounting.
+ * Verify a workload against `schedules` schedules on `threads` workers
+ * (0 = hardware threads): windows of the environment's brown-outs when
+ * one is given (it must be intermittent), else the mixed uniform /
+ * bursty / commit-targeted battery. crashConsistent and the
+ * final-digest rule come from the kernel table; a pipeline round is
+ * also held to exact delivery accounting.
  */
 OracleReport verifyLocal(const LocalWorkload &workload, u32 schedules,
                          u64 seed, u32 max_failures = 8,
-                         const env::EnvRef &environment = {});
+                         const env::EnvRef &environment = {},
+                         u32 threads = 1);
 
 /**
  * The oracle proper: judges observations against the continuous
@@ -215,13 +215,18 @@ class Oracle
     std::optional<std::string> judge(const Schedule &schedule,
                                      const Observation &observed);
 
-    /** Run and judge a batch sequentially, shrinking divergences. */
-    OracleReport verify(const std::vector<Schedule> &schedules);
+    /**
+     * Run a batch, and for a kernel held to deterministic replay its
+     * replay batch, on `threads` workers (0 = hardware threads) into
+     * fixed slots, then judge them in order (judgeBatch).
+     */
+    OracleReport verify(const std::vector<Schedule> &schedules,
+                        u32 threads = 1);
 
     /**
-     * Judge pre-computed observations (the engine path runs them in
-     * parallel first), shrinking divergences via the probe function.
-     * A kernel held to deterministic replay compares each observation
+     * Judge pre-computed observations in schedule order, shrinking
+     * divergences via the probe function on the calling thread. A
+     * kernel held to deterministic replay compares each observation
      * with replayed[i], a second run of the same schedule; a
      * crash-consistent kernel ignores replayed.
      */
@@ -247,7 +252,7 @@ class Oracle
     Observation reference_;
 };
 
-/** Engine-path configuration. */
+/** A zoo model's battery (verifyWithEngine). */
 struct EngineOracleConfig
 {
     dnn::NetRef net = "HAR"; ///< any registered zoo model
@@ -255,7 +260,6 @@ struct EngineOracleConfig
     u32 schedules = 200;
     u64 seed = 1;
     u32 maxFailures = 8;
-    bool shrink = true;
 
     /**
      * When non-empty, fuzz with realistic schedules recorded under
@@ -267,10 +271,9 @@ struct EngineOracleConfig
 };
 
 /**
- * Verify one (kernel, network) coordinate against `schedules` mixed
- * adversarial schedules, fanned across the engine's worker pool via
- * the SweepPlan failure-schedule axis. crashConsistent is taken from
- * the kernel table.
+ * Verify one (kernel, zoo model) coordinate: verifyLocal on the
+ * model's workload at the engine's thread count, the report named
+ * after the model.
  */
 OracleReport verifyWithEngine(app::Engine &engine,
                               const EngineOracleConfig &config);

@@ -28,10 +28,11 @@
  *     sonic_oracle --pipelines=all --schedules=250
  *     sonic_oracle --pipelines=wildlife --impls=SONIC
  *
- * --net=golden (default) uses the built-in platform-stable workload
- * and runs sequentially; any other registered model-zoo name (--list
- * prints them; model files register via --load) fans schedules across
- * the sweep engine's worker pool.
+ * --net=golden (default) uses the built-in platform-stable workload;
+ * any other registered model-zoo name (--list prints them; model files
+ * register via --load) runs that model's workload. Every battery fans
+ * its schedules across --threads workers (default: hardware threads),
+ * and the printed reports are the same at any thread count.
  *
  * Golden digest files:
  *
@@ -173,10 +174,9 @@ resolveEnvironment(const std::string &label)
 }
 
 /**
- * Verify one kernel: on a zoo model across the engine's worker pool,
- * else on the built-in golden workload on the local path, as a bare
- * inference or inside a pipeline's round (with delivery accounting
- * held exactly to the continuous reference).
+ * Verify one kernel: on a zoo model, else on the built-in golden
+ * workload, as a bare inference or inside a pipeline's round (with
+ * delivery accounting held exactly to the continuous reference).
  */
 verify::OracleReport
 runImpl(app::Engine &engine, kernels::Impl impl,
@@ -193,9 +193,7 @@ runImpl(app::Engine &engine, kernels::Impl impl,
         config.maxFailures = args.maxFailures;
         config.environment = environment;
         auto report = verify::verifyWithEngine(engine, config);
-        // The same cached net and sample-0 input the engine ran.
-        dumpDivergenceTraces(&report,
-                             verify::LocalWorkload(engine, args.net, impl),
+        dumpDivergenceTraces(&report, verify::LocalWorkload(args.net, impl),
                              args.artifact, args.net + "." + impl_name);
         return report;
     }
@@ -210,7 +208,8 @@ runImpl(app::Engine &engine, kernels::Impl impl,
         tag = round->name + "." + tag;
     }
     auto report = verify::verifyLocal(workload, args.schedules, seed,
-                                      args.maxFailures, environment);
+                                      args.maxFailures, environment,
+                                      engine.threadCount());
     dumpDivergenceTraces(&report, workload, args.artifact, tag);
     return report;
 }
@@ -278,9 +277,8 @@ main(int argc, char **argv)
     if (!args.emitGolden.empty() || !args.verifyGolden.empty())
         return runGoldenFileMode(args);
 
-    // "golden" runs the built-in platform-stable workload on the
-    // sequential local path; every other zoo model fans through the
-    // engine's worker pool.
+    // "golden" runs the built-in platform-stable workload; every
+    // other name must be a zoo model.
     if (args.net != "golden" && !zoo.contains(args.net)) {
         std::cerr << "unknown model '" << args.net
                   << "'; registered models: " << zoo.availableList()

@@ -39,8 +39,9 @@ TEST(Experiment, RfPaperEnvironmentMatchesCapacitorPower)
     // dead time, which the two supplies integrate along different
     // roundings (a few ULPs at most).
     for (const auto &net : dnn::kPaperNets) {
-        const auto input = dnn::DeviceNetwork::quantizeInput(
-            engine().dataset(net)[0].input);
+        const auto &model = dnn::ModelZoo::instance().get(net);
+        const auto input =
+            dnn::DeviceNetwork::quantizeInput(model.dataset()[0].input);
         for (const auto impl : kernels::kAllImpls) {
             for (const f64 farads : {50e-3, 1e-3, 100e-6}) {
                 RunSpec spec;
@@ -55,8 +56,7 @@ TEST(Experiment, RfPaperEnvironmentMatchesCapacitorPower)
                 arch::Device dev(makeProfile(spec.profile),
                                  std::make_unique<testutil::CapacitorPower>(
                                      farads, env::kRfPaperWatts));
-                dnn::DeviceNetwork device_net(dev,
-                                              engine().compressed(net));
+                dnn::DeviceNetwork device_net(dev, model.compressed());
                 device_net.loadInput(input);
                 const auto ref = kernels::runInference(device_net, impl);
                 u64 ops = 0;
@@ -97,14 +97,14 @@ TEST(Experiment, EmptyEnvironmentIsContinuous)
               testutil::CapacitorPower(1e-3, env::kRfPaperWatts).capacityNj());
 }
 
-TEST(Experiment, EngineCachesAreStable)
+TEST(Experiment, ZooCachesAreStable)
 {
-    const auto &a = engine().compressed("HAR");
-    const auto &b = engine().compressed("HAR");
-    EXPECT_EQ(&a, &b);
-    const auto &t = engine().teacher("HAR");
-    EXPECT_EQ(&t, &engine().teacher("HAR"));
-    EXPECT_EQ(engine().dataset("HAR").size(), 64u);
+    auto &zoo = dnn::ModelZoo::instance();
+    const auto &a = zoo.get("HAR").compressed();
+    EXPECT_EQ(&a, &zoo.get("HAR").compressed());
+    const auto &t = zoo.get("HAR").teacher();
+    EXPECT_EQ(&t, &zoo.get("HAR").teacher());
+    EXPECT_EQ(zoo.get("HAR").dataset().size(), 64u);
 }
 
 TEST(Experiment, BreakdownSumsToLiveTime)

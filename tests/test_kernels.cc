@@ -115,8 +115,8 @@ TEST(Kernels, AllImplsAgreeOnTinyArgmax)
 TEST(Kernels, ImplNamesAndTiles)
 {
     EXPECT_EQ(implName(Impl::Sonic), "SONIC");
-    EXPECT_EQ(implTileSize(Impl::Tile32), 32u);
-    EXPECT_EQ(implTileSize(Impl::Sonic), 0u);
+    EXPECT_EQ(implInfo(Impl::Tile32).tileSize, 32u);
+    EXPECT_EQ(implInfo(Impl::Sonic).tileSize, 0u);
 }
 
 TEST(Registry, RoundTripsEveryBuiltinByName)
@@ -126,7 +126,6 @@ TEST(Registry, RoundTripsEveryBuiltinByName)
         const ImplInfo &row = implInfo(impl);
         EXPECT_EQ(row.id, impl);
         EXPECT_EQ(row.name, implName(impl));
-        EXPECT_EQ(row.tileSize, implTileSize(impl));
         // name -> row -> id round trip
         Impl by_name = Impl::Base;
         ASSERT_TRUE(implFromName(row.name, &by_name));
@@ -141,7 +140,6 @@ TEST(Registry, UnknownLookupsReturnNull)
     EXPECT_FALSE(implFromName("no-such-impl", &impl));
     EXPECT_EQ(impl, Impl::Sonic);
     EXPECT_EQ(implName(static_cast<Impl>(250)), "?");
-    EXPECT_EQ(implTileSize(static_cast<Impl>(250)), 0u);
 }
 
 TEST(Registry, UnknownNameIsFatalListingTheSix)

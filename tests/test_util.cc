@@ -2,13 +2,15 @@
  * @file
  * Unit tests for util: deterministic RNG, table formatting, the
  * shortest-round-trip f64 formatter, the JSON writer, the command-line
- * flag table, and the name-keyed Registry behind the
- * kernel/model/environment/pipeline tables.
+ * flag table, the name-keyed Registry behind the model and environment
+ * tables, and the parallelFor worker pool.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <charconv>
 #include <cmath>
 #include <functional>
@@ -17,6 +19,7 @@
 #include <optional>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +28,7 @@
 #include "util/fmt.hh"
 #include "util/json.hh"
 #include "util/json_parse.hh"
+#include "util/parallel.hh"
 #include "util/registry.hh"
 #include "util/rng.hh"
 #include "util/table.hh"
@@ -669,6 +673,130 @@ TEST(UtilRegistry, ConcurrentTryAddAndFindAgree)
         }
     }
     EXPECT_EQ(wins, kNames);
+}
+
+// --- util::parallelFor ------------------------------------------------
+
+/** Uneven task costs: task 0 is the slowest, so the whole batch tends
+ * to finish before it and emission bursts once it does. */
+void
+unevenWork(u64 i)
+{
+    const u64 micros = i == 0 ? 3000 : (i * 37 % 7) * 60;
+    std::this_thread::sleep_for(std::chrono::microseconds(micros));
+}
+
+constexpr u32 kPoolThreads[] = {1, 2, 8};
+
+TEST(Parallel, EmitSeesEveryIndexOnceInOrderNeverConcurrently)
+{
+    constexpr u64 kTasks = 48;
+    for (const u32 threads : kPoolThreads) {
+        std::vector<u64> slots(kTasks, 0);
+        std::vector<std::atomic<bool>> done(kTasks);
+        std::vector<u64> emitted;
+        std::atomic<int> inside{0};
+        bool overlapped = false, early = false, wrong_slot = false;
+        util::parallelFor(
+            kTasks, threads,
+            [&](u64 i, u32) {
+                unevenWork(i);
+                slots[i] = i * i + 1;
+                done[i] = true;
+            },
+            [&](u64 i) {
+                if (inside.fetch_add(1) != 0)
+                    overlapped = true;
+                for (u64 j = 0; j <= i; ++j)
+                    if (!done[j])
+                        early = true;
+                if (slots[i] != i * i + 1)
+                    wrong_slot = true;
+                emitted.push_back(i);
+                std::this_thread::sleep_for(std::chrono::microseconds(20));
+                inside.fetch_sub(1);
+            });
+        std::vector<u64> want(kTasks);
+        for (u64 i = 0; i < kTasks; ++i)
+            want[i] = i;
+        EXPECT_EQ(emitted, want) << threads;
+        EXPECT_FALSE(overlapped) << threads;
+        EXPECT_FALSE(early) << threads;
+        EXPECT_FALSE(wrong_slot) << threads;
+    }
+}
+
+TEST(Parallel, WorkerIndicesStayBelowThePoolAndTheCallerIsWorkerZero)
+{
+    const auto caller = std::this_thread::get_id();
+    for (const u64 tasks : {u64{3}, u64{40}}) {
+        for (const u32 threads : kPoolThreads) {
+            const u32 pool = util::poolSize(tasks, threads);
+            EXPECT_EQ(pool, std::min<u64>(tasks, threads));
+            std::vector<u32> worker(tasks);
+            std::vector<std::thread::id> thread(tasks);
+            util::parallelFor(tasks, threads, [&](u64 i, u32 w) {
+                unevenWork(i);
+                worker[i] = w;
+                thread[i] = std::this_thread::get_id();
+            });
+            for (u64 i = 0; i < tasks; ++i) {
+                EXPECT_LT(worker[i], pool) << tasks << "/" << threads;
+                // One thread per worker index, worker 0 the caller.
+                for (u64 j = 0; j < tasks; ++j)
+                    EXPECT_EQ(worker[i] == worker[j],
+                              thread[i] == thread[j]);
+                EXPECT_EQ(worker[i] == 0, thread[i] == caller);
+            }
+        }
+    }
+}
+
+TEST(Parallel, ZeroTasksCallsNeitherCallback)
+{
+    for (const u32 threads : kPoolThreads) {
+        bool called = false;
+        util::parallelFor(
+            0, threads, [&](u64, u32) { called = true; },
+            [&](u64) { called = true; });
+        EXPECT_FALSE(called) << threads;
+    }
+}
+
+TEST(Parallel, ThrowIsRethrownAfterTheJoinAndEndsEmissionBeforeIt)
+{
+    // Tasks 9 and 20 throw, 9 after the longer wait: the lowest index
+    // is the one rethrown, every task below it is still emitted, and
+    // none at or after it.
+    constexpr u64 kTasks = 32;
+    for (const u32 threads : kPoolThreads) {
+        std::atomic<int> running{0};
+        std::vector<u64> emitted;
+        std::string what;
+        try {
+            util::parallelFor(
+                kTasks, threads,
+                [&](u64 i, u32) {
+                    running.fetch_add(1);
+                    unevenWork(i);
+                    if (i == 9)
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(2));
+                    running.fetch_sub(1);
+                    if (i == 9 || i == 20)
+                        throw std::runtime_error("task " + std::to_string(i));
+                },
+                [&](u64 i) { emitted.push_back(i); });
+        } catch (const std::runtime_error &e) {
+            what = e.what();
+            EXPECT_EQ(running.load(), 0) << threads;
+        }
+        EXPECT_EQ(what, "task 9") << threads;
+        std::vector<u64> want(9);
+        for (u64 i = 0; i < want.size(); ++i)
+            want[i] = i;
+        EXPECT_EQ(emitted, want) << threads;
+    }
 }
 
 } // namespace

@@ -5,8 +5,8 @@
  * tracing, NVM snapshot chains, the differential oracle with ddmin
  * shrinking (including the acceptance battery: >= 1000 schedules
  * across Base/Tile-8/Tile-32/SONIC/TAILS with zero divergences, and a
- * deliberately broken SONIC caught and shrunk to a tiny schedule), the
- * engine-parallel path, and the committed golden digest file.
+ * deliberately broken SONIC caught and shrunk to a tiny schedule),
+ * batteries on the worker pool, and the committed golden digest file.
  */
 
 #include <algorithm>
@@ -288,9 +288,29 @@ TEST(Oracle, ShrinkStripsBenignIndicesFromAMixedSchedule)
                     != padded.end());
 }
 
-// --- Engine-parallel path -------------------------------------------
+// --- Batteries on the worker pool -------------------------------------
 
-TEST(Oracle, EngineFanOutMatchesLocalJudgment)
+TEST(Oracle, ReportIsTheSameAtAnyThreadCount)
+{
+    // Broken SONIC, so the report carries divergences and their shrunk
+    // schedules; Base, so its replay batch runs on the pool too.
+    UndoLogFaultGuard fault;
+    for (const auto impl : {kernels::Impl::Sonic, kernels::Impl::Base}) {
+        const auto workload = goldenWorkload(impl);
+        const auto serial =
+            reportJson(verifyLocal(workload, 60, 0x7e57, 8, {}, 1));
+        if (impl == kernels::Impl::Sonic) {
+            EXPECT_NE(serial.find("\"shrunk\""), std::string::npos);
+        }
+        for (const u32 threads : {2u, 8u})
+            EXPECT_EQ(reportJson(verifyLocal(workload, 60, 0x7e57, 8, {},
+                                             threads)),
+                      serial)
+                << kernels::implName(impl) << " at " << threads;
+    }
+}
+
+TEST(Oracle, VerifyWithEngineJudgesZooModels)
 {
     // SONIC is judged against the reference; Base, held only to
     // deterministic replay, is judged against a second pooled run.
