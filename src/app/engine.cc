@@ -13,18 +13,6 @@ namespace sonic::app
 
 // --- Sinks ----------------------------------------------------------
 
-void
-MemorySink::begin(u64 totalRecords)
-{
-    records_.reserve(records_.size() + totalRecords);
-}
-
-void
-MemorySink::add(const SweepRecord &record)
-{
-    records_.push_back(record);
-}
-
 const telemetry::FieldTable<SweepRecord> &
 sweepFields()
 {
@@ -68,10 +56,6 @@ sweepFields()
             .stored<&S::result, &X::tailsTileWords>("tailsTileWords")
             .stored<&S::result, &X::opInstances>("opInstances")
             .stored<&S::spec, &R::captureNvmDigests>("captureNvmDigests")
-            .derived<[](const S &r) {
-                return r.spec.failureSchedule.size();
-            }>("scheduleLen")
-            .stored<&S::result, &X::scheduleFired>("scheduleFired")
             .stored<&S::result, &X::finalNvmDigest>("finalNvmDigest");
     return table;
 }
@@ -83,8 +67,7 @@ csvFields()
         {"planIndex", "net", "impl", "environment", "profile", "sample",
          "seed", "status", "reboots", "tasksExecuted", "liveSeconds",
          "deadSeconds", "totalSeconds", "energyJ", "harvestedJ",
-         "predictedClass", "tailsTileWords", "scheduleLen",
-         "scheduleFired"});
+         "predictedClass", "tailsTileWords"});
     return order;
 }
 
@@ -116,9 +99,6 @@ JsonSink::add(const SweepRecord &record)
         .field("harvestedJ", r.harvestedJ)
         .field("predictedClass", r.predictedClass)
         .field("tailsTileWords", r.tailsTileWords);
-    if (!record.spec.failureSchedule.empty())
-        w_.key("failureSchedule").array(record.spec.failureSchedule)
-            .field("scheduleFired", r.scheduleFired);
     if (record.spec.captureNvmDigests)
         w_.field("finalNvmDigest", r.finalNvmDigest)
             .key("rebootDigests").array(r.rebootDigests);
@@ -156,18 +136,13 @@ Engine::threadCount() const
 ExperimentResult
 Engine::runOne(const RunSpec &spec)
 {
-    // The supply (makeSupply): an explicit failure-index trace
-    // overrides the environment.
-    std::unique_ptr<arch::PowerSupply> psu = makeSupply(spec);
-    const auto *schedule_psu = spec.failureSchedule.empty()
-        ? nullptr
-        : static_cast<const arch::SchedulePower *>(psu.get());
-
     // The digest probe must outlive the Device (its destructor settles
     // the lease through the probe).
     ExperimentResult result;
     arch::RebootDigestProbe digests(result.rebootDigests);
-    arch::Device dev(makeProfile(spec.profile), std::move(psu));
+    arch::Device dev(makeProfile(spec.profile),
+                     env::EnvRegistry::instance().make(spec.environment,
+                                                       spec.seed));
     if (spec.captureNvmDigests)
         dev.setProbe(&digests);
     const dnn::ModelEntry &model = dnn::ModelZoo::instance().get(spec.net);
@@ -189,8 +164,6 @@ Engine::runOne(const RunSpec &spec)
     result.totalSeconds = dev.totalSeconds();
     result.energyJ = dev.consumedJoules();
     result.harvestedJ = dev.power().harvestedNj() * 1e-9;
-    if (schedule_psu != nullptr)
-        result.scheduleFired = schedule_psu->firedCount();
     if (spec.captureNvmDigests)
         result.finalNvmDigest = dev.nvmDigest();
 

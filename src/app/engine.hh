@@ -36,10 +36,10 @@ struct SweepRecord
 
 /**
  * The sweep record's scalar fields: the spec and result scalars, plus
- * the derived environment label and failure-schedule length the CSV
- * prints. The CSV sink and the .sonicz sweep schema walk it; the list
- * fields (schedule, reboot digests, layers, op energies, logits) are
- * the .sonicz schema's own code, and JsonSink stays hand-written.
+ * the derived environment label the CSV prints. The CSV sink and the
+ * .sonicz sweep schema walk it; the list fields (reboot digests,
+ * layers, op energies, logits) are the .sonicz schema's own code, and
+ * JsonSink stays hand-written.
  */
 const telemetry::FieldTable<SweepRecord> &sweepFields();
 
@@ -61,20 +61,6 @@ class ResultSink
 
     /** Called once after the last record. */
     virtual void end() {}
-};
-
-/** Collects records into memory. */
-class MemorySink : public ResultSink
-{
-  public:
-    void begin(u64 totalRecords) override;
-    void add(const SweepRecord &record) override;
-
-    const std::vector<SweepRecord> &records() const { return records_; }
-    std::vector<SweepRecord> take() { return std::move(records_); }
-
-  private:
-    std::vector<SweepRecord> records_;
 };
 
 /** The sweep CSV's columns. */

@@ -28,16 +28,6 @@ profileFromName(const std::string &name, ProfileVariant *out)
     return false;
 }
 
-std::unique_ptr<arch::PowerSupply>
-makeSupply(const RunSpec &spec)
-{
-    if (!spec.failureSchedule.empty())
-        return std::make_unique<arch::SchedulePower>(
-            spec.failureSchedule);
-    return env::EnvRegistry::instance().make(spec.environment,
-                                             spec.seed);
-}
-
 arch::EnergyProfile
 makeProfile(ProfileVariant variant)
 {

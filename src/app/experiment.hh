@@ -13,7 +13,6 @@
 #define SONIC_APP_EXPERIMENT_HH
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -69,13 +68,6 @@ struct RunSpec
     env::EnvRef environment;
 
     /**
-     * Explicit failure-index trace. When non-empty the run is powered
-     * by arch::SchedulePower over these draw indices and `environment`
-     * is ignored.
-     */
-    std::vector<u64> failureSchedule;
-
-    /**
      * Snapshot the FRAM digest at every reboot boundary and at run
      * end (ExperimentResult::rebootDigests / finalNvmDigest). Off by
      * default: a capacitor run can reboot hundreds of thousands of
@@ -115,9 +107,8 @@ struct ExperimentResult
     u32 predictedClass = 0;
     u32 tailsTileWords = 0; ///< TAILS' calibrated LEA tile (0 if n/a)
 
-    /** @name Observables of RunSpec::failureSchedule runs */
+    /** @name Op count and FRAM digests */
     /// @{
-    u64 scheduleFired = 0; ///< scheduled failure indices that fired
     u64 opInstances = 0;   ///< total charged op instances (all kinds)
     u64 finalNvmDigest = 0; ///< FRAM digest at run end (capture only)
     std::vector<u64> rebootDigests; ///< FRAM digest per reboot (capture)
@@ -130,12 +121,6 @@ struct ExperimentResult
         return completed ? "ok" : (nonTerminating ? "dnf" : "fail");
     }
 };
-
-/**
- * Build the supply a spec runs under: the failure schedule when one
- * is set, else the environment.
- */
-std::unique_ptr<arch::PowerSupply> makeSupply(const RunSpec &spec);
 
 /** Build the energy profile for an ablation variant. */
 arch::EnergyProfile makeProfile(ProfileVariant variant);

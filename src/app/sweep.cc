@@ -134,15 +134,6 @@ SweepPlan::sampleIndices(std::vector<u32> values)
 }
 
 SweepPlan &
-SweepPlan::failureSchedules(std::vector<std::vector<u64>> values)
-{
-    if (values.empty())
-        fatal("empty schedule axis");
-    schedules_ = std::move(values);
-    return *this;
-}
-
-SweepPlan &
 SweepPlan::captureNvmDigests(bool enabled)
 {
     captureNvmDigests_ = enabled;
@@ -160,8 +151,7 @@ u64
 SweepPlan::size() const
 {
     return static_cast<u64>(nets_.size()) * impls_.size()
-         * environments_.size() * profiles_.size()
-         * samples_.size() * schedules_.size();
+         * environments_.size() * profiles_.size() * samples_.size();
 }
 
 u64
@@ -188,11 +178,6 @@ SweepPlan::specSeed(u64 baseSeed, const RunSpec &spec)
                     sizeof cap_bits);
         h = mix64(h ^ cap_bits);
     }
-    // A failure schedule is a coordinate too: fold its contents so
-    // distinct schedules reseed (empty schedules keep the seed values
-    // plans produced before the axis existed).
-    for (u64 index : spec.failureSchedule)
-        h = mix64(h ^ index);
     return mix64(h);
 }
 
@@ -206,18 +191,15 @@ SweepPlan::expand() const
             for (const auto &environment : environments_) {
                 for (auto profile : profiles_) {
                     for (auto sample : samples_) {
-                        for (const auto &schedule : schedules_) {
-                            RunSpec spec;
-                            spec.net = net;
-                            spec.impl = impl;
-                            spec.environment = environment;
-                            spec.profile = profile;
-                            spec.sampleIndex = sample;
-                            spec.failureSchedule = schedule;
-                            spec.captureNvmDigests = captureNvmDigests_;
-                            spec.seed = specSeed(baseSeed_, spec);
-                            specs.push_back(spec);
-                        }
+                        RunSpec spec;
+                        spec.net = net;
+                        spec.impl = impl;
+                        spec.environment = environment;
+                        spec.profile = profile;
+                        spec.sampleIndex = sample;
+                        spec.captureNvmDigests = captureNvmDigests_;
+                        spec.seed = specSeed(baseSeed_, spec);
+                        specs.push_back(spec);
                     }
                 }
             }

@@ -11,13 +11,13 @@
  *     const auto records = engine.run(plan);
  *
  * Expansion order is fixed and documented (nets outermost, then
- * impls, environments, profiles, samples, failure schedules
- * innermost) so figure code can rely on record ordering, and each
- * expanded spec gets a deterministic seed derived from the plan's base
- * seed and the spec's coordinates — independent of plan shape and of
- * how many worker threads run it. (Seeds are recorded into every spec
- * and streamed by the sinks; an environment uses its seed only to
- * pick the deployment phase, and the workloads are deterministic.)
+ * impls, environments, profiles, samples innermost) so figure code
+ * can rely on record ordering, and each expanded spec gets a
+ * deterministic seed derived from the plan's base seed and the spec's
+ * coordinates — independent of plan shape and of how many worker
+ * threads run it. (Seeds are recorded into every spec and streamed by
+ * the sinks; an environment uses its seed only to pick the deployment
+ * phase, and the workloads are deterministic.)
  */
 
 #ifndef SONIC_APP_SWEEP_HH
@@ -73,14 +73,6 @@ class SweepPlan
     /** Sample indices 0..n-1 (n = 0 is fatal). */
     SweepPlan &samples(u32 n);
     SweepPlan &sampleIndices(std::vector<u32> values);
-
-    /**
-     * Failure-schedule axis (innermost). Each value is an explicit
-     * draw-index trace executed under arch::SchedulePower; the empty
-     * schedule (the default single point) means "use the environment
-     * axis".
-     */
-    SweepPlan &failureSchedules(std::vector<std::vector<u64>> values);
     /// @}
 
     /** Capture per-reboot/final NVM digests on every expanded spec. */
@@ -102,10 +94,10 @@ class SweepPlan
      */
     std::vector<RunSpec> expand() const;
 
-    /** @name Axis inspection (used by the engine and tests). */
+    /** @name Axis inspection (the engine warms the nets; figure code
+     * labels its environments). */
     /// @{
     const std::vector<dnn::NetRef> &netAxis() const { return nets_; }
-    const std::vector<kernels::Impl> &implAxis() const { return impls_; }
     const std::vector<env::EnvRef> &environmentAxis() const
     {
         return environments_;
@@ -125,7 +117,6 @@ class SweepPlan
     std::vector<env::EnvRef> environments_{{}};
     std::vector<ProfileVariant> profiles_{ProfileVariant::Standard};
     std::vector<u32> samples_{0};
-    std::vector<std::vector<u64>> schedules_{{}};
     bool captureNvmDigests_ = false;
     u64 baseSeed_ = 0x5eed;
 };

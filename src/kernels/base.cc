@@ -356,7 +356,6 @@ maxPool(Device &dev, const dnn::ActShape &pre, NvArray<i16> &src,
 RunResult
 runBase(DeviceNetwork &net)
 {
-    Device &dev = net.dev();
     task::Program program;
 
     const task::TaskId entry = program.addTask([&](task::Runtime &rt) {
@@ -383,19 +382,7 @@ runBase(DeviceNetwork &net)
         return task::kDone;
     });
 
-    task::SchedulerConfig config;
-    config.transitionStyle = task::TransitionStyle::Light;
-    task::Scheduler sched(dev, program, config);
-    const auto run = sched.run(entry);
-
-    RunResult result;
-    result.completed = run.completed;
-    result.nonTerminating = run.nonTerminating;
-    result.reboots = run.reboots;
-    result.tasksExecuted = run.tasksExecuted;
-    if (run.completed)
-        result.logits = net.peekLogits();
-    return result;
+    return runProgram(net, program, entry, task::TransitionStyle::Light);
 }
 
 } // namespace sonic::kernels

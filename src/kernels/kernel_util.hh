@@ -1,20 +1,32 @@
 /**
  * @file
- * Shared micro-helpers for the device kernels: Q7.8 arithmetic with
- * explicit operation charging, and address-arithmetic charge helpers
- * (the MSP430 has a 9-cycle peripheral multiply and no divide unit, so
- * index math is a real cost the implementations pay differently).
+ * Shared helpers for the device kernels: the scheduler driver every
+ * entry point ends in, Q7.8 arithmetic with explicit operation
+ * charging, and address-arithmetic charge helpers (the MSP430 has a
+ * 9-cycle peripheral multiply and no divide unit, so index math is a
+ * real cost the implementations pay differently).
  */
 
 #ifndef SONIC_KERNELS_KERNEL_UTIL_HH
 #define SONIC_KERNELS_KERNEL_UTIL_HH
 
 #include "arch/device.hh"
+#include "dnn/device_net.hh"
 #include "fixed/fixed.hh"
+#include "kernels/runner.hh"
+#include "task/runtime.hh"
 #include "util/types.hh"
 
 namespace sonic::kernels
 {
+
+/**
+ * Run a lowered program from `entry` with the given transition style,
+ * returning the scheduler's counters and, when the run completed, the
+ * logits (defined beside the kernel table in runner.cc).
+ */
+RunResult runProgram(dnn::DeviceNetwork &net, const task::Program &program,
+                     task::TaskId entry, task::TransitionStyle style);
 
 using fixed::Q78;
 

@@ -3,6 +3,7 @@
 #include <iterator>
 #include <string>
 
+#include "kernels/kernel_util.hh"
 #include "tails/tails.hh"
 #include "util/logging.hh"
 
@@ -12,42 +13,24 @@ namespace sonic::kernels
 namespace
 {
 
-RunResult
-entryBase(dnn::DeviceNetwork &net, u32)
-{
-    return runBase(net);
-}
-
-RunResult
-entryTiled(dnn::DeviceNetwork &net, u32 tile)
-{
-    return runTiled(net, tile);
-}
-
-RunResult
-entrySonic(dnn::DeviceNetwork &net, u32)
-{
-    return runSonic(net);
-}
-
-RunResult
-entryTails(dnn::DeviceNetwork &net, u32)
-{
-    return tails::runTails(net);
-}
+using Net = dnn::DeviceNetwork;
 
 /*
- * One row per Impl, in enum order. Base keeps loop state in volatile
- * memory by design (Sec. 8), so it is the one implementation that does
- * not claim crash consistency.
+ * One row per Impl, in enum order; the untiled rows drop the tile
+ * argument. Base keeps loop state in volatile memory by design
+ * (Sec. 8), so it is the one implementation that does not claim crash
+ * consistency.
  */
 constexpr ImplInfo kTable[] = {
-    {Impl::Base, "Base", 0, entryBase, false},
-    {Impl::Tile8, "Tile-8", 8, entryTiled, true},
-    {Impl::Tile32, "Tile-32", 32, entryTiled, true},
-    {Impl::Tile128, "Tile-128", 128, entryTiled, true},
-    {Impl::Sonic, "SONIC", 0, entrySonic, true},
-    {Impl::Tails, "TAILS", 0, entryTails, true},
+    {Impl::Base, "Base", 0, [](Net &net, u32) { return runBase(net); },
+     false},
+    {Impl::Tile8, "Tile-8", 8, runTiled, true},
+    {Impl::Tile32, "Tile-32", 32, runTiled, true},
+    {Impl::Tile128, "Tile-128", 128, runTiled, true},
+    {Impl::Sonic, "SONIC", 0, [](Net &net, u32) { return runSonic(net); },
+     true},
+    {Impl::Tails, "TAILS", 0,
+     [](Net &net, u32) { return tails::runTails(net); }, true},
 };
 
 constexpr bool
@@ -130,6 +113,24 @@ struct InferSpanGuard
 };
 
 } // namespace
+
+RunResult
+runProgram(dnn::DeviceNetwork &net, const task::Program &program,
+           task::TaskId entry, task::TransitionStyle style)
+{
+    task::SchedulerConfig config;
+    config.transitionStyle = style;
+    const auto run = task::Scheduler(net.dev(), program, config).run(entry);
+
+    RunResult result;
+    result.completed = run.completed;
+    result.nonTerminating = run.nonTerminating;
+    result.reboots = run.reboots;
+    result.tasksExecuted = run.tasksExecuted;
+    if (run.completed)
+        result.logits = net.peekLogits();
+    return result;
+}
 
 RunResult
 runInference(dnn::DeviceNetwork &net, Impl impl)

@@ -837,25 +837,12 @@ SonicBuilder::buildPool(const DevLayer &layer, NvArray<i16> *src,
 RunResult
 runSonic(DeviceNetwork &net)
 {
-    Device &dev = net.dev();
-    SonicState state(dev);
+    SonicState state(net.dev());
     task::Program program;
     SonicBuilder builder(net, program, state);
     const TaskId entry = builder.build();
 
-    task::SchedulerConfig config;
-    config.transitionStyle = task::TransitionStyle::Light;
-    task::Scheduler sched(dev, program, config);
-    const auto run = sched.run(entry);
-
-    RunResult result;
-    result.completed = run.completed;
-    result.nonTerminating = run.nonTerminating;
-    result.reboots = run.reboots;
-    result.tasksExecuted = run.tasksExecuted;
-    if (run.completed)
-        result.logits = net.peekLogits();
-    return result;
+    return runProgram(net, program, entry, task::TransitionStyle::Light);
 }
 
 } // namespace sonic::kernels

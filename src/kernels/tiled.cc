@@ -410,24 +410,12 @@ RunResult
 runTiled(DeviceNetwork &net, u32 tile)
 {
     SONIC_ASSERT(tile >= 1);
-    Device &dev = net.dev();
     TiledBuilder builder(net, tile);
     task::Program program;
     const TaskId entry = builder.lower(program);
 
-    task::SchedulerConfig config;
-    config.transitionStyle = task::TransitionStyle::Alpaca;
-    task::Scheduler sched(dev, program, config);
-    const auto run = sched.run(entry);
-
-    RunResult result;
-    result.completed = run.completed;
-    result.nonTerminating = run.nonTerminating;
-    result.reboots = run.reboots;
-    result.tasksExecuted = run.tasksExecuted;
-    if (run.completed)
-        result.logits = net.peekLogits();
-    return result;
+    return runProgram(net, program, entry,
+                      task::TransitionStyle::Alpaca);
 }
 
 } // namespace sonic::kernels

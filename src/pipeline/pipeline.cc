@@ -5,6 +5,7 @@
 #include <span>
 
 #include "arch/memory.hh"
+#include "task/runtime.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -228,7 +229,7 @@ attemptEnergyJ(const RadioConfig &radio, const arch::EnergyProfile &profile)
 RoundOutcome
 runRound(dnn::DeviceNetwork &net, kernels::Impl impl,
          const std::vector<i16> &input, const PipelineSpec &spec,
-         u64 seed, u64 round_index, const RoundLimits &limits)
+         u64 seed, u64 round_index)
 {
     arch::Device &dev = net.dev();
     RoundOutcome out;
@@ -304,7 +305,7 @@ runRound(dnn::DeviceNetwork &net, kernels::Impl impl,
                 fails_since_progress = 0;
             else
                 ++fails_since_progress;
-            if (fails_since_progress > limits.maxFailuresWithoutProgress) {
+            if (fails_since_progress > task::kMaxFailuresWithoutProgress) {
                 out.nonTerminating = true;
                 return out;
             }

@@ -178,13 +178,6 @@ ackInvariant(const PipelineSpec &spec)
         || spec.radio.ackLossProbability >= 1.0;
 }
 
-/** Driver knobs (defaults mirror task::SchedulerConfig). */
-struct RoundLimits
-{
-    /** Consecutive driver-level failures without journal progress. */
-    u64 maxFailuresWithoutProgress = 48;
-};
-
 /**
  * Run one sense-infer-transmit round on a freshly prepared device.
  * `input` is the quantized Q7.8 sample in device order; `seed` and
@@ -195,7 +188,7 @@ struct RoundLimits
 RoundOutcome runRound(dnn::DeviceNetwork &net, kernels::Impl impl,
                       const std::vector<i16> &input,
                       const PipelineSpec &spec, u64 seed,
-                      u64 round_index, const RoundLimits &limits = {});
+                      u64 round_index);
 
 /**
  * The delivery boundaries, reported as arch::ProbeInstant::TxBoundary

@@ -502,38 +502,17 @@ class TailsBuilder : public kernels::SonicBuilder
 } // namespace
 
 kernels::RunResult
-runTails(dnn::DeviceNetwork &net, CalibrationInfo *calibration)
+runTails(dnn::DeviceNetwork &net)
 {
-    Device &dev = net.dev();
-    kernels::SonicState state(dev);
+    kernels::SonicState state(net.dev());
     task::Program program;
     TailsBuilder builder(net, program, state);
     const TaskId entry = builder.buildWithCalibration();
 
-    task::SchedulerConfig config;
-    config.transitionStyle = task::TransitionStyle::Light;
-    task::Scheduler sched(dev, program, config);
-    const auto run = sched.run(entry);
-
-    kernels::RunResult result;
-    result.completed = run.completed;
-    result.nonTerminating = run.nonTerminating;
-    result.reboots = run.reboots;
-    result.tasksExecuted = run.tasksExecuted;
-    if (run.completed)
-        result.logits = net.peekLogits();
+    auto result = kernels::runProgram(net, program, entry,
+                                      task::TransitionStyle::Light);
     result.calibTileWords = builder.calibratedTile();
-    if (calibration != nullptr) {
-        calibration->tileWords = builder.calibratedTile();
-        calibration->attempts = 1;
-    }
     return result;
-}
-
-kernels::RunResult
-runTails(dnn::DeviceNetwork &net)
-{
-    return runTails(net, nullptr);
 }
 
 } // namespace sonic::tails

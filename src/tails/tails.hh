@@ -23,19 +23,11 @@
 namespace sonic::tails
 {
 
-/** Result of the one-time calibration (exposed for tests/benches). */
-struct CalibrationInfo
-{
-    u32 tileWords = 0;  ///< converged tile size
-    u64 attempts = 0;   ///< probe executions (1 on continuous power)
-};
-
-/** Run one TAILS inference (calibrates on first use per run). */
+/**
+ * Run one TAILS inference (calibrates on first use per run; the
+ * converged tile is RunResult::calibTileWords).
+ */
 kernels::RunResult runTails(dnn::DeviceNetwork &net);
-
-/** As runTails, also reporting the calibration outcome. */
-kernels::RunResult runTails(dnn::DeviceNetwork &net,
-                            CalibrationInfo *calibration);
 
 } // namespace sonic::tails
 

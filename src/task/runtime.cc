@@ -103,7 +103,7 @@ Scheduler::run(TaskId entry)
                 result.nonTerminating = true;
                 break;
             }
-            if (result.reboots > config_.maxTotalReboots) {
+            if (result.reboots > kMaxTotalReboots) {
                 result.nonTerminating = true;
                 break;
             }

@@ -266,20 +266,25 @@ enum class TransitionStyle : u8
     Light   ///< SONIC's streamlined transition (Op::TaskTransition)
 };
 
+/**
+ * The non-termination threshold: a run is declared non-terminating
+ * after more than this many consecutive power failures with no
+ * progress (the verdict comes on failure N + 1). The scheduler counts
+ * failures with no task completion and no progress-beacon change; the
+ * pipeline's round driver counts failures with no journal progress.
+ */
+inline constexpr u64 kMaxFailuresWithoutProgress = 48;
+
+/** Hard safety valve on total reboots per scheduler run. */
+inline constexpr u64 kMaxTotalReboots = 50'000'000;
+
 /** Scheduler configuration. */
 struct SchedulerConfig
 {
     TransitionStyle transitionStyle = TransitionStyle::Alpaca;
 
-    /**
-     * Declare non-termination after more than this many consecutive
-     * power failures with no task completion and no progress-beacon
-     * change (the verdict comes on failure N + 1).
-     */
-    u64 maxFailuresWithoutProgress = 48;
-
-    /** Hard safety valve on total reboots per run. */
-    u64 maxTotalReboots = 50'000'000;
+    /** The non-termination threshold (tests lower it). */
+    u64 maxFailuresWithoutProgress = kMaxFailuresWithoutProgress;
 };
 
 /** Outcome of running a program. */

@@ -96,10 +96,12 @@ traceSchema()
     return schema;
 }
 
-/** The sweep record's list columns: each list is a length column
- * ("scheduleLen" is the table's derived field), then its values. */
+/** The sweep record's list columns: each list is a length column,
+ * then its values. Sweep files written while sweeps had a
+ * failure-schedule axis carry three more columns (its length, its
+ * indices, how many fired); a reader skips them like any column it
+ * does not know. */
 const std::vector<ColumnSpec> kSweepListColumns = {
-    {"scheduleIndex", ColType::Int},
     {"rebootDigestLen", ColType::Int},
     {"rebootDigest", ColType::Int},
     {"layerLen", ColType::Int},
@@ -123,8 +125,7 @@ sweepSchema()
          "sample", "seed", "status", "reboots", "tasksExecuted",
          "liveSeconds", "deadSeconds", "totalSeconds", "energyJ",
          "harvestedJ", "predictedClass", "tailsTileWords", "opInstances",
-         "captureNvmDigests", "scheduleLen", "scheduleIndex",
-         "scheduleFired", "finalNvmDigest", "rebootDigestLen",
+         "captureNvmDigests", "finalNvmDigest", "rebootDigestLen",
          "rebootDigest", "layerLen", "layerName", "layerKernelSeconds",
          "layerControlSeconds", "layerEnergyJ", "opLen", "opName",
          "opEnergyJ", "logitLen", "logit"},
@@ -136,7 +137,7 @@ sweepSchema()
  * columns follow its length column. */
 struct SweepLists
 {
-    u32 schedule, digests, layers, ops, logits;
+    u32 digests, layers, ops, logits;
 };
 
 const SweepLists &
@@ -144,8 +145,8 @@ sweepLists()
 {
     const auto &s = sweepSchema();
     static const SweepLists lists{
-        s.position("scheduleLen"), s.position("rebootDigestLen"),
-        s.position("layerLen"), s.position("opLen"), s.position("logitLen")};
+        s.position("rebootDigestLen"), s.position("layerLen"),
+        s.position("opLen"), s.position("logitLen")};
     return lists;
 }
 
@@ -661,8 +662,6 @@ appendSweepRow(SoniczWriter &w, const app::SweepRecord &record)
     putFields(w, sweepSchema(), record);
     const auto &at = sweepLists();
     const auto &r = record.result;
-    for (const u64 idx : record.spec.failureSchedule)
-        w.putInt(at.schedule + 1, idx);
     w.putInt(at.digests, r.rebootDigests.size());
     for (const u64 digest : r.rebootDigests)
         w.putInt(at.digests + 1, digest);
@@ -908,9 +907,6 @@ takeSweepRow(BlockReader &b, app::SweepRecord *out, bool legacy_power)
                + "' declares more values than the block holds");
         return 0;
     };
-    spec.failureSchedule.resize(list(at.schedule));
-    for (u64 &idx : spec.failureSchedule)
-        b.take(at.schedule + 1, &idx);
     r.rebootDigests.resize(list(at.digests));
     for (u64 &digest : r.rebootDigests)
         b.take(at.digests + 1, &digest);

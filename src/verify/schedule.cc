@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "task/runtime.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -12,8 +13,11 @@ namespace
 {
 
 /** Hard ceiling keeping any schedule far from the scheduler's
- * non-termination threshold (48 consecutive unproductive failures). */
+ * non-termination threshold (consecutive unproductive failures). */
 constexpr u32 kAbsoluteMaxFailures = 40;
+static_assert(kAbsoluteMaxFailures < task::kMaxFailuresWithoutProgress,
+              "a generated schedule must never reach the "
+              "non-termination threshold");
 
 u32
 clampMaxFailures(const ScheduleGenConfig &config)

@@ -18,8 +18,8 @@
  *    raising and log application must stay atomic.
  *
  * Every schedule keeps its total failure count well below the
- * scheduler's non-termination threshold (SchedulerConfig::
- * maxFailuresWithoutProgress), so a run that is declared
+ * scheduler's non-termination threshold
+ * (task::kMaxFailuresWithoutProgress), so a run that is declared
  * non-terminating under a generated schedule is always a genuine
  * progress bug, never an artifact of an impossibly hostile schedule.
  */
@@ -52,8 +52,9 @@ struct ScheduleGenConfig
 
     /**
      * Failure-count cap per schedule. Must stay below the scheduler's
-     * maxFailuresWithoutProgress (48) so generated schedules can never
-     * cause a legitimate non-termination verdict; generators clamp.
+     * task::kMaxFailuresWithoutProgress so generated schedules can
+     * never cause a legitimate non-termination verdict; generators
+     * clamp.
      */
     u32 maxFailures = 8;
 };

@@ -88,10 +88,11 @@ TEST(Experiment, RfPaperEnvironmentMatchesCapacitorPower)
 TEST(Experiment, EmptyEnvironmentIsContinuous)
 {
     RunSpec spec;
-    const auto wall = makeSupply(spec);
+    auto &registry = env::EnvRegistry::instance();
+    const auto wall = registry.make(spec.environment, spec.seed);
     EXPECT_NE(dynamic_cast<arch::ContinuousPower *>(wall.get()), nullptr);
     spec.environment = {"rf-paper", 1e-3};
-    const auto cap = makeSupply(spec);
+    const auto cap = registry.make(spec.environment, spec.seed);
     EXPECT_NE(dynamic_cast<env::HarvestSupply *>(cap.get()), nullptr);
     EXPECT_EQ(cap->capacityNj(),
               testutil::CapacitorPower(1e-3, env::kRfPaperWatts).capacityNj());

@@ -253,8 +253,8 @@ TEST(Intermittent, TailsCalibrationShrinksTileOnSmallBuffer)
                           std::make_unique<arch::ContinuousPower>());
     dnn::DeviceNetwork cont_net(cont_dev, spec);
     cont_net.loadInput(testutil::tinyInput());
-    tails::CalibrationInfo cont_cal;
-    ASSERT_TRUE(tails::runTails(cont_net, &cont_cal).completed);
+    const auto cont = tails::runTails(cont_net);
+    ASSERT_TRUE(cont.completed);
 
     // An energy buffer of ~2 uJ: too small for the maximum probe
     // tile, large enough for every per-iteration unit of the network.
@@ -263,10 +263,10 @@ TEST(Intermittent, TailsCalibrationShrinksTileOnSmallBuffer)
         std::make_unique<testutil::CapacitorPower>(15e-6, 0.5e-3));
     dnn::DeviceNetwork small_net(small_dev, spec);
     small_net.loadInput(testutil::tinyInput());
-    tails::CalibrationInfo small_cal;
-    ASSERT_TRUE(tails::runTails(small_net, &small_cal).completed);
+    const auto small = tails::runTails(small_net);
+    ASSERT_TRUE(small.completed);
 
-    EXPECT_LT(small_cal.tileWords, cont_cal.tileWords);
+    EXPECT_LT(small.calibTileWords, cont.calibTileWords);
 }
 
 } // namespace

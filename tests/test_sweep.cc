@@ -88,7 +88,6 @@ TEST(SweepPlan, EmptyAxesAndZeroCountsExitWithDiagnostics)
     EXPECT_EXIT(plan.environments({}), exits, "empty environment axis");
     EXPECT_EXIT(plan.profiles({}), exits, "empty profile axis");
     EXPECT_EXIT(plan.sampleIndices({}), exits, "empty sample axis");
-    EXPECT_EXIT(plan.failureSchedules({}), exits, "empty schedule axis");
     EXPECT_EXIT(plan.samples(0), exits, "needs n > 0");
 }
 
@@ -134,11 +133,11 @@ TEST(SweepPlan, ImplNamesResolveThroughRegistry)
 {
     SweepPlan plan;
     plan.implNames({"SONIC", "Tile-8", "TAILS"});
-    const auto &axis = plan.implAxis();
-    ASSERT_EQ(axis.size(), 3u);
-    EXPECT_EQ(axis[0], kernels::Impl::Sonic);
-    EXPECT_EQ(axis[1], kernels::Impl::Tile8);
-    EXPECT_EQ(axis[2], kernels::Impl::Tails);
+    const auto specs = plan.expand();
+    ASSERT_EQ(specs.size(), 3u);
+    EXPECT_EQ(specs[0].impl, kernels::Impl::Sonic);
+    EXPECT_EQ(specs[1].impl, kernels::Impl::Tile8);
+    EXPECT_EQ(specs[2].impl, kernels::Impl::Tails);
 }
 
 TEST(SweepPlan, SeedsAreDeterministicAndShapeIndependent)
@@ -236,33 +235,14 @@ TEST(SweepPlan, SeedsBitStableAcrossThreadCounts)
     }
 }
 
-TEST(SweepPlan, ScheduleAxisExpandsInnermostAndReseeds)
+TEST(Engine, IntermittentRunsStreamDigestsThroughSinks)
 {
+    // The golden network on the paper's smallest capacitor browns out
+    // three times; each reboot leaves one FRAM digest.
     SweepPlan plan;
-    plan.impls({kernels::Impl::Sonic})
-        .failureSchedules({{}, {10, 20}, {10, 21}});
-    EXPECT_EQ(plan.size(), 3u);
-    const auto specs = plan.expand();
-    ASSERT_EQ(specs.size(), 3u);
-    EXPECT_TRUE(specs[0].failureSchedule.empty());
-    EXPECT_EQ(specs[1].failureSchedule, (std::vector<u64>{10, 20}));
-    EXPECT_EQ(specs[2].failureSchedule, (std::vector<u64>{10, 21}));
-
-    // The empty schedule keeps the pre-axis seed; distinct schedules
-    // get distinct seeds.
-    SweepPlan plain;
-    plain.impls({kernels::Impl::Sonic});
-    EXPECT_EQ(specs[0].seed, plain.expand()[0].seed);
-    std::set<u64> seeds{specs[0].seed, specs[1].seed, specs[2].seed};
-    EXPECT_EQ(seeds.size(), 3u);
-}
-
-TEST(Engine, ScheduleRunsStreamDigestsThroughSinks)
-{
-    SweepPlan plan;
-    plan.nets({"HAR"})
+    plan.nets({"golden"})
         .impls({kernels::Impl::Sonic})
-        .failureSchedules({{1000, 2000}})
+        .environmentLabels({"rf-paper@100uF"})
         .captureNvmDigests(true);
     std::ostringstream json_out;
     JsonSink json(json_out);
@@ -271,15 +251,11 @@ TEST(Engine, ScheduleRunsStreamDigestsThroughSinks)
     ASSERT_EQ(records.size(), 1u);
     const auto &r = records[0].result;
     ASSERT_TRUE(r.completed);
-    EXPECT_EQ(r.scheduleFired, 2u);
-    EXPECT_EQ(r.reboots, 2u);
-    EXPECT_EQ(r.rebootDigests.size(), 2u);
+    EXPECT_EQ(r.reboots, 3u);
+    EXPECT_EQ(r.rebootDigests.size(), r.reboots);
     EXPECT_NE(r.finalNvmDigest, 0u);
 
     const std::string text = json_out.str();
-    EXPECT_NE(text.find("\"failureSchedule\": [1000, 2000]"),
-              std::string::npos);
-    EXPECT_NE(text.find("\"scheduleFired\": 2"), std::string::npos);
     EXPECT_NE(text.find("\"rebootDigests\": ["), std::string::npos);
 }
 
@@ -328,14 +304,14 @@ TEST(Engine, SinksStreamInPlanOrder)
     std::ostringstream csv_out, json_out;
     CsvSink csv(csv_out);
     JsonSink json(json_out);
-    MemorySink memory;
 
     Engine engine(EngineOptions{2});
-    const auto records = engine.run(plan, {&csv, &json, &memory});
+    const auto records = engine.run(plan, {&csv, &json});
     ASSERT_EQ(records.size(), 2u);
-    ASSERT_EQ(memory.records().size(), 2u);
-    EXPECT_EQ(memory.records()[0].spec.impl, kernels::Impl::Base);
-    EXPECT_EQ(memory.records()[1].spec.impl, kernels::Impl::Sonic);
+    EXPECT_EQ(records[0].planIndex, 0u);
+    EXPECT_EQ(records[0].spec.impl, kernels::Impl::Base);
+    EXPECT_EQ(records[1].planIndex, 1u);
+    EXPECT_EQ(records[1].spec.impl, kernels::Impl::Sonic);
 
     // CSV: header + one line per record, in plan order.
     const std::string csv_text = csv_out.str();

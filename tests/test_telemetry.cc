@@ -100,11 +100,6 @@ randomSweepRecord(std::mt19937_64 &rng, u32 index)
       }
       default: break; // continuous wall power
     }
-    if (rng() % 4 == 0) {
-        const u64 len = rng() % 5;
-        for (u64 i = 0; i < len; ++i)
-            spec.failureSchedule.push_back(rng() % 1000);
-    }
     spec.captureNvmDigests = rng() % 2 == 0;
 
     auto &r = record.result;
@@ -124,7 +119,6 @@ randomSweepRecord(std::mt19937_64 &rng, u32 index)
     r.harvestedJ = randomF64(rng);
     r.predictedClass = static_cast<u32>(rng() % 10);
     r.tailsTileWords = static_cast<u32>(rng() % 4096);
-    r.scheduleFired = rng() % 16;
     r.opInstances = rng() % 1000000;
     r.finalNvmDigest = rng();
     const u64 digests = rng() % 4;
@@ -567,7 +561,6 @@ TEST(Sonicz, FieldsSurviveBitExactly)
             std::bit_cast<u64>(a.spec.environment.capacitanceFarads),
             std::bit_cast<u64>(b.spec.environment.capacitanceFarads));
         EXPECT_EQ(a.spec.seed, b.spec.seed);
-        EXPECT_EQ(a.spec.failureSchedule, b.spec.failureSchedule);
         EXPECT_EQ(a.spec.captureNvmDigests, b.spec.captureNvmDigests);
         EXPECT_EQ(a.result.completed, b.result.completed);
         EXPECT_EQ(a.result.nonTerminating, b.result.nonTerminating);
@@ -835,9 +828,9 @@ packCraftedRow(telemetry::SchemaKind kind, const std::string &column,
                u64 value)
 {
     const std::vector<std::string> list_values = {
-        "scheduleIndex", "rebootDigest", "layerName",
-        "layerKernelSeconds", "layerControlSeconds", "layerEnergyJ",
-        "opName", "opEnergyJ", "logit"};
+        "rebootDigest", "layerName", "layerKernelSeconds",
+        "layerControlSeconds", "layerEnergyJ", "opName", "opEnergyJ",
+        "logit"};
     const auto is_list_value = [&](const std::string &name) {
         return std::find(list_values.begin(), list_values.end(), name)
             != list_values.end();
@@ -900,7 +893,7 @@ TEST(Sonicz, OutOfRangeIntegerCellsAreRejectedNamingTheColumn)
         {SchemaKind::Trace, "arg", past_u32},
         // A list length past the cells its value column holds must not
         // size a vector (2^40 u64s).
-        {SchemaKind::Sweep, "scheduleLen", u64{1} << 40},
+        {SchemaKind::Sweep, "rebootDigestLen", u64{1} << 40},
     };
     for (const auto &[kind, column, value] : cases) {
         SCOPED_TRACE(column);
@@ -1073,11 +1066,11 @@ TEST(Sonicz, ReadsLegacyPowerColumnAsRfPaperEnvironments)
         directSweepOutput({}, /*json=*/false)
         + "0,golden,SONIC,,standard,0,6322557469518132022,ok,0,74,"
           "0.001768375,0,0.001768375,5.6816000000000006e-05,"
-          "5.6816000000000006e-05,1,0,0,0\n"
+          "5.6816000000000006e-05,1,0\n"
           "1,golden,SONIC,rf-paper@100uF,standard,0,"
           "17164434913896211336,ok,3,74,0.001779625,"
           "0.09030929999999976,0.09208892499999977,"
-          "5.7146000000000005e-05,6.0206199999999844e-05,1,0,0,0\n";
+          "5.7146000000000005e-05,6.0206199999999844e-05,1,0\n";
     EXPECT_EQ(catToString(packed, telemetry::CatOptions{}), expected);
 }
 #endif
@@ -1176,6 +1169,55 @@ TEST(Sonicz, UnknownTrailingColumnsAreTolerated)
                                            nullptr, &error))
             << "flip at byte " << i << " was accepted";
     }
+}
+
+TEST(Sonicz, RetiredScheduleColumnsAreSkipped)
+{
+    // A sweep file written while sweeps had a failure-schedule axis:
+    // beside today's columns it carries scheduleLen, the flattened
+    // scheduleIndex list and scheduleFired. The reader skips all three
+    // and delivers every other field unchanged.
+    std::mt19937_64 rng(0x5c4ed);
+    std::vector<app::SweepRecord> records;
+    for (u32 i = 0; i < 40; ++i)
+        records.push_back(randomSweepRecord(rng, i));
+
+    using telemetry::ColType;
+    std::ostringstream os;
+    telemetry::SoniczWriter writer(os, telemetry::SchemaKind::Sweep,
+                                   {{"scheduleLen", ColType::Int},
+                                    {"scheduleIndex", ColType::Int},
+                                    {"scheduleFired", ColType::Int}});
+    const auto base = static_cast<u32>(
+        telemetry::schemaColumns(telemetry::SchemaKind::Sweep).size());
+    for (const auto &record : records) {
+        const u64 len = record.planIndex % 4;
+        writer.putInt(base, len);
+        for (u64 k = 0; k < len; ++k)
+            writer.putInt(base + 1, 1000 * (k + 1) + record.planIndex);
+        writer.putInt(base + 2, len / 2);
+        telemetry::appendSweepRow(writer, record);
+    }
+    writer.finish();
+    const std::string packed = os.str();
+
+    std::vector<app::SweepRecord> restored;
+    std::istringstream in(packed);
+    std::string error;
+    ASSERT_TRUE(telemetry::readSonicz(
+        in, [&](const app::SweepRecord &r) { restored.push_back(r); },
+        nullptr, nullptr, &error))
+        << error;
+    // Every stored field comes back: the restored rows pack to the
+    // bytes the records pack to without the retired columns.
+    EXPECT_EQ(packSweep(restored), packSweep(records));
+
+    EXPECT_EQ(catToString(packed, telemetry::CatOptions{}),
+              directSweepOutput(records, /*json=*/false));
+    telemetry::CatOptions json;
+    json.format = telemetry::CatOptions::Format::Json;
+    EXPECT_EQ(catToString(packed, json),
+              directSweepOutput(records, /*json=*/true));
 }
 
 TEST(Sonicz, IndexPruningMatchesFullScanAndSkipsBlocks)

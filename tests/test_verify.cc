@@ -78,7 +78,7 @@ TEST(ScheduleGen, DeterministicBoundedAndSorted)
 TEST(ScheduleGen, FailureCountClampedBelowNoProgressThreshold)
 {
     // Even an absurd request stays far below the scheduler's
-    // maxFailuresWithoutProgress (48), so generated schedules can
+    // task::kMaxFailuresWithoutProgress, so generated schedules can
     // never produce a legitimate non-termination verdict.
     ScheduleGenConfig config;
     config.opHorizon = 1'000'000;
